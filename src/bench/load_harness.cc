@@ -16,7 +16,7 @@
 #include "net/fault_proxy.h"
 #include "net/remote_source.h"
 #include "net/terminal_server.h"
-#include "pipeline/secure_pipeline.h"
+#include "pipeline/serve_stream.h"
 #include "server/document_service.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"

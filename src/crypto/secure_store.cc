@@ -310,8 +310,8 @@ SoeDecryptor::SoeDecryptor(const TripleDes::Key& key, ChunkLayout layout,
   // A shared cache vouching for a different document version must never be
   // consulted: its hashes authenticate that version's ciphertext, and
   // accepting them here would undo the replay protection the version check
-  // provides. The shared cache is universal now (every service serve wires
-  // one in), so a mismatched handle is a wiring bug upstream — poison the
+  // provides. A service serve passes its version snapshot's own cache, so
+  // a mismatched handle is a wiring bug upstream — poison the
   // decryptor instead of silently downgrading to a private cache, which
   // hid exactly this class of bug behind a cold-serve wire bill.
   if (shared_cache != nullptr) {

@@ -145,14 +145,12 @@ class BatchSource {
  public:
   /// Transport-side accounting a source may expose (zeros for in-process
   /// sources, where a round trip cannot fail): attempts beyond the first
-  /// per request, connections re-established after a mid-stream failure,
-  /// and the per-request deadline in force. The fetcher snapshots these
-  /// into its own counters so cost reports price unreliability alongside
-  /// wire bytes.
+  /// per request and connections re-established after a mid-stream
+  /// failure. The fetcher snapshots these into its own counters so cost
+  /// reports price unreliability alongside wire bytes.
   struct TransportStats {
     uint64_t retries = 0;
     uint64_t reconnects = 0;
-    uint64_t deadline_ns = 0;
   };
 
   virtual ~BatchSource() = default;

@@ -56,18 +56,7 @@ Status DocumentNavigator::Init(const uint8_t* data, size_t size,
     ensured = round_up(ensured * 2);
   }
   size_bits_ = (size - stream_offset_) * 8;
-  Touch(0, stream_offset_);
   return Status::OK();
-}
-
-void DocumentNavigator::Touch(uint64_t begin_byte, uint64_t end_byte) {
-  if (begin_byte >= end_byte) return;
-  if (!trace_.empty() && begin_byte >= trace_.back().begin &&
-      begin_byte <= trace_.back().end) {
-    trace_.back().end = std::max(trace_.back().end, end_byte);
-    return;
-  }
-  trace_.push_back({begin_byte, end_byte});
 }
 
 Result<uint64_t> DocumentNavigator::ReadBits(int width) {
@@ -75,12 +64,11 @@ Result<uint64_t> DocumentNavigator::ReadBits(int width) {
   if (pos_ + static_cast<size_t>(width) > size_bits_) {
     return Status::Corruption("encoded stream truncated");
   }
-  uint64_t begin_byte = stream_offset_ + pos_ / 8;
-  uint64_t end_byte = stream_offset_ + (pos_ + width + 7) / 8;
   if (fetcher_ != nullptr) {
-    CSXA_RETURN_NOT_OK(fetcher_->Ensure(begin_byte, end_byte));
+    CSXA_RETURN_NOT_OK(
+        fetcher_->Ensure(stream_offset_ + pos_ / 8,
+                         stream_offset_ + (pos_ + width + 7) / 8));
   }
-  Touch(begin_byte, end_byte);
   const uint8_t* stream = data_ + stream_offset_;
   uint64_t v = 0;
   size_t p = pos_;

@@ -49,13 +49,6 @@ class Fetcher {
   virtual uint64_t bytes_fetched() const { return 0; }
 };
 
-/// Byte interval [begin, end) of the encoded document that was actually
-/// consumed (not skipped) — the access trace drives the cost model.
-struct ByteInterval {
-  uint64_t begin;
-  uint64_t end;
-};
-
 /// Streaming decoder of an encoded document with skip support.
 ///
 /// The navigator is the SOE-resident counterpart of the paper's SkipStack
@@ -144,8 +137,6 @@ class DocumentNavigator {
 
   /// Total bits consumed by reads (skips excluded).
   uint64_t bits_read() const { return bits_read_; }
-  /// Merged byte intervals actually read, in first-touch order.
-  const std::vector<ByteInterval>& trace() const { return trace_; }
 
   const xml::TagDictionary& dictionary() const { return dict_; }
   Variant variant() const { return variant_; }
@@ -162,7 +153,6 @@ class DocumentNavigator {
   Result<uint64_t> ReadBits(int width);
   Status ReadText(uint64_t len, std::string* out);
   Result<uint64_t> ReadTcVarint();
-  void Touch(uint64_t begin_byte, uint64_t end_byte);
 
   Result<Item> NextPacked();
   Result<Item> NextTc();
@@ -183,7 +173,6 @@ class DocumentNavigator {
   std::vector<xml::TagId> tc_stack_;  // TC-only open-element tags
 
   uint64_t bits_read_ = 0;
-  std::vector<ByteInterval> trace_;
 };
 
 }  // namespace csxa::index

@@ -95,10 +95,6 @@ class SecureFetcher : public Fetcher {
   uint64_t reconnects() const {
     return source_->transport_stats().reconnects - transport_base_.reconnects;
   }
-  /// Per-request deadline the transport enforces (0 = none/in-process).
-  uint64_t deadline_ns() const {
-    return source_->transport_stats().deadline_ns;
-  }
   const FetchPlanner::Stats& planner_stats() const {
     return planner_.stats();
   }

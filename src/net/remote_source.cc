@@ -43,7 +43,7 @@ RemoteBatchSource::~RemoteBatchSource() {
 crypto::BatchSource::TransportStats RemoteBatchSource::transport_stats()
     const {
   MutexLock lock(&mu_);
-  return {retries_, reconnects_, options_.deadline_ns};
+  return {retries_, reconnects_};
 }
 
 void RemoteBatchSource::FailWaitersLocked(const char* why) const {

@@ -70,8 +70,8 @@ class RemoteBatchSource : public crypto::BatchSource {
   Result<crypto::BatchResponse> ReadBatch(
       const crypto::BatchRequest& request) const override;
 
-  /// Retries/reconnects so far plus the configured deadline (the
-  /// fetcher's per-serve counters are deltas of this).
+  /// Retries/reconnects so far (the fetcher's per-serve counters are
+  /// deltas of this).
   TransportStats transport_stats() const override CSXA_EXCLUDES(mu_);
 
  private:

@@ -23,7 +23,7 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
       crypto::BatchRequest decoded_request,
       crypto::DecodeBatchRequest(request_frame.data(), request_frame.size()));
 
-  std::shared_ptr<const DocumentState> state = Current();
+  std::shared_ptr<const pipeline::DocumentState> state = Current();
   const uint64_t size = state->store.ciphertext().size();
   const uint32_t fragment = state->store.layout().fragment_size;
   for (const crypto::BatchRequest::Run& run : decoded_request.runs) {
@@ -49,7 +49,7 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
 
 }  // namespace internal
 
-Result<std::shared_ptr<const internal::DocumentState>>
+Result<std::shared_ptr<const pipeline::DocumentState>>
 DocumentService::BuildState(const std::string& xml, const DocumentConfig& cfg,
                             uint32_t version) {
   CSXA_ASSIGN_OR_RETURN(auto dom, xml::SaxParser::ParseToDom(xml));
@@ -59,19 +59,19 @@ DocumentService::BuildState(const std::string& xml, const DocumentConfig& cfg,
                         crypto::SecureDocumentStore::Build(
                             doc.bytes, cfg.key, cfg.layout, version,
                             cfg.backend));
-  auto state = std::make_shared<internal::DocumentState>();
-  state->encoded_bytes = doc.bytes.size();
-  state->version = version;
+  auto state = std::make_shared<pipeline::DocumentState>();
   state->key = cfg.key;
-  state->variant = cfg.variant;
   state->store = std::move(store);
   // The shared cache is born with the state and dies with the last
   // session holding it: entries are keyed (chunk, node) inside an
   // instance keyed (document, version) — a bump can therefore never leak
-  // one version's authenticated hashes into another's serves.
-  state->cache = std::make_shared<crypto::VerifiedDigestCache>(
-      cfg.layout.fragments_per_chunk(), cfg.shared_cache_capacity, version);
-  return std::shared_ptr<const internal::DocumentState>(std::move(state));
+  // one version's authenticated hashes into another's serves. Without
+  // one, each serve's decryptor keeps a private cache.
+  if (cfg.shared_cache_capacity != 0) {
+    state->cache = std::make_shared<crypto::VerifiedDigestCache>(
+        cfg.layout.fragments_per_chunk(), cfg.shared_cache_capacity, version);
+  }
+  return std::shared_ptr<const pipeline::DocumentState>(std::move(state));
 }
 
 Status DocumentService::Publish(const std::string& doc_id,
@@ -107,7 +107,7 @@ Status DocumentService::Update(const std::string& doc_id,
   // mint the same version number for different content (sessions could
   // then mix them undetected); updates of other documents proceed.
   MutexLock update_lock(&entry->update_mu);
-  const uint32_t next_version = entry->Current()->version + 1;
+  const uint32_t next_version = entry->Current()->store.version() + 1;
   CSXA_ASSIGN_OR_RETURN(auto state, BuildState(xml, cfg, next_version));
   entry->Swap(std::move(state));
   return Status::OK();
@@ -127,7 +127,7 @@ Result<std::unique_ptr<SecureSession>> DocumentService::OpenSession(
     const std::string& doc_id, const std::vector<access::AccessRule>& rules,
     const pipeline::ServeOptions& options) const {
   std::shared_ptr<internal::DocumentEntry> entry;
-  std::shared_ptr<const crypto::BatchSource> transport;
+  std::shared_ptr<const crypto::BatchSource> source;
   {
     MutexLock lock(&mu_);
     auto it = docs_.find(doc_id);
@@ -135,27 +135,20 @@ Result<std::unique_ptr<SecureSession>> DocumentService::OpenSession(
       return Status::InvalidArgument("document not published: " + doc_id);
     }
     entry = it->second.entry;
-    transport = it->second.transport;
+    source = it->second.transport;
   }
   // Snapshot the version the session is opened for: geometry, expected
   // version and shared cache come from it, while actual batch reads go
-  // through the entry (the *current* store) — a bump between here and the
-  // last fetch is therefore detected, not papered over.
-  std::shared_ptr<const internal::DocumentState> state = entry->Current();
-  pipeline::ServeOptions wired = options;
-  wired.shared_digest_cache = state->cache;
-  if (transport != nullptr && wired.terminal_source == nullptr) {
-    wired.terminal_source = std::move(transport);
-  }
+  // through the entry (the *current* store) or the attached transport —
+  // a bump between here and the last fetch is therefore detected, not
+  // papered over.
+  std::shared_ptr<const pipeline::DocumentState> state = entry->Current();
+  if (source == nullptr) source = std::move(entry);
   CSXA_ASSIGN_OR_RETURN(
       auto stream,
-      pipeline::ServeStream::Open(
-          entry.get(), state->store.layout(), state->store.plaintext_size(),
-          state->store.ciphertext().size(), state->store.chunk_count(),
-          state->key, state->version, rules, wired,
-          state->store.backend()));
+      pipeline::ServeStream::Open(source.get(), *state, rules, options));
   return std::unique_ptr<SecureSession>(new SecureSession(
-      std::move(entry), std::move(state), std::move(stream)));
+      std::move(source), std::move(state), std::move(stream)));
 }
 
 Result<pipeline::ServeReport> DocumentService::Serve(
@@ -168,13 +161,15 @@ Result<pipeline::ServeReport> DocumentService::Serve(
 Result<uint32_t> DocumentService::CurrentVersion(
     const std::string& doc_id) const {
   CSXA_ASSIGN_OR_RETURN(auto entry, FindEntry(doc_id));
-  return entry->Current()->version;
+  return entry->Current()->store.version();
 }
 
 Result<crypto::VerifiedDigestCache::Stats> DocumentService::CacheStats(
     const std::string& doc_id) const {
   CSXA_ASSIGN_OR_RETURN(auto entry, FindEntry(doc_id));
-  return entry->Current()->cache->stats();
+  auto state = entry->Current();
+  if (state->cache == nullptr) return crypto::VerifiedDigestCache::Stats{};
+  return state->cache->stats();
 }
 
 Result<std::shared_ptr<const crypto::BatchSource>>

@@ -13,7 +13,7 @@
 #include "crypto/digest_cache.h"
 #include "crypto/secure_store.h"
 #include "index/variants.h"
-#include "pipeline/secure_pipeline.h"
+#include "pipeline/serve_stream.h"
 
 namespace csxa::server {
 
@@ -25,8 +25,10 @@ struct DocumentConfig {
   crypto::TripleDes::Key key{};
   /// Entries (chunks) of the per-(document, version) shared verified-digest
   /// cache. Sized to hold a whole document's chunks so a warm service
-  /// serves every session material-free; 0 falls back to private
-  /// per-serve caches.
+  /// serves every session material-free. 0 publishes without a shared
+  /// cache: every serve then starts cold with a private cache of
+  /// ServeOptions::digest_cache_capacity entries, and nothing carries
+  /// over between serves (the Figure 8 comparisons want exactly that).
   size_t shared_cache_capacity = 128;
   /// Cipher backend the document is encrypted under; carried across
   /// Update() rebuilds so every version of a document uses one backend.
@@ -34,21 +36,6 @@ struct DocumentConfig {
 };
 
 namespace internal {
-
-/// Immutable snapshot of one published document version: the encrypted
-/// store, its geometry, and the shared verified-digest cache stamped with
-/// this version. Sessions hold it by shared_ptr, so an Update never pulls
-/// memory out from under an in-flight serve — it only makes the serve
-/// *fail closed* (the live terminal link below starts answering with the
-/// next version's bytes and digests).
-struct DocumentState {
-  crypto::SecureDocumentStore store;
-  uint64_t encoded_bytes = 0;
-  uint32_t version = 0;
-  crypto::TripleDes::Key key{};
-  index::Variant variant = index::Variant::kTcsbr;
-  std::shared_ptr<crypto::VerifiedDigestCache> cache;
-};
 
 /// The live terminal link of one document id. Every session's fetcher
 /// reads through this (not through its own version snapshot): the terminal
@@ -66,11 +53,13 @@ class DocumentEntry : public crypto::BatchSource {
   Result<crypto::BatchResponse> ReadBatch(
       const crypto::BatchRequest& request) const override;
 
-  std::shared_ptr<const DocumentState> Current() const CSXA_EXCLUDES(mu_) {
+  std::shared_ptr<const pipeline::DocumentState> Current() const
+      CSXA_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return state_;
   }
-  void Swap(std::shared_ptr<const DocumentState> next) CSXA_EXCLUDES(mu_) {
+  void Swap(std::shared_ptr<const pipeline::DocumentState> next)
+      CSXA_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     state_ = std::move(next);
   }
@@ -85,19 +74,19 @@ class DocumentEntry : public crypto::BatchSource {
 
  private:
   mutable Mutex mu_;
-  std::shared_ptr<const DocumentState> state_ CSXA_GUARDED_BY(mu_);
+  std::shared_ptr<const pipeline::DocumentState> state_ CSXA_GUARDED_BY(mu_);
 };
 
 }  // namespace internal
 
-/// One user's serve against a published document: a handle on the
-/// service's document entry (the live terminal link plus keep-alives for
-/// the version snapshot it was opened under) wrapping the per-serve SOE
-/// chain. Many SecureSessions run concurrently against one DocumentService;
-/// they share nothing mutable but the thread-safe verified-digest cache of
-/// their document version — which is what makes every session after the
-/// first start warm: trimmed proofs and bare re-reads from its first
-/// request.
+/// One user's serve against a published document: keep-alives for the
+/// terminal endpoint it reads through (the document's live link, or the
+/// transport attached when it opened) and for the version snapshot it was
+/// opened under, wrapping the per-serve SOE chain. Many SecureSessions run
+/// concurrently against one DocumentService; they share nothing mutable
+/// but the thread-safe verified-digest cache of their document version —
+/// which is what makes every session after the first start warm: trimmed
+/// proofs and bare re-reads from its first request.
 class SecureSession {
  public:
   SecureSession(const SecureSession&) = delete;
@@ -111,28 +100,29 @@ class SecureSession {
 
   /// Drains the remaining view into a serialized string + cost report.
   Result<pipeline::ServeReport> Drain() {
-    return pipeline::DrainServeStream(stream_.get(), state_->encoded_bytes);
+    return pipeline::DrainServeStream(stream_.get());
   }
 
-  uint32_t version() const { return state_->version; }
+  uint32_t version() const { return state_->store.version(); }
   const pipeline::ServeStream& stream() const { return *stream_; }
 
  private:
   friend class DocumentService;
-  SecureSession(std::shared_ptr<internal::DocumentEntry> entry,
-                std::shared_ptr<const internal::DocumentState> state,
+  SecureSession(std::shared_ptr<const crypto::BatchSource> source,
+                std::shared_ptr<const pipeline::DocumentState> state,
                 std::unique_ptr<pipeline::ServeStream> stream)
-      : entry_(std::move(entry)),
+      : source_(std::move(source)),
         state_(std::move(state)),
         stream_(std::move(stream)) {}
 
-  std::shared_ptr<internal::DocumentEntry> entry_;  ///< Live terminal link.
-  std::shared_ptr<const internal::DocumentState> state_;  ///< Version snapshot.
+  std::shared_ptr<const crypto::BatchSource> source_;  ///< Terminal endpoint.
+  std::shared_ptr<const pipeline::DocumentState> state_;  ///< Version snapshot.
   std::unique_ptr<pipeline::ServeStream> stream_;
 };
 
-/// The server: owns one SecureDocumentStore per published document and
-/// serves many concurrent SecureSessions against each. Thread-safe —
+/// The server and the one serve facade: owns one SecureDocumentStore per
+/// published document and serves many concurrent SecureSessions against
+/// each (single-document callers publish here too). Thread-safe —
 /// Publish/Update/OpenSession/Serve may be called from any thread.
 ///
 /// Sharing model (what crosses session boundaries, and why it is safe):
@@ -165,7 +155,8 @@ class DocumentService {
   Status Update(const std::string& doc_id, const std::string& xml);
 
   /// SOE side: opens a pull session of the authorized view for `rules`
-  /// against the current version of `doc_id`, wired to the shared cache.
+  /// against the current version of `doc_id`, wired to its shared cache
+  /// (if it was published with one).
   Result<std::unique_ptr<SecureSession>> OpenSession(
       const std::string& doc_id,
       const std::vector<access::AccessRule>& rules,
@@ -177,7 +168,8 @@ class DocumentService {
       const pipeline::ServeOptions& options) const;
 
   Result<uint32_t> CurrentVersion(const std::string& doc_id) const;
-  /// Snapshot of the current version's shared-cache stats.
+  /// Snapshot of the current version's shared-cache stats (zeros when the
+  /// document was published without a shared cache).
   Result<crypto::VerifiedDigestCache::Stats> CacheStats(
       const std::string& doc_id) const;
 
@@ -201,7 +193,7 @@ class DocumentService {
                          std::shared_ptr<const crypto::BatchSource> source);
 
  private:
-  static Result<std::shared_ptr<const internal::DocumentState>> BuildState(
+  static Result<std::shared_ptr<const pipeline::DocumentState>> BuildState(
       const std::string& xml, const DocumentConfig& cfg, uint32_t version);
   Result<std::shared_ptr<internal::DocumentEntry>> FindEntry(
       const std::string& doc_id) const;

@@ -5,14 +5,16 @@
 // weakening integrity — a tampered terminal must be caught even on a
 // cache-hit ("bare") re-read that ships no Merkle material at all.
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "access/access_rule.h"
 #include "crypto/secure_store.h"
+#include "index/encoder.h"
 #include "index/fetch_planner.h"
 #include "index/secure_fetcher.h"
-#include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
@@ -73,6 +75,19 @@ std::string DirectView(const std::string& xml,
   return ser.output();
 }
 
+/// Publication without a shared cache: every serve starts cold with a
+/// private digest cache, so the serves a test compares share nothing.
+server::DocumentConfig ColdConfig(index::Variant variant, uint32_t chunk_size,
+                                  uint32_t fragment_size) {
+  server::DocumentConfig cfg;
+  cfg.variant = variant;
+  cfg.layout.chunk_size = chunk_size;
+  cfg.layout.fragment_size = fragment_size;
+  cfg.key = TestKey();
+  cfg.shared_cache_capacity = 0;
+  return cfg;
+}
+
 // ---------------------------------------------------------------------------
 // Coalescing equivalence matrix: gap thresholds x variants x rulesets.
 // ---------------------------------------------------------------------------
@@ -92,20 +107,14 @@ TEST(CoalescingEquivalenceMatrix) {
     const std::string expected = DirectView(xml, rules);
     for (auto variant : {index::Variant::kTc, index::Variant::kTcs,
                          index::Variant::kTcsb, index::Variant::kTcsbr}) {
-      pipeline::SessionConfig cfg;
-      cfg.variant = variant;
-      cfg.layout.chunk_size = 256;
-      cfg.layout.fragment_size = 32;
-      cfg.key = TestKey();
-      auto session = pipeline::SecureSession::Build(xml, cfg);
-      CHECK_OK(session.status());
-      if (!session.ok()) continue;
+      server::DocumentService service;
+      CHECK_OK(service.Publish("doc", xml, ColdConfig(variant, 256, 32)));
 
       uint64_t prev_requests = UINT64_MAX;
       for (uint64_t gap : kThresholds) {
         pipeline::ServeOptions opts;
         opts.planner.gap_threshold_bytes = gap;
-        auto report = session.value().Serve(rules, opts);
+        auto report = service.Serve("doc", rules, opts);
         CHECK_OK(report.status());
         if (!report.ok()) continue;
         CHECK_EQ(report.value().view, expected);
@@ -113,7 +122,7 @@ TEST(CoalescingEquivalenceMatrix) {
         prev_requests = report.value().requests;
         // Sanity: the batch accounting stays coherent.
         CHECK(report.value().segments >= report.value().requests);
-        CHECK(report.value().bytes_fetched <= session.value().encoded_bytes());
+        CHECK(report.value().bytes_fetched <= report.value().encoded_bytes);
       }
     }
   }
@@ -125,18 +134,14 @@ TEST(BatchHorizonDoesNotChangeViews) {
   const std::string xml = TestDocument(/*folders=*/3);
   auto rules = access::ParseRuleList("+ //Prescription\n").take();
   const std::string expected = DirectView(xml, rules);
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 128;
-  cfg.layout.fragment_size = 16;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", xml,
+                           ColdConfig(index::Variant::kTcsbr, 128, 16)));
   uint64_t tiny_requests = 0, huge_requests = 0;
   for (uint64_t horizon : {uint64_t{16}, uint64_t{1} << 20}) {
     pipeline::ServeOptions opts;
     opts.planner.max_batch_bytes = horizon;
-    auto report = session.value().Serve(rules, opts);
+    auto report = service.Serve("doc", rules, opts);
     CHECK_OK(report.status());
     if (!report.ok()) continue;
     CHECK_EQ(report.value().view, expected);
@@ -324,20 +329,16 @@ TEST(DeferralRereadsUseDigestCache) {
       access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n")
           .take();
   const std::string expected = DirectView(xml, rules);
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", xml,
+                           ColdConfig(index::Variant::kTcsbr, 256, 32)));
 
   pipeline::ServeOptions deferred;
   deferred.pending_buffer_budget = 64;  // Force deferrals + re-reads.
-  auto with_cache = session.value().Serve(rules, deferred);
+  auto with_cache = service.Serve("doc", rules, deferred);
   pipeline::ServeOptions no_cache = deferred;
   no_cache.digest_cache_capacity = 0;
-  auto without_cache = session.value().Serve(rules, no_cache);
+  auto without_cache = service.Serve("doc", rules, no_cache);
   CHECK_OK(with_cache.status());
   CHECK_OK(without_cache.status());
   if (!with_cache.ok() || !without_cache.ok()) return;
@@ -356,25 +357,35 @@ TEST(TamperedDeferralRereadIsRejectedThroughPipeline) {
   auto rules =
       access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n")
           .take();
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
+  const server::DocumentConfig cfg =
+      ColdConfig(index::Variant::kTcsbr, 256, 32);
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", xml, cfg));
   pipeline::ServeOptions deferred;
   deferred.pending_buffer_budget = 64;
-  auto clean = session.value().Serve(rules, deferred);
+  auto clean = service.Serve("doc", rules, deferred);
   CHECK_OK(clean.status());
-  // Tamper somewhere in the first granted folder's MedActs region (the
-  // re-read bytes): every 8th byte of the first third, to be sure at
-  // least one lands in a deferred subtree whichever way it was encoded.
-  for (uint64_t pos = 64; pos < session.value().encoded_bytes() / 3;
-       pos += 8) {
-    session.value().mutable_store()->TamperByte(pos, 0x10);
+  // A lying terminal: the same image under the same key, layout and
+  // version, tampered somewhere in the first granted folder's MedActs
+  // region (the re-read bytes) — every 8th byte of the first third, to be
+  // sure at least one lands in a deferred subtree whichever way it was
+  // encoded — and attached as the document's transport.
+  auto dom = xml::SaxParser::ParseToDom(xml);
+  CHECK_OK(dom.status());
+  if (!dom.ok()) return;
+  auto doc = index::Encode(*dom.value(), cfg.variant);
+  CHECK_OK(doc.status());
+  if (!doc.ok()) return;
+  auto store = crypto::SecureDocumentStore::Build(doc.value().bytes, cfg.key,
+                                                  cfg.layout);
+  CHECK_OK(store.status());
+  if (!store.ok()) return;
+  for (uint64_t pos = 64; pos < doc.value().bytes.size() / 3; pos += 8) {
+    store.value().TamperByte(pos, 0x10);
   }
-  auto tampered = session.value().Serve(rules, deferred);
+  CHECK_OK(service.AttachTransport(
+      "doc", std::make_shared<crypto::SecureDocumentStore>(store.take())));
+  auto tampered = service.Serve("doc", rules, deferred);
   CHECK(!tampered.ok());
   if (!tampered.ok()) {
     CHECK(tampered.status().code() == StatusCode::kIntegrityError);
@@ -391,20 +402,16 @@ TEST(FullStreamFetchesEveryFragmentExactlyOnce) {
   for (auto layout_pair : {std::pair<uint32_t, uint32_t>{256, 32},
                            {192, 24},   // 256-byte header prefetch unaligned
                            {64, 8}}) {
-    pipeline::SessionConfig cfg;
-    cfg.variant = index::Variant::kTc;  // Streams everything.
-    cfg.layout.chunk_size = layout_pair.first;
-    cfg.layout.fragment_size = layout_pair.second;
-    cfg.key = TestKey();
-    auto session = pipeline::SecureSession::Build(xml, cfg);
-    CHECK_OK(session.status());
-    if (!session.ok()) continue;
-    auto report = session.value().Serve(
-        std::vector<access::AccessRule>{}, pipeline::ServeOptions{});
+    server::DocumentService service;
+    CHECK_OK(service.Publish(
+        "doc", xml,
+        ColdConfig(index::Variant::kTc,  // Streams everything.
+                   layout_pair.first, layout_pair.second)));
+    auto report = service.Serve("doc", std::vector<access::AccessRule>{},
+                                pipeline::ServeOptions{});
     CHECK_OK(report.status());
     if (!report.ok()) continue;
-    CHECK_EQ(report.value().bytes_fetched,
-             session.value().store().plaintext_size());
+    CHECK_EQ(report.value().bytes_fetched, report.value().encoded_bytes);
   }
 }
 

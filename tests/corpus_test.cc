@@ -12,7 +12,7 @@
 #include "access/rule_evaluator.h"
 #include "bench/corpus.h"
 #include "common/status.h"
-#include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
@@ -147,14 +147,16 @@ TEST(AllFamiliesAllVariantsMatchDirectView) {
   for (bench::CorpusFamily family : bench::AllFamilies()) {
     const bench::Corpus corpus = SmallCorpus(family);
     for (index::Variant variant : variants) {
-      pipeline::SessionConfig cfg;
+      server::DocumentConfig cfg;
       cfg.variant = variant;
       cfg.key = TestKey();
       cfg.layout.chunk_size = 1024;
       cfg.layout.fragment_size = 64;
-      auto session = pipeline::SecureSession::Build(corpus.xml, cfg);
-      CHECK_OK(session.status());
-      if (!session.ok()) continue;
+      cfg.shared_cache_capacity = 0;  // Every serve cold.
+      server::DocumentService service;
+      const Status published = service.Publish("doc", corpus.xml, cfg);
+      CHECK_OK(published);
+      if (!published.ok()) continue;
       for (bench::RuleFamily rf : bench::AllRuleFamilies()) {
         auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
         CHECK_OK(rules.status());
@@ -164,7 +166,7 @@ TEST(AllFamiliesAllVariantsMatchDirectView) {
         pipeline::ServeOptions skip{/*enable_skip=*/true, UINT64_MAX};
         pipeline::ServeOptions deferred{/*enable_skip=*/true, 2048};
         for (const pipeline::ServeOptions& opts : {full, skip, deferred}) {
-          auto report = session.value().Serve(rules.value(), opts);
+          auto report = service.Serve("doc", rules.value(), opts);
           CHECK_OK(report.status());
           if (report.ok() && report.value().view != reference) {
             testing::Fail(

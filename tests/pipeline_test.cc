@@ -13,7 +13,7 @@
 #include "index/decoder.h"
 #include "index/encoder.h"
 #include "index/secure_fetcher.h"
-#include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
 #include "testing.h"
 #include "xml/node.h"
 #include "xml/sax_parser.h"
@@ -61,16 +61,25 @@ std::string DirectView(const std::string& xml) {
 }
 
 
-Result<std::string> SecureView(const std::string& xml,
-                               index::Variant variant,
-                               const crypto::ChunkLayout& layout) {
-  pipeline::SessionConfig cfg;
+/// Publication without a shared cache: every serve starts cold.
+server::DocumentConfig TestConfig(index::Variant variant,
+                                  const crypto::ChunkLayout& layout) {
+  server::DocumentConfig cfg;
   cfg.variant = variant;
   cfg.layout = layout;
   cfg.key = TestKey();
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
-  CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport report,
-                        session.Serve(TestRules()));
+  cfg.shared_cache_capacity = 0;
+  return cfg;
+}
+
+Result<std::string> SecureView(const std::string& xml,
+                               index::Variant variant,
+                               const crypto::ChunkLayout& layout) {
+  server::DocumentService service;
+  CSXA_RETURN_NOT_OK(service.Publish("doc", xml, TestConfig(variant, layout)));
+  CSXA_ASSIGN_OR_RETURN(
+      pipeline::ServeReport report,
+      service.Serve("doc", TestRules(), pipeline::ServeOptions()));
   return report.view;
 }
 
@@ -147,7 +156,7 @@ TEST(SkippedSubtreesAreNeverFetched) {
 }
 
 TEST(PullStreamMatchesServeAndFetchesLazily) {
-  // The pull API (OpenStream/Next) is the same code path Serve drains: the
+  // The pull API (OpenSession/Next) is the same code path Serve drains: the
   // concatenated events must serialize to the identical view, and the
   // first event must be deliverable before the whole document has been
   // fetched/decrypted (the reader advances the navigate→evaluate loop only
@@ -162,31 +171,30 @@ TEST(PullStreamMatchesServeAndFetchesLazily) {
   if (!parsed.ok()) return;
   std::vector<access::AccessRule> rules = parsed.take();
 
-  pipeline::SessionConfig cfg;
-  cfg.layout.chunk_size = 64;
-  cfg.layout.fragment_size = 8;
-  cfg.key = TestKey();
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
-  auto report = session.value().Serve(rules);
+  crypto::ChunkLayout layout;
+  layout.chunk_size = 64;
+  layout.fragment_size = 8;
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", xml,
+                           TestConfig(index::Variant::kTcsbr, layout)));
+  auto report = service.Serve("doc", rules, pipeline::ServeOptions());
   CHECK_OK(report.status());
   if (!report.ok()) return;
 
-  auto stream = session.value().OpenStream(rules, pipeline::ServeOptions{});
-  CHECK_OK(stream.status());
-  if (!stream.ok()) return;
+  auto session = service.OpenSession("doc", rules, pipeline::ServeOptions());
+  CHECK_OK(session.status());
+  if (!session.ok()) return;
   xml::SerializingHandler ser;
   bool first_event_before_full_fetch = false;
   size_t events = 0;
   while (true) {
-    auto item = stream.value()->Next();
+    auto item = session.value()->Next();
     CHECK_OK(item.status());
     if (!item.ok() || item.value().end) break;
     if (++events == 1) {
       first_event_before_full_fetch =
-          stream.value()->fetcher().bytes_fetched() * 2 <
-          session.value().store().plaintext_size();
+          session.value()->stream().fetcher().bytes_fetched() * 2 <
+          report.value().encoded_bytes;
     }
     ser.Feed(item.value().event, item.value().depth);
   }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "access/access_rule.h"
-#include "pipeline/secure_pipeline.h"
 #include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
@@ -203,6 +202,44 @@ TEST(WarmDeferralRereadsAreBare) {
   CHECK(cold.value().drive.reread_fetched_bytes <=
         (cold.value().drive.reread_bits + 7) / 8 +
             2 * 32 * cold.value().drive.rereads);  // fragment-rounding slack
+}
+
+TEST(ZeroSharedCapacityServesColdWithPrivateCaches) {
+  // shared_cache_capacity = 0 publishes without a shared cache: each serve
+  // builds a private one of ServeOptions::digest_cache_capacity entries,
+  // so deferral re-reads still verify bare while nothing carries over from
+  // one serve to the next.
+  const std::string xml = TestDocument(/*folders=*/6);
+  auto rules =
+      access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n")
+          .take();
+  server::DocumentConfig cold_cfg = TestConfig(index::Variant::kTcsbr);
+  cold_cfg.shared_cache_capacity = 0;
+  server::DocumentConfig shared_cfg = TestConfig(index::Variant::kTcsbr);
+  shared_cfg.shared_cache_capacity = 128;
+  server::DocumentService service;
+  CHECK_OK(service.Publish("cold", xml, cold_cfg));
+  CHECK_OK(service.Publish("shared", xml, shared_cfg));
+
+  pipeline::ServeOptions opts;
+  opts.pending_buffer_budget = 64;  // Force deferrals + re-reads.
+  auto first = service.Serve("cold", rules, opts);
+  auto second = service.Serve("cold", rules, opts);
+  auto shared = service.Serve("shared", rules, opts);
+  CHECK_OK(first.status());
+  CHECK_OK(second.status());
+  CHECK_OK(shared.status());
+  if (!first.ok() || !second.ok() || !shared.ok()) return;
+  CHECK_EQ(first.value().wire_bytes, second.value().wire_bytes);
+  CHECK_EQ(first.value().requests, second.value().requests);
+  CHECK(first.value().bare_chunk_reads > 0);
+  CHECK(second.value().bare_chunk_reads > 0);
+  CHECK_EQ(first.value().view, shared.value().view);
+  CHECK_EQ(second.value().view, shared.value().view);
+
+  auto stats = service.CacheStats("cold");
+  CHECK_OK(stats.status());
+  if (stats.ok()) CHECK_EQ(stats.value().records, uint64_t{0});
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
-#include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
@@ -109,17 +109,30 @@ std::string DirectView(const std::string& xml,
   return ser.output();
 }
 
-Result<pipeline::ServeReport> Serve(const std::string& xml,
-                                    index::Variant variant, bool enable_skip,
-                                    const std::vector<access::AccessRule>&
-                                        rules) {
-  pipeline::SessionConfig cfg;
+/// One cold serve of `xml` (published without a shared cache, so nothing
+/// carries over between the serves a test compares).
+Result<pipeline::ServeReport> ServeOpts(const std::string& xml,
+                                        index::Variant variant,
+                                        const pipeline::ServeOptions& opts,
+                                        const std::vector<access::AccessRule>&
+                                            rules) {
+  server::DocumentConfig cfg;
   cfg.variant = variant;
   cfg.layout.chunk_size = 256;
   cfg.layout.fragment_size = 32;
   cfg.key = TestKey();
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
-  return session.Serve(rules, enable_skip);
+  cfg.shared_cache_capacity = 0;
+  server::DocumentService service;
+  CSXA_RETURN_NOT_OK(service.Publish("doc", xml, cfg));
+  return service.Serve("doc", rules, opts);
+}
+
+Result<pipeline::ServeReport> Serve(const std::string& xml,
+                                    index::Variant variant, bool enable_skip,
+                                    const std::vector<access::AccessRule>&
+                                        rules) {
+  return ServeOpts(xml, variant,
+                   pipeline::ServeOptions(enable_skip, UINT64_MAX), rules);
 }
 
 TEST(SkipViewIdenticalAcrossVariantsAndRuleSets) {
@@ -311,20 +324,6 @@ TEST(OracleDescendsWhilePredicateEvidencePossible) {
 // ---------------------------------------------------------------------------
 // Deferred pending subtrees (skip-now-reread-later).
 // ---------------------------------------------------------------------------
-
-Result<pipeline::ServeReport> ServeOpts(const std::string& xml,
-                                        index::Variant variant,
-                                        const pipeline::ServeOptions& opts,
-                                        const std::vector<access::AccessRule>&
-                                            rules) {
-  pipeline::SessionConfig cfg;
-  cfg.variant = variant;
-  cfg.layout.chunk_size = 256;
-  cfg.layout.fragment_size = 32;
-  cfg.key = TestKey();
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
-  return session.Serve(rules, opts);
-}
 
 /// A document whose largest subtree (MedActs) is guarded by a predicate
 /// whose evidence (Clearance) arrives only *after* it in document order —

@@ -83,7 +83,6 @@
 #include "net/fault_proxy.h"
 #include "net/remote_source.h"
 #include "net/terminal_server.h"
-#include "pipeline/secure_pipeline.h"
 #include "server/document_service.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
@@ -309,23 +308,36 @@ Result<VariantRun> RunNc(const std::string& xml,
   return run;
 }
 
+/// Publication for the Figure 8 matrices: no shared digest cache, so every
+/// serve starts cold with a private one and the cells stay comparable.
+server::DocumentConfig ColdConfig(index::Variant variant,
+                                  const crypto::ChunkLayout& layout,
+                                  crypto::CipherBackendKind backend) {
+  server::DocumentConfig cfg;
+  cfg.variant = variant;
+  cfg.layout = layout;
+  cfg.key = BenchKey();
+  cfg.shared_cache_capacity = 0;
+  cfg.backend = backend;
+  return cfg;
+}
+
 Result<VariantRun> RunVariant(const std::string& xml, index::Variant variant,
                               const std::vector<access::AccessRule>& rules,
                               const crypto::ChunkLayout& layout,
                               crypto::CipherBackendKind backend) {
   if (variant == index::Variant::kNc) return RunNc(xml, rules, layout, backend);
-  pipeline::SessionConfig cfg;
-  cfg.variant = variant;
-  cfg.layout = layout;
-  cfg.key = BenchKey();
-  cfg.backend = backend;
-  CSXA_ASSIGN_OR_RETURN(auto session, pipeline::SecureSession::Build(xml, cfg));
+  server::DocumentService service;
+  CSXA_RETURN_NOT_OK(
+      service.Publish("bench", xml, ColdConfig(variant, layout, backend)));
   const uint64_t t0 = NowNs();
-  CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport report,
-                        session.Serve(rules, /*enable_skip=*/true));
+  CSXA_ASSIGN_OR_RETURN(
+      pipeline::ServeReport report,
+      service.Serve("bench", rules, {/*skip=*/true, UINT64_MAX}));
   const uint64_t serve_ns = NowNs() - t0;
-  CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport full,
-                        session.Serve(rules, /*enable_skip=*/false));
+  CSXA_ASSIGN_OR_RETURN(
+      pipeline::ServeReport full,
+      service.Serve("bench", rules, {/*skip=*/false, UINT64_MAX}));
   if (full.view != report.view) {
     return Status::Internal("skip-enabled view diverges from full streaming");
   }
@@ -396,22 +408,19 @@ bool RunDeferredMode(std::string* json, const crypto::ChunkLayout& layout,
   if (!parsed.ok()) return false;
   std::vector<access::AccessRule> rules = parsed.take();
 
-  pipeline::SessionConfig cfg;
-  cfg.layout = layout;
-  cfg.key = BenchKey();
-  cfg.backend = backend;
-  auto session = pipeline::SecureSession::Build(xml, cfg);
-  if (!session.ok()) {
-    std::fprintf(stderr, "deferred_mode: %s\n",
-                 session.status().ToString().c_str());
+  server::DocumentService service;
+  const Status published = service.Publish(
+      "bench", xml, ColdConfig(index::Variant::kTcsbr, layout, backend));
+  if (!published.ok()) {
+    std::fprintf(stderr, "deferred_mode: %s\n", published.ToString().c_str());
     return false;
   }
   pipeline::ServeOptions deferred{/*enable_skip=*/true, kBudget};
   pipeline::ServeOptions buffered{/*enable_skip=*/true, UINT64_MAX};
   pipeline::ServeOptions full{/*enable_skip=*/false, UINT64_MAX};
-  auto d = session.value().Serve(rules, deferred);
-  auto b = session.value().Serve(rules, buffered);
-  auto f = session.value().Serve(rules, full);
+  auto d = service.Serve("bench", rules, deferred);
+  auto b = service.Serve("bench", rules, buffered);
+  auto f = service.Serve("bench", rules, full);
   if (!d.ok() || !b.ok() || !f.ok()) {
     std::fprintf(stderr, "deferred_mode: serve failed\n");
     return false;

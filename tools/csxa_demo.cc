@@ -23,16 +23,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
 #include "common/status.h"
 #include "crypto/secure_store.h"
+#include "index/encoder.h"
 #include "index/variants.h"
-#include "pipeline/secure_pipeline.h"
+#include "server/document_service.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
 #include "xml/stats.h"
@@ -120,27 +123,39 @@ Result<std::string> ReadFile(const std::string& path) {
   return ss.str();
 }
 
-pipeline::SessionConfig DemoConfig(const Options& opt) {
-  pipeline::SessionConfig cfg;
+/// Publication of the demo document: without a shared digest cache, so
+/// every serve below starts cold and reports its own full cost.
+server::DocumentConfig DemoConfig(const Options& opt) {
+  server::DocumentConfig cfg;
   cfg.variant = opt.variant;
   cfg.layout = opt.layout;
   cfg.key = DemoKey();
-  cfg.enable_skip = opt.enable_skip;
-  cfg.pending_buffer_budget = opt.defer_budget;
+  cfg.shared_cache_capacity = 0;
   cfg.backend = opt.backend;
   return cfg;
 }
 
-/// Re-runs the fetch path against a tampered store; returns true when the
-/// integrity check caught the modification.
+/// Re-runs the fetch path against a lying terminal — a tampered copy of
+/// the published store, attached as the document's transport; returns
+/// true when the integrity check caught the modification.
 bool TamperIsDetected(const std::string& xml,
                       const std::vector<access::AccessRule>& rules,
                       const Options& opt) {
-  auto session = pipeline::SecureSession::Build(xml, DemoConfig(opt));
-  if (!session.ok()) return false;
-  session.value().mutable_store()->TamperByte(
-      session.value().encoded_bytes() / 2, 0x40);
-  auto report = session.value().Serve(rules, /*enable_skip=*/false);
+  const server::DocumentConfig cfg = DemoConfig(opt);
+  server::DocumentService service;
+  if (!service.Publish("demo", xml, cfg).ok()) return false;
+  auto dom = xml::SaxParser::ParseToDom(xml);
+  if (!dom.ok()) return false;
+  auto doc = index::Encode(*dom.value(), cfg.variant);
+  if (!doc.ok()) return false;
+  auto store = crypto::SecureDocumentStore::Build(
+      doc.value().bytes, cfg.key, cfg.layout, /*version=*/0, cfg.backend);
+  if (!store.ok()) return false;
+  store.value().TamperByte(doc.value().bytes.size() / 2, 0x40);
+  auto lying = std::make_shared<crypto::SecureDocumentStore>(store.take());
+  if (!service.AttachTransport("demo", std::move(lying)).ok()) return false;
+  auto report =
+      service.Serve("demo", rules, {/*skip=*/false, opt.defer_budget});
   return !report.ok() &&
          report.status().code() == StatusCode::kIntegrityError;
 }
@@ -203,13 +218,14 @@ int Run(const Options& opt) {
     }
   }
 
-  auto session = pipeline::SecureSession::Build(xml, DemoConfig(opt));
-  if (!session.ok()) {
-    std::fprintf(stderr, "session: %s\n",
-                 session.status().ToString().c_str());
+  server::DocumentService service;
+  const Status published = service.Publish("demo", xml, DemoConfig(opt));
+  if (!published.ok()) {
+    std::fprintf(stderr, "session: %s\n", published.ToString().c_str());
     return 2;
   }
-  auto result = session.value().Serve(subject_rules);
+  auto result = service.Serve("demo", subject_rules,
+                              {opt.enable_skip, opt.defer_budget});
   if (!result.ok()) {
     std::fprintf(stderr, "pipeline: %s\n",
                  result.status().ToString().c_str());
@@ -274,7 +290,8 @@ int Run(const Options& opt) {
     int rc = 0;
     // The skip-enabled view must be byte-identical to full streaming,
     // whatever the document and rules.
-    auto full = session.value().Serve(subject_rules, /*enable_skip=*/false);
+    auto full = service.Serve("demo", subject_rules,
+                              {/*skip=*/false, opt.defer_budget});
     if (!full.ok()) {
       std::fprintf(stderr, "selftest: full-streaming run failed: %s\n",
                    full.status().ToString().c_str());
@@ -289,10 +306,8 @@ int Run(const Options& opt) {
     // So must the most aggressive deferral strategy (budget 0: every
     // pending subtree that can be safely skipped is skipped and re-read
     // only on grant).
-    pipeline::ServeOptions deferred;
-    deferred.enable_skip = true;
-    deferred.pending_buffer_budget = 0;
-    auto defer = session.value().Serve(subject_rules, deferred);
+    auto defer = service.Serve("demo", subject_rules,
+                               {/*skip=*/true, /*budget=*/0});
     if (!defer.ok()) {
       std::fprintf(stderr, "selftest: deferred-mode run failed: %s\n",
                    defer.status().ToString().c_str());
