@@ -1,37 +1,26 @@
 #include "common/bitstream.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/bytes.h"
 
 namespace csxa {
 
-int BitsFor(uint64_t n) {
-  if (n <= 1) return 0;
-  int bits = 0;
-  uint64_t max = n - 1;
-  while (max > 0) {
-    ++bits;
-    max >>= 1;
-  }
-  return bits;
-}
+int BitsFor(uint64_t n) { return n <= 1 ? 0 : BitWidth(n - 1); }
 
-int BitWidth(uint64_t v) {
-  int bits = 0;
-  while (v > 0) {
-    ++bits;
-    v >>= 1;
-  }
-  return bits;
-}
+int BitWidth(uint64_t v) { return static_cast<int>(std::bit_width(v)); }
 
 void BitWriter::WriteBits(uint64_t value, int width) {
-  for (int i = width - 1; i >= 0; --i) {
-    size_t byte = bit_size_ >> 3;
-    if (byte >= bytes_.size()) bytes_.push_back(0);
-    if ((value >> i) & 1) {
-      bytes_[byte] |= static_cast<uint8_t>(0x80u >> (bit_size_ & 7));
-    }
-    ++bit_size_;
+  bytes_.resize((bit_size_ + static_cast<size_t>(width) + 7) / 8, 0);
+  while (width > 0) {
+    // Fill the free low bits of the current byte with the next value bits.
+    const int free = 8 - static_cast<int>(bit_size_ & 7);
+    const int n = std::min(free, width);
+    width -= n;
+    const uint64_t part = (value >> width) & ((uint64_t{1} << n) - 1);
+    bytes_[bit_size_ >> 3] |= static_cast<uint8_t>(part << (free - n));
+    bit_size_ += static_cast<size_t>(n);
   }
 }
 
@@ -47,33 +36,47 @@ void BitWriter::WriteAlignedBytes(const uint8_t* data, size_t n) {
 }
 
 Status BitReader::ReadBits(int width, uint64_t* value) {
-  if (pos_ + static_cast<size_t>(width) > size_bits_) {
-    return Status::OutOfRange("BitReader: read past end of stream");
+  if (static_cast<size_t>(width) > size_bits_ - pos_) {
+    return Status::Corruption("BitReader: read past end of stream");
   }
   uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    size_t byte = pos_ >> 3;
-    int bit = 7 - static_cast<int>(pos_ & 7);
-    v = (v << 1) | ((data_[byte] >> bit) & 1);
-    ++pos_;
+  if (width > 0) {
+    // The first byte's unread tail, whole bytes, then the head of the last
+    // byte: no byte past the one holding the final bit is touched.
+    const uint8_t* p = data_ + (pos_ >> 3);
+    const int lead = static_cast<int>(pos_ & 7);
+    int have = 8 - lead;
+    v = *p++ & (0xFFu >> lead);
+    if (have >= width) {
+      v >>= have - width;
+    } else {
+      for (; have + 8 <= width; have += 8) v = (v << 8) | *p++;
+      const int rest = width - have;
+      if (rest > 0) v = (v << rest) | (*p >> (8 - rest));
+    }
   }
+  pos_ += static_cast<size_t>(width);
   *value = v;
   return Status::OK();
 }
 
-Status BitReader::ReadBit(bool* bit) {
-  uint64_t v = 0;
-  CSXA_RETURN_NOT_OK(ReadBits(1, &v));
-  *bit = (v != 0);
-  return Status::OK();
-}
-
-Status BitReader::ReadAlignedBytes(size_t n, std::string* out) {
-  pos_ = (pos_ + 7) & ~size_t{7};
-  if (pos_ + n * 8 > size_bits_) {
-    return Status::OutOfRange("BitReader: aligned read past end of stream");
+Status BitReader::ReadBytes(size_t n, std::string* out) {
+  if (n > (size_bits_ - pos_) / 8) {
+    return Status::Corruption("BitReader: byte read past end of stream");
   }
-  *out = std::string(common::AsChars(data_ + (pos_ >> 3), n));
+  const uint8_t* p = data_ + (pos_ >> 3);
+  const int lead = static_cast<int>(pos_ & 7);
+  if (lead == 0) {
+    out->append(common::AsChars(p, n));
+  } else {
+    // Each byte straddles two stream bytes; p[n] still holds a read bit.
+    const size_t base = out->size();
+    out->resize(base + n);
+    for (size_t i = 0; i < n; ++i) {
+      (*out)[base + i] = static_cast<char>(
+          static_cast<uint8_t>((p[i] << lead) | (p[i + 1] >> (8 - lead))));
+    }
+  }
   pos_ += n * 8;
   return Status::OK();
 }
@@ -85,7 +88,5 @@ Status BitReader::SeekTo(size_t bit_pos) {
   pos_ = bit_pos;
   return Status::OK();
 }
-
-Status BitReader::SkipBits(size_t bits) { return SeekTo(pos_ + bits); }
 
 }  // namespace csxa

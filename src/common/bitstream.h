@@ -53,38 +53,34 @@ class BitWriter {
 
 /// MSB-first bit reader over a byte span, with random seek (needed by the
 /// skip operation: SubtreeSize fields let the decoder jump over encrypted
-/// subtrees without touching them).
+/// subtrees without touching them). The repo's one bit decoder — the
+/// navigator reads its event stream through it. Extraction works a byte
+/// at a time and never touches a byte past the last bit it returns.
 class BitReader {
  public:
+  BitReader() = default;
   BitReader(const uint8_t* data, size_t size_bytes)
       : data_(data), size_bits_(size_bytes * 8) {}
-  explicit BitReader(const std::vector<uint8_t>& data)
-      : BitReader(data.data(), data.size()) {}
 
-  /// Reads `width` bits into *value (MSB first). width == 0 yields 0.
+  /// Reads `width` (0..64) bits into *value (MSB first). width == 0 yields
+  /// 0. Past the end of the stream: Corruption, nothing read.
   Status ReadBits(int width, uint64_t* value);
 
-  /// Reads one bit.
-  Status ReadBit(bool* bit);
-
-  /// Skips to the next byte boundary then reads n raw bytes.
-  Status ReadAlignedBytes(size_t n, std::string* out);
+  /// Appends `n` whole bytes read at the current (any) bit alignment.
+  /// Past the end of the stream: Corruption, nothing read.
+  Status ReadBytes(size_t n, std::string* out);
 
   /// Absolute bit position.
   size_t position() const { return pos_; }
   size_t size_bits() const { return size_bits_; }
-  size_t remaining_bits() const { return size_bits_ - pos_; }
 
   /// Seeks to an absolute bit offset (used by subtree skips and by the
   /// pending-predicate re-reads).
   Status SeekTo(size_t bit_pos);
 
-  /// Advances by `bits` (the skip primitive).
-  Status SkipBits(size_t bits);
-
  private:
-  const uint8_t* data_;
-  size_t size_bits_;
+  const uint8_t* data_ = nullptr;
+  size_t size_bits_ = 0;
   size_t pos_ = 0;
 };
 

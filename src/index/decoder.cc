@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bitstream.h"
-
 namespace csxa::index {
 
 Result<std::unique_ptr<DocumentNavigator>> DocumentNavigator::Open(
@@ -24,7 +22,6 @@ Result<std::unique_ptr<DocumentNavigator>> DocumentNavigator::OpenBuffer(
 
 Status DocumentNavigator::Init(const uint8_t* data, size_t size,
                                Fetcher* fetcher) {
-  data_ = data;
   fetcher_ = fetcher;
   // Materialize enough prefix to parse the header, growing on demand. Start
   // small: over-ensuring here defeats the lazy fetch path (skipped subtrees
@@ -55,38 +52,79 @@ Status DocumentNavigator::Init(const uint8_t* data, size_t size,
     if (ensured == size) return info.status();
     ensured = round_up(ensured * 2);
   }
-  size_bits_ = (size - stream_offset_) * 8;
+  in_ = BitReader(data + stream_offset_, size - stream_offset_);
+  // Without a fetcher the whole image is resident from the start.
+  if (fetcher_ == nullptr) held_end_bit_ = in_.size_bits();
   return Status::OK();
+}
+
+Status DocumentNavigator::Demand(int unit_bits) {
+  const size_t pos = in_.position();
+  if (static_cast<size_t>(unit_bits) > in_.size_bits() - pos) {
+    return Status::Corruption("encoded stream truncated");
+  }
+  // The unit leaves the held span: ask for exactly this unit, as a
+  // unit-at-a-time reader would, then learn how far the verified bytes
+  // now reach from it.
+  const uint64_t begin = stream_offset_ + pos / 8;
+  CSXA_RETURN_NOT_OK(fetcher_->Ensure(
+      begin, stream_offset_ + (pos + static_cast<size_t>(unit_bits) + 7) / 8));
+  held_begin_bit_ = pos / 8 * 8;
+  held_end_bit_ = std::min<uint64_t>(
+      in_.size_bits(),
+      (std::max(fetcher_->HeldEnd(begin), begin) - stream_offset_) * 8);
+  return Status::OK();
+}
+
+Result<uint64_t> DocumentNavigator::HeldRun(int unit_bits, uint64_t count) {
+  if (!Held(unit_bits)) CSXA_RETURN_NOT_OK(Demand(unit_bits));
+  const size_t pos = in_.position();
+  const uint64_t ahead =
+      held_end_bit_ > pos
+          ? (held_end_bit_ - pos) / static_cast<uint64_t>(unit_bits)
+          : 0;
+  // The demanded unit is readable even when the fetcher reports no span.
+  return std::clamp<uint64_t>(ahead, 1, count);
 }
 
 Result<uint64_t> DocumentNavigator::ReadBits(int width) {
   if (width == 0) return uint64_t{0};
-  if (pos_ + static_cast<size_t>(width) > size_bits_) {
-    return Status::Corruption("encoded stream truncated");
-  }
-  if (fetcher_ != nullptr) {
-    CSXA_RETURN_NOT_OK(
-        fetcher_->Ensure(stream_offset_ + pos_ / 8,
-                         stream_offset_ + (pos_ + width + 7) / 8));
-  }
-  const uint8_t* stream = data_ + stream_offset_;
+  if (!Held(width)) CSXA_RETURN_NOT_OK(Demand(width));
   uint64_t v = 0;
-  size_t p = pos_;
-  for (int i = 0; i < width; ++i, ++p) {
-    v = (v << 1) | ((stream[p >> 3] >> (7 - (p & 7))) & 1);
-  }
-  pos_ = p;
+  CSXA_RETURN_NOT_OK(in_.ReadBits(width, &v));
   bits_read_ += static_cast<uint64_t>(width);
   return v;
 }
 
 Status DocumentNavigator::ReadText(uint64_t len, std::string* out) {
   out->clear();
-  out->reserve(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    auto byte = ReadBits(8);
-    if (!byte.ok()) return byte.status();
-    out->push_back(static_cast<char>(byte.value()));
+  out->reserve(
+      std::min<uint64_t>(len, (in_.size_bits() - in_.position()) / 8));
+  while (len > 0) {
+    CSXA_ASSIGN_OR_RETURN(const uint64_t n, HeldRun(8, len));
+    CSXA_RETURN_NOT_OK(in_.ReadBytes(n, out));
+    bits_read_ += n * 8;
+    len -= n;
+  }
+  return Status::OK();
+}
+
+Status DocumentNavigator::ReadDescTags(size_t n,
+                                       const std::vector<xml::TagId>* ctx,
+                                       std::vector<xml::TagId>* out) {
+  for (size_t i = 0; i < n;) {
+    CSXA_ASSIGN_OR_RETURN(const uint64_t run,
+                          HeldRun(1, std::min<uint64_t>(n - i, 64)));
+    const int width = static_cast<int>(run);
+    uint64_t word = 0;
+    CSXA_RETURN_NOT_OK(in_.ReadBits(width, &word));
+    bits_read_ += run;
+    for (int b = width - 1; b >= 0; --b, ++i) {
+      if ((word >> b) & 1) {
+        out->push_back(ctx != nullptr ? (*ctx)[i]
+                                      : static_cast<xml::TagId>(i));
+      }
+    }
   }
   return Status::OK();
 }
@@ -137,23 +175,19 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     // Descendant-tag bitmap over the full dictionary.
     if (internal.value() != 0 &&
         (variant_ == Variant::kTcsb || variant_ == Variant::kTcsbr)) {
-      for (xml::TagId t = 0; t < nt; ++t) {
-        auto bit = ReadBits(1);
-        if (!bit.ok()) return bit.status();
-        if (bit.value()) frame.ctx.push_back(t);
-      }
+      CSXA_RETURN_NOT_OK(ReadDescTags(nt, nullptr, &frame.ctx));
       item.has_desc = true;
       item.desc = frame.ctx;
     }
-    frame.end_bit = pos_ + root_size_bits_;
+    frame.end_bit = in_.position() + root_size_bits_;
     frame.width = BitWidth(root_size_bits_);
-    if (frame.end_bit > size_bits_) {
+    if (frame.end_bit > in_.size_bits()) {
       return Status::Corruption("root size exceeds stream");
     }
     frames_.push_back(std::move(frame));
     depth_ = 1;
     item.subtree_bits = root_size_bits_;
-    item.subtree_begin_bit = pos_;
+    item.subtree_begin_bit = in_.position();
     item.kind = ItemKind::kOpen;
     item.depth = 1;
     item.tag_id = static_cast<xml::TagId>(tag.value());
@@ -162,10 +196,10 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
   }
 
   Checkpoint::Frame& top = frames_.back();
-  if (pos_ > top.end_bit) {
+  if (in_.position() > top.end_bit) {
     return Status::Corruption("decoder overran subtree boundary");
   }
-  if (pos_ == top.end_bit) {
+  if (in_.position() == top.end_bit) {
     item.kind = ItemKind::kClose;
     item.depth = depth_;
     item.tag_id = top.tag;
@@ -212,19 +246,11 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
   frame.tag = tag_id;
   if (internal.value() != 0) {
     if (variant_ == Variant::kTcsb) {
-      for (xml::TagId t = 0; t < nt; ++t) {
-        auto bit = ReadBits(1);
-        if (!bit.ok()) return bit.status();
-        if (bit.value()) frame.ctx.push_back(t);
-      }
+      CSXA_RETURN_NOT_OK(ReadDescTags(nt, nullptr, &frame.ctx));
       item.has_desc = true;
       item.desc = frame.ctx;
     } else if (variant_ == Variant::kTcsbr) {
-      for (xml::TagId t : top.ctx) {
-        auto bit = ReadBits(1);
-        if (!bit.ok()) return bit.status();
-        if (bit.value()) frame.ctx.push_back(t);
-      }
+      CSXA_RETURN_NOT_OK(ReadDescTags(top.ctx.size(), &top.ctx, &frame.ctx));
       item.has_desc = true;
       item.desc = frame.ctx;
     }
@@ -232,7 +258,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     // Leaf element: DescTag is known to be empty.
     item.has_desc = true;
   }
-  frame.end_bit = pos_ + size.value();
+  frame.end_bit = in_.position() + size.value();
   frame.width = BitWidth(size.value());
   if (frame.end_bit > top.end_bit) {
     return Status::Corruption("child subtree exceeds parent extent");
@@ -240,7 +266,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
   frames_.push_back(std::move(frame));
   ++depth_;
   item.subtree_bits = size.value();
-  item.subtree_begin_bit = pos_;
+  item.subtree_begin_bit = in_.position();
   item.kind = ItemKind::kOpen;
   item.depth = depth_;
   item.tag_id = tag_id;
@@ -305,13 +331,12 @@ Status DocumentNavigator::SkipSubtree() {
   if (frames_.empty()) {
     return Status::InvalidArgument("no open element to skip");
   }
-  pos_ = frames_.back().end_bit;
-  return Status::OK();
+  return in_.SeekTo(frames_.back().end_bit);
 }
 
 DocumentNavigator::Checkpoint DocumentNavigator::Save() const {
   Checkpoint cp;
-  cp.bit_pos = pos_;
+  cp.bit_pos = in_.position();
   cp.depth = depth_;
   cp.started = started_;
   cp.frames = frames_;
@@ -320,15 +345,15 @@ DocumentNavigator::Checkpoint DocumentNavigator::Save() const {
 }
 
 Status DocumentNavigator::SeekTo(const Checkpoint& checkpoint) {
-  if (checkpoint.bit_pos > size_bits_) {
+  if (checkpoint.bit_pos > in_.size_bits()) {
     return Status::OutOfRange("checkpoint past end of stream");
   }
   for (const Checkpoint::Frame& f : checkpoint.frames) {
-    if (f.end_bit > size_bits_) {
+    if (f.end_bit > in_.size_bits()) {
       return Status::OutOfRange("checkpoint frame past end of stream");
     }
   }
-  pos_ = checkpoint.bit_pos;
+  CSXA_RETURN_NOT_OK(in_.SeekTo(checkpoint.bit_pos));
   depth_ = checkpoint.depth;
   started_ = checkpoint.started;
   frames_ = checkpoint.frames;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitstream.h"
 #include "common/status.h"
 #include "common/tainted.h"
 #include "index/encoded_document.h"
@@ -23,6 +24,14 @@ class Fetcher {
   /// Ensures bytes [begin, end) of the encoded document are valid in the
   /// buffer the navigator reads from. Returns IntegrityError on tampering.
   virtual Status Ensure(uint64_t begin, uint64_t end) = 0;
+
+  /// End of the contiguous span from `begin` whose bytes are already valid
+  /// and stay valid for the fetcher's lifetime (verified bytes written
+  /// once, never evicted). The navigator reads inside that span without
+  /// calling Ensure(): such a call would find every byte held and do
+  /// nothing. May report less than is held (a bounded scan), never more.
+  /// Default: nothing is known held, so every read asks Ensure().
+  virtual uint64_t HeldEnd(uint64_t begin) const { return begin; }
 
   /// Look-ahead hints from the consumer's skip oracle — pure prefetch
   /// policy (they steer what a batching fetcher pulls per round trip,
@@ -150,22 +159,44 @@ class DocumentNavigator {
   DocumentNavigator() = default;
 
   Status Init(const uint8_t* data, size_t size, Fetcher* fetcher);
+  /// True when the `bits` at the cursor lie inside the held span.
+  bool Held(int bits) const {
+    const size_t pos = in_.position();
+    return pos >= held_begin_bit_ &&
+           pos + static_cast<size_t>(bits) <= held_end_bit_;
+  }
+  /// Ensures the `unit_bits` at the cursor, which leave the held span —
+  /// exactly the demand a unit-at-a-time reader makes there — and learns
+  /// the span that starts at them.
+  Status Demand(int unit_bits);
+  /// How many (1..count) consecutive `unit_bits`-wide units at the cursor
+  /// are readable now; demands the first one if it leaves the held span.
+  Result<uint64_t> HeldRun(int unit_bits, uint64_t count);
   Result<uint64_t> ReadBits(int width);
   Status ReadText(uint64_t len, std::string* out);
+  /// Reads an n-bit DescTag bitmap a word at a time: set bit i adds
+  /// (*ctx)[i] — or tag i when ctx is null (the whole dictionary) — to out.
+  Status ReadDescTags(size_t n, const std::vector<xml::TagId>* ctx,
+                      std::vector<xml::TagId>* out);
   Result<uint64_t> ReadTcVarint();
 
   Result<Item> NextPacked();
   Result<Item> NextTc();
 
-  const uint8_t* data_ = nullptr;
-  size_t size_bits_ = 0;
   Fetcher* fetcher_ = nullptr;
   Variant variant_ = Variant::kTcsbr;
   xml::TagDictionary dict_;
   size_t stream_offset_ = 0;  // bytes
   uint64_t root_size_bits_ = 0;
 
-  size_t pos_ = 0;  // absolute bit position, relative to stream start
+  /// The event stream; position() is the decode cursor, in bits from the
+  /// stream start.
+  BitReader in_;
+  /// Stream bits [held_begin_bit_, held_end_bit_) are verified and held
+  /// (as the fetcher last reported; write-once, so they stay so): reads
+  /// inside skip Ensure(). The whole stream when there is no fetcher.
+  size_t held_begin_bit_ = 0;
+  size_t held_end_bit_ = 0;
   bool started_ = false;
   bool done_ = false;
   int depth_ = 0;

@@ -17,11 +17,27 @@ SecureFetcher::SecureFetcher(const crypto::BatchSource* source,
       chunk_size_(layout.chunk_size),
       planner_(ciphertext_size, layout.fragment_size, layout.chunk_size,
                planner_options),
+      proof_probe_([this](uint64_t chunk, uint32_t first, uint32_t last) {
+        return soe_->MissingProofNodes(chunk, first, last);
+      }),
       buffer_(plaintext_size, 0),
       view_(soe->VerifiedViewOf(buffer_.data(), buffer_.size())),
       padded_size_(ciphertext_size),
       fragment_valid_(planner_.fragment_count(), false),
       transport_base_(source->transport_stats()) {}
+
+uint64_t SecureFetcher::HeldEnd(uint64_t begin) const {
+  // Bounded by one batch horizon so a miss stays O(1): past the cap the
+  // navigator just asks again, and that Ensure() finds its bytes held.
+  const uint64_t horizon =
+      std::max<uint64_t>(1, planner_.max_batch_bytes() / fragment_size_);
+  uint64_t f = begin / fragment_size_;
+  const uint64_t stop =
+      std::min<uint64_t>(fragment_valid_.size(), f + horizon);
+  while (f < stop && fragment_valid_[f]) ++f;
+  return std::max(begin,
+                  std::min<uint64_t>(f * fragment_size_, buffer_.size()));
+}
 
 Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
   end = std::min<uint64_t>(end, buffer_.size());
@@ -30,16 +46,9 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
   // One planner batch per terminal round trip; a demand wider than the
   // batch horizon completes over successive iterations (each is
   // guaranteed to validate at least the first missing demand fragment).
-  // The planner prices coverage holes at their *incremental* proof cost:
-  // hashes the digest cache already holds are trimmed off the wire anyway,
-  // so they must not justify fetching skip-saved bytes.
-  const FetchPlanner::ProofCostProbe proof_probe =
-      [this](uint64_t chunk, uint32_t first, uint32_t last) {
-        return soe_->MissingProofNodes(chunk, first, last);
-      };
   while (true) {
     std::vector<FragmentRun> runs =
-        planner_.Plan(begin, end, fragment_valid_, proof_probe);
+        planner_.Plan(begin, end, fragment_valid_, proof_probe_);
     if (runs.empty()) return Status::OK();  // Demand fully held.
 
     // One pass over the runs derives both the request ranges and every

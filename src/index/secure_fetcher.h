@@ -47,6 +47,10 @@ class SecureFetcher : public Fetcher {
       : SecureFetcher(store, store->layout(), store->plaintext_size(),
                       store->ciphertext().size(), soe, planner_options) {}
 
+  /// The planner's proof-cost probe captures `this`.
+  SecureFetcher(const SecureFetcher&) = delete;
+  SecureFetcher& operator=(const SecureFetcher&) = delete;
+
   /// Verified view of the plaintext_size()-byte document image; valid only
   /// where Ensure() succeeded. The image is written exclusively by
   /// DecryptVerifiedBatch (the mint site), which is what entitles the
@@ -55,6 +59,8 @@ class SecureFetcher : public Fetcher {
   size_t size() const { return buffer_.size(); }
 
   Status Ensure(uint64_t begin, uint64_t end) override;
+  /// Scans the valid fragments from `begin`, at most one batch horizon.
+  uint64_t HeldEnd(uint64_t begin) const override;
 
   // Skip-oracle look-ahead (see FetchPlanner).
   void HintWanted(uint64_t begin, uint64_t end) override {
@@ -105,6 +111,10 @@ class SecureFetcher : public Fetcher {
   uint32_t fragment_size_;
   uint32_t chunk_size_;
   FetchPlanner planner_;
+  /// Prices coverage holes at their incremental proof cost: hashes the
+  /// digest cache already holds are trimmed off the wire anyway, so they
+  /// must not justify fetching skip-saved bytes.
+  FetchPlanner::ProofCostProbe proof_probe_;
   std::vector<uint8_t> buffer_;
   /// Standing witness over buffer_ (declared after it: minted from its
   /// final, never-reallocated storage).

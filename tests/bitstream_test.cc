@@ -1,0 +1,178 @@
+// Property tests of common/bitstream, the one bit decoder the navigator
+// reads through: byte-at-a-time extraction must agree with a reference
+// bit loop at every width and bit offset, the byte-at-a-time writer must
+// stay byte-identical to a reference bit writer and round-trip through the
+// reader, and reads past the end fail as Corruption without touching a
+// byte beyond the buffer (the buffers here are exact-size heap vectors, so
+// the sanitizer job catches any overread).
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/bitstream.h"
+#include "testing.h"
+
+namespace {
+
+using namespace csxa;  // NOLINT
+
+uint64_t SplitMix(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(SplitMix(&seed));
+  return out;
+}
+
+/// Reference decoder: one bit at a time, MSB first.
+uint64_t ReferenceBits(const std::vector<uint8_t>& data, size_t pos,
+                       int width) {
+  uint64_t v = 0;
+  for (int i = 0; i < width; ++i, ++pos) {
+    v = (v << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1);
+  }
+  return v;
+}
+
+/// Reference encoder: one bit at a time, MSB first.
+class ReferenceWriter {
+ public:
+  void WriteBits(uint64_t value, int width) {
+    for (int i = width - 1; i >= 0; --i) {
+      if ((bits_ & 7) == 0) bytes_.push_back(0);
+      if ((value >> i) & 1) {
+        bytes_.back() |= static_cast<uint8_t>(0x80u >> (bits_ & 7));
+      }
+      ++bits_;
+    }
+  }
+  void AlignToByte() { bits_ = (bits_ + 7) & ~size_t{7}; }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t bits_ = 0;
+};
+
+TEST(ReadBitsMatchesReferenceAtEveryWidthAndOffset) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::vector<uint8_t> data = RandomBytes(16, seed);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (int width = 0; width <= 64; ++width) {
+        // The buffer ends on the byte holding the last bit read.
+        const size_t end = offset + static_cast<size_t>(width);
+        const std::vector<uint8_t> exact(
+            data.begin(),
+            data.begin() + static_cast<std::ptrdiff_t>((end + 7) / 8));
+        BitReader reader(exact.data(), exact.size());
+        CHECK_OK(reader.SeekTo(offset));
+        uint64_t v = 0;
+        CHECK_OK(reader.ReadBits(width, &v));
+        CHECK_EQ(v, ReferenceBits(data, offset, width));
+        CHECK_EQ(reader.position(), end);
+      }
+    }
+  }
+}
+
+TEST(SequentialReadsMatchReference) {
+  const std::vector<uint8_t> data = RandomBytes(4096, 99);
+  uint64_t state = 7;
+  BitReader reader(data.data(), data.size());
+  size_t pos = 0;
+  while (true) {
+    const int width = static_cast<int>(SplitMix(&state) % 65);
+    if (pos + static_cast<size_t>(width) > data.size() * 8) break;
+    uint64_t v = 0;
+    CHECK_OK(reader.ReadBits(width, &v));
+    CHECK_EQ(v, ReferenceBits(data, pos, width));
+    pos += static_cast<size_t>(width);
+    // Bulk byte reads at whatever alignment the cursor landed on.
+    const size_t n = SplitMix(&state) % 24;
+    if (pos + n * 8 > data.size() * 8) break;
+    std::string bytes = "prefix";
+    CHECK_OK(reader.ReadBytes(n, &bytes));
+    CHECK_EQ(bytes.size(), 6 + n);
+    for (size_t i = 0; i < n && i + 6 < bytes.size(); ++i) {
+      CHECK_EQ(static_cast<uint64_t>(static_cast<uint8_t>(bytes[6 + i])),
+               ReferenceBits(data, pos + i * 8, 8));
+    }
+    pos += n * 8;
+    CHECK_EQ(reader.position(), pos);
+  }
+}
+
+TEST(WriterIsByteIdenticalToReferenceAndRoundTrips) {
+  uint64_t state = 42;
+  BitWriter writer;
+  ReferenceWriter reference;
+  std::vector<std::pair<uint64_t, int>> fields;  // width -1: alignment
+  for (int i = 0; i < 3000; ++i) {
+    if (i % 97 == 0) {
+      writer.AlignToByte();
+      reference.AlignToByte();
+      fields.emplace_back(0, -1);
+      continue;
+    }
+    const int width = static_cast<int>(SplitMix(&state) % 65);
+    const uint64_t raw = SplitMix(&state);  // high bits must be ignored
+    writer.WriteBits(raw, width);
+    reference.WriteBits(raw, width);
+    fields.emplace_back(
+        width == 64 ? raw : raw & ((uint64_t{1} << width) - 1), width);
+  }
+  CHECK(writer.bytes() == reference.bytes());
+  CHECK_EQ(writer.bytes().size(), (writer.bit_size() + 7) / 8);
+
+  BitReader reader(writer.bytes().data(), writer.bytes().size());
+  for (const auto& [value, width] : fields) {
+    if (width < 0) {
+      CHECK_OK(reader.SeekTo((reader.position() + 7) / 8 * 8));
+      continue;
+    }
+    uint64_t v = 0;
+    CHECK_OK(reader.ReadBits(width, &v));
+    CHECK_EQ(v, value);
+  }
+  CHECK_EQ(reader.position(), writer.bit_size());
+}
+
+TEST(OverlongReadFailsAsCorruptionWithoutReading) {
+  const std::vector<uint8_t> data = RandomBytes(5, 3);  // 40 bits
+  for (size_t offset = 0; offset < 8; ++offset) {
+    BitReader reader(data.data(), data.size());
+    CHECK_OK(reader.SeekTo(offset));
+    const int left = 40 - static_cast<int>(offset);
+    for (int width = left + 1; width <= 64; ++width) {
+      uint64_t v = 0xdead;
+      Status st = reader.ReadBits(width, &v);
+      CHECK(st.code() == StatusCode::kCorruption);
+      CHECK_EQ(v, uint64_t{0xdead});
+      CHECK_EQ(reader.position(), offset);
+    }
+    std::string out;
+    Status st = reader.ReadBytes(static_cast<size_t>(left) / 8 + 1, &out);
+    CHECK(st.code() == StatusCode::kCorruption);
+    CHECK(out.empty());
+    CHECK_EQ(reader.position(), offset);
+    // The exact remainder still reads, up to the last bit of the buffer.
+    uint64_t v = 0;
+    CHECK_OK(reader.ReadBits(left, &v));
+    CHECK_EQ(v, ReferenceBits(data, offset, left));
+    CHECK(reader.ReadBits(1, &v).code() == StatusCode::kCorruption);
+  }
+  BitReader empty(nullptr, 0);
+  uint64_t v = 0;
+  CHECK_OK(empty.ReadBits(0, &v));
+  CHECK(empty.ReadBits(1, &v).code() == StatusCode::kCorruption);
+}
+
+}  // namespace
