@@ -7,8 +7,9 @@ namespace csxa::access {
 
 namespace internal {
 
-PathMatcher::PathMatcher(const std::vector<xpath::Step>* steps, int base_depth)
-    : steps_(steps), base_depth_(base_depth) {
+PathMatcher::PathMatcher(const std::vector<xpath::Step>* steps,
+                         const std::vector<xml::TagId>* tags, int base_depth)
+    : steps_(steps), tags_(tags), base_depth_(base_depth) {
   Frame root;
   TokenState init;
   if (!steps_->empty() && (*steps_)[0].axis == xpath::Axis::kDescendant) {
@@ -20,7 +21,7 @@ PathMatcher::PathMatcher(const std::vector<xpath::Step>* steps, int base_depth)
   live_ = 1;
 }
 
-void PathMatcher::OnOpen(const std::string& tag, int depth,
+void PathMatcher::OnOpen(xml::TagId tag, int depth,
                          RuleEvaluatorContext* ctx,
                          std::vector<CondSet>* full_matches) {
   // Self-align on the context node: events at or above base_depth_ (or
@@ -35,8 +36,9 @@ void PathMatcher::OnOpen(const std::string& tag, int depth,
   next.desc.assign(top.desc.begin(), top.desc.end());
 
   auto advance = [&](const TokenState& t) {
+    const xml::TagId test = (*tags_)[t.next_step];
+    if (test != kAnyTag && test != tag) return;
     const xpath::Step& step = (*steps_)[t.next_step];
-    if (!step.Matches(tag)) return;
     TokenState adv;
     adv.next_step = t.next_step + 1;
     adv.conds = t.conds;
@@ -83,9 +85,9 @@ bool PathMatcher::CanCompleteWithin(const SubtreeFacts& facts) const {
 
   auto feasible = [&](const TokenState& t) {
     if (!facts.tags_known) return true;  // No bitmap: cannot rule it out.
-    for (size_t s = t.next_step; s < steps_->size(); ++s) {
-      const xpath::Step& step = (*steps_)[s];
-      if (!step.wildcard && !facts.may_contain(step.name)) return false;
+    for (size_t s = t.next_step; s < tags_->size(); ++s) {
+      const xml::TagId test = (*tags_)[s];
+      if (test != kAnyTag && !facts.MayContain(test)) return false;
     }
     return true;
   };
@@ -108,27 +110,34 @@ using internal::PredInstance;
 // ---------------------------------------------------------------------------
 
 struct RuleEvaluator::NodeRec {
-  /// A rule targeting this node or one of its ancestors (propagation).
+  /// A rule targeting this very node. Its specificity is the node's depth,
+  /// so one node's hits form exactly one precedence level.
   struct Hit {
     const AccessRule* rule = nullptr;
-    int target_depth = 0;  ///< Depth of the target node = specificity.
-    CondSet conds;         ///< Pending predicates the match traversed.
+    CondSet conds;  ///< Pending predicates the match traversed.
   };
 
   int depth = 0;
-  std::shared_ptr<NodeRec> parent;
+  NodeRec* parent = nullptr;
   /// Hits whose target is this very node; Decide() walks the parent chain
   /// for the inherited (propagated) ones.
   std::vector<Hit> hits;
+  /// Decide()'s memo: kPermit or kDeny once reached (both irrevocable),
+  /// kPending while undecided.
+  Decision decision = Decision::kPending;
 
   bool closed = false;
   size_t open_qpos = 0;
   size_t close_qpos = 0;  ///< Valid once closed.
 
-  /// Undecided buffered events strictly inside (open_qpos, close_qpos).
-  /// Maintained incrementally so "is this subtree fully decided" — the
-  /// gate for pruning a denied element — is O(1) instead of a queue scan.
+  /// Undecided value events directly inside, plus child elements not yet
+  /// settled. Zero means every event strictly inside (open_qpos,
+  /// close_qpos) is decided — the gate for pruning a denied element — and
+  /// it is kept in O(1) per event: no ancestor walk.
   size_t undecided_inside = 0;
+  /// Closed, own open/close decided and nothing undecided inside; a
+  /// settled child no longer counts in its parent's undecided_inside.
+  bool settled = false;
 
   enum class OpenState { kUndecided, kEmit, kDrop };
   OpenState open_state = OpenState::kUndecided;
@@ -140,37 +149,52 @@ struct RuleEvaluator::NodeRec {
 };
 
 struct RuleEvaluator::OutEvent {
-  using S = RuleEvaluator::EventStatus;
-  xml::Event ev;
+  xml::EventKind kind = xml::EventKind::kOpen;
   int depth = 0;
-  S status = S::kUndecided;
-  /// Open/close: the element itself. Value: the parent element.
-  std::shared_ptr<NodeRec> node;
+  EventStatus status = EventStatus::kUndecided;
+  /// Open/close: the element itself. Value: the parent element (null for
+  /// text outside the root).
+  NodeRec* node = nullptr;
+  xml::TagId tag = 0;  ///< Open/close: the element's tag id.
+  std::string text;    ///< Value: the text, moved in; freed at flush.
 
   /// Pending instances this event already registered a watcher with, so
   /// re-examinations (and several hits blocked on one instance) never
-  /// subscribe the same (event, instance) pair twice.
-  internal::CondSet subscribed;
-
-  /// First node whose subtree strictly contains this event: the parent
-  /// element for open/close events, the carrying element for values.
-  NodeRec* EnclosingNode() const {
-    if (node == nullptr) return nullptr;
-    return ev.kind == xml::EventKind::kValue ? node.get() : node->parent.get();
-  }
+  /// subscribe the same (event, instance) pair twice. The event's node
+  /// (or an ancestor) holds each instance in a hit while the event waits.
+  std::vector<const PredInstance*> subscribed;
 };
 
 RuleEvaluator::RuleEvaluator(std::vector<AccessRule> rules,
-                             xml::EventHandler* out, Options options)
-    : rules_(std::move(rules)), out_(out), options_(options) {
+                             xml::EventHandler* out, Options options,
+                             const xml::TagDictionary& document_tags)
+    : rules_(std::move(rules)),
+      out_(out),
+      options_(options),
+      tags_(document_tags),
+      blocks_(1) {
   matchers_.reserve(rules_.size());
   for (const AccessRule& r : rules_) {
-    matchers_.push_back(std::make_unique<internal::PathMatcher>(&r.path.steps,
-                                                                /*base=*/0));
+    CompileSteps(r.path.steps);
+    matchers_.push_back(std::make_unique<internal::PathMatcher>(
+        &r.path.steps, &step_tags_.at(&r.path.steps), /*base=*/0));
   }
 }
 
 RuleEvaluator::~RuleEvaluator() = default;
+
+void RuleEvaluator::CompileSteps(const std::vector<xpath::Step>& steps) {
+  // unordered_map references survive rehashing, so `ids` stays valid
+  // across the recursive inserts.
+  std::vector<xml::TagId>& ids = step_tags_[&steps];
+  ids.clear();
+  for (const xpath::Step& step : steps) {
+    ids.push_back(step.wildcard ? internal::kAnyTag : tags_.Intern(step.name));
+    for (const xpath::Predicate& pred : step.predicates) {
+      CompileSteps(pred.steps);
+    }
+  }
+}
 
 std::shared_ptr<PredInstance> RuleEvaluator::Spawn(const xpath::Predicate* pred,
                                                    int depth) {
@@ -179,7 +203,8 @@ std::shared_ptr<PredInstance> RuleEvaluator::Spawn(const xpath::Predicate* pred,
   for (const auto& [memo_pred, inst] : spawn_memo_) {
     if (memo_pred == pred) return inst;
   }
-  auto inst = std::make_shared<PredInstance>(pred, depth);
+  auto inst = std::make_shared<PredInstance>(
+      pred, &step_tags_.at(&pred->steps), depth);
   instances_.push_back(inst);
   spawn_memo_.emplace_back(pred, inst);
   ++stats_.predicates_spawned;
@@ -187,7 +212,56 @@ std::shared_ptr<PredInstance> RuleEvaluator::Spawn(const xpath::Predicate* pred,
 }
 
 RuleEvaluator::OutEvent& RuleEvaluator::EventAt(size_t qpos) {
-  return queue_[qpos - queue_base_];
+  return blocks_[(qpos / kQueueBlock) & (blocks_.size() - 1)]
+                [qpos % kQueueBlock];
+}
+
+RuleEvaluator::OutEvent& RuleEvaluator::PushEvent(xml::EventKind kind,
+                                                  int depth, NodeRec* node) {
+  const size_t qpos = queue_base_ + queue_size_;
+  const size_t block = qpos / kQueueBlock;
+  const size_t first_block = queue_base_ / kQueueBlock;
+  if (qpos % kQueueBlock == 0 && block - first_block == blocks_.size()) {
+    // Every block slot holds live events: double the ring of blocks and
+    // re-home the live ones (pointers only; no event moves).
+    std::vector<std::unique_ptr<OutEvent[]>> grown(2 * blocks_.size());
+    for (size_t b = first_block; b < block; ++b) {
+      grown[b & (grown.size() - 1)] =
+          std::move(blocks_[b & (blocks_.size() - 1)]);
+    }
+    blocks_.swap(grown);
+  }
+  // A slot past the live blocks is empty or holds a block whose events
+  // have all flushed; the latter is reused as is.
+  std::unique_ptr<OutEvent[]>& slot = blocks_[block & (blocks_.size() - 1)];
+  if (slot == nullptr) slot = std::make_unique<OutEvent[]>(kQueueBlock);
+  ++queue_size_;
+  OutEvent& e = EventAt(qpos);
+  e.kind = kind;
+  e.depth = depth;
+  e.status = EventStatus::kUndecided;
+  e.node = node;
+  return e;
+}
+
+size_t RuleEvaluator::PayloadBytes(const OutEvent& e) const {
+  return e.kind == xml::EventKind::kValue ? e.text.size()
+                                          : tags_.Name(e.tag).size();
+}
+
+RuleEvaluator::NodeRec* RuleEvaluator::AcquireNode() {
+  if (free_nodes_.empty()) {
+    node_pool_.push_back(std::make_unique<NodeRec>());
+    return node_pool_.back().get();
+  }
+  NodeRec* node = free_nodes_.back();
+  free_nodes_.pop_back();
+  // Reset to a fresh record; the (already empty) `hits` keeps its
+  // capacity.
+  std::vector<NodeRec::Hit> hits = std::move(node->hits);
+  *node = NodeRec();
+  node->hits = std::move(hits);
+  return node;
 }
 
 namespace {
@@ -195,13 +269,14 @@ namespace {
 /// Applicability of a hit / candidate given its pending-predicate set.
 enum class CondState { kTrue, kFalse, kPending };
 
-CondState EvalConds(const CondSet& conds, CondSet* blockers = nullptr) {
+CondState EvalConds(const CondSet& conds,
+                    std::vector<PredInstance*>* blockers = nullptr) {
   CondState st = CondState::kTrue;
   for (const auto& c : conds) {
     if (c->state == PredInstance::State::kFalse) return CondState::kFalse;
     if (c->state == PredInstance::State::kPending) {
       st = CondState::kPending;
-      if (blockers != nullptr) blockers->push_back(c);
+      if (blockers != nullptr) blockers->push_back(c.get());
     }
   }
   return st;
@@ -209,7 +284,7 @@ CondState EvalConds(const CondSet& conds, CondSet* blockers = nullptr) {
 
 }  // namespace
 
-Decision RuleEvaluator::Decide(const NodeRec& node, CondSet* blockers) const {
+Decision RuleEvaluator::Decide(NodeRec& node, Blockers* blockers) {
   // Applicable hits are the node's own plus every ancestor's
   // (propagation), reached by walking the parent chain rather than copying
   // hit vectors into each node.
@@ -220,23 +295,32 @@ Decision RuleEvaluator::Decide(const NodeRec& node, CondSet* blockers) const {
   // same depth could still override it; any other pending hit leaves the
   // whole decision open. A depth whose hits all turned false is skipped.
   //
-  // Stability: hit sets are fixed once a node is open and predicate states
-  // only move kPending -> {kTrue, kFalse}, so a kDeny or kPermit returned
-  // here is irrevocable — the property the skip oracle builds on.
+  // Memo: hit sets are fixed once a node is open and predicate states only
+  // move kPending -> {kTrue, kFalse}, so a kDeny or kPermit returned here
+  // is irrevocable — the property the skip oracle builds on — and is
+  // cached. A node without own hits has exactly its parent's applicable
+  // hits, so once the parent is decided the node is too, in O(1).
+  if (node.decision != Decision::kPending) return node.decision;
+  if (node.hits.empty() && node.parent != nullptr &&
+      node.parent->decision != Decision::kPending) {
+    node.decision = node.parent->decision;
+    return node.decision;
+  }
   std::vector<int>& depths = depths_scratch_;
   depths.clear();
-  for (const NodeRec* n = &node; n != nullptr; n = n->parent.get()) {
-    for (const auto& h : n->hits) depths.push_back(h.target_depth);
+  for (const NodeRec* n = &node; n != nullptr; n = n->parent) {
+    if (!n->hits.empty()) depths.push_back(n->depth);
   }
   std::sort(depths.rbegin(), depths.rend());
   depths.erase(std::unique(depths.begin(), depths.end()), depths.end());
 
+  Decision d = Decision::kDeny;  // Closed-world default.
   for (int level : depths) {
     bool resolved_neg = false, resolved_pos = false;
     bool pending = false, pending_neg = false;
-    for (const NodeRec* n = &node; n != nullptr; n = n->parent.get()) {
+    for (const NodeRec* n = &node; n != nullptr; n = n->parent) {
+      if (n->depth != level) continue;
       for (const auto& h : n->hits) {
-        if (h.target_depth != level) continue;
         switch (EvalConds(h.conds, blockers)) {
           case CondState::kFalse:
             break;
@@ -251,13 +335,21 @@ Decision RuleEvaluator::Decide(const NodeRec& node, CondSet* blockers) const {
         }
       }
     }
-    if (resolved_neg) return Decision::kDeny;
-    if (resolved_pos) {
-      return pending_neg ? Decision::kPending : Decision::kPermit;
+    if (resolved_neg) {
+      d = Decision::kDeny;
+      break;
     }
-    if (pending) return Decision::kPending;
+    if (resolved_pos) {
+      d = pending_neg ? Decision::kPending : Decision::kPermit;
+      break;
+    }
+    if (pending) {
+      d = Decision::kPending;
+      break;
+    }
   }
-  return Decision::kDeny;  // Closed-world default.
+  if (d != Decision::kPending) node.decision = d;
+  return d;
 }
 
 SkipDecision RuleEvaluator::SubtreeDecision(const SubtreeFacts& facts,
@@ -354,11 +446,12 @@ size_t RuleEvaluator::RegisterDeferral() {
 }
 
 void RuleEvaluator::MarkStatus(OutEvent& e, EventStatus status) {
-  // Transition an event out of kUndecided exactly once, keeping every
-  // enclosing element's undecided_inside count in sync.
+  // Transition an event out of kUndecided exactly once. Only value events
+  // count in their element's undecided_inside; an element's own open and
+  // close are accounted for by Settle().
   e.status = status;
-  for (NodeRec* n = e.EnclosingNode(); n != nullptr; n = n->parent.get()) {
-    --n->undecided_inside;
+  if (e.kind == xml::EventKind::kValue && e.node != nullptr) {
+    --e.node->undecided_inside;
   }
 }
 
@@ -378,29 +471,33 @@ void RuleEvaluator::ForceEmit(NodeRec* node) {
         MarkStatus(close_ev, EventStatus::kEmit);
       }
     }
-    node = node->parent.get();
+    node = node->parent;
   }
 }
 
-void RuleEvaluator::SettleInstance(const std::shared_ptr<PredInstance>& inst,
+void RuleEvaluator::SettleInstance(PredInstance* inst,
                                    PredInstance::State state) {
   inst->state = state;
   wave_.push_back(inst);
+  candidates_dirty_ = true;
 }
 
 void RuleEvaluator::SettleCandidates() {
   // Pending-predicate fixpoint: an instance turns true as soon as one of
-  // its match candidates has all nested conditions true.
+  // its match candidates has all nested conditions true. A candidate's
+  // value only moves when an instance settles, so with no settlement and
+  // no new candidate since the last fixpoint there is nothing to do.
+  if (!candidates_dirty_) return;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (auto& inst : instances_) {
+    for (const auto& inst : instances_) {
       if (inst->state != PredInstance::State::kPending) continue;
       auto& cands = inst->candidates;
       for (auto it = cands.begin(); it != cands.end();) {
         CondState st = EvalConds(*it);
         if (st == CondState::kTrue) {
-          SettleInstance(inst, PredInstance::State::kTrue);
+          SettleInstance(inst.get(), PredInstance::State::kTrue);
           changed = true;
           break;
         }
@@ -408,6 +505,7 @@ void RuleEvaluator::SettleCandidates() {
       }
     }
   }
+  candidates_dirty_ = false;
 }
 
 bool RuleEvaluator::ResolveEvent(size_t qpos) {
@@ -420,9 +518,10 @@ bool RuleEvaluator::ResolveEvent(size_t qpos) {
   // several hits can be blocked on it) and a re-examination may rediscover
   // instances the event already watches — each (event, instance) pair
   // registers exactly once.
-  CondSet blockers;
+  Blockers& blockers = blockers_scratch_;
+  blockers.clear();
   auto subscribe = [&]() {
-    for (const auto& b : blockers) {
+    for (PredInstance* b : blockers) {
       if (b->state != PredInstance::State::kPending) continue;
       if (std::find(e.subscribed.begin(), e.subscribed.end(), b) !=
           e.subscribed.end()) {
@@ -433,7 +532,7 @@ bool RuleEvaluator::ResolveEvent(size_t qpos) {
       ++stats_.watcher_subscriptions;
     }
   };
-  switch (e.ev.kind) {
+  switch (e.kind) {
     case xml::EventKind::kValue: {
       // Text is disclosed iff its parent element is permitted; denied
       // ancestors of permitted nodes expose tags, never text.
@@ -452,7 +551,7 @@ bool RuleEvaluator::ResolveEvent(size_t qpos) {
     case xml::EventKind::kOpen: {
       Decision d = Decide(*e.node, &blockers);
       if (d == Decision::kPermit) {
-        ForceEmit(e.node.get());
+        ForceEmit(e.node);
         return true;
       }
       if (d == Decision::kPending) {
@@ -462,8 +561,7 @@ bool RuleEvaluator::ResolveEvent(size_t qpos) {
       if (e.node->closed && e.node->undecided_inside == 0) {
         // Fully decided subtree with nothing emitted: prune the element
         // altogether. (Not yet closed / not yet decided inside: retried at
-        // close time or by TryPruneEnclosing when the last inner event
-        // resolves.)
+        // close time or by Settle() when the last inner event resolves.)
         e.node->open_state = NodeRec::OpenState::kDrop;
         MarkStatus(e, EventStatus::kDrop);
         MarkStatus(EventAt(e.node->close_qpos), EventStatus::kDrop);
@@ -482,28 +580,33 @@ bool RuleEvaluator::ResolveEvent(size_t qpos) {
   return false;
 }
 
-void RuleEvaluator::TryPruneEnclosing(NodeRec* node) {
-  // An inner event just resolved: closed, denied elements up the chain may
-  // now have fully decided subtrees and become prunable. Each successful
-  // prune decides two more events, possibly unlocking the next ancestor.
-  while (node != nullptr && node->closed &&
-         node->open_state == NodeRec::OpenState::kUndecided &&
+void RuleEvaluator::Settle(NodeRec* node) {
+  // An event just resolved under `node` (or `node`'s own open or close):
+  // closed elements up the chain may now have fully decided subtrees. A
+  // denied one becomes prunable; one whose open and close are decided
+  // stops counting in its parent, which may unlock the next ancestor. Each
+  // element settles once, so the walks cost O(1) amortized per event.
+  while (node != nullptr && node->closed && !node->settled &&
          node->undecided_inside == 0) {
-    if (!ResolveEvent(node->open_qpos)) break;
-    node = node->parent.get();
+    if (node->open_state == NodeRec::OpenState::kUndecided &&
+        !ResolveEvent(node->open_qpos)) {
+      return;  // Still pending.
+    }
+    node->settled = true;
+    node = node->parent;
+    if (node != nullptr) --node->undecided_inside;
   }
 }
 
 void RuleEvaluator::DrainWave() {
   while (!wave_.empty()) {
-    std::shared_ptr<PredInstance> inst = std::move(wave_.back());
+    PredInstance* inst = wave_.back();
     wave_.pop_back();
     std::vector<size_t> watchers = std::move(inst->watchers);
     inst->watchers.clear();
     for (size_t qpos : watchers) {
       if (qpos < queue_base_) continue;  // Already flushed.
-      NodeRec* enclosing = EventAt(qpos).EnclosingNode();
-      if (ResolveEvent(qpos)) TryPruneEnclosing(enclosing);
+      if (ResolveEvent(qpos)) Settle(EventAt(qpos).node);
     }
     // A resolution may make other instances' candidates decidable.
     SettleCandidates();
@@ -515,37 +618,39 @@ void RuleEvaluator::Resolve() {
   // Tail path: the newly queued event — plus, when it is a close, the
   // matching open: a denied element becomes prunable exactly when it
   // closes, and that check lives on its open event.
-  if (!queue_.empty()) {
-    OutEvent& last = queue_.back();
-    if (last.ev.kind == xml::EventKind::kClose &&
+  if (queue_size_ != 0) {
+    const size_t tail = queue_base_ + queue_size_ - 1;
+    OutEvent& last = EventAt(tail);
+    if (last.kind == xml::EventKind::kClose &&
         last.node->open_state == NodeRec::OpenState::kUndecided) {
       ResolveEvent(last.node->open_qpos);
     }
-    ResolveEvent(queue_base_ + queue_.size() - 1);
+    ResolveEvent(tail);
+    Settle(last.node);
   }
   DrainWave();
 }
 
 void RuleEvaluator::Flush() {
-  stats_.peak_buffered = std::max(stats_.peak_buffered, queue_.size());
+  stats_.peak_buffered = std::max(stats_.peak_buffered, queue_size_);
   stats_.peak_buffered_bytes =
       std::max(stats_.peak_buffered_bytes, buffered_bytes_);
-  while (!queue_.empty() &&
-         queue_.front().status != EventStatus::kUndecided) {
-    OutEvent& e = queue_.front();
+  while (queue_size_ != 0 &&
+         EventAt(queue_base_).status != EventStatus::kUndecided) {
+    OutEvent& e = EventAt(queue_base_);
     const bool deferred_open =
-        e.ev.kind == xml::EventKind::kOpen && e.node->deferral_id >= 0;
+        e.kind == xml::EventKind::kOpen && e.node->deferral_id >= 0;
     if (e.status == EventStatus::kEmit) {
       ++stats_.events_emitted;
-      switch (e.ev.kind) {
+      switch (e.kind) {
         case xml::EventKind::kOpen:
-          out_->OnOpen(e.ev.text, e.depth);
+          out_->OnOpen(tags_.Name(e.tag), e.depth);
           break;
         case xml::EventKind::kValue:
-          out_->OnValue(e.ev.text, e.depth);
+          out_->OnValue(e.text, e.depth);
           break;
         case xml::EventKind::kClose:
-          out_->OnClose(e.ev.text, e.depth);
+          out_->OnClose(tags_.Name(e.tag), e.depth);
           break;
       }
       if (deferred_open) {
@@ -562,21 +667,44 @@ void RuleEvaluator::Flush() {
       ++stats_.events_pruned;
       if (deferred_open) ++stats_.deferrals_denied;
     }
-    buffered_bytes_ -= e.ev.text.size();
-    queue_.pop_front();
+    buffered_bytes_ -= PayloadBytes(e);
+    // The slot stays for reuse; what the event owned goes with it.
+    std::string().swap(e.text);
+    std::vector<const PredInstance*>().swap(e.subscribed);
+    if (e.kind == xml::EventKind::kClose) {
+      // A close flushes after every event of its element's subtree, so
+      // nothing refers to the record any more: recycle it. Its hits go
+      // now, releasing the predicate instances their conditions hold.
+      e.node->hits.clear();
+      free_nodes_.push_back(e.node);
+    }
+    --queue_size_;
     ++queue_base_;
   }
 }
 
 void RuleEvaluator::OnOpen(const std::string& tag, int depth) {
+  OnOpen(tags_.Intern(tag), depth);
+}
+
+void RuleEvaluator::OnValue(const std::string& value, int depth) {
+  OnValue(std::string(value), depth);
+}
+
+void RuleEvaluator::OnClose(const std::string& tag, int depth) {
+  OnClose(tags_.Intern(tag), depth);
+}
+
+void RuleEvaluator::OnOpen(xml::TagId tag, int depth) {
   ++stats_.events_in;
   spawn_memo_.clear();
 
   // 1. Pending predicates watch the subtree of the element they decorate.
   //    Instances spawned during this very event have root_depth == depth
-  //    and are skipped by the guard.
+  //    and are skipped by the guard. Spawning may grow instances_, so the
+  //    loop indexes it; each instance itself stays put.
   for (size_t i = 0; i < instances_.size(); ++i) {
-    auto inst = instances_[i];
+    PredInstance* inst = instances_[i].get();
     if (inst->state != PredInstance::State::kPending) continue;
     if (depth <= inst->root_depth) continue;
     std::vector<CondSet>& fulls = fulls_scratch_;
@@ -588,6 +716,7 @@ void RuleEvaluator::OnOpen(const std::string& tag, int depth) {
           SettleInstance(inst, PredInstance::State::kTrue);
         } else {
           inst->candidates.push_back(std::move(conds));
+          candidates_dirty_ = true;
         }
       } else {
         // Comparison predicates need the node's string value, complete
@@ -597,70 +726,64 @@ void RuleEvaluator::OnOpen(const std::string& tag, int depth) {
     }
   }
 
-  // 2. Rule automata.
-  std::vector<NodeRec::Hit> own_hits;
+  // 2. Rule automata. Only hits targeting this node are stored; Decide()
+  //    reaches the propagated ones through the ancestors.
+  NodeRec* node = AcquireNode();
   for (size_t r = 0; r < rules_.size(); ++r) {
     std::vector<CondSet>& fulls = fulls_scratch_;
     fulls.clear();
     matchers_[r]->OnOpen(tag, depth, this, &fulls);
     for (CondSet& conds : fulls) {
-      own_hits.push_back({&rules_[r], depth, std::move(conds)});
+      node->hits.push_back({&rules_[r], std::move(conds)});
       ++stats_.rule_hits;
     }
   }
 
-  // 3. Node record. Only hits targeting this node are stored; Decide()
-  //    reaches the propagated ones through the parent chain.
-  auto node = std::make_shared<NodeRec>();
+  // 3. Node record.
+  NodeRec* parent = element_stack_.empty() ? nullptr : element_stack_.back();
   node->depth = depth;
-  node->parent = element_stack_.empty() ? nullptr : element_stack_.back();
-  node->hits = std::move(own_hits);
-  node->open_qpos = queue_base_ + queue_.size();
-  for (NodeRec* n = node->parent.get(); n != nullptr; n = n->parent.get()) {
-    ++n->undecided_inside;
-  }
+  node->parent = parent;
+  node->open_qpos = queue_base_ + queue_size_;
+  if (parent != nullptr) ++parent->undecided_inside;
   element_stack_.push_back(node);
-  queue_.push_back({xml::Event::Open(tag), depth, EventStatus::kUndecided,
-                    std::move(node), {}});
-  buffered_bytes_ += tag.size();
+  OutEvent& e = PushEvent(xml::EventKind::kOpen, depth, node);
+  e.tag = tag;
+  buffered_bytes_ += PayloadBytes(e);
 
   Resolve();
   Flush();
 }
 
-void RuleEvaluator::OnValue(const std::string& value, int depth) {
+void RuleEvaluator::OnValue(std::string&& value, int depth) {
   ++stats_.events_in;
 
   // Feed string-value collections of pending comparison predicates.
-  for (auto& inst : instances_) {
+  for (const auto& inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
     for (auto& coll : inst->collections) {
       if (depth > coll.node_depth) coll.value += value;
     }
   }
 
-  std::shared_ptr<NodeRec> parent =
-      element_stack_.empty() ? nullptr : element_stack_.back();
-  for (NodeRec* n = parent.get(); n != nullptr; n = n->parent.get()) {
-    ++n->undecided_inside;
-  }
-  queue_.push_back({xml::Event::Value(value), depth, EventStatus::kUndecided,
-                    std::move(parent), {}});
-  buffered_bytes_ += value.size();
+  NodeRec* parent = element_stack_.empty() ? nullptr : element_stack_.back();
+  if (parent != nullptr) ++parent->undecided_inside;
+  OutEvent& e = PushEvent(xml::EventKind::kValue, depth, parent);
+  e.text = std::move(value);
+  buffered_bytes_ += PayloadBytes(e);
 
   Resolve();
   Flush();
 }
 
-void RuleEvaluator::OnClose(const std::string& tag, int depth) {
+void RuleEvaluator::OnClose(xml::TagId tag, int depth) {
   ++stats_.events_in;
   if (element_stack_.empty()) return;  // Malformed stream; Finish() reports.
 
   // 1. Predicate lifecycle at this close: finish value collections of
   //    nodes closing now, pop matcher frames, and resolve instances whose
   //    root closes (no satisfying match by now means false).
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    auto inst = instances_[i];
+  for (const auto& inst_ptr : instances_) {
+    PredInstance* inst = inst_ptr.get();
     if (inst->state != PredInstance::State::kPending) continue;
     if (depth > inst->root_depth) {
       inst->matcher.OnClose(depth);
@@ -676,6 +799,7 @@ void RuleEvaluator::OnClose(const std::string& tag, int depth) {
             SettleInstance(inst, PredInstance::State::kTrue);
           } else {
             inst->candidates.push_back(std::move(it->conds));
+            candidates_dirty_ = true;
           }
         }
         it = colls.erase(it);
@@ -689,24 +813,21 @@ void RuleEvaluator::OnClose(const std::string& tag, int depth) {
   // closing at this depth are forced false (no satisfying match by now
   // means the predicate failed).
   SettleCandidates();
-  for (auto& inst : instances_) {
+  for (const auto& inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
     if (inst->root_depth == depth) {
-      SettleInstance(inst, PredInstance::State::kFalse);
+      SettleInstance(inst.get(), PredInstance::State::kFalse);
     }
   }
 
   // 2. Close the element.
-  std::shared_ptr<NodeRec> node = element_stack_.back();
+  NodeRec* node = element_stack_.back();
   element_stack_.pop_back();
   node->closed = true;
-  node->close_qpos = queue_base_ + queue_.size();
-  for (NodeRec* n = node->parent.get(); n != nullptr; n = n->parent.get()) {
-    ++n->undecided_inside;
-  }
-  queue_.push_back({xml::Event::Close(tag), depth, EventStatus::kUndecided,
-                    node, {}});
-  buffered_bytes_ += tag.size();
+  node->close_qpos = queue_base_ + queue_size_;
+  OutEvent& e = PushEvent(xml::EventKind::kClose, depth, node);
+  e.tag = tag;
+  buffered_bytes_ += PayloadBytes(e);
 
   Resolve();
   Flush();
@@ -726,7 +847,7 @@ Status RuleEvaluator::Finish() {
   }
   Resolve();
   Flush();
-  if (!queue_.empty()) {
+  if (queue_size_ != 0) {
     return Status::Internal("unresolved events buffered at end of stream");
   }
   return Status::OK();

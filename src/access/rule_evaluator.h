@@ -2,15 +2,16 @@
 #define CSXA_ACCESS_RULE_EVALUATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "access/access_rule.h"
 #include "common/status.h"
 #include "xml/event.h"
+#include "xml/tag_dictionary.h"
 #include "xpath/ast.h"
 
 namespace csxa::access {
@@ -34,9 +35,17 @@ struct SubtreeFacts {
   /// True when the bitmap is empty: no element can occur strictly below
   /// (leaf element). Only meaningful when tags_known.
   bool no_elements_below = false;
-  /// Whether an element named `tag` can appear strictly below. Only
-  /// consulted when tags_known && !no_elements_below.
-  std::function<bool(const std::string&)> may_contain;
+  /// Generation-stamped presence table over the evaluator's tag ids (see
+  /// RuleEvaluator::tags()): tag `t` can appear strictly below iff
+  /// present[t] == generation. Ids past the end of the table — tags the
+  /// document never uses — cannot. Re-stamping under a fresh generation
+  /// resets the table in O(tags below). Only consulted when tags_known &&
+  /// !no_elements_below.
+  std::vector<uint32_t> present;
+  uint32_t generation = 1;
+  bool MayContain(xml::TagId tag) const {
+    return tag < present.size() && present[tag] == generation;
+  }
   /// Encoded size of the subtree (the index's size field), the quantity the
   /// deferral budget is compared against. 0 when the stream has no size
   /// fields (TC), which disables deferral for the element.
@@ -66,6 +75,9 @@ enum class SkipDecision {
 namespace internal {
 
 struct PredInstance;
+
+/// Compiled node test of a wildcard step: matches every tag id.
+inline constexpr xml::TagId kAnyTag = UINT32_MAX;
 
 /// Interface the matchers use to instantiate pending predicates.
 class RuleEvaluatorContext {
@@ -98,17 +110,20 @@ struct TokenState {
 /// reported with the conditions accumulated from predicates.
 class PathMatcher {
  public:
-  /// `steps` must outlive the matcher. `base_depth` is the depth of the
-  /// context node: 0 for absolute rule paths, the predicated element's
-  /// depth for predicate paths.
-  PathMatcher(const std::vector<xpath::Step>* steps, int base_depth);
+  /// `steps` and `tags` must outlive the matcher. `tags[i]` is step i's
+  /// node test compiled to an id of the evaluator's dictionary (kAnyTag for
+  /// a wildcard), so matching compares integers. `base_depth` is the depth
+  /// of the context node: 0 for absolute rule paths, the predicated
+  /// element's depth for predicate paths.
+  PathMatcher(const std::vector<xpath::Step>* steps,
+              const std::vector<xml::TagId>* tags, int base_depth);
 
   /// Advances tokens over `<tag>`. Events that are not the next well-nested
   /// open/close below base_depth (e.g. at or above the context node) are
   /// ignored, so the matcher stays aligned by itself. Full matches (the
   /// opened element is a target) are appended to `full_matches`; predicates
   /// traversed en route are instantiated through `ctx`.
-  void OnOpen(const std::string& tag, int depth, RuleEvaluatorContext* ctx,
+  void OnOpen(xml::TagId tag, int depth, RuleEvaluatorContext* ctx,
               std::vector<CondSet>* full_matches);
   void OnClose(int depth);
 
@@ -122,6 +137,7 @@ class PathMatcher {
 
  private:
   const std::vector<xpath::Step>* steps_;
+  const std::vector<xml::TagId>* tags_;
   int base_depth_;
   struct Frame {
     std::vector<TokenState> exact;  ///< Prefix matched ending at this node.
@@ -164,8 +180,9 @@ struct PredInstance {
   /// instance); those are skipped by a status check.
   std::vector<size_t> watchers;
 
-  PredInstance(const xpath::Predicate* p, int depth)
-      : pred(p), root_depth(depth), matcher(&p->steps, depth) {}
+  PredInstance(const xpath::Predicate* p, const std::vector<xml::TagId>* tags,
+               int depth)
+      : pred(p), root_depth(depth), matcher(&p->steps, tags, depth) {}
 };
 
 }  // namespace internal
@@ -213,16 +230,34 @@ class RuleEvaluator : public xml::EventHandler,
   };
 
   /// `rules` is the rule set already selected for the requesting subject
-  /// (see RulesForSubject); `out` receives the authorized view.
+  /// (see RulesForSubject); `out` receives the authorized view. The
+  /// evaluator's tag dictionary starts as a copy of `document_tags` (so a
+  /// document's own tag ids can be fed to the id entry points unchanged);
+  /// rule step names are then interned once and matched as ids.
   RuleEvaluator(std::vector<AccessRule> rules, xml::EventHandler* out,
-                Options options);
+                Options options, const xml::TagDictionary& document_tags);
+  RuleEvaluator(std::vector<AccessRule> rules, xml::EventHandler* out,
+                Options options)
+      : RuleEvaluator(std::move(rules), out, options, xml::TagDictionary()) {}
   RuleEvaluator(std::vector<AccessRule> rules, xml::EventHandler* out)
       : RuleEvaluator(std::move(rules), out, Options()) {}
   ~RuleEvaluator() override;
 
+  /// The string entry points intern the tag into tags() and take the id
+  /// path below; there is one matcher.
   void OnOpen(const std::string& tag, int depth) override;
   void OnValue(const std::string& value, int depth) override;
   void OnClose(const std::string& tag, int depth) override;
+
+  /// Id entry points: `tag` is an id of tags(). The value text is moved
+  /// into the pending queue, not copied.
+  void OnOpen(xml::TagId tag, int depth);
+  void OnValue(std::string&& value, int depth);
+  void OnClose(xml::TagId tag, int depth);
+
+  /// The evaluator's tag dictionary: the seed dictionary, then rule step
+  /// names, then tags first met through the string entry points.
+  const xml::TagDictionary& tags() const { return tags_; }
 
   /// Skip oracle. Must be called right after OnOpen(tag, depth) and before
   /// the next event; `depth` must be the just-opened element's depth.
@@ -299,32 +334,49 @@ class RuleEvaluator : public xml::EventHandler,
   struct NodeRec;
   struct OutEvent;
   enum class EventStatus { kUndecided, kEmit, kDrop };
+  /// Pending instances a decision hinged on.
+  using Blockers = std::vector<internal::PredInstance*>;
 
   // internal::RuleEvaluatorContext
   std::shared_ptr<internal::PredInstance> Spawn(const xpath::Predicate* pred,
                                                 int depth) override;
 
-  /// Decides `node`; when the result hinges on pending predicates, the
-  /// instances encountered are appended to `blockers` (if non-null) so the
-  /// caller can subscribe the blocked event to exactly those instances.
-  Decision Decide(const NodeRec& node,
-                  internal::CondSet* blockers = nullptr) const;
+  /// Interns every step name of `steps` (and of its nested predicate
+  /// paths) into step_tags_.
+  void CompileSteps(const std::vector<xpath::Step>& steps);
+  /// Decides `node`, memoizing an irrevocable result; when the result
+  /// hinges on pending predicates, the instances encountered are appended
+  /// to `blockers` (if non-null) so the caller can subscribe the blocked
+  /// event to exactly those instances.
+  Decision Decide(NodeRec& node, Blockers* blockers = nullptr);
   void SettleCandidates();          ///< Predicate-candidate fixpoint.
-  void SettleInstance(const std::shared_ptr<internal::PredInstance>& inst,
+  void SettleInstance(internal::PredInstance* inst,
                       internal::PredInstance::State state);
   bool ResolveEvent(size_t qpos);   ///< Decides one buffered event if possible.
   void Resolve();      ///< Examines the tail event, then drains the wave.
   void DrainWave();    ///< Re-examines watchers of newly settled instances.
-  void TryPruneEnclosing(NodeRec* node);
+  /// Walks up from `node` while closed subtrees become fully decided,
+  /// pruning denied ones and releasing them from their parent's count.
+  void Settle(NodeRec* node);
   void Flush();        ///< Emits/drops the decided queue prefix.
   void ForceEmit(NodeRec* node);
   void MarkStatus(OutEvent& e, EventStatus status);
   OutEvent& EventAt(size_t qpos);
+  /// Appends an undecided event at the tail of the queue.
+  OutEvent& PushEvent(xml::EventKind kind, int depth, NodeRec* node);
+  size_t PayloadBytes(const OutEvent& e) const;
+  NodeRec* AcquireNode();
 
   std::vector<AccessRule> rules_;
   xml::EventHandler* out_;
   Options options_;
   DeferralListener deferral_listener_;
+
+  xml::TagDictionary tags_;
+  /// Compiled node tests of every rule and predicate step sequence, keyed
+  /// by the sequence (stable: rules_ never changes after construction).
+  std::unordered_map<const std::vector<xpath::Step>*, std::vector<xml::TagId>>
+      step_tags_;
 
   std::vector<std::unique_ptr<internal::PathMatcher>> matchers_;  // per rule
   std::vector<std::shared_ptr<internal::PredInstance>> instances_;
@@ -335,18 +387,37 @@ class RuleEvaluator : public xml::EventHandler,
                         std::shared_ptr<internal::PredInstance>>> spawn_memo_;
 
   /// Reused scratch: full-match collector handed to every matcher on each
-  /// open event, and the target-depth list Decide() sorts — both were
-  /// reallocated per event before (PR 2's flagged churn).
+  /// open event, the target-depth list Decide() sorts, and the blocker
+  /// list ResolveEvent() gathers.
   std::vector<internal::CondSet> fulls_scratch_;
-  mutable std::vector<int> depths_scratch_;
+  std::vector<int> depths_scratch_;
+  Blockers blockers_scratch_;
 
-  std::vector<std::shared_ptr<NodeRec>> element_stack_;
-  std::deque<OutEvent> queue_;
-  size_t queue_base_ = 0;  ///< Absolute position of queue_.front().
-  uint64_t buffered_bytes_ = 0;  ///< Payload bytes currently in queue_.
+  /// Node-record pool: records are owned here and recycled through
+  /// free_nodes_ once their close event flushes — by then every event that
+  /// referred to the record (its own, its descendants') has flushed too.
+  std::vector<std::unique_ptr<NodeRec>> node_pool_;
+  std::vector<NodeRec*> free_nodes_;
+  std::vector<NodeRec*> element_stack_;
+  /// The pending queue: absolute positions [queue_base_, queue_base_ +
+  /// queue_size_). Position p is slot p % kQueueBlock of block p /
+  /// kQueueBlock, which lives in blocks_[block & (blocks_.size() - 1)]: a
+  /// ring of blocks whose size is a power of two. A flushed block stays in
+  /// its slot and is reused when the ring wraps, so a steady stream
+  /// allocates nothing, and a long buffer grows by doubling the ring of
+  /// block pointers without moving any event.
+  static constexpr size_t kQueueBlock = 128;
+  std::vector<std::unique_ptr<OutEvent[]>> blocks_;
+  size_t queue_base_ = 0;  ///< Absolute position of the oldest event.
+  size_t queue_size_ = 0;
+  uint64_t buffered_bytes_ = 0;  ///< Payload bytes currently queued.
   /// Instances that left kPending since the last DrainWave(): their
   /// watcher lists are the only buffered events a resolution wave touches.
-  std::vector<std::shared_ptr<internal::PredInstance>> wave_;
+  /// Each stays alive in instances_ until the wave drains.
+  std::vector<internal::PredInstance*> wave_;
+  /// An instance settled or a candidate was added since the last
+  /// SettleCandidates() fixpoint.
+  bool candidates_dirty_ = false;
 
   Stats stats_;
 };

@@ -10,7 +10,7 @@ namespace csxa::pipeline {
 /// — exactly the document position the subtree belongs at.
 class AuthorizedViewReader::Collector : public xml::EventHandler {
  public:
-  explicit Collector(std::deque<OutEntry>* out) : out_(out) {}
+  explicit Collector(std::vector<OutEntry>* out) : out_(out) {}
 
   void OnOpen(const std::string& tag, int depth) override {
     out_->push_back({xml::Event::Open(tag), depth, -1});
@@ -26,7 +26,7 @@ class AuthorizedViewReader::Collector : public xml::EventHandler {
   }
 
  private:
-  std::deque<OutEntry>* out_;
+  std::vector<OutEntry>* out_;
 };
 
 AuthorizedViewReader::AuthorizedViewReader(
@@ -37,15 +37,14 @@ AuthorizedViewReader::AuthorizedViewReader(
       skip_possible_(options.enable_skip && nav->CanSkip()),
       collector_(std::make_unique<Collector>(&out_)),
       eval_(std::make_unique<access::RuleEvaluator>(
-          std::move(rules), collector_.get(), eval_options)),
-      present_(nav->dictionary().size(), 0) {
+          std::move(rules), collector_.get(), eval_options,
+          nav->dictionary())) {
   eval_->set_deferral_listener(
       [this](size_t id) { collector_->OnDeferralGranted(id); });
-  facts_.may_contain = [this](const std::string& tag) {
-    xml::TagId id;
-    return nav_->dictionary().Lookup(tag, &id) &&
-           present_[id] == generation_;
-  };
+  // The evaluator's dictionary starts as the document's, so the
+  // navigator's tag ids index the presence table directly; rule-only tags
+  // get ids past its end and are never present.
+  facts_.present.assign(nav->dictionary().size(), 0);
   // No skip decision will ever cancel a range: tell the planner the whole
   // stream is wanted, so the fetch degenerates into maximal batches.
   if (options_.fetcher != nullptr && !skip_possible_) {
@@ -81,14 +80,14 @@ Status AuthorizedViewReader::DriveOne() {
       break;
     case K::kOpen: {
       ++stats_.opens;
-      eval_->OnOpen(item.tag, item.depth);
+      eval_->OnOpen(item.tag_id, item.depth);
       if (!skip_possible_) break;
       facts_.tags_known = item.has_desc;
       facts_.no_elements_below = item.has_desc && item.desc.empty();
       facts_.subtree_bytes = item.subtree_bits / 8;
       if (item.has_desc) {
-        ++generation_;
-        for (xml::TagId t : item.desc) present_[t] = generation_;
+        const uint32_t generation = ++facts_.generation;
+        for (xml::TagId t : item.desc) facts_.present[t] = generation;
       }
       switch (eval_->SubtreeDecision(facts_, item.depth)) {
         case access::SkipDecision::kDescend:
@@ -131,11 +130,11 @@ Status AuthorizedViewReader::DriveOne() {
     }
     case K::kValue:
       ++stats_.values;
-      eval_->OnValue(item.value, item.depth);
+      eval_->OnValue(std::move(item.value), item.depth);
       break;
     case K::kClose:
       ++stats_.closes;
-      eval_->OnClose(item.tag, item.depth);
+      eval_->OnClose(item.tag_id, item.depth);
       break;
   }
   return Status::OK();
@@ -205,15 +204,18 @@ Result<ViewItem> AuthorizedViewReader::Next() {
       if (splicing_) return v;  // Still inside the re-read subtree.
       continue;                 // Splice ended: resume the normal queue.
     }
-    if (!out_.empty()) {
-      OutEntry e = std::move(out_.front());
-      out_.pop_front();
+    if (out_head_ < out_.size()) {
+      OutEntry& e = out_[out_head_++];
       if (e.splice >= 0) {
         CSXA_RETURN_NOT_OK(BeginSplice(static_cast<size_t>(e.splice)));
         continue;
       }
       return ViewItem{false, std::move(e.event), e.depth};
     }
+    // Drained: the next DriveOne() refills from the start, reusing the
+    // storage.
+    out_.clear();
+    out_head_ = 0;
     if (finished_) {
       ViewItem v;
       v.end = true;

@@ -2,7 +2,6 @@
 #define CSXA_PIPELINE_AUTHORIZED_VIEW_READER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,7 +131,10 @@ class AuthorizedViewReader {
   std::unique_ptr<Collector> collector_;
   std::unique_ptr<access::RuleEvaluator> eval_;
 
-  std::deque<OutEntry> out_;
+  /// Decided output not yet pulled: out_[out_head_..]. Only DriveOne()
+  /// appends, and only once everything before has been pulled.
+  std::vector<OutEntry> out_;
+  size_t out_head_ = 0;
   std::vector<Deferral> deferrals_;
   bool finished_ = false;
 
@@ -145,11 +147,9 @@ class AuthorizedViewReader {
   uint64_t splice_fetch_base_ = 0;
   index::DocumentNavigator::Checkpoint resume_;
 
-  /// Reusable skip-oracle input: generation-stamped presence table of the
-  /// current element's descendant-tag bitmap over the dictionary, queried
-  /// through a facts object built once (no per-event allocation).
-  std::vector<uint32_t> present_;
-  uint32_t generation_ = 0;
+  /// Reusable skip-oracle input: its generation-stamped presence table
+  /// holds the current element's descendant-tag bitmap over the document's
+  /// tag ids, restamped per open (no per-event allocation).
   access::SubtreeFacts facts_;
 
   DriveStats stats_;

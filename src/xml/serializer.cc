@@ -2,25 +2,29 @@
 
 namespace csxa::xml {
 
-std::string EscapeText(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
+void AppendEscapedText(std::string_view text, std::string* out) {
+  // Copies the runs between special characters in bulk.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char* entity = nullptr;
+    switch (text[i]) {
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       default:
-        out.push_back(c);
+        continue;
     }
+    out->append(text.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(text.data() + run, text.size() - run);
 }
 
 namespace {
@@ -31,7 +35,7 @@ void SerializeInto(const Node& node, int indent, int level, std::string* out) {
   };
   if (node.is_text()) {
     pad(level);
-    out->append(EscapeText(node.value()));
+    AppendEscapedText(node.value(), out);
     if (indent >= 0) out->push_back('\n');
     return;
   }
@@ -70,7 +74,7 @@ void SerializingHandler::OnOpen(const std::string& tag, int) {
 }
 
 void SerializingHandler::OnValue(const std::string& value, int) {
-  out_.append(EscapeText(value));
+  AppendEscapedText(value, &out_);
 }
 
 void SerializingHandler::OnClose(const std::string& tag, int) {

@@ -2,6 +2,7 @@
 #define CSXA_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/event.h"
 #include "xml/node.h"
@@ -12,8 +13,9 @@ namespace csxa::xml {
 /// Serialize(Parse(x)) round-trips. `indent` < 0 produces compact output.
 std::string Serialize(const Node& node, int indent = -1);
 
-/// Escapes `<`, `>`, `&` in text content.
-std::string EscapeText(const std::string& text);
+/// Appends `text` to `out` with `<`, `>`, `&` escaped, building no
+/// temporary string. Shared by Serialize and SerializingHandler.
+void AppendEscapedText(std::string_view text, std::string* out);
 
 /// EventHandler that serializes the event stream it receives; used to turn
 /// the streaming evaluator's authorized output back into XML text.

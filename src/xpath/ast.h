@@ -54,11 +54,6 @@ struct Step {
   bool wildcard = false; ///< `*`.
   std::vector<Predicate> predicates;
 
-  /// True if `tag` matches this step's node test.
-  bool Matches(const std::string& tag) const {
-    return wildcard || name == tag;
-  }
-
   std::string ToString() const;
 };
 

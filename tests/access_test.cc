@@ -3,6 +3,8 @@
 // default, structure preservation, pending predicates, and the
 // containment-based rule-set minimization.
 
+#include <algorithm>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,12 @@ std::string View(const std::string& xml, const std::string& rules_text,
   CHECK_OK(xml::SaxParser::Parse(xml, &eval));
   CHECK_OK(eval.Finish());
   return ser.output();
+}
+
+std::vector<AccessRule> Rules(const std::string& text) {
+  auto r = access::ParseRuleList(text);
+  CHECK_OK(r.status());
+  return r.ok() ? r.take() : std::vector<AccessRule>{};
 }
 
 TEST(ClosedWorldDefault) {
@@ -212,6 +220,95 @@ TEST(WatcherRegistrationDeduped) {
   CHECK_EQ(ser.output(), "<r><a><a><b>secret</b></a></a></r>");
 }
 
+TEST(ChildrenOfPendingParentInheritItsDecision) {
+  // c and d carry no hits of their own: their decision is p's, and p
+  // hangs on [ok], which arrives only after them. They must stay pending
+  // (not memoized as anything) until p resolves, then take its result.
+  for (bool grant : {true, false}) {
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(Rules("+ /r/p[ok]\n"), &ser);
+    eval.OnOpen("r", 1);
+    eval.OnOpen("p", 2);
+    eval.OnOpen("c", 3);
+    eval.OnOpen("d", 4);
+    eval.OnValue("text", 5);
+    eval.OnClose("d", 4);
+    eval.OnClose("c", 3);
+    CHECK_EQ(eval.stats().events_emitted, uint64_t{0});
+    CHECK_EQ(eval.stats().events_pruned, uint64_t{0});
+    if (grant) {
+      eval.OnOpen("ok", 3);
+      // p resolved to permit: everything buffered below it is released.
+      CHECK_EQ(ser.output(), "<r><p><c><d>text</d></c><ok>");
+      eval.OnClose("ok", 3);
+    }
+    eval.OnClose("p", 2);
+    eval.OnClose("r", 1);
+    CHECK_OK(eval.Finish());
+    CHECK_EQ(ser.output(),
+             grant ? "<r><p><c><d>text</d></c><ok></ok></p></r>" : "");
+  }
+}
+
+/// CPU seconds this thread has run: unlike wall time, it does not count
+/// the time the test was descheduled.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+/// CPU seconds to feed a chain of `depth` nested <a> elements, with one
+/// text node at the bottom, through a fresh evaluator; checks the view.
+double TimeChain(const std::string& rules_text, int depth) {
+  xml::SerializingHandler ser;
+  access::RuleEvaluator eval(Rules(rules_text), &ser);
+  const double start = ThreadCpuSeconds();
+  for (int d = 1; d <= depth; ++d) eval.OnOpen("a", d);
+  eval.OnValue("x", depth + 1);
+  for (int d = depth; d >= 1; --d) eval.OnClose("a", d);
+  CHECK_OK(eval.Finish());
+  const double elapsed = ThreadCpuSeconds() - start;
+  std::string expected;
+  if (!rules_text.empty()) {
+    expected.reserve(static_cast<size_t>(depth) * 7 + 1);
+    for (int d = 0; d < depth; ++d) expected += "<a>";
+    expected += "x";
+    for (int d = 0; d < depth; ++d) expected += "</a>";
+  }
+  CHECK(ser.output() == expected);
+  return elapsed;
+}
+
+TEST(DeepChainsCostLinearTime) {
+  // Every element is decided on arrival — denied by the closed world, or
+  // granted by /a — so depth must not add per-event work: no ancestor
+  // walks to keep undecided counts, no re-deciding inherited levels.
+  // time(4n) / time(n) over the min of 3 runs each must stay within 5. A
+  // 4x deeper chain has a 4x larger working set, which a busy machine's
+  // shared caches can punish beyond that; so an attempt over the bound is
+  // re-measured, up to 3 attempts. Quadratic work (a ratio near 16) fails
+  // every attempt.
+  for (const char* rules : {"", "+ /a\n"}) {
+    double ratio = 0;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      double small = 1e9, large = 1e9;
+      for (int run = 0; run < 3; ++run) {
+        small = std::min(small, TimeChain(rules, 16 << 10));
+        large = std::min(large, TimeChain(rules, 64 << 10));
+      }
+      ratio = large / small;
+      if (ratio <= 5) break;
+    }
+    if (ratio > 5) {
+      testing::Fail(__FILE__, __LINE__,
+                    std::string("rules '") + rules + "': 4x depth took " +
+                        std::to_string(ratio) + "x the time");
+    }
+  }
+}
+
 TEST(RuleParsing) {
   auto r = access::ParseRule("+ doctor: /Folder//MedActs");
   CHECK_OK(r.status());
@@ -229,12 +326,6 @@ TEST(RuleParsing) {
   }
   CHECK(!access::ParseRule("/a/b").ok());
   CHECK(!access::ParseRule("+ ").ok());
-}
-
-std::vector<AccessRule> Rules(const std::string& text) {
-  auto r = access::ParseRuleList(text);
-  CHECK_OK(r.status());
-  return r.ok() ? r.take() : std::vector<AccessRule>{};
 }
 
 TEST(RedundantRuleElimination) {

@@ -11,7 +11,9 @@
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
 #include "bench/corpus.h"
+#include "common/hexdump.h"
 #include "common/status.h"
+#include "crypto/sha1.h"
 #include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
@@ -179,6 +181,98 @@ TEST(AllFamiliesAllVariantsMatchDirectView) {
       }
     }
   }
+}
+
+// Views pinned by digest. Every other equivalence check in the suite
+// compares RuleEvaluator with itself through different plumbing, so a
+// semantic slip in the evaluator would pass all of them. These SHA-1
+// digests were recorded from the evaluator as it stood before its hot path
+// was rewritten (shared_ptr node records, string tag matching, no decision
+// memo); any change to what a view discloses fails here.
+struct PinnedView {
+  const char* family;
+  const char* rules;
+  const char* sha1;
+};
+
+constexpr PinnedView kPinnedViews[] = {
+    {"hospital", "closed_world", "614ecf035d61ffc325dc65ae65362c906deabcbb"},
+    {"hospital", "needle", "35b27a7c6a4f5913dd7048070b1875b999e5b4d8"},
+    {"hospital", "guarded", "2f93f15dee6a7970e1bd26d3094a5710366ceeac"},
+    {"hospital", "predicate_heavy", "72d55c5b717d5dfbbf23822e45792648e53053ba"},
+    {"wsu", "closed_world", "221ea6eb14d324ab4f1ac890d9f62b9d0ca72f71"},
+    {"wsu", "needle", "5b485af7c176aaa033257ec208a476f049b07f62"},
+    {"wsu", "guarded", "9f656ef1b8ece7525da64a8e178bc3699301d93c"},
+    {"wsu", "predicate_heavy", "1490bb10fc702306f14fb95b8d4a40423686a152"},
+    {"sigmod", "closed_world", "1275029cf642c03b52f6ed0eb037f8a2db42b341"},
+    {"sigmod", "needle", "8d0df1e0a33f1f98cafc497c4aa8c28ab7a2266d"},
+    {"sigmod", "guarded", "a2411664e2c4cff147ed6e233c67df770ba18c91"},
+    {"sigmod", "predicate_heavy", "17d579d788851a3865b7b1d0f11546b5093a2a5d"},
+    {"deep_nest", "closed_world", "11c83794f694d9f3f0663328a290a08e9997ec87"},
+    {"deep_nest", "needle", "ca7866fb35a6cae6cf64f15774a24f55d02bc911"},
+    {"deep_nest", "guarded", "9563020ee94a87ffc737ee485fa335e92e3896a1"},
+    {"deep_nest", "predicate_heavy",
+     "e182cec7790b9bcb9583f07e0919a800f303ff6b"},
+    {"predicate_storm", "closed_world",
+     "07d9debe18b0a2500ce33963f980fd5aed0b0e1e"},
+    {"predicate_storm", "needle", "99e694a6c5d502bc06fd3f2184376ac3516ef4e3"},
+    {"predicate_storm", "guarded", "b325a71e74d33846536078d8589ffd15c97b4a5a"},
+    {"predicate_storm", "predicate_heavy",
+     "67ffa8cb27de4b67b2aeeb1330869fe18ce1b0c7"},
+    {"flat_text", "closed_world", "05e3f7e58721d8a2b68a24d455c05e2bd45e638e"},
+    {"flat_text", "needle", "947978ab2e0d080e56402b1c8d17e9b49f854509"},
+    {"flat_text", "guarded", "05e3f7e58721d8a2b68a24d455c05e2bd45e638e"},
+    {"flat_text", "predicate_heavy",
+     "8d6f0a515bd12291f8784b3aca408672fa7a3308"},
+};
+
+TEST(ViewsMatchPinnedDigests) {
+  server::DocumentConfig cfg;
+  cfg.variant = index::Variant::kTcsbr;
+  cfg.key = TestKey();
+  cfg.layout.chunk_size = 1024;
+  cfg.layout.fragment_size = 64;
+  cfg.shared_cache_capacity = 0;
+  const pipeline::ServeOptions modes[] = {{/*enable_skip=*/false, UINT64_MAX},
+                                          {/*enable_skip=*/true, UINT64_MAX},
+                                          {/*enable_skip=*/true, 512}};
+  const char* mode_names[] = {"full", "skip", "defer512"};
+  size_t checked = 0;
+  for (bench::CorpusFamily family : bench::AllFamilies()) {
+    const bench::Corpus corpus = bench::GenerateCorpus(
+        bench::CorpusSpec{family, /*seed=*/7, /*target_bytes=*/12 << 10,
+                          /*depth=*/0});
+    server::DocumentService service;
+    const Status published = service.Publish("doc", corpus.xml, cfg);
+    CHECK_OK(published);
+    if (!published.ok()) continue;
+    for (bench::RuleFamily rf : bench::AllRuleFamilies()) {
+      const std::string name = std::string(bench::FamilyName(family)) + "/" +
+                               bench::RuleFamilyName(rf);
+      const char* pinned = nullptr;
+      for (const PinnedView& p : kPinnedViews) {
+        if (name == std::string(p.family) + "/" + p.rules) pinned = p.sha1;
+      }
+      auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
+      CHECK_OK(rules.status());
+      auto check = [&](const std::string& mode, const std::string& view) {
+        const std::string got = HexEncode(crypto::Sha1::Hash(view).data(), 20);
+        if (pinned == nullptr || got != pinned) {
+          testing::Fail(__FILE__, __LINE__,
+                        name + "/" + mode + ": view digest " + got +
+                            " != pinned " + (pinned ? pinned : "(none)"));
+        }
+        ++checked;
+      };
+      check("direct", DirectView(corpus.xml, rules.value()));
+      for (size_t m = 0; m < 3; ++m) {
+        auto report = service.Serve("doc", rules.value(), modes[m]);
+        CHECK_OK(report.status());
+        if (report.ok()) check(mode_names[m], report.value().view);
+      }
+    }
+  }
+  CHECK_EQ(checked, std::size(kPinnedViews) * 4);
 }
 
 // Rule-set-size invariance: absent-tag rules grow the token automata but

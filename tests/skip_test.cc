@@ -219,13 +219,19 @@ TEST(SizeFieldsAlonePruneWhenNoTokenSurvives) {
 // SubtreeDecision's answers against hand-built subtree facts.
 // ---------------------------------------------------------------------------
 
-access::SubtreeFacts KnownTags(std::unordered_set<std::string> tags) {
+/// Facts whose bitmap holds exactly `tags`, over `eval`'s tag ids. A name
+/// the evaluator has never interned is named by no rule step, so leaving
+/// it out of the table changes no answer.
+access::SubtreeFacts KnownTags(const access::RuleEvaluator& eval,
+                               const std::unordered_set<std::string>& tags) {
   access::SubtreeFacts facts;
   facts.tags_known = true;
   facts.no_elements_below = tags.empty();
-  facts.may_contain = [tags = std::move(tags)](const std::string& t) {
-    return tags.count(t) != 0;
-  };
+  facts.present.assign(eval.tags().size(), 0);
+  for (const std::string& t : tags) {
+    xml::TagId id;
+    if (eval.tags().Lookup(t, &id)) facts.present[id] = facts.generation;
+  }
   return facts;
 }
 
@@ -240,11 +246,11 @@ TEST(OracleDistinguishesDeniedForeverFromDeeperGrant) {
   // bitmap without `b` proves the denial irrevocable.
   CHECK(eval.SubtreeDecision(UnknownTags(), 1) ==
         access::SkipDecision::kDescend);
-  CHECK(eval.SubtreeDecision(KnownTags({"b", "z"}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"b", "z"}), 1) ==
         access::SkipDecision::kDescend);
-  CHECK(eval.SubtreeDecision(KnownTags({"z", "y"}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"z", "y"}), 1) ==
         access::SkipDecision::kSkip);
-  CHECK(eval.SubtreeDecision(KnownTags({}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {}), 1) ==
         access::SkipDecision::kSkip);
 
   // Inside <a><z>: the b-token did not survive into z's subtree — denied
@@ -266,11 +272,11 @@ TEST(OracleRespectsDescendantAxisAndWildcards) {
   // prune (the wildcard step matches anything, so it never prunes).
   CHECK(eval.SubtreeDecision(UnknownTags(), 1) ==
         access::SkipDecision::kDescend);
-  CHECK(eval.SubtreeDecision(KnownTags({"x", "q", "y"}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"x", "q", "y"}), 1) ==
         access::SkipDecision::kDescend);
-  CHECK(eval.SubtreeDecision(KnownTags({"x", "q"}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"x", "q"}), 1) ==
         access::SkipDecision::kSkip);  // no y anywhere below
-  CHECK(eval.SubtreeDecision(KnownTags({"q", "y"}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"q", "y"}), 1) ==
         access::SkipDecision::kSkip);  // no x anywhere below
   eval.OnClose("r", 1);
   CHECK_OK(eval.Finish());
@@ -282,12 +288,12 @@ TEST(OracleNeverSkipsPermittedOrPendingElements) {
       ParseRules("+ /a\n- /a/b[Flag]\n"), &ser);
   eval.OnOpen("a", 1);
   // Permitted: content must stream even though no deeper rule exists.
-  CHECK(eval.SubtreeDecision(KnownTags({"c"}), 1) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"c"}), 1) ==
         access::SkipDecision::kDescend);
   eval.OnOpen("b", 2);
   // Pending: [Flag] is undecided, so b may yet be denied — and the
   // predicate's evidence lives below. Must descend.
-  CHECK(eval.SubtreeDecision(KnownTags({"Flag"}), 2) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"Flag"}), 2) ==
         access::SkipDecision::kDescend);
   eval.OnClose("b", 2);
   eval.OnClose("a", 1);
@@ -308,9 +314,9 @@ TEST(OracleDescendsWhilePredicateEvidencePossible) {
   // `junk` is denied and no positive rule reaches below it — but the
   // pending [//probe] predicate of /r could match inside: must descend if
   // the bitmap admits a probe, may skip if it provably cannot.
-  CHECK(eval.SubtreeDecision(KnownTags({"probe"}), 2) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"probe"}), 2) ==
         access::SkipDecision::kDescend);
-  CHECK(eval.SubtreeDecision(KnownTags({"noise"}), 2) ==
+  CHECK(eval.SubtreeDecision(KnownTags(eval, {"noise"}), 2) ==
         access::SkipDecision::kSkip);
   eval.OnOpen("probe", 3);
   eval.OnClose("probe", 3);
@@ -465,9 +471,10 @@ TEST(DeniedDeferralsCostZeroRereads) {
 }
 
 TEST(OracleDefersOnlyWhenPendingSafeAndOverBudget) {
-  auto facts_with = [](std::unordered_set<std::string> tags,
+  auto facts_with = [](const access::RuleEvaluator& eval,
+                       const std::unordered_set<std::string>& tags,
                        uint64_t subtree_bytes) {
-    access::SubtreeFacts facts = KnownTags(std::move(tags));
+    access::SubtreeFacts facts = KnownTags(eval, tags);
     facts.subtree_bytes = subtree_bytes;
     return facts;
   };
@@ -480,13 +487,13 @@ TEST(OracleDefersOnlyWhenPendingSafeAndOverBudget) {
     eval.OnOpen("big", 2);
     // Pending ([Flag] undecided, evidence outside the subtree), no rule can
     // match inside: defer over budget, buffer under it.
-    CHECK(eval.SubtreeDecision(facts_with({"item"}, 1000), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"item"}, 1000), 2) ==
           access::SkipDecision::kDefer);
-    CHECK(eval.SubtreeDecision(facts_with({"item"}, 5), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"item"}, 5), 2) ==
           access::SkipDecision::kDescend);
     // [Flag] is child-axis on r: a Flag *inside* big can never satisfy it,
     // so even a bitmap containing Flag keeps the deferral safe.
-    CHECK(eval.SubtreeDecision(facts_with({"Flag"}, 1000), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"Flag"}, 1000), 2) ==
           access::SkipDecision::kDefer);
     // No bitmap (TCS): token liveness alone still proves safety here — the
     // rule fully matched at big and [Flag]'s matcher holds no live token.
@@ -505,9 +512,9 @@ TEST(OracleDefersOnlyWhenPendingSafeAndOverBudget) {
     access::RuleEvaluator eval(ParseRules("+ /r[//Flag]/big\n"), &ser, opts);
     eval.OnOpen("r", 1);
     eval.OnOpen("big", 2);
-    CHECK(eval.SubtreeDecision(facts_with({"Flag", "item"}, 1000), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"Flag", "item"}, 1000), 2) ==
           access::SkipDecision::kDescend);
-    CHECK(eval.SubtreeDecision(facts_with({"item"}, 1000), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"item"}, 1000), 2) ==
           access::SkipDecision::kDefer);
     access::SubtreeFacts unknown;
     unknown.subtree_bytes = 1000;
@@ -525,9 +532,9 @@ TEST(OracleDefersOnlyWhenPendingSafeAndOverBudget) {
         ParseRules("+ /r[Flag]/big\n- //big/item\n"), &ser, opts);
     eval.OnOpen("r", 1);
     eval.OnOpen("big", 2);
-    CHECK(eval.SubtreeDecision(facts_with({"item"}, 1000), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"item"}, 1000), 2) ==
           access::SkipDecision::kDescend);
-    CHECK(eval.SubtreeDecision(facts_with({"noise"}, 1000), 2) ==
+    CHECK(eval.SubtreeDecision(facts_with(eval, {"noise"}, 1000), 2) ==
           access::SkipDecision::kDefer);
     eval.OnClose("big", 2);
     eval.OnClose("r", 1);

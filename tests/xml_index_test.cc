@@ -43,6 +43,41 @@ TEST(SaxEntitiesAndMarkup) {
   CHECK(!xml::SaxParser::Parse("<a>", &sink).ok());
 }
 
+TEST(EscapingMatchesPerCharacterReference) {
+  // Specials at the edges, adjacent, alone, and absent; the streaming
+  // handler and the DOM serializer share one escaper.
+  auto reference = [](const std::string& text) {
+    std::string out;
+    for (char c : text) {
+      if (c == '<') {
+        out += "&lt;";
+      } else if (c == '>') {
+        out += "&gt;";
+      } else if (c == '&') {
+        out += "&amp;";
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  };
+  for (const char* text :
+       {"", "plain", "<", "&&", "<a&b>", "x<>&y", "tail&", "<head", "a > b"}) {
+    xml::SerializingHandler handler;
+    handler.OnValue(text, 1);
+    CHECK_EQ(handler.output(), reference(text));
+    std::string appended = "pre";
+    xml::AppendEscapedText(text, &appended);
+    CHECK_EQ(appended, "pre" + reference(text));
+  }
+  auto dom = xml::SaxParser::ParseToDom("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
+  CHECK_OK(dom.status());
+  if (dom.ok()) {
+    CHECK_EQ(xml::Serialize(*dom.value()),
+             "<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
+  }
+}
+
 TEST(DomStatsSanity) {
   auto dom = xml::SaxParser::ParseToDom(kDoc);
   CHECK_OK(dom.status());

@@ -284,6 +284,19 @@ int Run(const Options& opt) {
                 static_cast<unsigned long long>(pr.eval.deferrals_denied),
                 static_cast<unsigned long long>(pr.drive.reread_fetched_bytes),
                 static_cast<unsigned long long>(pr.drive.reread_bits / 8));
+    // The drain's wall clock and the disjoint stage timers inside it; the
+    // remainder is navigation, evaluation and serialization.
+    const uint64_t staged =
+        pr.fetch_ns + pr.soe.decrypt_ns + pr.soe.hash_ns;
+    const uint64_t rest = pr.serve_ns > staged ? pr.serve_ns - staged : 0;
+    std::printf("  serve wall time      %8.3f ms (terminal reads %.3f ms, "
+                "decrypt %.3f ms, hash %.3f ms, navigate+evaluate+"
+                "serialize %.3f ms)\n",
+                static_cast<double>(pr.serve_ns) / 1e6,
+                static_cast<double>(pr.fetch_ns) / 1e6,
+                static_cast<double>(pr.soe.decrypt_ns) / 1e6,
+                static_cast<double>(pr.soe.hash_ns) / 1e6,
+                static_cast<double>(rest) / 1e6);
   }
 
   if (opt.selftest) {
