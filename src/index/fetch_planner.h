@@ -61,9 +61,14 @@ struct FragmentRun {
 /// outward to chunk boundaries so whole-chunk coverage (and the empty
 /// proof that comes with it) is the common case.
 ///
-/// The moment the skip oracle cancels a range, the window collapses to
-/// zero: a skip-dense region pages conservatively and keeps the skip
-/// savings intact.
+/// Once the skip oracle has cancelled a range that spans at least one
+/// whole fragment, every cancellation collapses the window to zero: a
+/// skip-dense region pages conservatively and keeps the skip savings
+/// intact. Cancellations that all fall inside single fragments leave the
+/// window alone until then. A fragment is the hashing and transfer unit,
+/// so a skip inside one saves no byte on the wire — it is no evidence
+/// that readahead will fetch bytes the stream never reads, and a serve
+/// whose skips are all that small streams at the batch horizon.
 ///
 /// Skipping also has to *pay for itself* — the stream-all fallback. Every
 /// hole a skip leaves in a chunk's coverage forces sibling hashes onto the
@@ -95,7 +100,9 @@ class FetchPlanner {
 
   /// Skip-oracle cancellation: [begin, end) will not be needed. Rounds
   /// inward to fragment boundaries (boundary fragments carry neighbouring
-  /// live bytes). Overrides earlier wanted marks.
+  /// live bytes). Overrides earlier wanted marks. Collapses the readahead
+  /// window, but only from the serve's first cancellation that covers a
+  /// whole fragment on: one inside a single fragment saves no transfer.
   void HintExcluded(uint64_t begin, uint64_t end);
 
   /// The consumer will stream the entire document (no skip capability, or
@@ -177,9 +184,11 @@ class FetchPlanner {
   /// Adaptive sequential readahead: fragment right after the last planned
   /// batch, and the current window (bytes of unknown fragments a batch may
   /// speculate through). Doubles on sequential demands, zeroed by
-  /// HintExcluded (skip evidence).
+  /// HintExcluded (skip evidence) once `skips_save_fragments_` is set —
+  /// by the first exclusion covering a whole fragment.
   uint64_t frontier_ = 0;
   uint64_t readahead_bytes_ = 0;
+  bool skips_save_fragments_ = false;
   /// Fragments emitted in some batch's runs — what speculation actually
   /// paid for (the waste stat must not count never-fetched holes).
   std::vector<uint8_t> planned_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "access/access_rule.h"
+#include "bench/corpus.h"
 #include "crypto/secure_store.h"
 #include "index/encoder.h"
 #include "index/fetch_planner.h"
@@ -535,6 +536,165 @@ TEST(DecryptorMissingProofNodesTracksCache) {
   CHECK_EQ(soe.MissingProofNodes(0, 4, 7), uint64_t{0});
   // Chunk 1 stays cold.
   CHECK_EQ(soe.MissingProofNodes(1, 1, 2), uint64_t{3});
+}
+
+/// Drives a planner the way the navigator streams: every demand reaches
+/// four bytes back into the held prefix and four past it, so it lands
+/// exactly on the previous batch's frontier. Every cached hash is free (the
+/// probe prices nothing), so no coverage shaping widens a batch: its width
+/// is the demand plus the readahead window.
+class SequentialDriver {
+ public:
+  explicit SequentialDriver(index::FetchPlanner* planner)
+      : planner_(planner), valid_(planner->fragment_count(), false) {}
+
+  /// Plans the next frontier demand, marks its runs held, returns them.
+  std::vector<index::FragmentRun> Demand() {
+    const uint64_t at = frontier_ * 32;
+    auto runs = planner_->Plan(at == 0 ? 0 : at - 4, at + 4, valid_,
+                               [](uint64_t, uint32_t, uint32_t) -> uint64_t {
+                                 return 0;
+                               });
+    for (const auto& r : runs) {
+      for (uint64_t f = r.begin_frag; f < r.end_frag; ++f) valid_[f] = true;
+    }
+    if (!runs.empty()) frontier_ = runs.back().end_frag;
+    return runs;
+  }
+
+  uint64_t frontier() const { return frontier_; }
+
+ private:
+  index::FetchPlanner* planner_;
+  std::vector<bool> valid_;
+  uint64_t frontier_ = 0;
+};
+
+index::FetchPlanner SequentialPlanner() {
+  index::PlannerOptions opts;
+  opts.gap_threshold_bytes = 0;
+  opts.max_batch_bytes = 1 << 20;
+  return index::FetchPlanner(/*document_bytes=*/16384, /*fragment_size=*/32,
+                             /*chunk_size=*/256, opts);
+}
+
+uint64_t BatchFragments(const std::vector<index::FragmentRun>& runs) {
+  uint64_t n = 0;
+  for (const auto& r : runs) n += r.end_frag - r.begin_frag;
+  return n;
+}
+
+TEST(SubFragmentSkipKeepsReadahead) {
+  // A skip strictly inside one fragment cancels no transfer (the fragment
+  // crosses the wire whole), so it must not cost the stream its window:
+  // the next frontier batch is exactly the batch of a planner that never
+  // saw the hint.
+  index::FetchPlanner hinted = SequentialPlanner();
+  index::FetchPlanner reference = SequentialPlanner();
+  SequentialDriver a(&hinted), b(&reference);
+  for (int i = 0; i < 5; ++i) {
+    CHECK_EQ(BatchFragments(a.Demand()), BatchFragments(b.Demand()));
+  }
+  CHECK_EQ(a.frontier(), b.frontier());
+  const uint64_t at = a.frontier() * 32;
+  hinted.HintExcluded(at + 8, at + 24);
+  CHECK_EQ(hinted.stats().hints_excluded, uint64_t{1});
+  const auto runs = a.Demand();
+  const auto expected = b.Demand();
+  CHECK_EQ(runs.size(), expected.size());
+  CHECK_EQ(runs.front().begin_frag, expected.front().begin_frag);
+  CHECK_EQ(runs.back().end_frag, expected.back().end_frag);
+  // The window kept doubling: far wider than demand plus one fragment.
+  CHECK(BatchFragments(runs) >= 16);
+}
+
+TEST(FragmentSavingSkipRearmsCollapse) {
+  // Once one exclusion has covered a whole fragment, the skips do save
+  // transfers, and every later exclusion — sub-fragment ones included —
+  // collapses the window: the next frontier batch is the demand's
+  // fragment plus one (the window reseeded by the two-fragment demand).
+  index::FetchPlanner planner = SequentialPlanner();
+  SequentialDriver driver(&planner);
+  for (int i = 0; i < 5; ++i) driver.Demand();
+  CHECK(BatchFragments(driver.Demand()) >= 16);
+
+  // A whole-fragment exclusion far past the frontier collapses at once.
+  planner.HintExcluded(16384 - 64, 16384 - 32);
+  CHECK_EQ(BatchFragments(driver.Demand()), uint64_t{2});
+
+  // Sequential demands regrow the window...
+  for (int i = 0; i < 3; ++i) driver.Demand();
+  CHECK(BatchFragments(driver.Demand()) >= 8);
+  // ... and now a skip inside one fragment collapses it again.
+  const uint64_t at = driver.frontier() * 32;
+  planner.HintExcluded(at + 8, at + 24);
+  const auto runs = driver.Demand();
+  CHECK_EQ(runs.size(), size_t{1});
+  CHECK_EQ(runs[0].begin_frag, at / 32);
+  CHECK_EQ(runs[0].end_frag, at / 32 + 2);
+  CHECK_EQ(planner.stats().hints_excluded, uint64_t{2});
+}
+
+TEST(SubFragmentSkipsStreamAtBatchHorizon) {
+  // Round-trip regression on the paper's wide-and-flat shapes: the WSU and
+  // Sigmod corpora prune only small records, so every serve that defers
+  // nothing fetches the whole document — and, its skips all falling inside
+  // fragments, must do so in batches near the horizon, not 256-512 B pages
+  // (which took 126-254 round trips where about a dozen suffice).
+  for (bench::CorpusFamily family :
+       {bench::CorpusFamily::kWsu, bench::CorpusFamily::kSigmod}) {
+    bench::CorpusSpec spec;
+    spec.family = family;
+    spec.target_bytes = 128 << 10;
+    const std::string xml = bench::GenerateCorpus(spec).xml;
+    server::DocumentConfig cfg;
+    cfg.variant = index::Variant::kTcsbr;
+    cfg.key = TestKey();
+    cfg.shared_cache_capacity = 4096;
+    server::DocumentService service;
+    CHECK_OK(service.Publish("doc", xml, cfg));
+    // Warm the shared cache: one full stream verifies every chunk.
+    CHECK_OK(service.Serve("doc", std::vector<access::AccessRule>{},
+                           pipeline::ServeOptions(/*skip=*/false, UINT64_MAX))
+                 .status());
+
+    // The serve's batch horizon: the planner resolves the default here.
+    const uint64_t max_batch =
+        index::FetchPlanner(0, cfg.layout.fragment_size, cfg.layout.chunk_size,
+                            index::PlannerOptions{})
+            .max_batch_bytes();
+    uint64_t log2_frags = 0;
+    while ((uint64_t{cfg.layout.fragment_size} << log2_frags) < max_batch) {
+      ++log2_frags;
+    }
+    int checked = 0;
+    for (bench::RuleFamily role : bench::AllRuleFamilies()) {
+      auto rules =
+          access::ParseRuleList(bench::RulesFor(family, role)).take();
+      const std::string expected = DirectView(xml, rules);
+      for (uint64_t budget : {UINT64_MAX, uint64_t{512}}) {
+        auto report = service.Serve(
+            "doc", rules, pipeline::ServeOptions(/*skip=*/true, budget));
+        CHECK_OK(report.status());
+        if (!report.ok() || report.value().drive.deferrals > 0) continue;
+        const pipeline::ServeReport& r = report.value();
+        ++checked;
+        CHECK_EQ(r.view, expected);
+        CHECK_EQ(r.bytes_fetched, r.encoded_bytes);
+        const uint64_t bound =
+            (r.encoded_bytes + max_batch - 1) / max_batch + log2_frags + 4;
+        if (r.requests > bound) {
+          ::csxa::testing::Fail(
+              __FILE__, __LINE__,
+              std::string(bench::FamilyName(family)) + "/" +
+                  bench::RuleFamilyName(role) + ": " +
+                  std::to_string(r.requests) + " requests, bound " +
+                  std::to_string(bound));
+        }
+      }
+    }
+    CHECK(checked >= 6);
+  }
 }
 
 TEST(PlannerBridgesSubThresholdGaps) {
