@@ -420,8 +420,8 @@ bool RuleEvaluator::WholeSubtreeAuthorized(const SubtreeFacts& facts,
   if (Decide(*element_stack_.back()) != Decision::kPermit) return false;
   // 2. No pending predicate may gather evidence inside: a value collection
   //    or a possible predicate-path match below could flip decisions of
-  //    buffered events — the subtree would still stream, but a conservative
-  //    promise is worthless if its conditions ever need revisiting.
+  //    buffered events, and a subtree streamed verbatim past the evaluator
+  //    would never deliver that evidence.
   for (const auto& inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
     if (!inst->collections.empty()) return false;
@@ -431,7 +431,8 @@ bool RuleEvaluator::WholeSubtreeAuthorized(const SubtreeFacts& facts,
   //    deeper positive target is harmless (already permitted) but could
   //    spawn pending predicates; a deeper negative target would deny — and
   //    therefore skip — a descendant subtree. Either way the "streams in
-  //    full" promise would break.
+  //    full" promise would break, and a verbatim stream would disclose
+  //    what the denial covers.
   for (const auto& matcher : matchers_) {
     if (matcher->CanCompleteWithin(facts)) return false;
   }
@@ -578,6 +579,36 @@ bool RuleEvaluator::ResolveEvent(size_t qpos) {
     }
   }
   return false;
+}
+
+RuleEvaluator::EventStatus RuleEvaluator::DecideOnArrival(xml::EventKind kind,
+                                                           NodeRec* node) {
+  // Settled instances must first reach the events watching them (Resolve()
+  // drains the wave), and a dirty candidate set may still settle some.
+  if (candidates_dirty_ || !wave_.empty()) return EventStatus::kUndecided;
+  switch (kind) {
+    case xml::EventKind::kValue: {
+      // Text under an irrevocably denied element is never disclosed, and
+      // dropping it emits nothing, so it need not wait behind the queue.
+      const Decision d = node != nullptr ? Decide(*node) : Decision::kDeny;
+      if (d == Decision::kDeny) return EventStatus::kDrop;
+      return d == Decision::kPermit && queue_size_ == 0
+                 ? EventStatus::kEmit
+                 : EventStatus::kUndecided;
+    }
+    case xml::EventKind::kOpen:
+      // An empty queue means every ancestor's open already went out, so a
+      // permitted element needs no ForceEmit() walk.
+      return queue_size_ == 0 && Decide(*node) == Decision::kPermit
+                 ? EventStatus::kEmit
+                 : EventStatus::kUndecided;
+    case xml::EventKind::kClose:
+      // An empty queue means the element's open flushed while the element
+      // was still open, which only an emitted open does, and that every
+      // event inside is decided.
+      return queue_size_ == 0 ? EventStatus::kEmit : EventStatus::kUndecided;
+  }
+  return EventStatus::kUndecided;
 }
 
 void RuleEvaluator::Settle(NodeRec* node) {
@@ -746,6 +777,12 @@ void RuleEvaluator::OnOpen(xml::TagId tag, int depth) {
   node->open_qpos = queue_base_ + queue_size_;
   if (parent != nullptr) ++parent->undecided_inside;
   element_stack_.push_back(node);
+  if (DecideOnArrival(xml::EventKind::kOpen, node) == EventStatus::kEmit) {
+    node->open_state = NodeRec::OpenState::kEmit;
+    ++stats_.events_emitted;
+    out_->OnOpen(tags_.Name(tag), depth);
+    return;
+  }
   OutEvent& e = PushEvent(xml::EventKind::kOpen, depth, node);
   e.tag = tag;
   buffered_bytes_ += PayloadBytes(e);
@@ -766,6 +803,17 @@ void RuleEvaluator::OnValue(std::string&& value, int depth) {
   }
 
   NodeRec* parent = element_stack_.empty() ? nullptr : element_stack_.back();
+  switch (DecideOnArrival(xml::EventKind::kValue, parent)) {
+    case EventStatus::kEmit:
+      ++stats_.events_emitted;
+      out_->OnValue(value, depth);
+      return;
+    case EventStatus::kDrop:
+      ++stats_.events_pruned;
+      return;
+    case EventStatus::kUndecided:
+      break;
+  }
   if (parent != nullptr) ++parent->undecided_inside;
   OutEvent& e = PushEvent(xml::EventKind::kValue, depth, parent);
   e.text = std::move(value);
@@ -824,13 +872,22 @@ void RuleEvaluator::OnClose(xml::TagId tag, int depth) {
   NodeRec* node = element_stack_.back();
   element_stack_.pop_back();
   node->closed = true;
-  node->close_qpos = queue_base_ + queue_size_;
-  OutEvent& e = PushEvent(xml::EventKind::kClose, depth, node);
-  e.tag = tag;
-  buffered_bytes_ += PayloadBytes(e);
-
-  Resolve();
-  Flush();
+  if (DecideOnArrival(xml::EventKind::kClose, node) == EventStatus::kEmit) {
+    ++stats_.events_emitted;
+    out_->OnClose(tags_.Name(tag), depth);
+    // Settled now: the parent stops counting it, and nothing refers to
+    // the record any more (see Flush()).
+    Settle(node);
+    node->hits.clear();
+    free_nodes_.push_back(node);
+  } else {
+    node->close_qpos = queue_base_ + queue_size_;
+    OutEvent& e = PushEvent(xml::EventKind::kClose, depth, node);
+    e.tag = tag;
+    buffered_bytes_ += PayloadBytes(e);
+    Resolve();
+    Flush();
+  }
 
   // Drop settled instances (hits keep their own shared_ptr references).
   instances_.erase(

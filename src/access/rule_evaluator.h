@@ -282,8 +282,21 @@ class RuleEvaluator : public xml::EventHandler,
   /// target inside (so no descendant can be re-decided, skipped or
   /// deferred). The pipeline then hints the subtree's byte range to the
   /// fetcher as wanted, letting it batch the whole range in few round
-  /// trips. Purely advisory: a false negative only costs smaller batches.
+  /// trips, and stops consulting the oracle below the element. When the
+  /// evaluator is also Idle(), the pipeline streams the subtree verbatim
+  /// past the evaluator, which sees only the element's open and close (the
+  /// contract of a skip). The answer is therefore load-bearing: a false
+  /// negative only costs smaller batches and a slower serve, but a false
+  /// *positive* discloses content a deeper denial covers, or omits or
+  /// reorders content a pending predicate governs.
   bool WholeSubtreeAuthorized(const SubtreeFacts& facts, int depth);
+
+  /// True when nothing the evaluator was fed is still undecided: every
+  /// event went out to `out` or was pruned, and the pending queue is
+  /// empty. Nothing can then be emitted ahead of the next event, so a
+  /// driver may forward a WholeSubtreeAuthorized() subtree verbatim in
+  /// document order.
+  bool Idle() const { return queue_size_ == 0; }
 
   /// Records that the driver took a kDefer answer: the just-opened element
   /// (the one SubtreeDecision was consulted for) becomes a *deferred
@@ -353,6 +366,11 @@ class RuleEvaluator : public xml::EventHandler,
   void SettleInstance(internal::PredInstance* inst,
                       internal::PredInstance::State state);
   bool ResolveEvent(size_t qpos);   ///< Decides one buffered event if possible.
+  /// The direct path for settled events: decides the event of `kind`
+  /// arriving for `node` (a value: its parent element) with no queue round
+  /// when that cannot reorder the output. kEmit forwards it now, kDrop
+  /// prunes it now, kUndecided sends it through the queue.
+  EventStatus DecideOnArrival(xml::EventKind kind, NodeRec* node);
   void Resolve();      ///< Examines the tail event, then drains the wave.
   void DrainWave();    ///< Re-examines watchers of newly settled instances.
   /// Walks up from `node` while closed subtrees become fully decided,

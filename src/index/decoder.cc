@@ -170,32 +170,21 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     auto tag = ReadBits(BitsFor(nt));
     if (!tag.ok()) return tag.status();
     if (tag.value() >= nt) return Status::Corruption("root tag out of range");
-    Checkpoint::Frame frame;
-    frame.tag = static_cast<xml::TagId>(tag.value());
+    std::vector<xml::TagId> ctx = TakeSpareCtx();
     // Descendant-tag bitmap over the full dictionary.
     if (internal.value() != 0 &&
         (variant_ == Variant::kTcsb || variant_ == Variant::kTcsbr)) {
-      CSXA_RETURN_NOT_OK(ReadDescTags(nt, nullptr, &frame.ctx));
-      item.has_desc = true;
-      item.desc = frame.ctx;
+      CSXA_RETURN_NOT_OK(ReadDescTags(nt, nullptr, &ctx));
     }
-    frame.end_bit = in_.position() + root_size_bits_;
-    frame.width = BitWidth(root_size_bits_);
-    if (frame.end_bit > in_.size_bits()) {
+    if (in_.position() + root_size_bits_ > in_.size_bits()) {
       return Status::Corruption("root size exceeds stream");
     }
-    frames_.push_back(std::move(frame));
-    depth_ = 1;
-    item.subtree_bits = root_size_bits_;
-    item.subtree_begin_bit = in_.position();
-    item.kind = ItemKind::kOpen;
-    item.depth = 1;
-    item.tag_id = static_cast<xml::TagId>(tag.value());
-    item.tag = dict_.Name(item.tag_id);
+    PushFrame(static_cast<xml::TagId>(tag.value()), root_size_bits_,
+              std::move(ctx), &item);
     return item;
   }
 
-  Checkpoint::Frame& top = frames_.back();
+  const Checkpoint::Frame& top = frames_.back();
   if (in_.position() > top.end_bit) {
     return Status::Corruption("decoder overran subtree boundary");
   }
@@ -204,6 +193,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     item.depth = depth_;
     item.tag_id = top.tag;
     item.tag = dict_.Name(top.tag);
+    spare_ctx_.push_back(std::move(frames_.back().ctx));
     frames_.pop_back();
     --depth_;
     if (frames_.empty()) done_ = true;
@@ -242,36 +232,44 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     tag_id = static_cast<xml::TagId>(tag.value());
   }
 
-  Checkpoint::Frame frame;
-  frame.tag = tag_id;
+  // A leaf element (internal bit clear) has an empty DescTag set.
+  std::vector<xml::TagId> ctx = TakeSpareCtx();
   if (internal.value() != 0) {
     if (variant_ == Variant::kTcsb) {
-      CSXA_RETURN_NOT_OK(ReadDescTags(nt, nullptr, &frame.ctx));
-      item.has_desc = true;
-      item.desc = frame.ctx;
+      CSXA_RETURN_NOT_OK(ReadDescTags(nt, nullptr, &ctx));
     } else if (variant_ == Variant::kTcsbr) {
-      CSXA_RETURN_NOT_OK(ReadDescTags(top.ctx.size(), &top.ctx, &frame.ctx));
-      item.has_desc = true;
-      item.desc = frame.ctx;
+      CSXA_RETURN_NOT_OK(ReadDescTags(top.ctx.size(), &top.ctx, &ctx));
     }
-  } else if (variant_ == Variant::kTcsb || variant_ == Variant::kTcsbr) {
-    // Leaf element: DescTag is known to be empty.
-    item.has_desc = true;
   }
-  frame.end_bit = in_.position() + size.value();
-  frame.width = BitWidth(size.value());
-  if (frame.end_bit > top.end_bit) {
+  if (in_.position() + size.value() > top.end_bit) {
     return Status::Corruption("child subtree exceeds parent extent");
   }
-  frames_.push_back(std::move(frame));
-  ++depth_;
-  item.subtree_bits = size.value();
-  item.subtree_begin_bit = in_.position();
-  item.kind = ItemKind::kOpen;
-  item.depth = depth_;
-  item.tag_id = tag_id;
-  item.tag = dict_.Name(tag_id);
+  PushFrame(tag_id, size.value(), std::move(ctx), &item);
   return item;
+}
+
+std::vector<xml::TagId> DocumentNavigator::TakeSpareCtx() {
+  if (spare_ctx_.empty()) return {};
+  std::vector<xml::TagId> ctx = std::move(spare_ctx_.back());
+  spare_ctx_.pop_back();
+  ctx.clear();
+  return ctx;
+}
+
+void DocumentNavigator::PushFrame(xml::TagId tag, uint64_t size_bits,
+                                  std::vector<xml::TagId> ctx, Item* item) {
+  frames_.push_back(
+      {tag, in_.position() + size_bits, BitWidth(size_bits), std::move(ctx)});
+  ++depth_;
+  if (variant_ == Variant::kTcsb || variant_ == Variant::kTcsbr) {
+    item->desc = &frames_.back().ctx;
+  }
+  item->subtree_bits = size_bits;
+  item->subtree_begin_bit = in_.position();
+  item->kind = ItemKind::kOpen;
+  item->depth = depth_;
+  item->tag_id = tag;
+  item->tag = dict_.Name(tag);
 }
 
 Result<DocumentNavigator::Item> DocumentNavigator::NextTc() {

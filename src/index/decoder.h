@@ -76,9 +76,9 @@ class DocumentNavigator {
     std::string tag;            ///< kOpen/kClose.
     std::string value;          ///< kValue.
     /// kOpen only: DescTag set of the opened element (tags that can appear
-    /// strictly below it) — has_desc=false for TC/TCS streams.
-    bool has_desc = false;
-    std::vector<xml::TagId> desc;
+    /// strictly below it); null for TC/TCS streams. Points into the
+    /// navigator's top frame: valid until the next Next() or SeekTo().
+    const std::vector<xml::TagId>* desc = nullptr;
     /// kOpen only: remaining bits of the element's children region — what
     /// SkipSubtree() would jump over without fetching. 0 for TC streams
     /// (no size fields).
@@ -181,6 +181,13 @@ class DocumentNavigator {
   Result<uint64_t> ReadTcVarint();
 
   Result<Item> NextPacked();
+  /// An empty DescTag vector, recycled from a popped frame when one is
+  /// spare.
+  std::vector<xml::TagId> TakeSpareCtx();
+  /// Opens an element whose children region starts at the cursor: pushes
+  /// its frame with `ctx` as its DescTag set and fills `item` as its kOpen.
+  void PushFrame(xml::TagId tag, uint64_t size_bits,
+                 std::vector<xml::TagId> ctx, Item* item);
   Result<Item> NextTc();
 
   Fetcher* fetcher_ = nullptr;
@@ -201,6 +208,9 @@ class DocumentNavigator {
   bool done_ = false;
   int depth_ = 0;
   std::vector<Checkpoint::Frame> frames_;
+  /// Emptied `ctx` vectors of popped frames, reused by the next opens so
+  /// an element open allocates nothing once the stack has been this deep.
+  std::vector<std::vector<xml::TagId>> spare_ctx_;
   std::vector<xml::TagId> tc_stack_;  // TC-only open-element tags
 
   uint64_t bits_read_ = 0;

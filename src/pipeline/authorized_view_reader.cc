@@ -79,24 +79,33 @@ Status AuthorizedViewReader::DriveOne() {
       finished_ = true;
       break;
     case K::kOpen: {
-      ++stats_.opens;
       eval_->OnOpen(item.tag_id, item.depth);
-      if (!skip_possible_) break;
-      facts_.tags_known = item.has_desc;
-      facts_.no_elements_below = item.has_desc && item.desc.empty();
+      // Below an element promised in full every answer is known already
+      // (descend, granted), and its bytes were promised to the planner.
+      if (!skip_possible_ || granted_depth_ != 0) break;
+      facts_.tags_known = item.desc != nullptr;
+      facts_.no_elements_below = item.desc != nullptr && item.desc->empty();
       facts_.subtree_bytes = item.subtree_bits / 8;
-      if (item.has_desc) {
+      if (item.desc != nullptr) {
         const uint32_t generation = ++facts_.generation;
-        for (xml::TagId t : item.desc) facts_.present[t] = generation;
+        for (xml::TagId t : *item.desc) facts_.present[t] = generation;
       }
       switch (eval_->SubtreeDecision(facts_, item.depth)) {
         case access::SkipDecision::kDescend:
           // Look-ahead: a subtree that will provably stream in full is
-          // promised to the fetch planner, which batches its fragments
-          // into few round trips instead of demand-paging them.
+          // promised to the fetch planner, once, which batches its
+          // fragments into few round trips instead of demand-paging them.
           if (eval_->WholeSubtreeAuthorized(facts_, item.depth)) {
             HintSubtree(item.subtree_begin_bit, item.subtree_bits,
                         /*wanted=*/true);
+            granted_depth_ = item.depth;
+            // With nothing undecided ahead of it, the subtree goes out
+            // verbatim right after the element's open; the evaluator sees
+            // only the open and the close, as around a skip.
+            if (eval_->Idle()) {
+              bypassing_ = true;
+              granted_tag_ = item.tag_id;
+            }
           }
           break;
         case access::SkipDecision::kSkip:
@@ -129,11 +138,10 @@ Status AuthorizedViewReader::DriveOne() {
       break;
     }
     case K::kValue:
-      ++stats_.values;
       eval_->OnValue(std::move(item.value), item.depth);
       break;
     case K::kClose:
-      ++stats_.closes;
+      if (item.depth == granted_depth_) granted_depth_ = 0;
       eval_->OnClose(item.tag_id, item.depth);
       break;
   }
@@ -160,49 +168,50 @@ Status AuthorizedViewReader::BeginSplice(size_t id) {
   return Status::OK();
 }
 
-Result<ViewItem> AuthorizedViewReader::SpliceNext() {
-  // A granted deferral is emitted verbatim: the deferral conditions proved
-  // no rule automaton of either sign could match inside, so every node in
-  // the subtree inherits exactly the element's (now permitted) decision.
+Result<bool> AuthorizedViewReader::NextVerbatim(int depth, ViewItem* v) {
   CSXA_ASSIGN_OR_RETURN(auto item, nav_->Next());
   using K = index::DocumentNavigator::ItemKind;
-  if (item.kind == K::kEnd ||
-      (item.kind == K::kClose && item.depth == splice_depth_)) {
-    // The deferred element's own close is not re-emitted here — the
-    // evaluator's queued close event follows in the output queue.
-    stats_.reread_bits += nav_->bits_read() - splice_bits_base_;
-    if (options_.fetcher != nullptr) {
-      stats_.reread_fetched_bytes +=
-          options_.fetcher->bytes_fetched() - splice_fetch_base_;
-    }
-    splicing_ = false;
-    CSXA_RETURN_NOT_OK(nav_->SeekTo(resume_));
-    return ViewItem{};  // Placeholder; caller loops.
-  }
-  ViewItem v;
-  v.depth = item.depth;
   switch (item.kind) {
+    case K::kEnd:
+      return Status::Corruption("stream ended inside a verbatim subtree");
     case K::kOpen:
-      v.event = xml::Event::Open(item.tag);
+      v->event = xml::Event::Open(std::move(item.tag));
       break;
     case K::kValue:
-      v.event = xml::Event::Value(item.value);
+      v->event = xml::Event::Value(std::move(item.value));
       break;
     case K::kClose:
-      v.event = xml::Event::Close(item.tag);
+      if (item.depth == depth) return false;
+      v->event = xml::Event::Close(std::move(item.tag));
       break;
-    case K::kEnd:
-      break;  // Unreachable: handled above.
   }
-  return v;
+  v->depth = item.depth;
+  return true;
+}
+
+Status AuthorizedViewReader::EndSplice() {
+  stats_.reread_bits += nav_->bits_read() - splice_bits_base_;
+  if (options_.fetcher != nullptr) {
+    stats_.reread_fetched_bytes +=
+        options_.fetcher->bytes_fetched() - splice_fetch_base_;
+  }
+  splicing_ = false;
+  return nav_->SeekTo(resume_);
 }
 
 Result<ViewItem> AuthorizedViewReader::Next() {
   while (true) {
     if (splicing_) {
-      CSXA_ASSIGN_OR_RETURN(ViewItem v, SpliceNext());
-      if (splicing_) return v;  // Still inside the re-read subtree.
-      continue;                 // Splice ended: resume the normal queue.
+      // A granted deferral is emitted verbatim: the deferral conditions
+      // proved no rule automaton of either sign could match inside, so
+      // every node in the subtree inherits exactly the element's (now
+      // permitted) decision. Its own close is not re-emitted here: the
+      // evaluator's queued close follows in the output queue.
+      ViewItem v;
+      CSXA_ASSIGN_OR_RETURN(const bool inside, NextVerbatim(splice_depth_, &v));
+      if (inside) return v;
+      CSXA_RETURN_NOT_OK(EndSplice());
+      continue;  // Resume the normal queue.
     }
     if (out_head_ < out_.size()) {
       OutEntry& e = out_[out_head_++];
@@ -216,6 +225,19 @@ Result<ViewItem> AuthorizedViewReader::Next() {
     // storage.
     out_.clear();
     out_head_ = 0;
+    if (bypassing_) {
+      // Everything before the granted element, its open included, has
+      // been pulled. WholeSubtreeAuthorized() proved every node inside
+      // inherits the element's permit, so its events are the view's.
+      ViewItem v;
+      CSXA_ASSIGN_OR_RETURN(const bool inside,
+                            NextVerbatim(granted_depth_, &v));
+      if (inside) return v;
+      bypassing_ = false;
+      eval_->OnClose(granted_tag_, granted_depth_);
+      granted_depth_ = 0;
+      continue;
+    }
     if (finished_) {
       ViewItem v;
       v.end = true;

@@ -23,17 +23,16 @@ struct DriveOptions {
   bool enable_skip = true;
   /// The fetcher materializing the navigator's buffer, if any: the driver
   /// feeds it look-ahead hints (skip/defer decisions cancel planned
-  /// ranges, fully authorized subtrees and granted deferrals become
-  /// batched prefetches, an unskippable stream becomes one big planned
-  /// read). Hints never affect the decoded view, only batching.
+  /// ranges, an unskippable stream becomes one big planned read, and a
+  /// granted deferral or a fully authorized subtree becomes a batched
+  /// prefetch, promised once at its root: elements inside a promised
+  /// subtree send no hint of their own). Hints never affect the decoded
+  /// view, only batching.
   index::Fetcher* fetcher = nullptr;
 };
 
 /// What the driver did with the event stream.
 struct DriveStats {
-  uint64_t opens = 0;
-  uint64_t values = 0;
-  uint64_t closes = 0;
   uint64_t skips = 0;          ///< Subtrees pruned before being fetched.
   uint64_t skipped_bits = 0;   ///< Encoded bits those subtrees span.
   uint64_t deferrals = 0;      ///< Pending subtrees skipped-for-later.
@@ -60,18 +59,31 @@ struct ViewItem {
 /// far enough to produce it.
 ///
 /// The driver consults the evaluator's token analysis
-/// (RuleEvaluator::SubtreeDecision) at each element open:
+/// (RuleEvaluator::SubtreeDecision, then WholeSubtreeAuthorized) at each
+/// element open. A subtree leaves the evaluator's per-event path by one of
+/// three exits:
 ///
-///  - kSkip: the subtree is provably inert — SkipSubtree() jumps it before
-///    any of its fragments are fetched (Section 4.1's reason for the Skip
-///    index to exist).
-///  - kDefer: the subtree's fate hinges on predicates resolving elsewhere
-///    and it is too large to buffer — the driver saves a navigator
-///    Checkpoint, skips the bytes, and if (and only if) the evaluator
-///    later emits the element as granted, seeks back and re-reads exactly
-///    the granted bytes, splicing them into the output at their original
-///    document position (Section 5's pending-part re-reads). Denied
-///    deferrals cost zero re-read bytes.
+///  - skip (kSkip): the subtree is provably inert — SkipSubtree() jumps it
+///    before any of its fragments are fetched (Section 4.1's reason for
+///    the Skip index to exist).
+///  - defer (kDefer): the subtree's fate hinges on predicates resolving
+///    elsewhere and it is too large to buffer — the driver saves a
+///    navigator Checkpoint, skips the bytes, and if (and only if) the
+///    evaluator later emits the element as granted, seeks back and
+///    re-reads exactly the granted bytes, splicing them into the output at
+///    their original document position (Section 5's pending-part
+///    re-reads). Denied deferrals cost zero re-read bytes.
+///  - verbatim (WholeSubtreeAuthorized, evaluator Idle): the subtree is
+///    provably granted in full and nothing undecided is queued ahead of
+///    it, so once the element's open has been pulled the driver streams
+///    the subtree from the navigator straight to the output, then feeds
+///    the evaluator the element's close. A splice is the same verbatim
+///    routine plus a SeekTo() back.
+///
+/// In all three the evaluator sees only the element's open and close. A
+/// subtree granted in full while the evaluator is not idle still streams
+/// through the evaluator, but its inner elements consult no oracle and
+/// send the planner no hint.
 ///
 /// The reader owns the evaluator; the document never materializes in SOE
 /// memory beyond the evaluator's (budgeted) pending buffer and one event.
@@ -120,7 +132,11 @@ class AuthorizedViewReader {
 
   Status DriveOne();               ///< Feed one navigator item to the evaluator.
   Status BeginSplice(size_t id);   ///< Seek into deferred subtree #id.
-  Result<ViewItem> SpliceNext();   ///< Pull one re-read event.
+  Status EndSplice();              ///< Account the re-read and seek back.
+  /// The verbatim routine splices and bypasses share: pulls the next
+  /// navigator item inside the element open at `depth` into `*v` and
+  /// returns true, or returns false on that element's own close.
+  Result<bool> NextVerbatim(int depth, ViewItem* v);
   /// Converts a stream-relative subtree extent into document byte offsets
   /// and forwards it to the fetcher as a wanted/cancelled prefetch range.
   void HintSubtree(uint64_t begin_bit, uint64_t size_bits, bool wanted);
@@ -146,6 +162,15 @@ class AuthorizedViewReader {
   uint64_t splice_bits_base_ = 0;
   uint64_t splice_fetch_base_ = 0;
   index::DocumentNavigator::Checkpoint resume_;
+
+  /// Depth of the element whose subtree WholeSubtreeAuthorized() promised
+  /// in full (0: none open). Opens below it consult no oracle and send no
+  /// hint. While `bypassing_`, Next() streams the subtree verbatim once the
+  /// output queue drains, then feeds the evaluator the close of
+  /// `granted_tag_`.
+  int granted_depth_ = 0;
+  bool bypassing_ = false;
+  xml::TagId granted_tag_ = 0;
 
   /// Reusable skip-oracle input: its generation-stamped presence table
   /// holds the current element's descendant-tag bitmap over the document's

@@ -4,7 +4,10 @@
 // the encrypted path must equal the view produced straight from the SAX
 // parser, and tampering anywhere must surface as IntegrityError.
 
+#include <pthread.h>
+
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -417,6 +420,267 @@ TEST(TamperedFragmentNeverEntersTheHeldSpan) {
     for (const Range& span : held.spans) {
       CHECK(span.second <= frag_begin || span.first >= frag_begin + 32);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Verbatim streaming of granted subtrees: a subtree WholeSubtreeAuthorized()
+// proved granted in full bypasses the evaluator when nothing undecided is
+// queued ahead of it.
+// ---------------------------------------------------------------------------
+
+std::vector<access::AccessRule> Rules(const char* text) {
+  auto parsed = access::ParseRuleList(text);
+  CHECK_OK(parsed.status());
+  return parsed.ok() ? parsed.take() : std::vector<access::AccessRule>{};
+}
+
+/// `count` children `<x>`, each with a distinct text.
+std::string Items(const std::string& prefix, int count) {
+  std::string xml;
+  for (int i = 0; i < count; ++i) {
+    xml += "<x>" + prefix + std::to_string(1000 + i) + "</x>";
+  }
+  return xml;
+}
+
+TEST(GrantedSubtreesKeepDocumentOrder) {
+  constexpr int kItems = 80;
+  // Idle: when <g> opens, everything before it is decided. The pending <d>
+  // after it waits on <k> and, at the tight budget, is deferred.
+  const std::string idle_doc = "<r><h>head</h><g>" + Items("granted-", kItems) +
+                               "</g><d>" + Items("deferred-", kItems) +
+                               "</d><k>1</k></r>";
+  const auto idle_rules = Rules("+ /r/g\n+ /r[k = 1]/d\n");
+  // Not idle: r's text waits on a predicate whose evidence, <ok>, follows
+  // the granted <g>.
+  const std::string busy_doc =
+      "<r>intro<g>" + Items("granted-", kItems) + "</g><ok>yes</ok></r>";
+  const auto busy_rules = Rules("+ /r[ok = yes]\n+ /r/g\n");
+  // Both at one open: <k> is the evidence that grants the pending <d>
+  // before it, and is itself granted in full. Its open flushes <d> (at the
+  // tight budget, a splice) and leaves the evaluator idle: the splice must
+  // go out before <k>'s verbatim content.
+  const std::string grant_doc = "<r><d>" + Items("deferred-", kItems) +
+                                "</d><k>" + Items("granted-", kItems) +
+                                "</k></r>";
+  const auto grant_rules = Rules("+ /r[k]/d\n+ /r/k\n");
+  const uint64_t inside = 3 * kItems;  // Events strictly inside <g> or <d>.
+
+  crypto::ChunkLayout layout;
+  layout.chunk_size = 256;
+  layout.fragment_size = 32;
+  for (auto variant :
+       {index::Variant::kTcs, index::Variant::kTcsb, index::Variant::kTcsbr}) {
+    server::DocumentService service;
+    CHECK_OK(service.Publish("idle", idle_doc, TestConfig(variant, layout)));
+    CHECK_OK(service.Publish("busy", busy_doc, TestConfig(variant, layout)));
+    CHECK_OK(service.Publish("grant", grant_doc, TestConfig(variant, layout)));
+    for (uint64_t budget : {UINT64_MAX, uint64_t{512}}) {
+      const bool tight = budget != UINT64_MAX;
+      auto idle = service.Serve("idle", idle_rules, {true, budget});
+      auto idle_full = service.Serve("idle", idle_rules, {false, budget});
+      auto busy = service.Serve("busy", busy_rules, {true, budget});
+      auto busy_full = service.Serve("busy", busy_rules, {false, budget});
+      CHECK_OK(idle.status());
+      CHECK_OK(idle_full.status());
+      CHECK_OK(busy.status());
+      CHECK_OK(busy_full.status());
+      if (!idle.ok() || !idle_full.ok() || !busy.ok() || !busy_full.ok()) {
+        continue;
+      }
+      CHECK_EQ(idle.value().view, DirectView(idle_doc, idle_rules));
+      CHECK_EQ(idle.value().view, idle_full.value().view);
+      CHECK_EQ(busy.value().view, DirectView(busy_doc, busy_rules));
+      CHECK_EQ(busy.value().view, busy_full.value().view);
+      // Idle: of <g> the evaluator sees only the open and the close. Outside
+      // it: r, h (its text skipped), d (deferred at the tight budget, else
+      // streamed and buffered), k and its text.
+      CHECK_EQ(idle_full.value().eval.events_in, 12 + 2 * inside);
+      CHECK_EQ(idle.value().eval.events_in, tight ? 11 : 11 + inside);
+      CHECK_EQ(idle.value().drive.deferrals, uint64_t{tight ? 1u : 0u});
+      CHECK_EQ(idle.value().drive.rereads, uint64_t{tight ? 1u : 0u});
+      // Not idle: every event goes through the evaluator, but the opens
+      // inside <g> consult no oracle: only r, g and ok do.
+      CHECK_EQ(busy.value().eval.events_in, 8 + inside);
+      CHECK_EQ(busy.value().eval.events_in, busy_full.value().eval.events_in);
+      CHECK_EQ(busy.value().eval.skip_checks, uint64_t{3});
+
+      auto grant = service.Serve("grant", grant_rules, {true, budget});
+      auto grant_full = service.Serve("grant", grant_rules, {false, budget});
+      CHECK_OK(grant.status());
+      CHECK_OK(grant_full.status());
+      if (!grant.ok() || !grant_full.ok()) continue;
+      CHECK_EQ(grant.value().view, DirectView(grant_doc, grant_rules));
+      CHECK_EQ(grant.value().view, grant_full.value().view);
+      CHECK_EQ(grant.value().drive.rereads, uint64_t{tight ? 1u : 0u});
+      CHECK_EQ(grant.value().eval.events_in, tight ? 6 : 6 + inside);
+    }
+  }
+}
+
+/// An `<a>` chain `depth` deep with one text at the bottom.
+std::string Chain(int depth) {
+  std::string xml;
+  for (int i = 0; i < depth; ++i) xml += "<a>";
+  xml += "bottom";
+  for (int i = 0; i < depth; ++i) xml += "</a>";
+  return xml;
+}
+
+/// Runs `fn` on a thread with a `stack_bytes` stack. The owner side
+/// (parser DOM, encoder) still recurses once per nesting level, and
+/// sanitizer builds' larger frames overflow a default stack on the deep
+/// chains below; the serve side is iterative and runs on the caller's.
+void RunOnLargeStack(size_t stack_bytes, const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  pthread_attr_setstacksize(&attr, stack_bytes);
+  pthread_t thread;
+  void* (*trampoline)(void*) = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  CHECK_EQ(pthread_create(&thread, &attr, trampoline,
+                          const_cast<std::function<void()>*>(&fn)),
+           0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(DeepGrantedChainsPromiseOnce) {
+  // Each element of a granted chain used to promise its whole subtree to
+  // the planner again: O(depth x fragments) hint work. One promise at the
+  // root now covers it, and the oracle and evaluator see only the root.
+  const auto rules = Rules("+ /a\n");
+  struct Counts {
+    uint64_t skip_checks = 0;
+    uint64_t hints_wanted = 0;
+    uint64_t events_in = 0;
+  };
+  std::vector<Counts> counts;
+  for (int depth : {4096, 16384}) {
+    const std::string xml = Chain(depth);
+    server::DocumentService service;
+    RunOnLargeStack(size_t{256} << 20, [&] {
+      CHECK_OK(service.Publish(
+          "doc", xml,
+          TestConfig(index::Variant::kTcsbr, crypto::ChunkLayout{})));
+    });
+    auto session = service.OpenSession("doc", rules, pipeline::ServeOptions());
+    CHECK_OK(session.status());
+    if (!session.ok()) return;
+    xml::SerializingHandler ser;
+    while (true) {
+      auto item = session.value()->Next();
+      CHECK_OK(item.status());
+      if (!item.ok() || item.value().end) break;
+      ser.Feed(item.value().event, item.value().depth);
+    }
+    CHECK(ser.output() == xml);
+    const pipeline::ServeStream& stream = session.value()->stream();
+    counts.push_back({stream.eval().skip_checks,
+                      stream.fetcher().planner_stats().hints_wanted,
+                      stream.eval().events_in});
+  }
+  CHECK_EQ(counts[0].skip_checks, counts[1].skip_checks);
+  CHECK_EQ(counts[0].hints_wanted, counts[1].hints_wanted);
+  CHECK_EQ(counts[0].events_in, counts[1].events_in);
+  CHECK_EQ(counts[1].events_in, uint64_t{2});
+}
+
+TEST(TamperInsideVerbatimSubtreeFailsClosed) {
+  // <g> is granted in full and opens with the evaluator idle, so its
+  // content streams verbatim. One fragment in its middle is tampered: the
+  // serve must fail with IntegrityError and return no event whose bytes
+  // touch that fragment.
+  const std::string xml =
+      "<r><h>hidden</h><g>" + Items("v", 300) + "</g></r>";
+  const auto rules = Rules("+ /r/g\n");
+  auto dom = xml::SaxParser::ParseToDom(xml);
+  CHECK_OK(dom.status());
+  if (!dom.ok()) return;
+  auto doc = index::Encode(*dom.value(), index::Variant::kTcsbr);
+  CHECK_OK(doc.status());
+  if (!doc.ok()) return;
+
+  // Reference decode of the untampered image: each item and the byte its
+  // encoding ends at.
+  struct Decoded {
+    xml::Event event;
+    uint64_t end_byte = 0;
+  };
+  std::vector<Decoded> decoded;
+  {
+    auto nav = index::DocumentNavigator::Open(&doc.value());
+    CHECK_OK(nav.status());
+    if (!nav.ok()) return;
+    while (true) {
+      auto item = nav.value()->Next();
+      CHECK_OK(item.status());
+      using K = index::DocumentNavigator::ItemKind;
+      if (!item.ok() || item.value().kind == K::kEnd) break;
+      const auto& it = item.value();
+      decoded.push_back(
+          {it.kind == K::kOpen    ? xml::Event::Open(it.tag)
+           : it.kind == K::kValue ? xml::Event::Value(it.value)
+                                  : xml::Event::Close(it.tag),
+           nav.value()->stream_offset() + (nav.value()->bits_read() + 7) / 8});
+    }
+  }
+  // r, h, "hidden", /h, then g at index 4.
+  CHECK(decoded.size() > 5);
+  if (decoded.size() <= 5) return;
+  CHECK(decoded[4].event == xml::Event::Open("g"));
+
+  crypto::ChunkLayout layout;
+  layout.chunk_size = 256;
+  layout.fragment_size = 32;
+  auto store =
+      crypto::SecureDocumentStore::Build(doc.value().bytes, TestKey(), layout);
+  CHECK_OK(store.status());
+  if (!store.ok()) return;
+  const std::string marker = "v1200";
+  const size_t pos = std::string(doc.value().bytes.begin(),
+                                 doc.value().bytes.end())
+                         .find(marker);
+  CHECK(pos != std::string::npos);
+  const uint64_t frag_begin = pos / 32 * 32;
+  store.value().TamperByte(pos, 0x80);
+
+  crypto::SoeDecryptor soe(TestKey(), layout, store.value().plaintext_size(),
+                           store.value().chunk_count());
+  index::SecureFetcher fetcher(&store.value(), &soe);
+  auto nav =
+      index::DocumentNavigator::OpenBuffer(fetcher.verified_view(), &fetcher);
+  CHECK_OK(nav.status());
+  if (!nav.ok()) return;
+  pipeline::AuthorizedViewReader reader(nav.value().get(), rules,
+                                        access::RuleEvaluator::Options(),
+                                        pipeline::DriveOptions{true, &fetcher});
+  std::vector<xml::Event> events;
+  Status failure;
+  while (true) {
+    auto item = reader.Next();
+    if (!item.ok()) {
+      failure = item.status();
+      break;
+    }
+    if (item.value().end) break;
+    events.push_back(item.value().event);
+  }
+  CHECK(failure.code() == StatusCode::kIntegrityError);
+  // The evaluator saw r, h (skipped) and g's open: g's content bypassed it.
+  CHECK_EQ(reader.eval_stats().events_in, uint64_t{4});
+  // The view so far is <r>, <g>, then g's content in document order.
+  CHECK(events.size() > 2);
+  if (events.size() <= 2) return;
+  CHECK(events[0] == xml::Event::Open("r"));
+  CHECK(events[1] == xml::Event::Open("g"));
+  for (size_t i = 2; i < events.size(); ++i) {
+    const Decoded& ref = decoded[4 + i - 1];
+    CHECK(events[i] == ref.event);
+    CHECK(ref.end_byte <= frag_begin);
   }
 }
 
