@@ -126,6 +126,22 @@ bool VerifiedDigestCache::CanVerifyBare(uint64_t chunk, uint32_t first,
   return true;
 }
 
+bool VerifiedDigestCache::MatchLeaves(
+    uint64_t chunk, uint32_t first,
+    const std::vector<Sha1Digest>& leaves) const {
+  if (leaves.empty() || first + leaves.size() > frags_) return false;
+  MutexLock lock(&mu_);
+  const Entry* e = Find(chunk);
+  if (e == nullptr) return false;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    if (!e->known[first + i] || e->nodes[first + i] != leaves[i]) {
+      return false;
+    }
+  }
+  ++stats_.bare_hits;
+  return true;
+}
+
 void VerifiedDigestCache::RecordBareHit() const {
   MutexLock lock(&mu_);
   ++stats_.bare_hits;

@@ -19,18 +19,29 @@ namespace csxa::crypto {
 /// chunk (a deferral re-read, a hot chunk's next fragment) can be served
 /// *bare*: ciphertext only, no sibling hashes on the wire, no ChunkDigest
 /// transfer or decryption. The re-read is verified by recomputing the leaf
-/// hashes of the shipped fragments and combining them with cached sibling
-/// hashes up to the cached, authenticated root.
+/// hashes of the shipped fragments. When every one of those leaves is
+/// already cached (a warm chunk), each recomputed leaf is compared with its
+/// cached leaf (MatchLeaves) and nothing else is hashed. Otherwise — an
+/// unknown leaf, or a leaf that differs — the leaves are combined with
+/// cached sibling hashes up to the cached, authenticated root.
 ///
 /// Security argument: entries are written exclusively after a full
-/// digest-chain verification, so every cached hash is collision-bound to
-/// the ciphertext the document owner sealed. A terminal tampering with
-/// re-read ciphertext changes the recomputed leaf hash, the recombined
-/// root diverges from the cached one, and the read is rejected — the cache
-/// narrows the *wire format*, never the trust chain. Capacity is a few
-/// dozen entries (one entry is ~2·m hashes for m fragments per chunk), so
-/// the SOE memory bound is respected; eviction only costs a fallback to
-/// the classic proof-carrying read.
+/// digest-chain verification (Record demands a VerifyPass), so every cached
+/// hash is collision-bound to the ciphertext the document owner sealed.
+/// In particular a cached leaf was written only after it recombined to the
+/// authenticated root, and the cached interior nodes are derived from such
+/// leaves or lie on their verified paths. A recomputed leaf equal to its
+/// cached copy would therefore recombine to that same root: comparing
+/// leaves is as strong as recombining, and only skips re-deriving known
+/// nodes. Recombination still runs whenever a shipped fragment's leaf is
+/// not cached (a fragment of a partly cached chunk read for the first
+/// time) or differs from the cached leaf. A terminal tampering with
+/// re-read ciphertext changes the recomputed leaf hash, the comparison
+/// fails, the recombined root diverges from the cached one, and the read
+/// is rejected — the cache narrows the *wire format*, never the trust
+/// chain. Capacity is a few dozen entries (one entry is ~2·m hashes for m
+/// fragments per chunk), so the SOE memory bound is respected; eviction
+/// only costs a fallback to the classic proof-carrying read.
 ///
 /// Sharing across serves: every method is internally synchronized, so one
 /// cache instance can back many concurrent sessions of the *same document
@@ -152,6 +163,14 @@ class VerifiedDigestCache {
   Stats stats() const;
   size_t capacity() const { return capacity_; }
   uint32_t version() const { return version_; }
+  /// Warm bare-read check, in one locked visit: true when every leaf of
+  /// [first, first + leaves.size()) of `chunk` is cached and equal to the
+  /// recomputed `leaves`, and then counts the bare hit. False, counting
+  /// nothing, on any unknown or differing leaf; the caller then
+  /// recombines to the cached root, which rejects a tampered read.
+  bool MatchLeaves(uint64_t chunk, uint32_t first,
+                   const std::vector<Sha1Digest>& leaves) const;
+
   /// Verification-time accounting (CanVerifyBare itself is a pure probe).
   void RecordBareHit() const;
   void RecordMiss() const;

@@ -398,7 +398,9 @@ Status SoeDecryptor::VerifyChunkAgainstMaterial(
     return Status::IntegrityError("merkle proof invalid: " +
                                   root.status().message());
   }
-  counters_.hash_combines += proof.size() + leaves.size();
+  // A converged recombination folds leaves plus siblings into one root:
+  // one interior hash per node consumed, less the root itself.
+  counters_.hash_combines += leaves.size() + proof.size() - 1;
   if (mat.encrypted_digest.empty()) {
     // Digest waived (root_known hint): the recomputed root must match the
     // root authenticated earlier, or the terminal tampered with the bytes.
@@ -652,10 +654,14 @@ Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
       counters_.hash_ns += NowNs() - h0;
 
       if (is_bare(c)) {
-        // Cache-hit path: no material crossed the wire. Recombine the
-        // fresh leaves with the cached (authenticated) sibling hashes and
-        // compare against the cached root — a tampered re-read diverges
-        // right here.
+        // Cache-hit path: no material crossed the wire. When every shipped
+        // fragment's leaf is cached, equal leaves are the whole proof: a
+        // cached leaf was authenticated against the root before it was
+        // written, so recombining would only re-derive that root.
+        if (cache_->MatchLeaves(c, first, leaves)) continue;
+        // Otherwise recombine the fresh leaves with the cached
+        // (authenticated) sibling hashes and compare against the cached
+        // root — a tampered re-read diverges right here.
         Sha1Digest known_root;
         if (!cache_->Root(c, &known_root)) {
           return Status::IntegrityError(
@@ -669,7 +675,7 @@ Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
               "re-read failed verification against cached digest "
               "(tampered data?)");
         }
-        counters_.hash_combines += proof.size() + leaves.size();
+        counters_.hash_combines += leaves.size() + proof.size() - 1;
         cache_->RecordBareHit();
         cache_->Record(common::VerifyPass{}, c, known_root, first, leaves,
                        proof);

@@ -314,7 +314,9 @@ class SoeDecryptor {
     uint64_t bytes_decrypted = 0;   ///< Payload blocks decrypted.
     uint64_t digest_bytes_decrypted = 0;
     uint64_t bytes_hashed = 0;      ///< Ciphertext bytes hashed in the SOE.
-    uint64_t hash_combines = 0;     ///< Merkle interior-node hashes.
+    /// Merkle interior-node hashes computed to recombine a root (0 for a
+    /// bare read whose leaves all matched the cache).
+    uint64_t hash_combines = 0;
     uint64_t decrypt_ns = 0;        ///< Wall clock inside block decryption.
     uint64_t hash_ns = 0;           ///< Wall clock inside SHA-1 hashing.
   };

@@ -288,18 +288,21 @@ void Sha1::Update(const uint8_t* data, size_t n) {
 }
 
 Sha1Digest Sha1::Finish() {
-  uint64_t bit_length = length_ * 8;
-  // Append 0x80 then zero padding then 64-bit big-endian length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffered_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_length >> (56 - 8 * i));
+  const uint64_t bit_length = length_ * 8;
+  // Pad in place: 0x80, zero fill, then the 64-bit big-endian bit length
+  // in the last 8 bytes. Update never leaves a full block buffered, so the
+  // 0x80 always fits; when it lands past byte 55 the length spills into
+  // one extra block.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    ProcessBlocks(buffer_.data(), 1);
+    buffered_ = 0;
   }
-  // Write length directly to avoid growing length_ logic interference.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_length >> (56 - 8 * i));
+  }
   ProcessBlocks(buffer_.data(), 1);
   buffered_ = 0;
 

@@ -5,6 +5,7 @@
 // weakening integrity — a tampered terminal must be caught even on a
 // cache-hit ("bare") re-read that ships no Merkle material at all.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -193,10 +194,112 @@ TEST(BareReReadVerifiesAgainstCache) {
   CHECK_OK(resp2.status());
   CHECK_EQ(resp2.value().chunks.size(), size_t{0});  // No material shipped.
   CHECK_EQ(resp2.value().WireBytes(), uint64_t{32});
+  const uint64_t combines_before = soe.counters().hash_combines;
   CHECK_OK(soe.DecryptVerifiedBatch(req2, resp2.value(), out.data(),
                                     out.size()));
   CHECK(std::equal(doc.begin() + 32, doc.begin() + 64, out.begin() + 32));
-  CHECK(soe.cache_stats().bare_hits > 0);
+  CHECK_EQ(soe.cache_stats().bare_hits, uint64_t{1});
+  // Leaves 4..7 were unknown, so the read recombined them with the cached
+  // left half: 2 + 1 hashes for the right half, 1 for the root.
+  CHECK_EQ(soe.counters().hash_combines - combines_before, uint64_t{4});
+
+  // Every leaf of the chunk is now cached: a bare re-read of either half
+  // verifies by leaf comparison alone, computing no interior hash.
+  const uint64_t combines_warm = soe.counters().hash_combines;
+  crypto::BatchRequest req3;
+  req3.runs.push_back({0, 32});
+  req3.bare_chunks.push_back(0);
+  auto resp3 = store.value().ReadBatch(req3);
+  CHECK_OK(resp3.status());
+  std::fill(out.begin(), out.end(), 0);
+  CHECK_OK(soe.DecryptVerifiedBatch(req3, resp3.value(), out.data(),
+                                    out.size()));
+  CHECK(std::equal(doc.begin(), doc.begin() + 32, out.begin()));
+  CHECK_EQ(soe.cache_stats().bare_hits, uint64_t{2});
+  CHECK_EQ(soe.counters().hash_combines, combines_warm);
+}
+
+TEST(TamperedFullyCachedReReadIsRejected) {
+  // The cross-serve case: one session authenticates whole chunks into the
+  // shared cache, a second session re-reads them bare. Leaf matching must
+  // not accept a tampered fragment whose leaf the cache already holds.
+  std::vector<uint8_t> doc(256);
+  for (size_t i = 0; i < doc.size(); ++i) doc[i] = static_cast<uint8_t>(i * 5);
+  auto layout = SmallLayout();
+  auto store = crypto::SecureDocumentStore::Build(doc, TestKey(), layout);
+  CHECK_OK(store.status());
+  if (!store.ok()) return;
+  const uint64_t chunks = store.value().chunk_count();
+  auto cache = std::make_shared<crypto::VerifiedDigestCache>(
+      layout.fragments_per_chunk(),
+      crypto::SoeDecryptor::kDefaultDigestCacheCapacity);
+  crypto::SoeDecryptor first(TestKey(), layout, doc.size(), chunks, 0,
+                             crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
+                             cache);
+  crypto::SoeDecryptor second(TestKey(), layout, doc.size(), chunks, 0,
+                              crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
+                              cache);
+  std::vector<uint8_t> out(doc.size(), 0);
+
+  // The first session verifies chunks 0 and 1 whole, and the left halves
+  // of chunks 2 and 3 (leaves 0..3).
+  crypto::BatchRequest warm;
+  warm.runs.push_back({0, 160});
+  warm.runs.push_back({192, 224});
+  auto warm_resp = store.value().ReadBatch(warm);
+  CHECK_OK(warm_resp.status());
+  CHECK_OK(first.DecryptVerifiedBatch(warm, warm_resp.value(), out.data(),
+                                      out.size()));
+
+  // The terminal tampers with an already-authenticated fragment of chunk 1
+  // (fragment 4), whose cached leaf no longer matches.
+  store.value().TamperByte(100, 0x10);
+  CHECK(second.CanVerifyBare(0, 0, 7));
+  CHECK(second.CanVerifyBare(1, 0, 7));
+  crypto::BatchRequest bare;
+  bare.runs.push_back({0, 64});    // Chunk 0 whole: honest.
+  bare.runs.push_back({96, 128});  // Chunk 1, fragments 4..7: tampered.
+  bare.bare_chunks = {0, 1};
+  auto bare_resp = store.value().ReadBatch(bare);
+  CHECK_OK(bare_resp.status());
+  CHECK(bare_resp.value().chunks.empty());
+  std::vector<uint8_t> sentinel(doc.size(), 0xee);
+  Status st = second.DecryptVerifiedBatch(bare, bare_resp.value(),
+                                          sentinel.data(), sentinel.size());
+  CHECK(st.code() == StatusCode::kIntegrityError);
+  CHECK(st.message().find("re-read failed verification against cached "
+                          "digest") != std::string::npos);
+  // Not one byte of the batch is released, the honest chunk's included.
+  CHECK(std::all_of(sentinel.begin(), sentinel.end(),
+                    [](uint8_t b) { return b == 0xee; }));
+
+  // Mixed range: chunk 2's fragments 2..3 are cached, 4..7 are not. The
+  // read falls through to recombination and verifies.
+  CHECK(second.CanVerifyBare(2, 2, 7));
+  const uint64_t combines_before = second.counters().hash_combines;
+  crypto::BatchRequest mixed;
+  mixed.runs.push_back({144, 192});
+  mixed.bare_chunks.push_back(2);
+  auto mixed_resp = store.value().ReadBatch(mixed);
+  CHECK_OK(mixed_resp.status());
+  CHECK_OK(second.DecryptVerifiedBatch(mixed, mixed_resp.value(), out.data(),
+                                       out.size()));
+  CHECK(std::equal(doc.begin() + 144, doc.begin() + 192, out.begin() + 144));
+  CHECK(second.counters().hash_combines > combines_before);
+
+  // A mixed range over a tampered cached leaf fails in the fallback:
+  // chunk 3's fragment 1 is cached and tampered, 4..6 are not cached.
+  store.value().TamperByte(204, 0x01);
+  crypto::BatchRequest mixed_tampered;
+  mixed_tampered.runs.push_back({200, 248});
+  mixed_tampered.bare_chunks.push_back(3);
+  auto tampered_resp = store.value().ReadBatch(mixed_tampered);
+  CHECK_OK(tampered_resp.status());
+  st = second.DecryptVerifiedBatch(mixed_tampered, tampered_resp.value(),
+                                   sentinel.data(), sentinel.size());
+  CHECK(st.code() == StatusCode::kIntegrityError);
+  CHECK(std::all_of(sentinel.begin(), sentinel.end(),
+                    [](uint8_t b) { return b == 0xee; }));
 }
 
 TEST(TamperedBareReReadIsRejected) {

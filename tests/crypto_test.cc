@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -96,6 +97,45 @@ TEST(Sha1NistVectors) {
       "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
   CHECK_EQ(Sha1Hex(std::string(1000000, 'a')),
            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+TEST(Sha1PaddingAtBlockBoundaries) {
+  // Finish pads in place: lengths up to 55 fit the length field in the
+  // final block, 56..63 spill it into one extra block, and multiples of 64
+  // pad a block of their own. Digests pinned from Python's hashlib over
+  // the message bytes (i * 7 + 3) mod 256.
+  auto message = [](size_t n) {
+    std::string msg(n, '\0');
+    for (size_t i = 0; i < n; ++i) msg[i] = static_cast<char>(i * 7 + 3);
+    return msg;
+  };
+  const std::pair<size_t, const char*> kVectors[] = {
+      {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {1, "9842926af7ca0a8cca12604f945414f07b01e13d"},
+      {55, "ddf57317ef34bfee3b6df83d359098930eb278bc"},
+      {56, "a0d492bb0fc889d0eca3bc137066ab6f4f74f369"},
+      {57, "11a02dcf95859677a62e75024067c22b165d890f"},
+      {63, "c55856749bef509bdfe6bfebfc7bf4e793e82132"},
+      {64, "bede92be29c3874e1b54ddc77988d606fc857a8e"},
+      {65, "b05a80522b053d6dc7e0a517d0e70212c7dad11f"},
+      {119, "504e27376a6e0f0dba8295b85cb25dc4dfa17d23"},
+      {120, "82134b02fb3f702491be9bed581eeab59334acb2"},
+      {128, "a09133e6730ffe899efb70204cb5646cd5dc24ee"},
+  };
+  for (const auto& [n, want] : kVectors) {
+    const std::string msg = message(n);
+    CHECK_EQ(Sha1Hex(msg), std::string(want));
+    // Split Update calls leave a different amount buffered at Finish.
+    for (size_t split : {size_t{1}, size_t{55}, size_t{56}, size_t{63},
+                         size_t{64}, size_t{65}}) {
+      if (split > n) continue;
+      Sha1 hasher;
+      hasher.Update(msg.substr(0, split));
+      hasher.Update(msg.substr(split));
+      Sha1Digest d = hasher.Finish();
+      CHECK_EQ(ToHex(d.data(), d.size()), std::string(want));
+    }
+  }
 }
 
 TEST(Sha1StateHandoff) {
