@@ -77,25 +77,48 @@ void PathMatcher::OnClose(int depth) {
   }
 }
 
+bool PathMatcher::Feasible(const TokenState& t,
+                           const SubtreeFacts& facts) const {
+  if (!facts.tags_known) return true;  // No bitmap: cannot rule it out.
+  for (size_t s = t.next_step; s < tags_->size(); ++s) {
+    const xml::TagId test = (*tags_)[s];
+    if (test != kAnyTag && !facts.MayContain(test)) return false;
+  }
+  return true;
+}
+
 bool PathMatcher::CanCompleteWithin(const SubtreeFacts& facts) const {
-  const Frame& top = stack_[live_ - 1];
-  if (top.exact.empty() && top.desc.empty()) return false;
   // Any full match below needs at least one more element open.
   if (facts.tags_known && facts.no_elements_below) return false;
+  for (const TokenState& t : stack_[live_ - 1].exact) {
+    if (Feasible(t, facts)) return true;
+  }
+  return DescCanCompleteWithin(facts);
+}
 
-  auto feasible = [&](const TokenState& t) {
-    if (!facts.tags_known) return true;  // No bitmap: cannot rule it out.
-    for (size_t s = t.next_step; s < tags_->size(); ++s) {
-      const xml::TagId test = (*tags_)[s];
-      if (test != kAnyTag && !facts.MayContain(test)) return false;
-    }
-    return true;
+bool PathMatcher::DescCanCompleteWithin(const SubtreeFacts& facts) const {
+  if (facts.tags_known && facts.no_elements_below) return false;
+  for (const TokenState& t : stack_[live_ - 1].desc) {
+    if (Feasible(t, facts)) return true;
+  }
+  return false;
+}
+
+bool PathMatcher::MayAdvanceOn(xml::TagId tag, int depth) const {
+  if (depth != base_depth_ + static_cast<int>(live_)) return true;
+  const Frame& top = stack_[live_ - 1];
+  auto accepts = [&](const TokenState& t) {
+    const xml::TagId test = (*tags_)[t.next_step];
+    return test == kAnyTag || test == tag;
   };
+  // The same two sets OnOpen() advances, in the same way.
   for (const TokenState& t : top.exact) {
-    if (feasible(t)) return true;
+    if ((*steps_)[t.next_step].axis == xpath::Axis::kChild && accepts(t)) {
+      return true;
+    }
   }
   for (const TokenState& t : top.desc) {
-    if (feasible(t)) return true;
+    if (accepts(t)) return true;
   }
   return false;
 }
@@ -438,6 +461,64 @@ bool RuleEvaluator::WholeSubtreeAuthorized(const SubtreeFacts& facts,
   }
   ++stats_.full_grants_advised;
   return true;
+}
+
+bool RuleEvaluator::InertChild(xml::TagId tag, int depth,
+                               const SubtreeFacts& facts) const {
+  // 5. A pending settlement would make OnOpen's Resolve() do work.
+  if (candidates_dirty_ || !wave_.empty()) return false;
+  // 1. The memo only: kDeny there is irrevocable (see Decide()).
+  if (element_stack_.empty()) return false;
+  const NodeRec* parent = element_stack_.back();
+  if (parent->depth != depth - 1 || parent->decision != Decision::kDeny) {
+    return false;
+  }
+  for (const auto& inst : instances_) {
+    if (inst->state != PredInstance::State::kPending) continue;
+    // 3., then 2. and 4. for the instance's path. An instance rooted at or
+    // below the child's depth would not see the open at all: leave it to
+    // the full path.
+    if (depth <= inst->root_depth || !inst->collections.empty() ||
+        inst->matcher.MayAdvanceOn(tag, depth) ||
+        inst->matcher.DescCanCompleteWithin(facts)) {
+      return false;
+    }
+  }
+  for (size_t r = 0; r < rules_.size(); ++r) {
+    // 2. for every rule; 4. for positive ones only: below an irrevocable
+    //    deny a negative target changes nothing (see SubtreeDecision()).
+    if (matchers_[r]->MayAdvanceOn(tag, depth)) return false;
+    if (rules_[r].sign == Sign::kPermit &&
+        matchers_[r]->DescCanCompleteWithin(facts)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void RuleEvaluator::DropInertChild(xml::TagId tag, int depth) {
+  // What OnOpen + SubtreeDecision (kSkip) + OnClose count for the element.
+  stats_.events_in += 2;
+  ++stats_.skip_checks;
+  ++stats_.skips_advised;
+  // A settled, denied record that nothing but its own two events refers
+  // to; Flush() recycles it with the close, as on the full path.
+  NodeRec* node = AcquireNode();
+  node->depth = depth;
+  node->parent = element_stack_.back();
+  node->decision = Decision::kDeny;
+  node->open_state = NodeRec::OpenState::kDrop;
+  node->closed = true;
+  node->settled = true;
+  node->open_qpos = queue_base_ + queue_size_;
+  node->close_qpos = node->open_qpos + 1;
+  for (xml::EventKind kind : {xml::EventKind::kOpen, xml::EventKind::kClose}) {
+    OutEvent& e = PushEvent(kind, depth, node);
+    e.status = EventStatus::kDrop;
+    e.tag = tag;
+    buffered_bytes_ += PayloadBytes(e);
+  }
+  Flush();
 }
 
 size_t RuleEvaluator::RegisterDeferral() {

@@ -135,6 +135,18 @@ class PathMatcher {
   /// in the descend direction: never rules out a reachable match.
   bool CanCompleteWithin(const SubtreeFacts& facts) const;
 
+  /// CanCompleteWithin() restricted to the top frame's descendant-axis
+  /// tokens: what CanCompleteWithin() would answer after an open that
+  /// advanced no token, asked before that open (the child inherits exactly
+  /// these tokens).
+  bool DescCanCompleteWithin(const SubtreeFacts& facts) const;
+
+  /// True if OnOpen(tag, depth) could advance some token — the next open
+  /// would then extend a path, spawn predicates or report a full match.
+  /// False only when every live token's next step rejects `tag`. An event
+  /// OnOpen() would ignore as misaligned answers true (never unsafe).
+  bool MayAdvanceOn(xml::TagId tag, int depth) const;
+
  private:
   const std::vector<xpath::Step>* steps_;
   const std::vector<xml::TagId>* tags_;
@@ -149,6 +161,10 @@ class PathMatcher {
   /// of allocating (PR 2 flagged the per-event churn).
   std::vector<Frame> stack_;
   size_t live_ = 0;
+
+  /// True when every remaining named step of `t` can occur below, per
+  /// `facts` (always true without a bitmap).
+  bool Feasible(const TokenState& t, const SubtreeFacts& facts) const;
 };
 
 struct PredInstance {
@@ -290,6 +306,34 @@ class RuleEvaluator : public xml::EventHandler,
   /// *positive* discloses content a deeper denial covers, or omits or
   /// reorders content a pending predicate governs.
   bool WholeSubtreeAuthorized(const SubtreeFacts& facts, int depth);
+
+  /// Pre-open skip oracle, asked *before* OnOpen(tag, depth) for a child
+  /// of the innermost open element: true when that OnOpen() would add no
+  /// rule hit, spawn no predicate and start no value collection, and
+  /// SubtreeDecision() would then answer kSkip. It holds only when
+  ///
+  ///  1. the parent's memoized decision is an irrevocable deny (the memo is
+  ///     read, never recomputed: a parent still pending in the memo answers
+  ///     false, and the caller takes the full path);
+  ///  2. no token of any rule matcher or pending predicate instance can
+  ///     advance on `tag`, so the child has no hit and inherits the deny;
+  ///  3. no pending predicate instance is collecting a value (text inside
+  ///     the child would feed it, and the bitmap cannot see text);
+  ///  4. no descendant-axis token of a positive rule or a pending instance
+  ///     can complete inside `facts` (the child's subtree); and
+  ///  5. no predicate settlement is waiting to propagate.
+  ///
+  /// On true the caller must call DropInertChild(tag, depth) instead of
+  /// OnOpen/SubtreeDecision/OnClose and jump the element whole.
+  bool InertChild(xml::TagId tag, int depth, const SubtreeFacts& facts) const;
+
+  /// Records an element InertChild() answered true for, as if it had been
+  /// opened, answered kSkip and closed: the same events_in, skip_checks
+  /// and skips_advised, and its open and close enter the queue already
+  /// dropped before Flush() runs, so buffered bytes, peaks and every later
+  /// budget decision match the full path byte for byte. No matcher, node
+  /// decision or predicate is touched.
+  void DropInertChild(xml::TagId tag, int depth);
 
   /// True when nothing the evaluator was fed is still undecided: every
   /// event went out to `out` or was pruned, and the pending queue is

@@ -1,8 +1,10 @@
 #ifndef CSXA_COMMON_BITSTREAM_H_
 #define CSXA_COMMON_BITSTREAM_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,8 +56,12 @@ class BitWriter {
 /// MSB-first bit reader over a byte span, with random seek (needed by the
 /// skip operation: SubtreeSize fields let the decoder jump over encrypted
 /// subtrees without touching them). The repo's one bit decoder — the
-/// navigator reads its event stream through it. Extraction works a byte
-/// at a time and never touches a byte past the last bit it returns.
+/// navigator reads its event stream through it. ReadBits() and
+/// ReadBytes() are checked and never touch a byte past the last bit they
+/// return. ReadWordBits() loads the whole 8-byte word at the cursor's
+/// byte: its caller must know those 8 bytes are inside the buffer *and*
+/// inside the span it has verified (the navigator's held span), so a
+/// byte the Merkle path has not vouched for is never touched.
 class BitReader {
  public:
   BitReader() = default;
@@ -65,6 +71,22 @@ class BitReader {
   /// Reads `width` (0..64) bits into *value (MSB first). width == 0 yields
   /// 0. Past the end of the stream: Corruption, nothing read.
   Status ReadBits(int width, uint64_t* value);
+
+  /// Reads `width` (0..56) bits from one big-endian load of the 8 bytes
+  /// starting at the cursor's byte. Unchecked: the caller guarantees those
+  /// 8 bytes lie inside the buffer and inside its verified span.
+  uint64_t ReadWordBits(int width) {
+    uint64_t word;
+    std::memcpy(&word, data_ + (pos_ >> 3), 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    // Drop the bits before the cursor, then keep the top `width`; the
+    // split shift keeps width == 0 defined (it yields 0).
+    const uint64_t v = ((word << (pos_ & 7)) >> 1) >> (63 - width);
+    pos_ += static_cast<size_t>(width);
+    return v;
+  }
 
   /// Appends `n` whole bytes read at the current (any) bit alignment.
   /// Past the end of the stream: Corruption, nothing read.

@@ -87,7 +87,7 @@ Result<uint64_t> DocumentNavigator::HeldRun(int unit_bits, uint64_t count) {
   return std::clamp<uint64_t>(ahead, 1, count);
 }
 
-Result<uint64_t> DocumentNavigator::ReadBits(int width) {
+Result<uint64_t> DocumentNavigator::ReadBitsChecked(int width) {
   if (width == 0) return uint64_t{0};
   if (!Held(width)) CSXA_RETURN_NOT_OK(Demand(width));
   uint64_t v = 0;
@@ -192,11 +192,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     item.kind = ItemKind::kClose;
     item.depth = depth_;
     item.tag_id = top.tag;
-    item.tag = dict_.Name(top.tag);
-    spare_ctx_.push_back(std::move(frames_.back().ctx));
-    frames_.pop_back();
-    --depth_;
-    if (frames_.empty()) done_ = true;
+    PopFrame();
     return item;
   }
 
@@ -269,7 +265,6 @@ void DocumentNavigator::PushFrame(xml::TagId tag, uint64_t size_bits,
   item->kind = ItemKind::kOpen;
   item->depth = depth_;
   item->tag_id = tag;
-  item->tag = dict_.Name(tag);
 }
 
 Result<DocumentNavigator::Item> DocumentNavigator::NextTc() {
@@ -288,7 +283,6 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextTc() {
       item.kind = ItemKind::kClose;
       item.depth = depth_;
       item.tag_id = tc_stack_.back();
-      item.tag = dict_.Name(item.tag_id);
       tc_stack_.pop_back();
       --depth_;
       if (tc_stack_.empty()) done_ = true;
@@ -306,7 +300,6 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextTc() {
       item.kind = ItemKind::kOpen;
       item.depth = depth_;
       item.tag_id = tc_stack_.back();
-      item.tag = dict_.Name(item.tag_id);
       return item;
     }
     case 0b10: {  // text
@@ -330,6 +323,19 @@ Status DocumentNavigator::SkipSubtree() {
     return Status::InvalidArgument("no open element to skip");
   }
   return in_.SeekTo(frames_.back().end_bit);
+}
+
+Status DocumentNavigator::SkipElement() {
+  CSXA_RETURN_NOT_OK(SkipSubtree());
+  PopFrame();  // The close the next Next() would have reported.
+  return Status::OK();
+}
+
+void DocumentNavigator::PopFrame() {
+  spare_ctx_.push_back(std::move(frames_.back().ctx));
+  frames_.pop_back();
+  --depth_;
+  if (frames_.empty()) done_ = true;
 }
 
 DocumentNavigator::Checkpoint DocumentNavigator::Save() const {

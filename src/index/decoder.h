@@ -72,8 +72,10 @@ class DocumentNavigator {
   struct Item {
     ItemKind kind = ItemKind::kEnd;
     int depth = 0;              ///< Element depth (root = 1); value = +1.
-    xml::TagId tag_id = 0;      ///< kOpen/kClose.
-    std::string tag;            ///< kOpen/kClose.
+    /// kOpen/kClose: the element's tag, an id of dictionary(). Items
+    /// carry no name; a consumer that needs one (a verbatim stream to the
+    /// output) looks it up with dictionary().Name(tag_id).
+    xml::TagId tag_id = 0;
     std::string value;          ///< kValue.
     /// kOpen only: DescTag set of the opened element (tags that can appear
     /// strictly below it); null for TC/TCS streams. Points into the
@@ -114,6 +116,11 @@ class DocumentNavigator {
   /// following Next() yields that element's kClose. Skipped bytes are never
   /// fetched or decoded.
   Status SkipSubtree();
+
+  /// Skips the most recently opened element whole: its remaining children
+  /// and its close, which the caller accounts for itself. The following
+  /// Next() yields the element's next sibling (or its parent's close).
+  Status SkipElement();
 
   /// Immutable decode-state snapshot for pending-subtree re-reads
   /// (Section 5: parts left aside are read back later without re-analyzing
@@ -172,7 +179,20 @@ class DocumentNavigator {
   /// How many (1..count) consecutive `unit_bits`-wide units at the cursor
   /// are readable now; demands the first one if it leaves the held span.
   Result<uint64_t> HeldRun(int unit_bits, uint64_t count);
-  Result<uint64_t> ReadBits(int width);
+  /// Reads a `width`-bit header field. Widths up to 56 whose 8-byte
+  /// word at the cursor's byte lies inside the held span come from one
+  /// load (BitReader::ReadWordBits); every other read takes the checked
+  /// path, which demands bytes that leave the span.
+  Result<uint64_t> ReadBits(int width) {
+    const size_t pos = in_.position();
+    if (width <= 56 && pos >= held_begin_bit_ &&
+        (pos / 8 + 8) * 8 <= held_end_bit_) {
+      bits_read_ += static_cast<uint64_t>(width);
+      return in_.ReadWordBits(width);
+    }
+    return ReadBitsChecked(width);
+  }
+  Result<uint64_t> ReadBitsChecked(int width);
   Status ReadText(uint64_t len, std::string* out);
   /// Reads an n-bit DescTag bitmap a word at a time: set bit i adds
   /// (*ctx)[i] — or tag i when ctx is null (the whole dictionary) — to out.
@@ -189,6 +209,8 @@ class DocumentNavigator {
   void PushFrame(xml::TagId tag, uint64_t size_bits,
                  std::vector<xml::TagId> ctx, Item* item);
   Result<Item> NextTc();
+  /// Closes the top frame (its ctx vector goes to spare_ctx_).
+  void PopFrame();
 
   Fetcher* fetcher_ = nullptr;
   Variant variant_ = Variant::kTcsbr;

@@ -79,10 +79,12 @@ Status AuthorizedViewReader::DriveOne() {
       finished_ = true;
       break;
     case K::kOpen: {
-      eval_->OnOpen(item.tag_id, item.depth);
       // Below an element promised in full every answer is known already
       // (descend, granted), and its bytes were promised to the planner.
-      if (!skip_possible_ || granted_depth_ != 0) break;
+      if (!skip_possible_ || granted_depth_ != 0) {
+        eval_->OnOpen(item.tag_id, item.depth);
+        break;
+      }
       facts_.tags_known = item.desc != nullptr;
       facts_.no_elements_below = item.desc != nullptr && item.desc->empty();
       facts_.subtree_bytes = item.subtree_bits / 8;
@@ -90,6 +92,19 @@ Status AuthorizedViewReader::DriveOne() {
         const uint32_t generation = ++facts_.generation;
         for (xml::TagId t : *item.desc) facts_.present[t] = generation;
       }
+      if (eval_->InertChild(item.tag_id, item.depth, facts_)) {
+        // The kSkip the full path would reach, decided before the open:
+        // the evaluator books the element's open, skip and close without
+        // running a matcher, and the navigator jumps it, close included.
+        eval_->DropInertChild(item.tag_id, item.depth);
+        HintSubtree(item.subtree_begin_bit, item.subtree_bits,
+                    /*wanted=*/false);
+        CSXA_RETURN_NOT_OK(nav_->SkipElement());
+        ++stats_.skips;
+        stats_.skipped_bits += item.subtree_bits;
+        break;
+      }
+      eval_->OnOpen(item.tag_id, item.depth);
       switch (eval_->SubtreeDecision(facts_, item.depth)) {
         case access::SkipDecision::kDescend:
           // Look-ahead: a subtree that will provably stream in full is
@@ -175,14 +190,14 @@ Result<bool> AuthorizedViewReader::NextVerbatim(int depth, ViewItem* v) {
     case K::kEnd:
       return Status::Corruption("stream ended inside a verbatim subtree");
     case K::kOpen:
-      v->event = xml::Event::Open(std::move(item.tag));
+      v->event = xml::Event::Open(nav_->dictionary().Name(item.tag_id));
       break;
     case K::kValue:
       v->event = xml::Event::Value(std::move(item.value));
       break;
     case K::kClose:
       if (item.depth == depth) return false;
-      v->event = xml::Event::Close(std::move(item.tag));
+      v->event = xml::Event::Close(nav_->dictionary().Name(item.tag_id));
       break;
   }
   v->depth = item.depth;

@@ -65,7 +65,11 @@ struct ViewItem {
 ///
 ///  - skip (kSkip): the subtree is provably inert — SkipSubtree() jumps it
 ///    before any of its fragments are fetched (Section 4.1's reason for
-///    the Skip index to exist).
+///    the Skip index to exist). Most skips are settled before the open:
+///    when RuleEvaluator::InertChild() proves an unmatched child of an
+///    irrevocably denied element inert, the evaluator books its open,
+///    skip and close at once (DropInertChild) and SkipElement() jumps the
+///    element with its close; no matcher runs for it.
 ///  - defer (kDefer): the subtree's fate hinges on predicates resolving
 ///    elsewhere and it is too large to buffer — the driver saves a
 ///    navigator Checkpoint, skips the bytes, and if (and only if) the

@@ -250,6 +250,197 @@ TEST(ChildrenOfPendingParentInheritItsDecision) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Pre-open inert oracle: InertChild() is asked before a child's open, with
+// the child's own subtree facts.
+// ---------------------------------------------------------------------------
+
+/// The names these tests open, as a document dictionary: every child has
+/// an id before its first open, as it does for a navigator's items.
+xml::TagDictionary DocTags() {
+  xml::TagDictionary tags;
+  for (const char* t : {"a", "b", "c", "n", "q", "r", "x", "y", "z", "Flag",
+                        "ok", "keep", "probe", "noise"}) {
+    tags.Intern(t);
+  }
+  return tags;
+}
+
+xml::TagId Id(const access::RuleEvaluator& eval, const char* name) {
+  xml::TagId id = 0;
+  CHECK(eval.tags().Lookup(name, &id));
+  return id;
+}
+
+/// Facts for a child whose subtree can hold exactly `tags`.
+access::SubtreeFacts Below(const access::RuleEvaluator& eval,
+                           std::initializer_list<const char*> tags) {
+  access::SubtreeFacts facts;
+  facts.tags_known = true;
+  facts.no_elements_below = tags.size() == 0;
+  facts.present.assign(eval.tags().size(), 0);
+  for (const char* t : tags) facts.present[Id(eval, t)] = facts.generation;
+  return facts;
+}
+
+TEST(InertChildOnlyBelowAnIrrevocableDeny) {
+  const access::SubtreeFacts unknown;  // TCS: no bitmap.
+  {
+    // `a` is denied by the closed world; only <b> can be granted below it
+    // and only <n> can be denied.
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(Rules("+ /a/b\n- /a/n\n"), &ser, {},
+                               DocTags());
+    eval.OnOpen("a", 1);
+    // An unmatched child of a denied parent, even without a bitmap.
+    CHECK(eval.InertChild(Id(eval, "z"), 2, unknown));
+    CHECK(eval.InertChild(Id(eval, "z"), 2, Below(eval, {"b", "n"})));
+    // A tag that advances a positive or a negative rule's token.
+    CHECK(!eval.InertChild(Id(eval, "b"), 2, Below(eval, {})));
+    CHECK(!eval.InertChild(Id(eval, "n"), 2, Below(eval, {})));
+    // Not a child of the innermost open element.
+    CHECK(!eval.InertChild(Id(eval, "z"), 3, Below(eval, {})));
+    eval.OnClose("a", 1);
+    CHECK_OK(eval.Finish());
+  }
+  {
+    // A permitted parent streams its content.
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(Rules("+ /a\n"), &ser, {}, DocTags());
+    eval.OnOpen("a", 1);
+    CHECK(!eval.InertChild(Id(eval, "z"), 2, Below(eval, {})));
+    eval.OnClose("a", 1);
+    CHECK_OK(eval.Finish());
+  }
+  {
+    // A pending parent: [Flag] is undecided, so b may yet be permitted.
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(Rules("+ /a\n- /a/b[Flag]\n"), &ser, {},
+                               DocTags());
+    eval.OnOpen("a", 1);
+    eval.OnOpen("b", 2);
+    CHECK(!eval.InertChild(Id(eval, "z"), 3, Below(eval, {})));
+    eval.OnClose("b", 2);
+    eval.OnClose("a", 1);
+    CHECK_OK(eval.Finish());
+    CHECK_EQ(ser.output(), "<a><b></b></a>");
+  }
+}
+
+TEST(InertChildNeverDropsCollectedText) {
+  // /a[b = x]/c over <a><b><z>x</z></b><q/><c/></a>: while b's string
+  // value is being collected for [b = x], the text inside <z> feeds it,
+  // and no bitmap can see text.
+  xml::SerializingHandler ser;
+  access::RuleEvaluator eval(Rules("+ /a[b = x]/c\n"), &ser, {}, DocTags());
+  eval.OnOpen("a", 1);
+  eval.OnOpen("b", 2);
+  CHECK(!eval.InertChild(Id(eval, "z"), 3, Below(eval, {})));
+  eval.OnOpen("z", 3);
+  eval.OnValue("x", 4);
+  eval.OnClose("z", 3);
+  eval.OnClose("b", 2);
+  // The comparison is settled: q advances nothing and collects nothing.
+  CHECK(eval.InertChild(Id(eval, "q"), 2, Below(eval, {})));
+  eval.DropInertChild(Id(eval, "q"), 2);
+  eval.OnOpen("c", 2);
+  eval.OnClose("c", 2);
+  eval.OnClose("a", 1);
+  CHECK_OK(eval.Finish());
+  CHECK_EQ(ser.output(), "<a><c></c></a>");
+}
+
+TEST(InertChildHonoursDescendantTokens) {
+  {
+    // + //x keeps a token alive into every child: only the child's bitmap
+    // can rule an x out below it.
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(Rules("+ //x\n"), &ser, {}, DocTags());
+    eval.OnOpen("r", 1);
+    CHECK(!eval.InertChild(Id(eval, "q"), 2, Below(eval, {"x", "y"})));
+    CHECK(eval.InertChild(Id(eval, "q"), 2, Below(eval, {"y"})));
+    CHECK(eval.InertChild(Id(eval, "q"), 2, Below(eval, {})));
+    CHECK(!eval.InertChild(Id(eval, "q"), 2, access::SubtreeFacts{}));
+    CHECK(!eval.InertChild(Id(eval, "x"), 2, Below(eval, {})));
+    eval.OnClose("r", 1);
+    CHECK_OK(eval.Finish());
+  }
+  {
+    // A pending instance's descendant token counts too: a probe below the
+    // child would decide [//probe], which governs the buffered <keep>.
+    xml::SerializingHandler ser;
+    access::RuleEvaluator eval(Rules("+ /r/keep\n- /r[//probe]/keep\n"),
+                               &ser, {}, DocTags());
+    eval.OnOpen("r", 1);
+    eval.OnOpen("keep", 2);
+    eval.OnClose("keep", 2);
+    CHECK(!eval.InertChild(Id(eval, "q"), 2, Below(eval, {"probe"})));
+    CHECK(eval.InertChild(Id(eval, "q"), 2, Below(eval, {"noise"})));
+    eval.OnClose("r", 1);
+    CHECK_OK(eval.Finish());
+    CHECK_EQ(ser.output(), "<r><keep></keep></r>");
+  }
+}
+
+/// Every counter of `a` equals `b`'s.
+void CheckSameStats(const access::RuleEvaluator::Stats& a,
+                    const access::RuleEvaluator::Stats& b) {
+  CHECK_EQ(a.events_in, b.events_in);
+  CHECK_EQ(a.events_emitted, b.events_emitted);
+  CHECK_EQ(a.events_pruned, b.events_pruned);
+  CHECK_EQ(a.rule_hits, b.rule_hits);
+  CHECK_EQ(a.predicates_spawned, b.predicates_spawned);
+  CHECK_EQ(a.peak_buffered, b.peak_buffered);
+  CHECK_EQ(a.peak_buffered_bytes, b.peak_buffered_bytes);
+  CHECK_EQ(a.skip_checks, b.skip_checks);
+  CHECK_EQ(a.skips_advised, b.skips_advised);
+  CHECK_EQ(a.defers_advised, b.defers_advised);
+  CHECK_EQ(a.full_grants_advised, b.full_grants_advised);
+  CHECK_EQ(a.subtrees_deferred, b.subtrees_deferred);
+  CHECK_EQ(a.deferrals_granted, b.deferrals_granted);
+  CHECK_EQ(a.deferrals_denied, b.deferrals_denied);
+  CHECK_EQ(a.watcher_subscriptions, b.watcher_subscriptions);
+}
+
+TEST(DroppedInertChildCountsLikeTheFullPath) {
+  // + /r[ok]/p: p's open waits in the queue for [ok], so the inert <z>
+  // dropped behind it must wait there too and count in the peaks.
+  for (bool grant : {true, false}) {
+    xml::SerializingHandler full_out, drop_out;
+    access::RuleEvaluator full(Rules("+ /r[ok]/p\n"), &full_out, {},
+                               DocTags());
+    access::RuleEvaluator drop(Rules("+ /r[ok]/p\n"), &drop_out, {},
+                               DocTags());
+    for (access::RuleEvaluator* eval : {&full, &drop}) {
+      eval->OnOpen("r", 1);
+      eval->OnOpen("p", 2);
+      eval->OnValue("t", 3);
+      eval->OnClose("p", 2);
+    }
+    const xml::TagId z = Id(drop, "z");
+    CHECK(drop.InertChild(z, 2, Below(drop, {"q"})));
+    drop.DropInertChild(z, 2);
+    full.OnOpen(z, 2);
+    CHECK(full.SubtreeDecision(Below(full, {"q"}), 2) ==
+          access::SkipDecision::kSkip);
+    full.OnClose(z, 2);
+    CheckSameStats(drop.stats(), full.stats());
+    // r, p, "t", /p, then the dropped z and /z.
+    CHECK_EQ(drop.stats().peak_buffered, size_t{6});
+    for (access::RuleEvaluator* eval : {&full, &drop}) {
+      if (grant) {
+        eval->OnOpen("ok", 2);
+        eval->OnClose("ok", 2);
+      }
+      eval->OnClose("r", 1);
+      CHECK_OK(eval->Finish());
+    }
+    CheckSameStats(drop.stats(), full.stats());
+    CHECK_EQ(drop_out.output(), full_out.output());
+    CHECK_EQ(drop_out.output(), grant ? "<r><p>t</p></r>" : "");
+  }
+}
+
 /// CPU seconds this thread has run: unlike wall time, it does not count
 /// the time the test was descheduled.
 double ThreadCpuSeconds() {

@@ -1,10 +1,10 @@
 // Property tests of common/bitstream, the one bit decoder the navigator
-// reads through: byte-at-a-time extraction must agree with a reference
-// bit loop at every width and bit offset, the byte-at-a-time writer must
-// stay byte-identical to a reference bit writer and round-trip through the
-// reader, and reads past the end fail as Corruption without touching a
-// byte beyond the buffer (the buffers here are exact-size heap vectors, so
-// the sanitizer job catches any overread).
+// reads through: byte-at-a-time extraction and single-word loads must
+// agree with a reference bit loop at every width and bit offset, the
+// byte-at-a-time writer must stay byte-identical to a reference bit writer
+// and round-trip through the reader, and reads past the end fail as
+// Corruption without touching a byte beyond the buffer (the buffers here
+// are exact-size heap vectors, so the sanitizer job catches any overread).
 
 #include <cstddef>
 #include <cstdint>
@@ -78,6 +78,24 @@ TEST(ReadBitsMatchesReferenceAtEveryWidthAndOffset) {
         CHECK_OK(reader.ReadBits(width, &v));
         CHECK_EQ(v, ReferenceBits(data, offset, width));
         CHECK_EQ(reader.position(), end);
+      }
+    }
+  }
+}
+
+TEST(WordReadsMatchReferenceAtEveryWidthAndOffset) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::vector<uint8_t> data = RandomBytes(16, seed);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (int width = 0; width <= 56; ++width) {
+        // The buffer ends with the 8-byte word at the cursor's byte, the
+        // most ReadWordBits() may touch.
+        const std::vector<uint8_t> word(data.begin(), data.begin() + 8);
+        BitReader reader(word.data(), word.size());
+        CHECK_OK(reader.SeekTo(offset));
+        CHECK_EQ(reader.ReadWordBits(width),
+                 ReferenceBits(data, offset, width));
+        CHECK_EQ(reader.position(), offset + static_cast<size_t>(width));
       }
     }
   }

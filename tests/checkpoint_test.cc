@@ -18,15 +18,17 @@ using namespace csxa;  // NOLINT
 using Nav = index::DocumentNavigator;
 
 /// Canonical one-line rendering of a navigator item, for byte-exact
-/// subtree comparison.
-std::string Render(const Nav::Item& item) {
+/// subtree comparison; tag names come from `nav`'s dictionary.
+std::string Render(const Nav& nav, const Nav::Item& item) {
   switch (item.kind) {
     case Nav::ItemKind::kOpen:
-      return "<" + item.tag + "@" + std::to_string(item.depth) + ">";
+      return "<" + nav.dictionary().Name(item.tag_id) + "@" +
+             std::to_string(item.depth) + ">";
     case Nav::ItemKind::kValue:
       return "[" + item.value + "@" + std::to_string(item.depth) + "]";
     case Nav::ItemKind::kClose:
-      return "</" + item.tag + "@" + std::to_string(item.depth) + ">";
+      return "</" + nav.dictionary().Name(item.tag_id) + "@" +
+             std::to_string(item.depth) + ">";
     case Nav::ItemKind::kEnd:
       return "<eof>";
   }
@@ -82,7 +84,9 @@ TEST(EveryOpenCheckpointRoundTrips) {
           finished.push_back(std::move(open_stack.back()));
           open_stack.pop_back();
         }
-        for (Pending& p : open_stack) p.transcript += Render(item.value());
+        for (Pending& p : open_stack) {
+          p.transcript += Render(*nav.value(), item.value());
+        }
         if (item.value().kind == Nav::ItemKind::kOpen) {
           open_stack.push_back(
               {nav.value()->Save(), item.value().depth, std::string()});
@@ -107,7 +111,7 @@ TEST(EveryOpenCheckpointRoundTrips) {
               item.value().depth == p.depth) {
             break;
           }
-          replay += Render(item.value());
+          replay += Render(*renav.value(), item.value());
         }
         CHECK_EQ(replay, p.transcript);
       }
@@ -126,7 +130,7 @@ TEST(EveryOpenCheckpointRoundTrips) {
               item.value().depth == p.depth) {
             break;
           }
-          replay += Render(item.value());
+          replay += Render(*nav.value(), item.value());
         }
         CHECK_EQ(replay, p.transcript);
       }

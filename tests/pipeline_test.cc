@@ -6,8 +6,10 @@
 
 #include <pthread.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,7 +151,7 @@ TEST(SkippedSubtreesAreNeverFetched) {
   for (int i = 0; i < 4; ++i) CHECK_OK(nav.value()->Next().status());
   auto big = nav.value()->Next();
   CHECK_OK(big.status());
-  CHECK_EQ(big.value().tag, "big");
+  CHECK_EQ(nav.value()->dictionary().Name(big.value().tag_id), "big");
   CHECK_OK(nav.value()->SkipSubtree());
   while (true) {
     auto item = nav.value()->Next();
@@ -424,6 +426,142 @@ TEST(TamperedFragmentNeverEntersTheHeldSpan) {
 }
 
 // ---------------------------------------------------------------------------
+// Word-level header reads: a field comes from one 8-byte load only when
+// those 8 bytes lie inside the verified held span.
+// ---------------------------------------------------------------------------
+
+/// Fetcher double over a trusted encoded image. The navigator's buffer
+/// starts as 0xFF poison; Ensure() copies the real bytes in up to the next
+/// unit boundary (boundaries at `phase` + k * `unit`), and HeldEnd()
+/// reports exactly the copied run from `begin`. Across all phases, held
+/// spans end at every byte offset, and any read past a reported end meets
+/// poison.
+class PoisonFetcher : public index::Fetcher {
+ public:
+  PoisonFetcher(const std::vector<uint8_t>& image, uint64_t unit,
+                uint64_t phase, const crypto::SoeDecryptor& soe)
+      : image_(image),
+        unit_(unit),
+        phase_(phase),
+        buffer_(image.size(), 0xFF),
+        held_(image.size(), false),
+        view_(soe.VerifiedViewOf(buffer_.data(), buffer_.size())) {}
+
+  const common::VerifiedPlaintext& view() const { return view_; }
+
+  Status Ensure(uint64_t begin, uint64_t end) override {
+    end = end <= phase_ ? phase_
+                        : phase_ + (end - phase_ + unit_ - 1) / unit_ * unit_;
+    end = std::min<uint64_t>(end, image_.size());
+    for (uint64_t i = begin; i < end; ++i) {
+      buffer_[i] = image_[i];
+      held_[i] = true;
+    }
+    return Status::OK();
+  }
+  uint64_t HeldEnd(uint64_t begin) const override {
+    while (begin < held_.size() && held_[begin]) ++begin;
+    return begin;
+  }
+
+ private:
+  const std::vector<uint8_t>& image_;
+  uint64_t unit_;
+  uint64_t phase_;
+  std::vector<uint8_t> buffer_;
+  std::vector<bool> held_;
+  common::VerifiedPlaintext view_;  // Over buffer_'s fixed storage.
+};
+
+/// Every field of every item `nav` yields while it streams to the end,
+/// jumping each Notes element whole and each MedActs subtree (when the
+/// variant can skip) after a checkpoint at the first MedActs; then it seeks
+/// back to that checkpoint, behind everything read since, and re-reads the
+/// subtree.
+std::string WordReadTranscript(index::DocumentNavigator* nav) {
+  using K = index::DocumentNavigator::ItemKind;
+  xml::TagId notes = 0, medacts = 0;
+  CHECK(nav->dictionary().Lookup("Notes", &notes));
+  CHECK(nav->dictionary().Lookup("MedActs", &medacts));
+  std::string out;
+  auto next = [&]() -> std::optional<index::DocumentNavigator::Item> {
+    auto item = nav->Next();
+    if (!item.ok()) {
+      out += item.status().ToString();
+      return std::nullopt;
+    }
+    const auto& it = item.value();
+    out += std::to_string(static_cast<int>(it.kind)) + "@" +
+           std::to_string(it.depth) + " " + std::to_string(it.tag_id) + " [" +
+           it.value + "] " + std::to_string(it.subtree_bits) + "/" +
+           std::to_string(it.subtree_begin_bit);
+    if (it.desc != nullptr) {
+      for (xml::TagId t : *it.desc) out += "," + std::to_string(t);
+    }
+    out += "\n";
+    return item.take();
+  };
+  std::optional<index::DocumentNavigator::Checkpoint> back;
+  int back_depth = 0;
+  while (true) {
+    auto it = next();
+    if (!it) return out;
+    if (it->kind == K::kEnd) break;
+    if (it->kind != K::kOpen) continue;
+    if (it->tag_id == medacts && !back) {
+      back = nav->Save();
+      back_depth = it->depth;
+    }
+    if (!nav->CanSkip()) continue;  // TC reads everything.
+    if (it->tag_id == notes) CHECK_OK(nav->SkipElement());
+    if (it->tag_id == medacts) CHECK_OK(nav->SkipSubtree());
+  }
+  CHECK(back.has_value());
+  if (!back) return out;
+  out += "seek\n";
+  CHECK_OK(nav->SeekTo(*back));
+  while (true) {
+    auto it = next();
+    if (!it || it->kind == K::kEnd) break;
+    if (it->kind == K::kClose && it->depth == back_depth) break;
+  }
+  return out;
+}
+
+TEST(WordReadsNeverLeaveTheHeldSpan) {
+  auto dom = xml::SaxParser::ParseToDom(HeldSpanDocument());
+  CHECK_OK(dom.status());
+  if (!dom.ok()) return;
+  for (auto variant : {index::Variant::kTc, index::Variant::kTcs,
+                       index::Variant::kTcsb, index::Variant::kTcsbr}) {
+    auto doc = index::Encode(*dom.value(), variant);
+    CHECK_OK(doc.status());
+    if (!doc.ok()) continue;
+    const std::vector<uint8_t>& image = doc.value().bytes;
+    auto resident = index::DocumentNavigator::Open(&doc.value());
+    CHECK_OK(resident.status());
+    if (!resident.ok()) continue;
+    const std::string expected = WordReadTranscript(resident.value().get());
+    CHECK(expected.find("seek") != std::string::npos);
+    crypto::ChunkLayout layout;
+    layout.chunk_size = 256;
+    layout.fragment_size = 32;
+    const crypto::SoeDecryptor soe(TestKey(), layout, image.size(),
+                                   (image.size() + 255) / 256);
+    for (uint64_t unit : {uint64_t{16}, uint64_t{64}}) {
+      for (uint64_t phase = 0; phase < unit; ++phase) {
+        PoisonFetcher fetcher(image, unit, phase, soe);
+        auto nav = index::DocumentNavigator::OpenBuffer(fetcher.view(),
+                                                        &fetcher);
+        CHECK_OK(nav.status());
+        if (!nav.ok()) continue;
+        CHECK_EQ(WordReadTranscript(nav.value().get()), expected);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Verbatim streaming of granted subtrees: a subtree WholeSubtreeAuthorized()
 // proved granted in full bypasses the evaluator when nothing undecided is
 // queued ahead of it.
@@ -621,10 +759,11 @@ TEST(TamperInsideVerbatimSubtreeFailsClosed) {
       using K = index::DocumentNavigator::ItemKind;
       if (!item.ok() || item.value().kind == K::kEnd) break;
       const auto& it = item.value();
+      const std::string& tag = nav.value()->dictionary().Name(it.tag_id);
       decoded.push_back(
-          {it.kind == K::kOpen    ? xml::Event::Open(it.tag)
+          {it.kind == K::kOpen    ? xml::Event::Open(tag)
            : it.kind == K::kValue ? xml::Event::Value(it.value)
-                                  : xml::Event::Close(it.tag),
+                                  : xml::Event::Close(tag),
            nav.value()->stream_offset() + (nav.value()->bits_read() + 7) / 8});
     }
   }

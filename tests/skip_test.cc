@@ -11,6 +11,7 @@
 
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
+#include "bench/corpus.h"
 #include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
@@ -149,6 +150,10 @@ TEST(SkipViewIdenticalAcrossVariantsAndRuleSets) {
       if (!skip.ok() || !full.ok()) continue;
       CHECK_EQ(skip.value().view, expected);
       CHECK_EQ(full.value().view, expected);
+      // Every kSkip the evaluator books, before or after the open, is one
+      // subtree the reader jumped.
+      CHECK_EQ(skip.value().eval.skips_advised, skip.value().drive.skips);
+      CHECK_EQ(full.value().eval.skips_advised, uint64_t{0});
       // Skipping can only reduce what the SOE decrypts, and what crosses
       // the wire up to the integrity overhead partial chunk coverage can
       // force: a full stream covers chunks whole (empty Merkle proofs),
@@ -416,6 +421,35 @@ TEST(DeferralKeepsPeakBufferedBytesUnderBudget) {
   // once, after the grant.
   CHECK(d.value().drive.rereads == 1);
   CHECK(d.value().drive.reread_bits > 0);
+}
+
+TEST(InertChildrenKeepTightBudgetAccounting) {
+  // A hospital corpus under the guarded rules at a 512 B budget: deferred
+  // guarded subtrees interleave with denied administrative islets whose
+  // children the evaluator drops before their open. The dropped events
+  // still pass through the pending queue, so the budget sees the same
+  // buffered bytes and defers exactly what the full per-event path did.
+  // The pins were recorded from that path (OnOpen + kSkip + OnClose for
+  // every skipped element).
+  bench::CorpusSpec spec;
+  spec.family = bench::CorpusFamily::kHospital;
+  spec.target_bytes = 64 << 10;
+  const std::string xml = bench::GenerateCorpus(spec).xml;
+  auto rules = ParseRules(
+      bench::RulesFor(spec.family, bench::RuleFamily::kGuarded));
+  pipeline::ServeOptions tight{/*enable_skip=*/true,
+                               /*pending_buffer_budget=*/512};
+  auto d = ServeOpts(xml, index::Variant::kTcsbr, tight, rules);
+  CHECK_OK(d.status());
+  if (!d.ok()) return;
+  const pipeline::ServeReport& r = d.value();
+  CHECK_EQ(r.view, DirectView(xml, rules));
+  CHECK_EQ(r.eval.skips_advised, r.drive.skips);
+  CHECK_EQ(r.drive.deferrals, uint64_t{70});
+  CHECK_EQ(r.drive.rereads, uint64_t{33});
+  CHECK_EQ(r.eval.events_in, uint64_t{1220});
+  CHECK_EQ(r.eval.peak_buffered_bytes, uint64_t{563});
+  CHECK_EQ(r.requests, uint64_t{206});
 }
 
 TEST(BudgetIsGlobalAcrossPendingSiblings) {

@@ -102,13 +102,15 @@ std::string NavigateAll(const index::EncodedDocument& doc) {
     if (item.value().kind == K::kEnd) break;
     switch (item.value().kind) {
       case K::kOpen:
-        handler.OnOpen(item.value().tag, item.value().depth);
+        handler.OnOpen(nav.value()->dictionary().Name(item.value().tag_id),
+                       item.value().depth);
         break;
       case K::kValue:
         handler.OnValue(item.value().value, item.value().depth);
         break;
       case K::kClose:
-        handler.OnClose(item.value().tag, item.value().depth);
+        handler.OnClose(nav.value()->dictionary().Name(item.value().tag_id),
+                        item.value().depth);
         break;
       case K::kEnd:
         break;
@@ -150,16 +152,16 @@ TEST(SkipSubtree) {
     CHECK_OK(open_folder.status());
     auto open_admin = nav.value()->Next();
     CHECK_OK(open_admin.status());
-    CHECK_EQ(open_admin.value().tag, "Admin");
+    CHECK_EQ(nav.value()->dictionary().Name(open_admin.value().tag_id), "Admin");
     CHECK_OK(nav.value()->SkipSubtree());
     auto close_admin = nav.value()->Next();
     CHECK_OK(close_admin.status());
     CHECK(close_admin.value().kind ==
           index::DocumentNavigator::ItemKind::kClose);
-    CHECK_EQ(close_admin.value().tag, "Admin");
+    CHECK_EQ(nav.value()->dictionary().Name(close_admin.value().tag_id), "Admin");
     auto open_med = nav.value()->Next();
     CHECK_OK(open_med.status());
-    CHECK_EQ(open_med.value().tag, "MedActs");
+    CHECK_EQ(nav.value()->dictionary().Name(open_med.value().tag_id), "MedActs");
   }
 }
 
@@ -202,7 +204,9 @@ TEST(NavigatorCheckpointRestore) {
   auto b = nav.value()->Next();
   CHECK_OK(b.status());
   if (a.ok() && b.ok()) {
-    CHECK_EQ(a.value().tag + a.value().value, b.value().tag + b.value().value);
+    CHECK(a.value().kind == b.value().kind);
+    CHECK_EQ(a.value().tag_id, b.value().tag_id);
+    CHECK_EQ(a.value().value, b.value().value);
   }
 }
 
