@@ -16,7 +16,8 @@ namespace csxa::bench {
 /// measured against workloads it could actually lose on — not one hand-
 /// built 21 KB document. Same spec → byte-identical corpus, on any
 /// platform (the generator uses its own splitmix64, never libc rand), so
-/// benchmarks, property tests and the load harness all reproduce exactly.
+/// benchmarks, property tests and the service benchmark all reproduce
+/// exactly.
 enum class CorpusFamily : uint8_t {
   /// Hospital records (Table 2): deep repeated folders — bulky protected
   /// administrative islets, medical acts with rare Protocol needles,
@@ -62,7 +63,8 @@ std::vector<RuleFamily> AllRuleFamilies();
 struct CorpusSpec {
   CorpusFamily family = CorpusFamily::kHospital;
   /// Content seed: bumping it yields a same-shape, different-content
-  /// corpus — the load harness derives version v's content from seed + v.
+  /// corpus — server_test's version-bump race derives version v's content
+  /// from seed + v.
   uint64_t seed = 1;
   /// Generation appends whole records until the document reaches this size
   /// (so the actual size overshoots by at most one record).

@@ -2,134 +2,8 @@
 #define CSXA_BENCH_LOAD_HARNESS_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "bench/corpus.h"
-#include "common/status.h"
-#include "crypto/digest_cache.h"
-#include "crypto/secure_store.h"
-#include "index/encoded_document.h"
 
 namespace csxa::bench {
-
-/// Service-level load harness: publishes one generated corpus per family
-/// into a DocumentService, then drives a thread pool of mixed-role
-/// sessions against it — role choice follows a Zipf-ish popularity curve
-/// (a few roles dominate, as they do when millions of users collapse into
-/// few roles) — while a churn thread races concurrent Update() version
-/// bumps against the live serves. Every completed serve is byte-checked
-/// against a single-session reference (a direct SAX pass over the
-/// plaintext of *some published version*); every failed serve must be a
-/// clean IntegrityError (a stale session failing closed mid-bump). Any
-/// other outcome — a mismatched view, a crash-class error — is the
-/// regression the harness exists to catch.
-struct LoadConfig {
-  std::vector<CorpusFamily> families = PaperFamilies();
-  /// Per-document corpus size (each family gets its own document).
-  uint64_t target_bytes = 1 << 20;
-  uint64_t seed = 1;
-  int threads = 8;
-  int serves_per_thread = 3;
-  /// Concurrent Update() bumps per document during the racing phase
-  /// (version v's content derives from seed + v: same shape, new text).
-  int version_bumps = 2;
-  /// Zipf exponent of the role-popularity curve (0 = uniform).
-  double zipf_s = 1.1;
-  index::Variant variant = index::Variant::kTcsbr;
-  crypto::ChunkLayout layout;  ///< Defaults match the bench (1024/64)...
-  /// ...except the shared cache, sized for corpus-scale chunk counts.
-  size_t shared_cache_capacity = 4096;
-  /// Post-churn deterministic sweep (two serves per document × role) so
-  /// the final version's shared-cache hit rate is schedule-independent —
-  /// the gateable part of the cache economics.
-  bool warm_sweep = true;
-  /// Cipher backend every published document is encrypted under.
-  crypto::CipherBackendKind backend = crypto::CipherBackendKind::k3Des;
-
-  /// Remote transport mode: every serve reads its batches over a real TCP
-  /// round trip — each document entry is registered on an in-process
-  /// net::TerminalServer and re-attached through a net::RemoteBatchSource,
-  /// optionally through a fault-injecting proxy. The serve contract widens
-  /// only when faults are programmed: a serve may then also fail with the
-  /// retryable transport classes (kUnavailable / kDeadlineExceeded) once
-  /// the retry ladder runs dry — still typed, still never a wrong view.
-  bool remote = false;
-  uint64_t rtt_ns = 0;  ///< Injected round-trip time (0 = none).
-  /// Seeded fault events programmed into the proxy (0 = clean pipe).
-  uint64_t fault_count = 0;
-  uint64_t fault_seed = 42;
-  /// Response horizon the fault events are spread over.
-  uint64_t fault_horizon = 96;
-};
-
-struct LoadReport {
-  struct DocReport {
-    std::string family;
-    uint64_t document_bytes = 0;   ///< Version-0 corpus size.
-    uint64_t max_depth = 0;
-    uint32_t versions = 0;         ///< 1 + bumps actually applied.
-    uint64_t serves_completed = 0;
-    uint64_t integrity_rejections = 0;
-    /// Final version's shared verified-digest cache.
-    crypto::VerifiedDigestCache::Stats cache;
-  };
-
-  // Config echo (what the numbers were measured under).
-  uint64_t corpus_bytes = 0;  ///< Per-document target.
-  int threads = 0;
-  int serves_per_thread = 0;
-  int version_bumps = 0;
-
-  uint64_t serves_attempted = 0;
-  uint64_t serves_completed = 0;
-  /// Stale sessions failing closed during a racing bump — expected > 0
-  /// under churn, and the *only* acceptable failure class.
-  uint64_t integrity_rejections = 0;
-  uint64_t wrong_errors = 0;     ///< Failures outside the contract. Gate: 0.
-  uint64_t view_mismatches = 0;  ///< Completed view matches no version. Gate: 0.
-
-  // Remote-transport telemetry (zeros when remote mode is off).
-  bool remote = false;
-  uint64_t rtt_ns = 0;
-  uint64_t transport_retries = 0;     ///< Typed retries across all serves.
-  uint64_t transport_reconnects = 0;  ///< Fresh connections after teardowns.
-  /// Serves that failed with a contracted retryable transport class
-  /// (kUnavailable / kDeadlineExceeded) after the ladder ran dry — only
-  /// acceptable (and only counted here) when faults were programmed.
-  uint64_t transport_rejections = 0;
-  uint64_t faults_programmed = 0;
-  uint64_t faults_fired = 0;
-
-  uint64_t wall_ns = 0;  ///< Serve phase only (publishing excluded).
-  double serves_per_sec = 0.0;
-  uint64_t p50_ns = 0, p95_ns = 0, p99_ns = 0;
-  uint64_t wire_bytes_total = 0;
-  /// bare_hits / (bare_hits + misses) over the final per-document caches.
-  double cache_hit_rate = 0.0;
-  uint64_t peak_rss_kb = 0;  ///< VmHWM of the whole process; 0 if unknown.
-
-  /// Crypto configuration of the run and its aggregate stage rates:
-  /// bytes decrypted / hashed across all completed serves over the wall
-  /// clock each stage burned (MB/s; the serve-level numbers live in the
-  /// per-serve reports).
-  std::string backend;
-  bool backend_hardware = false;
-  std::string hash_impl;
-  double decrypt_mb_s = 0.0;
-  double hash_mb_s = 0.0;
-  /// Aggregate plaintext serve rate: plaintext bytes materialized across
-  /// completed serves over the racing-phase wall clock.
-  double serve_mb_s = 0.0;
-
-  std::vector<DocReport> docs;
-
-  /// Appends this report as a JSON object (no trailing newline); `indent`
-  /// prefixes every line, matching the bench's hand-rolled emitter.
-  void AppendJson(std::string* out, const std::string& indent) const;
-};
-
-Result<LoadReport> RunLoad(const LoadConfig& config);
 
 /// Peak resident set of this process in kB (Linux VmHWM); 0 elsewhere.
 uint64_t ReadPeakRssKb();

@@ -16,8 +16,6 @@ class Des3Backend : public CipherBackend {
  public:
   explicit Des3Backend(const TripleDes::Key& key) : cipher_(key) {}
 
-  const char* name() const override { return "3des"; }
-  bool hardware_accelerated() const override { return false; }
   uint32_t block_size() const override { return 8; }
 
   void EncryptSegment(uint8_t* data, size_t n,
@@ -51,12 +49,6 @@ class AesBackend : public CipherBackend {
         }()),
         allow_hardware_(allow_hardware) {}
 
-  const char* name() const override {
-    return allow_hardware_ ? "aes" : "aes-portable";
-  }
-  bool hardware_accelerated() const override {
-    return allow_hardware_ && Aes128::HardwareAvailable();
-  }
   uint32_t block_size() const override { return 16; }
 
   void EncryptSegment(uint8_t* data, size_t n,

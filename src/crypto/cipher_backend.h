@@ -34,11 +34,6 @@ class CipherBackend {
  public:
   virtual ~CipherBackend() = default;
 
-  /// Stable identifier ("3des", "aes", "aes-portable") for reports.
-  virtual const char* name() const = 0;
-  /// True when this instance actually executes hardware crypto
-  /// instructions on this machine (not merely when it would like to).
-  virtual bool hardware_accelerated() const = 0;
   /// The cipher block size in bytes (8 for 3DES, 16 for AES). Fragment
   /// sizes must be multiples of this; ciphertext is padded to it.
   virtual uint32_t block_size() const = 0;

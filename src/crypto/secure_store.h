@@ -324,11 +324,6 @@ class SoeDecryptor {
   /// Snapshot: with a shared cache these are cross-serve aggregates.
   VerifiedDigestCache::Stats cache_stats() const { return cache_->stats(); }
 
-  /// The cipher backend this decryptor serves with (for reports).
-  const char* backend_name() const { return backend_->name(); }
-  bool backend_hardware_accelerated() const {
-    return backend_->hardware_accelerated();
-  }
   uint32_t block_size() const { return backend_->block_size(); }
 
   /// Computes what a chunk's encrypted digest must be; exposed so that

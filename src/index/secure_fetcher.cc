@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/clock.h"
 
 namespace csxa::index {
 
@@ -126,9 +125,7 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
       }
     }
 
-    const uint64_t t0 = NowNs();
     auto resp = source_->ReadBatch(req);
-    fetch_ns_ += NowNs() - t0;
     CSXA_RETURN_NOT_OK(resp.status());
     wire_bytes_ += resp.value().WireBytes();
     ++requests_;

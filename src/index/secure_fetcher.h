@@ -89,8 +89,6 @@ class SecureFetcher : public Fetcher {
   /// Encrypted ChunkDigest bytes shipped this serve (DigestCipherBytes of
   /// the store's backend per cold chunk).
   uint64_t digest_bytes_shipped() const { return digest_bytes_shipped_; }
-  /// Wall clock spent in terminal round trips (the simulated wire).
-  uint64_t fetch_ns() const { return fetch_ns_; }
   /// Transport unreliability, attributed to this serve: attempts beyond
   /// the first and connections re-established since this fetcher opened.
   /// Deltas against the source's cumulative stats (a remote endpoint is
@@ -128,7 +126,6 @@ class SecureFetcher : public Fetcher {
   uint64_t bare_chunk_reads_ = 0;
   uint64_t proof_hashes_shipped_ = 0;
   uint64_t digest_bytes_shipped_ = 0;
-  uint64_t fetch_ns_ = 0;
   /// Source transport stats at construction (delta base for this serve).
   crypto::BatchSource::TransportStats transport_base_;
 };

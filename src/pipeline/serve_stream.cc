@@ -1,6 +1,5 @@
 #include "pipeline/serve_stream.h"
 
-#include "common/clock.h"
 #include "xml/serializer.h"
 
 namespace csxa::pipeline {
@@ -24,14 +23,12 @@ Result<std::unique_ptr<ServeStream>> ServeStream::Open(
 }
 
 Result<ServeReport> DrainServeStream(ServeStream* stream) {
-  const uint64_t t0 = NowNs();
   xml::SerializingHandler serializer;
   while (true) {
     CSXA_ASSIGN_OR_RETURN(ViewItem item, stream->Next());
     if (item.end) break;
     serializer.Feed(item.event, item.depth);
   }
-  const uint64_t serve_ns = NowNs() - t0;
 
   ServeReport report;
   report.view = serializer.output();
@@ -47,25 +44,10 @@ Result<ServeReport> DrainServeStream(ServeStream* stream) {
   report.digest_bytes_shipped = stream->fetcher().digest_bytes_shipped();
   report.gap_fragments_bridged =
       stream->fetcher().planner_stats().gap_fragments_bridged;
-  report.fetch_ns = stream->fetcher().fetch_ns();
   report.retries = stream->fetcher().retries();
   report.reconnects = stream->fetcher().reconnects();
   report.soe = stream->soe();
   report.digest_cache = stream->cache_stats();
-  report.backend = stream->backend_name();
-  report.backend_hardware = stream->backend_hardware_accelerated();
-  report.hash_impl = crypto::Sha1::ImplementationName();
-  report.serve_ns = serve_ns;
-  auto mb_s = [](uint64_t bytes, uint64_t ns) {
-    return ns == 0 ? 0.0
-                   : static_cast<double>(bytes) * 1e9 /
-                         (static_cast<double>(ns) * 1e6);
-  };
-  report.decrypt_mb_s = mb_s(
-      report.soe.bytes_decrypted + report.soe.digest_bytes_decrypted,
-      report.soe.decrypt_ns);
-  report.hash_mb_s = mb_s(report.soe.bytes_hashed, report.soe.hash_ns);
-  report.serve_mb_s = mb_s(report.bytes_fetched, serve_ns);
   return report;
 }
 

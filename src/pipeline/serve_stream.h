@@ -70,27 +70,10 @@ struct ServeReport {
   uint64_t proof_hashes_shipped = 0;     ///< Merkle siblings the wire carried.
   uint64_t digest_bytes_shipped = 0;     ///< Encrypted ChunkDigest bytes.
   uint64_t gap_fragments_bridged = 0;    ///< Unneeded fragments coalesced in.
-  uint64_t fetch_ns = 0;                 ///< Wall clock in terminal reads.
   uint64_t retries = 0;                  ///< Transport attempts beyond the 1st.
   uint64_t reconnects = 0;               ///< Connections re-established.
   crypto::SoeDecryptor::Counters soe;    ///< Decrypt/hash work in the SOE.
   crypto::VerifiedDigestCache::Stats digest_cache;  ///< Bare-read economics.
-
-  /// Cipher backend this serve decrypted with ("3des", "aes",
-  /// "aes-portable") and whether it actually ran hardware crypto
-  /// instructions on this machine.
-  std::string backend;
-  bool backend_hardware = false;
-  /// Hash implementation ("sha-ni" or "portable") used for Merkle leaves,
-  /// interior nodes and chunk digests.
-  std::string hash_impl;
-  /// Per-stage throughput over this serve's own wall clock (MB/s; 0 when
-  /// the stage never ran): block decryption, ciphertext hashing, and the
-  /// end-to-end serve rate (plaintext materialized over total serve time).
-  double decrypt_mb_s = 0.0;
-  double hash_mb_s = 0.0;
-  double serve_mb_s = 0.0;
-  uint64_t serve_ns = 0;  ///< Wall clock of the whole drain (open to end).
 };
 
 /// The pull endpoint of one serve: owns the per-request SOE chain
@@ -125,10 +108,6 @@ class ServeStream {
   }
   crypto::VerifiedDigestCache::Stats cache_stats() const {
     return soe_.cache_stats();
-  }
-  const char* backend_name() const { return soe_.backend_name(); }
-  bool backend_hardware_accelerated() const {
-    return soe_.backend_hardware_accelerated();
   }
 
  private:

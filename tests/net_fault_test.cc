@@ -4,10 +4,15 @@
 // view after typed retries, or a clean error of a contracted class
 // (kUnavailable / kDeadlineExceeded / kIntegrityError). Never a mismatched
 // view, never a partial view, never a raw errno class. The fault proxy is
-// seeded/programmed, so any failure here replays deterministically.
+// seeded/programmed, so any failure here replays deterministically — except
+// in the concurrent case, where the fault program is fixed but which
+// serve each fault lands in follows the thread schedule.
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "access/access_rule.h"
@@ -200,6 +205,104 @@ TEST(FaultMatrixEveryFaultBackendTemperature) {
       }
     }
   }
+}
+
+TEST(ConcurrentServesRaceUpdateThroughSeededFaults) {
+  // Four threads share one RemoteBatchSource behind a paced proxy (1 ms
+  // RTT) that fires a seeded mixed-fault program into live responses,
+  // while one Update races the serves. Every outcome must be a view equal
+  // to some version's direct view, a clean IntegrityError (a stale session
+  // or tampered frame failing closed), or a typed transport failure once
+  // the retry ladder runs dry.
+  const std::vector<std::string> versions = {TestDocument(/*folders=*/4),
+                                             TestDocument(/*folders=*/5)};
+  // A skipping role (many small batches) and a streaming one (few large
+  // ones); views[r][v] is role r's direct view of version v.
+  std::vector<std::vector<access::AccessRule>> roles;
+  std::vector<std::vector<std::string>> views;
+  for (const char* text : {"+ //Prescription\n", "+ /Hospital\n"}) {
+    roles.push_back(access::ParseRuleList(text).take());
+    auto& per_version = views.emplace_back();
+    for (const std::string& xml : versions) {
+      per_version.push_back(DirectView(xml, roles.back()));
+    }
+  }
+
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", versions[0],
+                           TestConfig(crypto::CipherBackendKind::k3Des)));
+  net::TerminalServer server;
+  server.RegisterDocument("doc", service.TerminalLink("doc").take());
+  CHECK_OK(server.Start());
+  constexpr uint64_t kHorizon = 96;
+  net::FaultProxy::Options proxy_opts;
+  proxy_opts.upstream_port = server.port();
+  proxy_opts.rtt_ns = 1'000'000;
+  proxy_opts.program = net::FaultProxy::SeededProgram(/*seed=*/42,
+                                                      /*count=*/12, kHorizon);
+  net::FaultProxy proxy(proxy_opts);
+  CHECK_OK(proxy.Start());
+  CHECK_OK(service.AttachTransport(
+      "doc",
+      std::make_shared<net::RemoteBatchSource>(RemoteOptions(proxy.port()))));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> completed{0}, bad_views{0}, wrong_errors{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t]() {
+      const size_t r = t % roles.size();
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto report =
+            service.Serve("doc", roles[r], pipeline::ServeOptions{});
+        if (report.ok()) {
+          completed.fetch_add(1);
+          if (report.value().view != views[r][0] &&
+              report.value().view != views[r][1]) {
+            bad_views.fetch_add(1);
+          }
+          continue;
+        }
+        const StatusCode code = report.status().code();
+        if (code != StatusCode::kIntegrityError &&
+            code != StatusCode::kUnavailable &&
+            code != StatusCode::kDeadlineExceeded) {
+          wrong_errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Bump halfway through the fault horizon, stop once it is spent.
+  auto wait_for_responses = [&proxy](uint64_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (proxy.responses_seen() < n &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  wait_for_responses(kHorizon / 2);
+  CHECK_OK(service.Update("doc", versions[1]));
+  wait_for_responses(kHorizon);
+  stop.store(true);
+  for (auto& th : clients) th.join();
+  CHECK_EQ(bad_views.load(), 0);
+  CHECK_EQ(wrong_errors.load(), 0);
+  CHECK(completed.load() > 0);
+  CHECK(proxy.faults_fired() > 0);
+
+  // A clean serve over a fresh link returns the final version's view.
+  CHECK_OK(service.AttachTransport(
+      "doc",
+      std::make_shared<net::RemoteBatchSource>(RemoteOptions(server.port()))));
+  for (size_t r = 0; r < roles.size(); ++r) {
+    auto after = service.Serve("doc", roles[r], pipeline::ServeOptions{});
+    CHECK_OK(after.status());
+    if (after.ok()) CHECK_EQ(after.value().view, views[r][1]);
+  }
+  CHECK_OK(service.AttachTransport("doc", nullptr));
+  proxy.Stop();
+  server.Stop();
 }
 
 TEST(ConnectRefusedIsTypedAndBounded) {

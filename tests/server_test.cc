@@ -7,11 +7,13 @@
 // when the bump races in-flight serves.
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "access/access_rule.h"
+#include "bench/corpus.h"
 #include "server/document_service.h"
 #include "testing.h"
 #include "xml/sax_parser.h"
@@ -305,46 +307,73 @@ TEST(ShrinkingUpdateStillFailsStaleSessionsClosed) {
   }
 }
 
-TEST(VersionBumpRaceNeverMixesContent) {
-  // Serving threads race repeated updates: every completed serve must be
-  // byte-identical to *some* published version's view; every other serve
-  // must fail with IntegrityError. Anything else (blended or torn views)
-  // is a replay-protection hole.
-  const int kVersions = 4;
-  std::vector<std::string> docs, views;
-  auto rules = access::ParseRuleList("+ /Hospital/Folder/MedActs\n").take();
-  for (int v = 0; v < kVersions; ++v) {
-    docs.push_back(
-        TestDocument(/*folders=*/6, ("v" + std::to_string(v)).c_str()));
-    views.push_back(DirectView(docs.back(), rules));
-  }
-  server::DocumentService service;
-  CHECK_OK(service.Publish("doc", docs[0], TestConfig(index::Variant::kTcsbr)));
+/// One document of a version-bump race: the content of every version (v0
+/// is published, each later one installed by one racing Update) and the
+/// role rule sets served against it.
+struct RaceDoc {
+  std::string id;
+  std::vector<std::string> versions;
+  std::vector<std::vector<access::AccessRule>> roles;
+};
 
+/// Serving threads race one Update per document and version: every
+/// completed serve must be byte-identical to *some* published version's
+/// view; every other serve must fail with IntegrityError. Anything else
+/// (blended or torn views) is a replay-protection hole. Once the race is
+/// over, each (document, role) serves twice on the final version: both
+/// views exact, and the second ships no integrity material.
+void RunVersionBumpRace(const std::vector<RaceDoc>& docs,
+                        const server::DocumentConfig& config) {
+  server::DocumentService service;
+  // views[d][v][r]: the direct reference of document d, version v, role r.
+  std::vector<std::vector<std::vector<std::string>>> views;
+  for (const RaceDoc& doc : docs) {
+    CHECK_OK(service.Publish(doc.id, doc.versions[0], config));
+    auto& per_version = views.emplace_back();
+    for (const std::string& xml : doc.versions) {
+      auto& per_role = per_version.emplace_back();
+      for (const auto& rules : doc.roles) {
+        per_role.push_back(DirectView(xml, rules));
+      }
+    }
+  }
+
+  constexpr int kThreads = 4;
   std::atomic<bool> stop{false};
-  std::atomic<int> bad_views{0}, wrong_errors{0}, completed{0};
+  std::atomic<int> attempted{0}, completed{0}, rejected{0};
+  std::atomic<int> bad_views{0}, wrong_errors{0};
   std::vector<std::thread> servers;
-  for (int t = 0; t < 4; ++t) {
-    servers.emplace_back([&]() {
-      while (!stop.load(std::memory_order_relaxed)) {
-        auto report =
-            service.Serve("doc", rules, pipeline::ServeOptions());
+  for (int t = 0; t < kThreads; ++t) {
+    servers.emplace_back([&, t]() {
+      for (size_t i = t; !stop.load(std::memory_order_relaxed);
+           i += kThreads) {
+        const size_t d = i % docs.size();
+        const size_t r = i / docs.size() % docs[d].roles.size();
+        pipeline::ServeOptions opts;
+        // Every third serve defers over-budget pending subtrees.
+        opts.pending_buffer_budget = i % 3 == 0 ? 4096 : UINT64_MAX;
+        attempted.fetch_add(1);
+        auto report = service.Serve(docs[d].id, docs[d].roles[r], opts);
         if (report.ok()) {
           completed.fetch_add(1);
           bool known = false;
-          for (const std::string& view : views) {
-            known |= report.value().view == view;
+          for (const auto& per_role : views[d]) {
+            known |= report.value().view == per_role[r];
           }
           if (!known) bad_views.fetch_add(1);
-        } else if (report.status().code() != StatusCode::kIntegrityError) {
+        } else if (report.status().code() == StatusCode::kIntegrityError) {
+          rejected.fetch_add(1);
+        } else {
           wrong_errors.fetch_add(1);
         }
       }
     });
   }
-  for (int v = 1; v < kVersions; ++v) {
+  for (size_t v = 1; v < docs.front().versions.size(); ++v) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    CHECK_OK(service.Update("doc", docs[v]));
+    for (const RaceDoc& doc : docs) {
+      CHECK_OK(service.Update(doc.id, doc.versions[v]));
+    }
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true);
@@ -352,6 +381,54 @@ TEST(VersionBumpRaceNeverMixesContent) {
   CHECK_EQ(bad_views.load(), 0);
   CHECK_EQ(wrong_errors.load(), 0);
   CHECK(completed.load() > 0);  // The race must not starve every serve.
+  CHECK_EQ(completed.load() + rejected.load(), attempted.load());
+
+  for (size_t d = 0; d < docs.size(); ++d) {
+    for (size_t r = 0; r < docs[d].roles.size(); ++r) {
+      auto first = service.Serve(docs[d].id, docs[d].roles[r],
+                                 pipeline::ServeOptions());
+      auto second = service.Serve(docs[d].id, docs[d].roles[r],
+                                  pipeline::ServeOptions());
+      CHECK_OK(first.status());
+      CHECK_OK(second.status());
+      if (!first.ok() || !second.ok()) continue;
+      CHECK_EQ(first.value().view, views[d].back()[r]);
+      CHECK_EQ(second.value().view, views[d].back()[r]);
+      CHECK_EQ(second.value().proof_hashes_shipped, uint64_t{0});
+      CHECK_EQ(second.value().digest_bytes_shipped, uint64_t{0});
+    }
+  }
+}
+
+TEST(VersionBumpRaceNeverMixesContent) {
+  // One hand-built document, one role, three bumps.
+  RaceDoc doc{"doc", {}, {}};
+  doc.roles.push_back(
+      access::ParseRuleList("+ /Hospital/Folder/MedActs\n").take());
+  for (int v = 0; v < 4; ++v) {
+    doc.versions.push_back(
+        TestDocument(/*folders=*/6, ("v" + std::to_string(v)).c_str()));
+  }
+  RunVersionBumpRace({doc}, TestConfig(index::Variant::kTcsbr));
+
+  // The paper corpora in one service, all four roles, two bumps; version
+  // v of a family is generated from seed 1 + v (same shape, new text).
+  std::vector<RaceDoc> corpora;
+  for (bench::CorpusFamily family : bench::PaperFamilies()) {
+    RaceDoc& corpus = corpora.emplace_back();
+    corpus.id = bench::FamilyName(family);
+    for (bench::RuleFamily role : bench::AllRuleFamilies()) {
+      corpus.roles.push_back(
+          access::ParseRuleList(bench::RulesFor(family, role)).take());
+    }
+    for (uint64_t v = 0; v < 3; ++v) {
+      corpus.versions.push_back(
+          bench::GenerateCorpus({family, 1 + v, 32 << 10, /*depth=*/0}).xml);
+    }
+  }
+  server::DocumentConfig config = TestConfig(index::Variant::kTcsbr);
+  config.shared_cache_capacity = 1024;  // Every chunk of a 32 KiB corpus.
+  RunVersionBumpRace(corpora, config);
 }
 
 TEST(StaleCacheNeverVouchesForBumpedContent) {

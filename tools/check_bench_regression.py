@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Perf-regression gate: diff a fresh csxa_bench run against the committed
-baseline and fail if terminal round trips, wire bytes, peak buffered bytes
-or evaluator events regress on any scenario/variant — the quantities the
-fetch planner, the chunk-amortized proofs, the deferral budget and the
-verbatim streaming of granted subtrees exist to hold down. Wall-clock
-timings are informational (machine-dependent) and are never gated.
+"""Counter-regression gate: diff a fresh csxa_bench run against the
+committed baseline and fail if terminal round trips, wire bytes, peak
+buffered bytes or evaluator events regress on any scenario/variant — the
+quantities the fetch planner, the chunk-amortized proofs, the deferral
+budget and the verbatim streaming of granted subtrees exist to hold down —
+or if a deterministic section (deferred_mode, warm_cache, corpus,
+backends, latency_sweep, fault_matrix) drifts or breaks its contract.
+The only wall-clock numbers csxa_bench publishes are the probes behind its
+two in-bench timing gates (the AES-NI closed_world NC serve rate and
+latency_sweep's wall-clock win); they are machine-dependent and never
+compared across runs here. Service-level time is perfbench's to measure.
 
 Usage: check_bench_regression.py BASELINE.json FRESH.json [tolerance]
 
@@ -124,49 +129,6 @@ def main():
                             f'{where}/{rules["rules"]}: {key} {rules[key]} '
                             f'!= deterministic baseline {ref_rules[key]}')
 
-    # Load harness (PR 6): correctness outcomes are machine-independent and
-    # gated hard — every completed view byte-identical to a reference
-    # (view_mismatches 0), every failure a clean stale-session
-    # IntegrityError (wrong_errors 0), every attempt accounted for. The
-    # cache hit rate is floored against baseline (the post-churn warm sweep
-    # makes its floor schedule-independent); serves/sec and latency are
-    # machine-dependent and never gated.
-    if "load" not in fresh:
-        rc |= fail("load section missing from fresh run")
-    else:
-        load = fresh["load"]
-        if load["serves_completed"] == 0:
-            rc |= fail("load: no serve completed")
-        if load["view_mismatches"] != 0:
-            rc |= fail(
-                f'load: {load["view_mismatches"]} completed views matched '
-                f'no published version')
-        if load["wrong_errors"] != 0:
-            rc |= fail(
-                f'load: {load["wrong_errors"]} failures were not clean '
-                f'IntegrityErrors')
-        accounted = load["serves_completed"] + load["integrity_rejections"]
-        if accounted != load["serves_attempted"]:
-            rc |= fail(
-                f'load: {accounted} outcomes for '
-                f'{load["serves_attempted"]} attempts')
-        if "load" in baseline:
-            ref = baseline["load"]
-            same_config = all(
-                load[k] == ref[k]
-                for k in ("corpus_bytes", "threads", "serves_per_thread",
-                          "version_bumps"))
-            if same_config:
-                if load["serves_attempted"] != ref["serves_attempted"]:
-                    rc |= fail(
-                        f'load: serves_attempted {load["serves_attempted"]} '
-                        f'!= deterministic baseline {ref["serves_attempted"]}')
-                floor = ref["cache_hit_rate"] * 0.8
-                if load["cache_hit_rate"] < floor:
-                    rc |= fail(
-                        f'load: cache_hit_rate {load["cache_hit_rate"]:.3f} '
-                        f'under baseline floor {floor:.3f}')
-
     # Cipher backends (PR 7): the cross-backend equivalence matrix is the
     # contract that makes the backend a pure performance axis, so it is
     # gated exactly — every backend must have served byte-identical views
@@ -269,7 +231,8 @@ def main():
         rc |= fail("bench-internal checks failed")
     if rc == 0:
         print("bench within baseline: no regression in requests, wire "
-              "bytes, peak buffered bytes or evaluator events")
+              "bytes, peak buffered bytes, evaluator events or the "
+              "deterministic sections")
     return rc
 
 

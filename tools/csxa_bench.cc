@@ -6,9 +6,8 @@
 // while asserting every variant serves the byte-identical authorized view.
 //
 // Results are written as JSON (default BENCH_PR9.json) so successive PRs
-// can diff the perf trajectory. Alongside the byte counters each variant
-// now carries wall-clock stage timings (fetch / decrypt / hash / evaluate,
-// ns and MB/s) — byte counts alone cannot show CPU wins. The run exits
+// can diff the deterministic counters; service-level time (throughput,
+// latency, per-layer cost) is perfbench's to measure. The run exits
 // nonzero if any view diverges, if the Skip-index variants (TCSB/TCSBR)
 // fail to *strictly* reduce transferred and decrypted bytes against TCS
 // on the pruning scenarios — the paper's headline claim — if the batched
@@ -23,15 +22,11 @@
 // the pending-buffer budget: peak buffered bytes must stay under it while
 // the authorized view stays byte-identical.
 //
-// Two corpus-scale sections ride along (PR 6). "corpus" runs the seeded
+// A corpus-scale section rides along (PR 6). "corpus" runs the seeded
 // generator over every family and gates its determinism (same spec →
 // byte-identical corpus) and the rule-set-size invariance (absent-tag
 // rules grow the automata, the view must not change); its counters are
 // exactly reproducible, so the regression script diffs them bit-for-bit.
-// "load" embeds the service-level load harness — a thread pool of mixed-
-// role sessions racing concurrent version bumps over generated corpora —
-// and gates its correctness outcomes (every completed view byte-identical
-// to a single-session reference; every failure a clean IntegrityError).
 //
 // A "backends" section rides along (PR 7). The scenario matrix serves
 // under one cipher backend (--backend; position-mixed 3DES by default for
@@ -70,14 +65,12 @@
 
 #include "access/access_rule.h"
 #include "bench/corpus.h"
-#include "bench/load_harness.h"
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "access/rule_evaluator.h"
 #include "common/status.h"
 #include "crypto/cipher_backend.h"
 #include "crypto/secure_store.h"
-#include "crypto/sha1.h"
 #include "index/secure_fetcher.h"
 #include "index/variants.h"
 #include "net/fault_proxy.h"
@@ -239,28 +232,17 @@ struct VariantRun {
   uint64_t rereads = 0;
   uint64_t reread_bytes = 0;          ///< Bytes actually pulled in splices.
   uint64_t reread_decoded_bytes = 0;  ///< Encoded span re-decoded.
-  // Crypto configuration the serve actually ran under.
-  std::string backend;
-  bool backend_hw = false;
-  std::string hash_impl;
-  // Wall-clock stage timings of the skip-enabled serve.
-  uint64_t serve_ns = 0;
-  uint64_t fetch_ns = 0;
-  uint64_t decrypt_ns = 0;
-  uint64_t hash_ns = 0;
-  uint64_t evaluate_ns = 0;  ///< serve minus the accounted stages.
   std::string view;
 };
 
-void FillTimings(VariantRun* run, uint64_t serve_ns, uint64_t fetch_ns,
-                 uint64_t decrypt_ns, uint64_t hash_ns) {
-  run->serve_ns = serve_ns;
-  run->fetch_ns = fetch_ns;
-  run->decrypt_ns = decrypt_ns;
-  run->hash_ns = hash_ns;
-  const uint64_t accounted = fetch_ns + decrypt_ns + hash_ns;
-  run->evaluate_ns = serve_ns > accounted ? serve_ns - accounted : 0;
-}
+/// Wall clock of one NC serve (fetch, decrypt, parse, evaluate) and the
+/// SOE's decrypt and hash timers inside it: the backends section's
+/// closed_world probe, the one timing gate on the in-process serve.
+struct NcTimings {
+  uint64_t serve_ns = 0;
+  uint64_t decrypt_ns = 0;
+  uint64_t hash_ns = 0;
+};
 
 /// NC reference point: the raw XML text is encrypted as-is; with no
 /// structure index nothing can be skipped, so the whole ciphertext crosses
@@ -268,7 +250,8 @@ void FillTimings(VariantRun* run, uint64_t serve_ns, uint64_t fetch_ns,
 Result<VariantRun> RunNc(const std::string& xml,
                          const std::vector<access::AccessRule>& rules,
                          const crypto::ChunkLayout& layout,
-                         crypto::CipherBackendKind backend) {
+                         crypto::CipherBackendKind backend,
+                         NcTimings* timings = nullptr) {
   VariantRun run;
   run.variant = index::Variant::kNc;
   std::vector<uint8_t> bytes(xml.begin(), xml.end());
@@ -289,11 +272,10 @@ Result<VariantRun> RunNc(const std::string& xml,
   access::RuleEvaluator eval(rules, &ser);
   CSXA_RETURN_NOT_OK(xml::SaxParser::Parse(plain, &eval));
   CSXA_RETURN_NOT_OK(eval.Finish());
-  FillTimings(&run, NowNs() - t0, fetcher.fetch_ns(),
-              soe.counters().decrypt_ns, soe.counters().hash_ns);
-  run.backend = soe.backend_name();
-  run.backend_hw = soe.backend_hardware_accelerated();
-  run.hash_impl = crypto::Sha1::ImplementationName();
+  if (timings != nullptr) {
+    *timings = {NowNs() - t0, soe.counters().decrypt_ns,
+                soe.counters().hash_ns};
+  }
   run.encoded_bytes = bytes.size();
   run.wire_bytes = run.wire_bytes_full = fetcher.wire_bytes();
   run.bytes_fetched = fetcher.bytes_fetched();
@@ -330,11 +312,9 @@ Result<VariantRun> RunVariant(const std::string& xml, index::Variant variant,
   server::DocumentService service;
   CSXA_RETURN_NOT_OK(
       service.Publish("bench", xml, ColdConfig(variant, layout, backend)));
-  const uint64_t t0 = NowNs();
   CSXA_ASSIGN_OR_RETURN(
       pipeline::ServeReport report,
       service.Serve("bench", rules, {/*skip=*/true, UINT64_MAX}));
-  const uint64_t serve_ns = NowNs() - t0;
   CSXA_ASSIGN_OR_RETURN(
       pipeline::ServeReport full,
       service.Serve("bench", rules, {/*skip=*/false, UINT64_MAX}));
@@ -344,11 +324,6 @@ Result<VariantRun> RunVariant(const std::string& xml, index::Variant variant,
 
   VariantRun run;
   run.variant = variant;
-  FillTimings(&run, serve_ns, report.fetch_ns, report.soe.decrypt_ns,
-              report.soe.hash_ns);
-  run.backend = report.backend;
-  run.backend_hw = report.backend_hardware;
-  run.hash_impl = report.hash_impl;
   run.encoded_bytes = report.encoded_bytes;
   run.wire_bytes = report.wire_bytes;
   run.wire_bytes_full = full.wire_bytes;
@@ -684,46 +659,6 @@ bool RunCorpusSection(std::string* json, uint64_t corpus_bytes) {
   return ok;
 }
 
-/// The service-level load section: embeds the load harness (paper families
-/// by default) and gates the outcomes that must hold on any machine —
-/// every completed view byte-identical to a reference, every failure a
-/// clean stale-session IntegrityError, the warm sweep hitting the shared
-/// cache. Throughput and latency are published, never gated here (the
-/// regression script applies its own generous tolerance).
-/// Appends a "load" JSON object; returns false when a gate fails.
-bool RunLoadSection(std::string* json, const bench::LoadConfig& config) {
-  auto result = bench::RunLoad(config);
-  if (!result.ok()) {
-    std::fprintf(stderr, "load: %s\n", result.status().ToString().c_str());
-    return false;
-  }
-  const bench::LoadReport& report = result.value();
-  bool ok = true;
-  if (report.serves_completed == 0) {
-    std::fprintf(stderr, "load: no serve completed\n");
-    ok = false;
-  }
-  if (report.view_mismatches != 0) {
-    std::fprintf(stderr, "load: %llu completed views matched no version\n",
-                 static_cast<unsigned long long>(report.view_mismatches));
-    ok = false;
-  }
-  if (report.wrong_errors != 0) {
-    std::fprintf(stderr,
-                 "load: %llu failures were not clean IntegrityErrors\n",
-                 static_cast<unsigned long long>(report.wrong_errors));
-    ok = false;
-  }
-  if (report.cache_hit_rate <= 0.0) {
-    std::fprintf(stderr, "load: warm sweep never hit the shared cache\n");
-    ok = false;
-  }
-  *json += "  \"load\": ";
-  report.AppendJson(json, "  ");
-  *json += ",\n";
-  return ok;
-}
-
 /// One store-level attack against a store built under `backend`; returns
 /// true when the SOE rejects it as a clean IntegrityError (any other
 /// outcome — success, or a different error class — is a broken backend).
@@ -883,37 +818,41 @@ bool RunBackendSection(std::string* json, bool quick,
   *json += "    \"nc_closed_world\": [\n";
   for (size_t b = 0; b < sizeof(kBackends) / sizeof(*kBackends); ++b) {
     const CipherBackendKind backend = kBackends[b];
-    Result<VariantRun> best = RunNc(xml, rules, layout, backend);
-    for (int rep = 0; best.ok() && rep < 2; ++rep) {
-      auto again = RunNc(xml, rules, layout, backend);
-      if (again.ok() && again.value().serve_ns < best.value().serve_ns) {
-        best = std::move(again);
+    VariantRun run;
+    NcTimings best;
+    for (int rep = 0; rep < 3; ++rep) {
+      NcTimings t;
+      auto again = RunNc(xml, rules, layout, backend, &t);
+      if (!again.ok()) {
+        std::fprintf(stderr, "backends/%s: NC serve failed: %s\n",
+                     CipherBackendKindName(backend),
+                     again.status().ToString().c_str());
+        return false;
+      }
+      if (rep == 0 || t.serve_ns < best.serve_ns) {
+        best = t;
+        run = again.take();
       }
     }
-    if (!best.ok()) {
-      std::fprintf(stderr, "backends/%s: NC serve failed: %s\n",
-                   CipherBackendKindName(backend),
-                   best.status().ToString().c_str());
-      return false;
-    }
-    const VariantRun& run = best.value();
     auto mbps = [](uint64_t bytes, uint64_t ns) {
       return ns == 0 ? 0.0 : static_cast<double>(bytes) * 1000.0 /
                                  static_cast<double>(ns);
     };
-    const double serve_mb_s = mbps(run.encoded_bytes, run.serve_ns);
+    const double serve_mb_s = mbps(run.encoded_bytes, best.serve_ns);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "      {\"backend\": \"%s\", \"hardware\": %s, "
                   "\"block_size\": %u, \"document_bytes\": %llu, "
                   "\"serve_ns\": %llu, \"serve_mb_s\": %.1f, "
                   "\"decrypt_mb_s\": %.1f, \"hash_mb_s\": %.1f}",
-                  run.backend.c_str(), run.backend_hw ? "true" : "false",
+                  CipherBackendKindName(backend),
+                  crypto::CipherBackendHardwareAccelerated(backend) ? "true"
+                                                                    : "false",
                   crypto::CipherBackendBlockSize(backend),
                   static_cast<unsigned long long>(run.encoded_bytes),
-                  static_cast<unsigned long long>(run.serve_ns), serve_mb_s,
-                  mbps(run.bytes_decrypted, run.decrypt_ns),
-                  mbps(run.bytes_hashed, run.hash_ns));
+                  static_cast<unsigned long long>(best.serve_ns), serve_mb_s,
+                  mbps(run.bytes_decrypted, best.decrypt_ns),
+                  mbps(run.bytes_hashed, best.hash_ns));
     *json += buf;
     *json += b + 1 < sizeof(kBackends) / sizeof(*kBackends) ? ",\n" : "\n";
     // The PR 7 acceptance gate, applied where it is meaningful: a full
@@ -1353,32 +1292,6 @@ void AppendVariantJson(std::string* json, const VariantRun& run,
   *json += ", \"rereads\": " + u64(run.rereads);
   *json += ", \"reread_bytes\": " + u64(run.reread_bytes);
   *json += ", \"reread_decoded_bytes\": " + u64(run.reread_decoded_bytes);
-  // Wall-clock stage timings (per skip-enabled serve) and derived
-  // throughputs; evaluate_ns is the unaccounted remainder (navigation +
-  // rule automata + serialization).
-  auto mbps = [](uint64_t bytes, uint64_t ns) {
-    return ns == 0 ? 0.0 : static_cast<double>(bytes) * 1000.0 /
-                               static_cast<double>(ns);
-  };
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                ", \"timings\": {\"serve_ns\": %llu, \"fetch_ns\": %llu, "
-                "\"decrypt_ns\": %llu, \"hash_ns\": %llu, "
-                "\"evaluate_ns\": %llu, \"decrypt_mb_s\": %.1f, "
-                "\"hash_mb_s\": %.1f, \"serve_mb_s\": %.1f, "
-                "\"backend\": \"%s\", \"backend_hardware\": %s, "
-                "\"hash_impl\": \"%s\"}",
-                static_cast<unsigned long long>(run.serve_ns),
-                static_cast<unsigned long long>(run.fetch_ns),
-                static_cast<unsigned long long>(run.decrypt_ns),
-                static_cast<unsigned long long>(run.hash_ns),
-                static_cast<unsigned long long>(run.evaluate_ns),
-                mbps(run.bytes_decrypted, run.decrypt_ns),
-                mbps(run.bytes_hashed, run.hash_ns),
-                mbps(run.encoded_bytes, run.serve_ns),
-                run.backend.c_str(), run.backend_hw ? "true" : "false",
-                run.hash_impl.c_str());
-  *json += buf;
   *json += ", \"view_matches_reference\": ";
   *json += view_matches ? "true" : "false";
   *json += "}";
@@ -1626,28 +1539,13 @@ int main(int argc, char** argv) {
   // link, and the fault matrix served through the programmed proxy.
   if (!RunLatencySweep(&json, folders, backend)) ok = false;
   if (!RunFaultMatrix(&json)) ok = false;
-  // Corpus-scale sections: the seeded generator across every family, then
-  // the service-level load harness over the paper families. Quick mode
-  // (the ctest smoke) shrinks both to keep sanitizer runs fast; the
+  // Corpus-scale section: the seeded generator across every family. Quick
+  // mode (the ctest smoke) shrinks it to keep sanitizer runs fast; the
   // default run is what BENCH_PR9.json commits and CI gates.
   if (!RunCorpusSection(&json, quick ? uint64_t{16} << 10
                                      : uint64_t{64} << 10)) {
     ok = false;
   }
-  bench::LoadConfig load;
-  load.backend = backend;
-  if (quick) {
-    load.target_bytes = 128 << 10;
-    load.threads = 4;
-    load.serves_per_thread = 2;
-    load.version_bumps = 1;
-  } else {
-    load.target_bytes = 1 << 20;
-    load.threads = 8;
-    load.serves_per_thread = 2;
-    load.version_bumps = 2;
-  }
-  if (!RunLoadSection(&json, load)) ok = false;
   json += "  \"checks_passed\": ";
   json += ok ? "true" : "false";
   json += "\n}\n";

@@ -31,8 +31,11 @@
 
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
+#include "common/clock.h"
 #include "common/status.h"
+#include "crypto/cipher_backend.h"
 #include "crypto/secure_store.h"
+#include "crypto/sha1.h"
 #include "index/encoder.h"
 #include "index/variants.h"
 #include "server/document_service.h"
@@ -224,8 +227,10 @@ int Run(const Options& opt) {
     std::fprintf(stderr, "session: %s\n", published.ToString().c_str());
     return 2;
   }
+  const uint64_t serve_t0 = NowNs();
   auto result = service.Serve("demo", subject_rules,
                               {opt.enable_skip, opt.defer_budget});
+  const uint64_t serve_ns = NowNs() - serve_t0;
   if (!result.ok()) {
     std::fprintf(stderr, "pipeline: %s\n",
                  result.status().ToString().c_str());
@@ -234,6 +239,10 @@ int Run(const Options& opt) {
   const pipeline::ServeReport& pr = result.value();
 
   if (opt.verbose) {
+    auto mb_s = [](uint64_t bytes, uint64_t ns) {
+      return ns == 0 ? 0.0 : static_cast<double>(bytes) * 1e3 /
+                                 static_cast<double>(ns);
+    };
     std::printf("\nauthorized view:\n%s\n", pr.view.c_str());
     std::printf("\ncost model:\n");
     std::printf("  encoded document     %8llu bytes\n",
@@ -257,11 +266,15 @@ int Run(const Options& opt) {
                 static_cast<unsigned long long>(pr.digest_bytes_shipped));
     std::printf("  decrypted in SOE     %8llu bytes (%s%s, %.1f MB/s)\n",
                 static_cast<unsigned long long>(pr.soe.bytes_decrypted),
-                pr.backend.c_str(),
-                pr.backend_hardware ? ", hw" : "", pr.decrypt_mb_s);
+                crypto::CipherBackendKindName(opt.backend),
+                crypto::CipherBackendHardwareAccelerated(opt.backend) ? ", hw"
+                                                                      : "",
+                mb_s(pr.soe.bytes_decrypted + pr.soe.digest_bytes_decrypted,
+                     pr.soe.decrypt_ns));
     std::printf("  hashed in SOE        %8llu bytes (%s, %.1f MB/s)\n",
                 static_cast<unsigned long long>(pr.soe.bytes_hashed),
-                pr.hash_impl.c_str(), pr.hash_mb_s);
+                crypto::Sha1::ImplementationName(),
+                mb_s(pr.soe.bytes_hashed, pr.soe.hash_ns));
     std::printf("  subtrees skipped     %8llu (%llu encoded bytes never "
                 "fetched; %llu oracle queries)\n",
                 static_cast<unsigned long long>(pr.drive.skips),
@@ -284,16 +297,14 @@ int Run(const Options& opt) {
                 static_cast<unsigned long long>(pr.eval.deferrals_denied),
                 static_cast<unsigned long long>(pr.drive.reread_fetched_bytes),
                 static_cast<unsigned long long>(pr.drive.reread_bits / 8));
-    // The drain's wall clock and the disjoint stage timers inside it; the
-    // remainder is navigation, evaluation and serialization.
-    const uint64_t staged =
-        pr.fetch_ns + pr.soe.decrypt_ns + pr.soe.hash_ns;
-    const uint64_t rest = pr.serve_ns > staged ? pr.serve_ns - staged : 0;
-    std::printf("  serve wall time      %8.3f ms (terminal reads %.3f ms, "
-                "decrypt %.3f ms, hash %.3f ms, navigate+evaluate+"
-                "serialize %.3f ms)\n",
-                static_cast<double>(pr.serve_ns) / 1e6,
-                static_cast<double>(pr.fetch_ns) / 1e6,
+    // The serve's wall clock and the SOE's stage timers inside it; the
+    // remainder is session setup, terminal reads, navigation, evaluation
+    // and serialization.
+    const uint64_t staged = pr.soe.decrypt_ns + pr.soe.hash_ns;
+    const uint64_t rest = serve_ns > staged ? serve_ns - staged : 0;
+    std::printf("  serve wall time      %8.3f ms (decrypt %.3f ms, hash "
+                "%.3f ms, read+navigate+evaluate+serialize %.3f ms)\n",
+                static_cast<double>(serve_ns) / 1e6,
                 static_cast<double>(pr.soe.decrypt_ns) / 1e6,
                 static_cast<double>(pr.soe.hash_ns) / 1e6,
                 static_cast<double>(rest) / 1e6);

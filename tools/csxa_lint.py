@@ -17,8 +17,8 @@ time instead of rediscovered as runtime flakes:
 
   duplicate-integrity-message
       Every Status::IntegrityError message literal must be unique across
-      src/. The fuzz corpus and the load harness pin failures by class
-      and diagnose them by message; two sites sharing one message make a
+      src/. The fuzz corpus and the server and transport tests pin
+      failures by class and diagnose them by message; two sites sharing one message make a
       pinned rejection ambiguous.
 
   unguarded-memcpy

@@ -1,7 +1,7 @@
 // csxa_stored — the untrusted terminal as its own process.
 //
-// Generates one corpus per requested family (exactly as csxa_load does,
-// same seeded generator), publishes each into an in-process
+// Generates one corpus per requested family (the seeded generator the
+// benchmarks and tests use), publishes each into an in-process
 // DocumentService, and exposes every document's live terminal link over
 // TCP via net::TerminalServer speaking the record-framed batch protocol.
 // The server holds document *ciphertext and digests only* — keys,
