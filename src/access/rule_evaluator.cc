@@ -179,7 +179,7 @@ struct RuleEvaluator::OutEvent {
   /// text outside the root).
   NodeRec* node = nullptr;
   xml::TagId tag = 0;  ///< Open/close: the element's tag id.
-  std::string text;    ///< Value: the text, moved in; freed at flush.
+  std::string text;    ///< Value: a copy of the text; handed out at flush.
 
   /// Pending instances this event already registered a watcher with, so
   /// re-examinations (and several hits blocked on one instance) never
@@ -752,6 +752,9 @@ void RuleEvaluator::Flush() {
     OutEvent& e = EventAt(queue_base_);
     const bool deferred_open =
         e.kind == xml::EventKind::kOpen && e.node->deferral_id >= 0;
+    // Before the text can leave the slot: the ledger must drop exactly
+    // what it was charged.
+    buffered_bytes_ -= PayloadBytes(e);
     if (e.status == EventStatus::kEmit) {
       ++stats_.events_emitted;
       switch (e.kind) {
@@ -759,7 +762,7 @@ void RuleEvaluator::Flush() {
           out_->OnOpen(tags_.Name(e.tag), e.depth);
           break;
         case xml::EventKind::kValue:
-          out_->OnValue(e.text, e.depth);
+          out_->OnValueOwned(std::move(e.text), e.depth);
           break;
         case xml::EventKind::kClose:
           out_->OnClose(tags_.Name(e.tag), e.depth);
@@ -779,8 +782,7 @@ void RuleEvaluator::Flush() {
       ++stats_.events_pruned;
       if (deferred_open) ++stats_.deferrals_denied;
     }
-    buffered_bytes_ -= PayloadBytes(e);
-    // The slot stays for reuse; what the event owned goes with it.
+    // The slot stays for reuse; what the event still owns goes with it.
     std::string().swap(e.text);
     std::vector<const PredInstance*>().swap(e.subscribed);
     if (e.kind == xml::EventKind::kClose) {
@@ -800,7 +802,7 @@ void RuleEvaluator::OnOpen(const std::string& tag, int depth) {
 }
 
 void RuleEvaluator::OnValue(const std::string& value, int depth) {
-  OnValue(std::string(value), depth);
+  OnValueView(value, depth);
 }
 
 void RuleEvaluator::OnClose(const std::string& tag, int depth) {
@@ -872,7 +874,7 @@ void RuleEvaluator::OnOpen(xml::TagId tag, int depth) {
   Flush();
 }
 
-void RuleEvaluator::OnValue(std::string&& value, int depth) {
+void RuleEvaluator::OnValueView(std::string_view value, int depth) {
   ++stats_.events_in;
 
   // Feed string-value collections of pending comparison predicates.
@@ -887,7 +889,7 @@ void RuleEvaluator::OnValue(std::string&& value, int depth) {
   switch (DecideOnArrival(xml::EventKind::kValue, parent)) {
     case EventStatus::kEmit:
       ++stats_.events_emitted;
-      out_->OnValue(value, depth);
+      out_->OnValueView(value, depth);
       return;
     case EventStatus::kDrop:
       ++stats_.events_pruned;
@@ -897,7 +899,7 @@ void RuleEvaluator::OnValue(std::string&& value, int depth) {
   }
   if (parent != nullptr) ++parent->undecided_inside;
   OutEvent& e = PushEvent(xml::EventKind::kValue, depth, parent);
-  e.text = std::move(value);
+  e.text.assign(value);
   buffered_bytes_ += PayloadBytes(e);
 
   Resolve();

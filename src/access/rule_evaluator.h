@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -265,11 +266,14 @@ class RuleEvaluator : public xml::EventHandler,
   void OnValue(const std::string& value, int depth) override;
   void OnClose(const std::string& tag, int depth) override;
 
-  /// Id entry points: `tag` is an id of tags(). The value text is moved
-  /// into the pending queue, not copied.
+  /// Id entry points: `tag` is an id of tags().
   void OnOpen(xml::TagId tag, int depth);
-  void OnValue(std::string&& value, int depth);
   void OnClose(xml::TagId tag, int depth);
+  /// The one value path. `value` is borrowed for the call: a value decided
+  /// on arrival goes to `out`'s OnValueView() as is, and only a value
+  /// queued as pending is copied, into its queue slot. Flush() later hands
+  /// that copy to `out`'s OnValueOwned().
+  void OnValueView(std::string_view value, int depth) override;
 
   /// The evaluator's tag dictionary: the seed dictionary, then rule step
   /// names, then tags first met through the string entry points.

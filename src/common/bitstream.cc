@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/bytes.h"
 
@@ -69,11 +70,26 @@ Status BitReader::ReadBytes(size_t n, std::string* out) {
   if (lead == 0) {
     out->append(common::AsChars(p, n));
   } else {
-    // Each byte straddles two stream bytes; p[n] still holds a read bit.
+    // Each byte straddles two stream bytes; p[n] still holds a read bit,
+    // and nothing past it may be touched. One big-endian load of p[i..i+8)
+    // shifted left by `lead` holds output bytes i..i+6 in its top 56 bits,
+    // so whole words run while p[i + 7] <= p[n]; the tail goes bytewise.
     const size_t base = out->size();
     out->resize(base + n);
-    for (size_t i = 0; i < n; ++i) {
-      (*out)[base + i] = static_cast<char>(
+    char* dst = out->data() + base;
+    size_t i = 0;
+    for (; i + 7 <= n; i += 7) {
+      uint64_t word;
+      std::memcpy(&word, p + i, 8);
+      if constexpr (std::endian::native == std::endian::little) {
+        word = __builtin_bswap64(__builtin_bswap64(word) << lead);
+      } else {
+        word <<= lead;
+      }
+      std::memcpy(dst + i, &word, 7);
+    }
+    for (; i < n; ++i) {
+      dst[i] = static_cast<char>(
           static_cast<uint8_t>((p[i] << lead) | (p[i + 1] >> (8 - lead))));
     }
   }

@@ -89,7 +89,9 @@ class BitReader {
   }
 
   /// Appends `n` whole bytes read at the current (any) bit alignment.
-  /// Past the end of the stream: Corruption, nothing read.
+  /// Off a byte boundary it yields 7 bytes per 8-byte load and touches no
+  /// byte past the one holding the last bit read. Past the end of the
+  /// stream: Corruption, nothing read.
   Status ReadBytes(size_t n, std::string* out);
 
   /// Absolute bit position.

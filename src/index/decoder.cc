@@ -96,17 +96,17 @@ Result<uint64_t> DocumentNavigator::ReadBitsChecked(int width) {
   return v;
 }
 
-Status DocumentNavigator::ReadText(uint64_t len, std::string* out) {
-  out->clear();
-  out->reserve(
+Result<std::string_view> DocumentNavigator::ReadText(uint64_t len) {
+  text_.clear();
+  text_.reserve(
       std::min<uint64_t>(len, (in_.size_bits() - in_.position()) / 8));
   while (len > 0) {
     CSXA_ASSIGN_OR_RETURN(const uint64_t n, HeldRun(8, len));
-    CSXA_RETURN_NOT_OK(in_.ReadBytes(n, out));
+    CSXA_RETURN_NOT_OK(in_.ReadBytes(n, &text_));
     bits_read_ += n * 8;
     len -= n;
   }
-  return Status::OK();
+  return std::string_view(text_);
 }
 
 Status DocumentNavigator::ReadDescTags(size_t n,
@@ -201,7 +201,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
   if (kind.value() == 0) {  // text node
     auto len = ReadBits(top.width);
     if (!len.ok()) return len.status();
-    CSXA_RETURN_NOT_OK(ReadText(len.value(), &item.value));
+    CSXA_ASSIGN_OR_RETURN(item.value, ReadText(len.value()));
     item.kind = ItemKind::kValue;
     item.depth = depth_ + 1;
     return item;
@@ -305,7 +305,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextTc() {
     case 0b10: {  // text
       auto len = ReadTcVarint();
       if (!len.ok()) return len.status();
-      CSXA_RETURN_NOT_OK(ReadText(len.value(), &item.value));
+      CSXA_ASSIGN_OR_RETURN(item.value, ReadText(len.value()));
       item.kind = ItemKind::kValue;
       item.depth = depth_ + 1;
       return item;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -76,7 +78,9 @@ class DocumentNavigator {
     /// carry no name; a consumer that needs one (a verbatim stream to the
     /// output) looks it up with dictionary().Name(tag_id).
     xml::TagId tag_id = 0;
-    std::string value;          ///< kValue.
+    /// kValue: the text, in the navigator's decode buffer. Valid until
+    /// the next Next() or SeekTo(); a consumer that keeps it copies it.
+    std::string_view value;
     /// kOpen only: DescTag set of the opened element (tags that can appear
     /// strictly below it); null for TC/TCS streams. Points into the
     /// navigator's top frame: valid until the next Next() or SeekTo().
@@ -91,6 +95,8 @@ class DocumentNavigator {
     /// so the pipeline can hint the fetch planner. 0 for TC streams.
     uint64_t subtree_begin_bit = 0;
   };
+
+  static_assert(std::is_trivially_copyable_v<Item>);
 
   /// Opens over a fully materialized document. `doc` must outlive the
   /// navigator.
@@ -193,7 +199,8 @@ class DocumentNavigator {
     return ReadBitsChecked(width);
   }
   Result<uint64_t> ReadBitsChecked(int width);
-  Status ReadText(uint64_t len, std::string* out);
+  /// Decodes `len` text bytes into text_ and returns a view of them.
+  Result<std::string_view> ReadText(uint64_t len);
   /// Reads an n-bit DescTag bitmap a word at a time: set bit i adds
   /// (*ctx)[i] — or tag i when ctx is null (the whole dictionary) — to out.
   Status ReadDescTags(size_t n, const std::vector<xml::TagId>* ctx,
@@ -234,6 +241,9 @@ class DocumentNavigator {
   /// an element open allocates nothing once the stack has been this deep.
   std::vector<std::vector<xml::TagId>> spare_ctx_;
   std::vector<xml::TagId> tc_stack_;  // TC-only open-element tags
+  /// The decode buffer every kValue item's text points into: reused, so
+  /// a text allocates only when it is the longest seen so far.
+  std::string text_;
 
   uint64_t bits_read_ = 0;
 };

@@ -13,16 +13,22 @@ class AuthorizedViewReader::Collector : public xml::EventHandler {
   explicit Collector(std::vector<OutEntry>* out) : out_(out) {}
 
   void OnOpen(const std::string& tag, int depth) override {
-    out_->push_back({xml::Event::Open(tag), depth, -1});
+    out_->push_back({xml::EventKind::kOpen, depth, -1, tag, {}});
   }
   void OnValue(const std::string& value, int depth) override {
-    out_->push_back({xml::Event::Value(value), depth, -1});
+    OnValueOwned(std::string(value), depth);
   }
   void OnClose(const std::string& tag, int depth) override {
-    out_->push_back({xml::Event::Close(tag), depth, -1});
+    out_->push_back({xml::EventKind::kClose, depth, -1, tag, {}});
+  }
+  void OnValueView(std::string_view value, int depth) override {
+    out_->push_back({xml::EventKind::kValue, depth, -1, value, {}});
+  }
+  void OnValueOwned(std::string&& value, int depth) override {
+    out_->push_back({xml::EventKind::kValue, depth, -1, {}, std::move(value)});
   }
   void OnDeferralGranted(size_t id) {
-    out_->push_back({xml::Event(), 0, static_cast<int>(id)});
+    out_->push_back({xml::EventKind::kOpen, 0, static_cast<int>(id), {}, {}});
   }
 
  private:
@@ -153,7 +159,7 @@ Status AuthorizedViewReader::DriveOne() {
       break;
     }
     case K::kValue:
-      eval_->OnValue(std::move(item.value), item.depth);
+      eval_->OnValueView(item.value, item.depth);
       break;
     case K::kClose:
       if (item.depth == granted_depth_) granted_depth_ = 0;
@@ -190,14 +196,14 @@ Result<bool> AuthorizedViewReader::NextVerbatim(int depth, ViewItem* v) {
     case K::kEnd:
       return Status::Corruption("stream ended inside a verbatim subtree");
     case K::kOpen:
-      v->event = xml::Event::Open(nav_->dictionary().Name(item.tag_id));
+      v->event = {xml::EventKind::kOpen, nav_->dictionary().Name(item.tag_id)};
       break;
     case K::kValue:
-      v->event = xml::Event::Value(std::move(item.value));
+      v->event = {xml::EventKind::kValue, item.value};
       break;
     case K::kClose:
       if (item.depth == depth) return false;
-      v->event = xml::Event::Close(nav_->dictionary().Name(item.tag_id));
+      v->event = {xml::EventKind::kClose, nav_->dictionary().Name(item.tag_id)};
       break;
   }
   v->depth = item.depth;
@@ -234,7 +240,11 @@ Result<ViewItem> AuthorizedViewReader::Next() {
         CSXA_RETURN_NOT_OK(BeginSplice(static_cast<size_t>(e.splice)));
         continue;
       }
-      return ViewItem{false, std::move(e.event), e.depth};
+      // An entry sets `text` or `owned`, never both: an empty `owned`
+      // reads as `text`, which is then empty too if the value was owned.
+      return ViewItem{
+          false, {e.kind, e.owned.empty() ? e.text : std::string_view(e.owned)},
+          e.depth};
     }
     // Drained: the next DriveOne() refills from the start, reusing the
     // storage.

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "access/access_rule.h"
@@ -46,12 +48,17 @@ struct DriveStats {
   uint64_t reread_fetched_bytes = 0;
 };
 
-/// One authorized-view event, pulled from an AuthorizedViewReader.
+/// One authorized-view event, pulled from an AuthorizedViewReader. It
+/// borrows its text, which stays valid until the reader's next Next(): a
+/// tag name points into a tag dictionary, a value into the navigator's
+/// decode buffer or into the reader's output queue. A consumer that keeps
+/// an event past the next pull copies it (xml::Event::Of).
 struct ViewItem {
   bool end = false;  ///< True once the view is exhausted; `event` invalid.
-  xml::Event event;
+  xml::EventView event;
   int depth = 0;
 };
+static_assert(std::is_trivially_copyable_v<ViewItem>);
 
 /// The SOE-side driver of the paper's architecture, redesigned as a *pull*
 /// API: each Next() returns the next event of the authorized view, in
@@ -107,7 +114,8 @@ class AuthorizedViewReader {
   ~AuthorizedViewReader();
 
   /// Pulls the next authorized-view event; `.end` is true after the last
-  /// one. Errors (integrity, corruption) surface as failed Results.
+  /// one. The item's text is valid until the next call. Errors
+  /// (integrity, corruption) surface as failed Results.
   Result<ViewItem> Next();
 
   const DriveStats& stats() const { return stats_; }
@@ -119,10 +127,21 @@ class AuthorizedViewReader {
   /// Decided output of the evaluator, queued until pulled. `splice` ≥ 0
   /// marks the position where deferred subtree #splice must be re-read and
   /// merged back (right between the element's open and close events).
+  ///
+  /// The event's text is `owned` when the evaluator handed over a value it
+  /// had queued as pending, else `text`: a tag name in the evaluator's
+  /// dictionary (fixed once the reader is built: the reader feeds tag ids
+  /// only), or a value decided on arrival, which borrows the navigator's
+  /// decode buffer. The evaluator forwards such a value only while the
+  /// queue is empty and flushes nothing with it, so it is the only entry
+  /// of its DriveOne() and the navigator is not advanced before it is
+  /// pulled.
   struct OutEntry {
-    xml::Event event;
+    xml::EventKind kind = xml::EventKind::kOpen;
     int depth = 0;
     int splice = -1;
+    std::string_view text;
+    std::string owned;
   };
 
   /// Everything needed to re-enter a deferred subtree later.

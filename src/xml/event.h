@@ -2,6 +2,7 @@
 #define CSXA_XML_EVENT_H_
 
 #include <string>
+#include <string_view>
 
 namespace csxa::xml {
 
@@ -12,8 +13,18 @@ enum class EventKind {
   kClose,  ///< Closing tag `</tag>`.
 };
 
-/// One parsing event. `text` holds the tag name for open/close and the
-/// character data for value events.
+/// One parsing event that borrows its text: the tag name for open/close,
+/// the character data for value events. Whoever hands one out says how
+/// long `text` stays valid (the serve path: until its next pull).
+struct EventView {
+  EventKind kind = EventKind::kOpen;
+  std::string_view text;
+
+  bool operator==(const EventView& other) const = default;
+};
+
+/// An event that owns its text, for consumers that keep events past the
+/// lifetime of the view they came from.
 struct Event {
   EventKind kind = EventKind::kOpen;
   std::string text;
@@ -26,6 +37,10 @@ struct Event {
   }
   static Event Close(std::string tag) {
     return Event{EventKind::kClose, std::move(tag)};
+  }
+  /// Copies a borrowed event.
+  static Event Of(const EventView& view) {
+    return Event{view.kind, std::string(view.text)};
   }
 
   bool operator==(const Event& other) const = default;
@@ -43,6 +58,17 @@ class EventHandler {
   virtual void OnValue(const std::string& value, int depth) = 0;
   /// Called for `</tag>`; depth is the depth of the element being closed.
   virtual void OnClose(const std::string& tag, int depth) = 0;
+
+  /// Text entry points for producers that can spare the handler a copy.
+  /// Both default to OnValue().
+  /// `value` is borrowed: it is valid only during the call.
+  virtual void OnValueView(std::string_view value, int depth) {
+    OnValue(std::string(value), depth);
+  }
+  /// `value` is handed over: the handler may keep it.
+  virtual void OnValueOwned(std::string&& value, int depth) {
+    OnValue(value, depth);
+  }
 };
 
 }  // namespace csxa::xml

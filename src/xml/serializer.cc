@@ -1,30 +1,68 @@
 #include "xml/serializer.h"
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+
 namespace csxa::xml {
 
-void AppendEscapedText(std::string_view text, std::string* out) {
-  // Copies the runs between special characters in bulk.
-  size_t run = 0;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char* entity = nullptr;
-    switch (text[i]) {
-      case '<':
-        entity = "&lt;";
-        break;
-      case '>':
-        entity = "&gt;";
-        break;
-      case '&':
-        entity = "&amp;";
-        break;
-      default:
-        continue;
-    }
-    out->append(text.data() + run, i - run);
-    out->append(entity);
-    run = i + 1;
+namespace {
+
+constexpr uint64_t kOnes = 0x0101010101010101ull;
+constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+
+/// High bit of each byte of `x` that is zero, and no other bit. Exact per
+/// byte: (x & 0x7F) + 0x7F never carries into the next byte.
+uint64_t ZeroBytes(uint64_t x) { return ~(((x & kLow7) + kLow7) | x | kLow7); }
+
+/// High bit of each byte of `w` that is `<`, `>` or `&`.
+uint64_t SpecialBytes(uint64_t w) {
+  return ZeroBytes(w ^ (kOnes * '<')) | ZeroBytes(w ^ (kOnes * '>')) |
+         ZeroBytes(w ^ (kOnes * '&'));
+}
+
+const char* EntityFor(char c) {
+  switch (c) {
+    case '<':
+      return "&lt;";
+    case '>':
+      return "&gt;";
+    case '&':
+      return "&amp;";
+    default:
+      return nullptr;
   }
-  out->append(text.data() + run, text.size() - run);
+}
+
+}  // namespace
+
+void AppendEscapedText(std::string_view text, std::string* out) {
+  const char* data = text.data();
+  const size_t n = text.size();
+  size_t run = 0;  // Start of the verbatim run not yet appended.
+  auto escape = [&](size_t at, const char* entity) {
+    out->append(data + run, at - run);
+    out->append(entity);
+    run = at + 1;
+  };
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, data + i, 8);
+    // Byte k of the text becomes bits [8k, 8k + 8), so the lowest flag
+    // marks the first special character.
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    for (uint64_t m = SpecialBytes(w); m != 0; m &= m - 1) {
+      const size_t at = i + static_cast<size_t>(std::countr_zero(m)) / 8;
+      escape(at, EntityFor(data[at]));
+    }
+  }
+  for (; i < n; ++i) {
+    if (const char* entity = EntityFor(data[i])) escape(i, entity);
+  }
+  out->append(data + run, n - run);
 }
 
 namespace {
@@ -67,32 +105,36 @@ std::string Serialize(const Node& node, int indent) {
   return out;
 }
 
-void SerializingHandler::OnOpen(const std::string& tag, int) {
-  out_.push_back('<');
-  out_.append(tag);
-  out_.push_back('>');
+void SerializingHandler::OnOpen(const std::string& tag, int depth) {
+  Feed({EventKind::kOpen, tag}, depth);
 }
 
-void SerializingHandler::OnValue(const std::string& value, int) {
-  AppendEscapedText(value, &out_);
+void SerializingHandler::OnValue(const std::string& value, int depth) {
+  Feed({EventKind::kValue, value}, depth);
 }
 
-void SerializingHandler::OnClose(const std::string& tag, int) {
-  out_.append("</");
-  out_.append(tag);
-  out_.push_back('>');
+void SerializingHandler::OnClose(const std::string& tag, int depth) {
+  Feed({EventKind::kClose, tag}, depth);
 }
 
-void SerializingHandler::Feed(const Event& event, int depth) {
+void SerializingHandler::OnValueView(std::string_view value, int depth) {
+  Feed({EventKind::kValue, value}, depth);
+}
+
+void SerializingHandler::Feed(const EventView& event, int) {
   switch (event.kind) {
     case EventKind::kOpen:
-      OnOpen(event.text, depth);
+      out_.push_back('<');
+      out_.append(event.text);
+      out_.push_back('>');
       break;
     case EventKind::kValue:
-      OnValue(event.text, depth);
+      AppendEscapedText(event.text, &out_);
       break;
     case EventKind::kClose:
-      OnClose(event.text, depth);
+      out_.append("</");
+      out_.append(event.text);
+      out_.push_back('>');
       break;
   }
 }

@@ -14,7 +14,9 @@ namespace csxa::xml {
 std::string Serialize(const Node& node, int indent = -1);
 
 /// Appends `text` to `out` with `<`, `>`, `&` escaped, building no
-/// temporary string. Shared by Serialize and SerializingHandler.
+/// temporary string. Shared by Serialize and SerializingHandler. The scan
+/// tests eight bytes per step and copies the runs between special
+/// characters in bulk.
 void AppendEscapedText(std::string_view text, std::string* out);
 
 /// EventHandler that serializes the event stream it receives; used to turn
@@ -24,10 +26,12 @@ class SerializingHandler : public EventHandler {
   void OnOpen(const std::string& tag, int depth) override;
   void OnValue(const std::string& value, int depth) override;
   void OnClose(const std::string& tag, int depth) override;
+  void OnValueView(std::string_view value, int depth) override;
 
-  /// Pull-API convenience: dispatches one already-materialized event, so
-  /// consumers draining an AuthorizedViewReader serialize with one call.
-  void Feed(const Event& event, int depth);
+  /// Pull-API entry: serializes one borrowed event, so consumers draining
+  /// an AuthorizedViewReader serialize each view item with one call and
+  /// no copy of its text.
+  void Feed(const EventView& event, int depth);
 
   const std::string& output() const { return out_; }
 

@@ -5,6 +5,8 @@
 // and round-trip through the reader, and reads past the end fail as
 // Corruption without touching a byte beyond the buffer (the buffers here
 // are exact-size heap vectors, so the sanitizer job catches any overread).
+// The serializer's escape scan, which tests eight bytes per step, must
+// agree with a per-character loop wherever the special characters fall.
 
 #include <cstddef>
 #include <cstdint>
@@ -14,6 +16,7 @@
 
 #include "common/bitstream.h"
 #include "testing.h"
+#include "xml/serializer.h"
 
 namespace {
 
@@ -98,6 +101,88 @@ TEST(WordReadsMatchReferenceAtEveryWidthAndOffset) {
         CHECK_EQ(reader.position(), offset + static_cast<size_t>(width));
       }
     }
+  }
+}
+
+TEST(ReadBytesMatchesReferenceAtEveryOffsetAndLength) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<uint8_t> data = RandomBytes(80, seed);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t n = 0; n <= 70; ++n) {
+        // The buffer ends on the byte holding the last bit read, so a word
+        // load one byte too far reads past the heap block.
+        const size_t end = offset + n * 8;
+        const std::vector<uint8_t> exact(
+            data.begin(),
+            data.begin() + static_cast<std::ptrdiff_t>((end + 7) / 8));
+        BitReader reader(exact.data(), exact.size());
+        CHECK_OK(reader.SeekTo(offset));
+        std::string bytes = "prefix";
+        CHECK_OK(reader.ReadBytes(n, &bytes));
+        std::string expected = "prefix";
+        for (size_t i = 0; i < n; ++i) {
+          expected.push_back(
+              static_cast<char>(ReferenceBits(data, offset + i * 8, 8)));
+        }
+        CHECK(bytes == expected);
+        CHECK_EQ(reader.position(), end);
+      }
+    }
+  }
+}
+
+/// The per-character escape loop the word-at-a-time scan replaced.
+std::string ReferenceEscape(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    switch (c) {
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      case '&':
+        out += "&amp;";
+        break;
+      default:
+        out.push_back(c);
+    }
+  }
+  return out;
+}
+
+TEST(EscapedTextMatchesPerCharacterLoop) {
+  // Every special character at every position mod 8, among near misses:
+  // bytes one or two bits away from a special one, and the special ones
+  // with the high bit set.
+  const char kSpecials[] = {'<', '>', '&'};
+  const char kNear[] = {';', '=', '?', '.', '\'', '%',
+                        static_cast<char>(0xBC), static_cast<char>(0xA6)};
+  for (size_t len = 0; len <= 40; ++len) {
+    for (size_t at = 0; at < len; ++at) {
+      for (char special : kSpecials) {
+        std::string text(len, ' ');
+        for (size_t i = 0; i < len; ++i) text[i] = kNear[i % 8];
+        text[at] = special;
+        std::string out = "head";
+        xml::AppendEscapedText(text, &out);
+        CHECK(out == "head" + ReferenceEscape(text));
+      }
+    }
+  }
+  uint64_t state = 11;
+  for (int round = 0; round < 2000; ++round) {
+    const size_t len = SplitMix(&state) % 70;
+    std::string text;
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t r = SplitMix(&state);
+      text.push_back(r % 4 == 0 ? kSpecials[(r >> 8) % 3]
+                                : static_cast<char>(r >> 16));
+    }
+    std::string out;
+    xml::AppendEscapedText(text, &out);
+    CHECK(out == ReferenceEscape(text));
   }
 }
 

@@ -25,7 +25,8 @@ std::string Render(const Nav& nav, const Nav::Item& item) {
       return "<" + nav.dictionary().Name(item.tag_id) + "@" +
              std::to_string(item.depth) + ">";
     case Nav::ItemKind::kValue:
-      return "[" + item.value + "@" + std::to_string(item.depth) + "]";
+      return "[" + std::string(item.value) + "@" +
+             std::to_string(item.depth) + "]";
     case Nav::ItemKind::kClose:
       return "</" + nav.dictionary().Name(item.tag_id) + "@" +
              std::to_string(item.depth) + ">";

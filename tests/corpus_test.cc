@@ -11,7 +11,6 @@
 #include "access/access_rule.h"
 #include "access/rule_evaluator.h"
 #include "bench/corpus.h"
-#include "common/hexdump.h"
 #include "common/status.h"
 #include "crypto/sha1.h"
 #include "server/document_service.h"
@@ -22,6 +21,17 @@
 namespace {
 
 using namespace csxa;  // NOLINT
+
+/// Lowercase hex of a SHA-1 digest, the form the pins are written in.
+std::string Hex(const crypto::Sha1Digest& digest) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : digest) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
 
 std::string DirectView(const std::string& xml,
                        const std::vector<access::AccessRule>& rules) {
@@ -256,7 +266,7 @@ TEST(ViewsMatchPinnedDigests) {
       auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
       CHECK_OK(rules.status());
       auto check = [&](const std::string& mode, const std::string& view) {
-        const std::string got = HexEncode(crypto::Sha1::Hash(view).data(), 20);
+        const std::string got = Hex(crypto::Sha1::Hash(view));
         if (pinned == nullptr || got != pinned) {
           testing::Fail(__FILE__, __LINE__,
                         name + "/" + mode + ": view digest " + got +

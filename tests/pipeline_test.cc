@@ -493,7 +493,8 @@ std::string WordReadTranscript(index::DocumentNavigator* nav) {
     const auto& it = item.value();
     out += std::to_string(static_cast<int>(it.kind)) + "@" +
            std::to_string(it.depth) + " " + std::to_string(it.tag_id) + " [" +
-           it.value + "] " + std::to_string(it.subtree_bits) + "/" +
+           std::string(it.value) + "] " + std::to_string(it.subtree_bits) +
+           "/" +
            std::to_string(it.subtree_begin_bit);
     if (it.desc != nullptr) {
       for (xml::TagId t : *it.desc) out += "," + std::to_string(t);
@@ -762,7 +763,7 @@ TEST(TamperInsideVerbatimSubtreeFailsClosed) {
       const std::string& tag = nav.value()->dictionary().Name(it.tag_id);
       decoded.push_back(
           {it.kind == K::kOpen    ? xml::Event::Open(tag)
-           : it.kind == K::kValue ? xml::Event::Value(it.value)
+           : it.kind == K::kValue ? xml::Event::Value(std::string(it.value))
                                   : xml::Event::Close(tag),
            nav.value()->stream_offset() + (nav.value()->bits_read() + 7) / 8});
     }
@@ -806,7 +807,7 @@ TEST(TamperInsideVerbatimSubtreeFailsClosed) {
       break;
     }
     if (item.value().end) break;
-    events.push_back(item.value().event);
+    events.push_back(xml::Event::Of(item.value().event));
   }
   CHECK(failure.code() == StatusCode::kIntegrityError);
   // The evaluator saw r, h (skipped) and g's open: g's content bypassed it.
@@ -820,6 +821,123 @@ TEST(TamperInsideVerbatimSubtreeFailsClosed) {
     const Decoded& ref = decoded[4 + i - 1];
     CHECK(events[i] == ref.event);
     CHECK(ref.end_byte <= frag_begin);
+  }
+}
+
+/// An event with its depth, copied out of whatever it borrowed from.
+struct OwnedEvent {
+  xml::Event event;
+  int depth = 0;
+  bool operator==(const OwnedEvent& other) const = default;
+};
+
+/// Records the events an evaluator emits, copying each at once.
+class EventRecorder : public xml::EventHandler {
+ public:
+  void OnOpen(const std::string& tag, int depth) override {
+    events.push_back({xml::Event::Open(tag), depth});
+  }
+  void OnValue(const std::string& value, int depth) override {
+    events.push_back({xml::Event::Value(value), depth});
+  }
+  void OnClose(const std::string& tag, int depth) override {
+    events.push_back({xml::Event::Close(tag), depth});
+  }
+  std::vector<OwnedEvent> events;
+};
+
+TEST(BorrowedViewsMatchSaxEventSequence) {
+  // A view item borrows its text until the next Next(). Every path that
+  // hands one out is driven here: values decided on arrival (borrowed
+  // from the navigator's decode buffer), values queued as pending and
+  // handed over at flush (owned by the output queue), granted deferrals
+  // spliced back in, and granted subtrees streamed verbatim. Each item is
+  // copied as soon as it is pulled; the copies must equal the SAX pass's
+  // (kind, depth, text) sequence. Texts are long enough to live on the
+  // heap, so a view that outlives its text fails under the sanitizers.
+  std::string xml = "<Hospital>";
+  for (const char* clearance : {"open", "closed"}) {
+    xml += "<Folder><MedActs>";
+    for (int i = 0; i < 60; ++i) {
+      xml += "<Consult><Diagnostic>finding-" + std::to_string(i) +
+             " lorem ipsum &amp; dolor &lt;sit&gt; amet</Diagnostic>"
+             "</Consult>";
+    }
+    xml += std::string("</MedActs><Clearance>") + clearance +
+           "</Clearance></Folder>";
+  }
+  xml += "<Public>" + Items("public notice, long enough for the heap ", 40) +
+         "</Public></Hospital>";
+  const char kGuarded[] = "+ /Hospital/Folder[Clearance = open]/MedActs\n";
+  const char kPublic[] = "+ /Hospital/Public\n";
+  const char kBoth[] =
+      "+ /Hospital/Folder[Clearance = open]/MedActs\n"
+      "+ /Hospital/Public\n";
+
+  struct Mode {
+    const char* name;
+    const char* rules;
+    pipeline::ServeOptions options;
+  };
+  const Mode kModes[] = {
+      // The guarded MedActs queue; Public's values go out on arrival.
+      {"full stream", kBoth, pipeline::ServeOptions(false, UINT64_MAX)},
+      // Denied subtrees are skipped; the guarded MedActs still queue.
+      {"skip", kGuarded, pipeline::ServeOptions(true, UINT64_MAX)},
+      // Both MedActs are deferred; the granted one is spliced back in.
+      {"512 B budget", kGuarded, pipeline::ServeOptions(true, 512)},
+      // Public is granted in full while the evaluator is idle.
+      {"verbatim bypass", kPublic, pipeline::ServeOptions(true, UINT64_MAX)},
+  };
+  crypto::ChunkLayout layout;
+  layout.chunk_size = 256;
+  layout.fragment_size = 32;
+  for (auto variant : {index::Variant::kTc, index::Variant::kTcs,
+                       index::Variant::kTcsb, index::Variant::kTcsbr}) {
+    server::DocumentService service;
+    CHECK_OK(service.Publish("doc", xml, TestConfig(variant, layout)));
+    for (const Mode& mode : kModes) {
+      const auto rules = Rules(mode.rules);
+      EventRecorder reference;
+      access::RuleEvaluator eval(rules, &reference);
+      CHECK_OK(xml::SaxParser::Parse(xml, &eval));
+      CHECK_OK(eval.Finish());
+      CHECK(reference.events.size() > 100);
+
+      auto session = service.OpenSession("doc", rules, mode.options);
+      CHECK_OK(session.status());
+      if (!session.ok()) continue;
+      std::vector<OwnedEvent> got;
+      while (true) {
+        auto item = session.value()->Next();
+        CHECK_OK(item.status());
+        if (!item.ok() || item.value().end) break;
+        got.push_back(
+            {xml::Event::Of(item.value().event), item.value().depth});
+      }
+      if (got != reference.events) {
+        testing::Fail(__FILE__, __LINE__,
+                      std::string("view events differ: ") + mode.name +
+                          ", variant " +
+                          std::to_string(static_cast<int>(variant)));
+      }
+      // Each mode took the path it is named for (TC streams cannot skip).
+      if (variant == index::Variant::kTc || !mode.options.enable_skip) {
+        continue;
+      }
+      const pipeline::ServeStream& stream = session.value()->stream();
+      if (mode.rules == kPublic) {
+        // The evaluator saw Hospital, the skipped Folders and Public's
+        // open and close only.
+        CHECK(stream.eval().events_in < 10);
+      } else if (mode.options.pending_buffer_budget == UINT64_MAX) {
+        CHECK(stream.eval().peak_buffered_bytes > 512);
+        CHECK_EQ(stream.drive().deferrals, uint64_t{0});
+      } else {
+        CHECK_EQ(stream.drive().deferrals, uint64_t{2});
+        CHECK_EQ(stream.drive().rereads, uint64_t{1});
+      }
+    }
   }
 }
 

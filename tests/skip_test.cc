@@ -452,6 +452,48 @@ TEST(InertChildrenKeepTightBudgetAccounting) {
   CHECK_EQ(r.requests, uint64_t{206});
 }
 
+TEST(GuardedBudgetLedgerIsExact) {
+  // The pending-buffer ledger charges each queued event's payload and
+  // releases exactly that at flush, before a queued text is handed on.
+  // Were the release read after the hand-off, it would drop nothing for
+  // texts, inflate the ledger and defer subtrees that fit. The pins were
+  // recorded from the evaluator that copied queued texts out at flush:
+  // the deep, predicate-heavy families of the service benchmark's guarded
+  // workload under its tight budget and twice that.
+  struct Pin {
+    bench::CorpusFamily family;
+    uint64_t budget;
+    uint64_t peak_buffered_bytes;
+    uint64_t deferrals_granted;
+    uint64_t deferrals_denied;
+    uint64_t reread_bits;
+  };
+  const Pin kPins[] = {
+      {bench::CorpusFamily::kDeepNest, 512, 96, 16, 27, 82927},
+      {bench::CorpusFamily::kDeepNest, 1024, 1067, 1, 2, 5136},
+      {bench::CorpusFamily::kPredicateStorm, 512, 548, 31, 23, 98133},
+      {bench::CorpusFamily::kPredicateStorm, 1024, 1043, 0, 0, 0},
+  };
+  for (const Pin& pin : kPins) {
+    bench::CorpusSpec spec;
+    spec.family = pin.family;
+    spec.target_bytes = 64 << 10;
+    const std::string xml = bench::GenerateCorpus(spec).xml;
+    auto rules = ParseRules(
+        bench::RulesFor(spec.family, bench::RuleFamily::kGuarded));
+    auto d = ServeOpts(xml, index::Variant::kTcsbr,
+                       pipeline::ServeOptions(true, pin.budget), rules);
+    CHECK_OK(d.status());
+    if (!d.ok()) continue;
+    const pipeline::ServeReport& r = d.value();
+    CHECK_EQ(r.view, DirectView(xml, rules));
+    CHECK_EQ(r.eval.peak_buffered_bytes, pin.peak_buffered_bytes);
+    CHECK_EQ(r.eval.deferrals_granted, pin.deferrals_granted);
+    CHECK_EQ(r.eval.deferrals_denied, pin.deferrals_denied);
+    CHECK_EQ(r.drive.reread_bits, pin.reread_bits);
+  }
+}
+
 TEST(BudgetIsGlobalAcrossPendingSiblings) {
   // Many pending sibling subtrees, each individually under the budget:
   // only what fits in the *remaining* budget may buffer, the rest must
