@@ -1,5 +1,8 @@
 #include "crypto/des.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace csxa::crypto {
 
 namespace {
@@ -18,12 +21,6 @@ constexpr int kFp[64] = {
     38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
     36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
     34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9,  49, 17, 57, 25};
-
-constexpr int kExpansion[48] = {
-    32, 1,  2,  3,  4,  5,  4,  5,  6,  7,  8,  9,
-    8,  9,  10, 11, 12, 13, 12, 13, 14, 15, 16, 17,
-    16, 17, 18, 19, 20, 21, 20, 21, 22, 23, 24, 25,
-    24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1};
 
 constexpr int kPbox[32] = {16, 7,  20, 21, 29, 12, 28, 17, 1,  15, 23,
                            26, 5,  18, 31, 10, 2,  8,  24, 14, 32, 27,
@@ -93,9 +90,8 @@ inline Block64 U64ToBytes(uint64_t v) {
 
 /// Applies a permutation given in DES's 1-based MSB-first convention.
 /// `in_width` is the bit width of the input; `table_size` that of the
-/// output. Reference implementation: the hot path uses the byte-indexed
-/// tables derived from it below; key scheduling and table generation use
-/// it directly.
+/// output. Reference implementation for key scheduling and for generating
+/// the lookup tables below.
 inline uint64_t Permute(uint64_t in, int in_width, const int* table,
                         int table_size) {
   uint64_t out = 0;
@@ -111,15 +107,20 @@ inline uint32_t Rotl28(uint32_t v, int s) {
   return ((v << s) | (v >> (28 - s))) & 0x0FFFFFFFu;
 }
 
+inline uint32_t Rotl32(uint32_t v, int s) {
+  return (v << s) | (v >> (32 - s));
+}
+
 /// Precomputed per-byte permutation tables and combined S/P boxes. Bit
 /// permutations are linear over XOR, so any permutation of a word is the
 /// XOR of the permutations of its bytes — eight lookups replace a 64-step
-/// bit loop. The S/P tables fold the P-box into each S-box's output.
+/// bit loop. The S/P tables fold the P-box into each S-box's output. F
+/// indexes them with a whole byte whose low six bits are the S-box input
+/// in E's order; the top two bits are ignored, so F needs no masks.
 struct DesTables {
   uint64_t ip[8][256];
   uint64_t fp[8][256];
-  uint64_t e[4][256];     // 32 -> 48 bits, per byte of R
-  uint32_t sp[8][64];     // P(sbox output placed at its nibble)
+  uint32_t sp[8][256];  // P(sbox output placed at its nibble)
 
   DesTables() {
     for (int bi = 0; bi < 8; ++bi) {
@@ -129,19 +130,14 @@ struct DesTables {
         fp[bi][val] = Permute(in, 64, kFp, 64);
       }
     }
-    for (int bi = 0; bi < 4; ++bi) {
-      for (int val = 0; val < 256; ++val) {
-        uint64_t in = static_cast<uint64_t>(val) << (24 - 8 * bi);
-        e[bi][val] = Permute(in, 32, kExpansion, 48);
-      }
-    }
     for (int box = 0; box < 8; ++box) {
-      for (int six = 0; six < 64; ++six) {
+      for (int byte = 0; byte < 256; ++byte) {
+        int six = byte & 0x3F;
         int row = ((six & 0x20) >> 4) | (six & 1);
         int col = (six >> 1) & 0xF;
         uint32_t nibble = static_cast<uint32_t>(kSbox[box][row * 16 + col])
                           << (28 - 4 * box);
-        sp[box][six] = static_cast<uint32_t>(Permute(nibble, 32, kPbox, 32));
+        sp[box][byte] = static_cast<uint32_t>(Permute(nibble, 32, kPbox, 32));
       }
     }
   }
@@ -159,6 +155,69 @@ inline uint64_t ApplyByteTab(const uint64_t (&tab)[8][256], uint64_t v) {
          tab[6][(v >> 8) & 0xFF] ^ tab[7][v & 0xFF];
 }
 
+/// Packs a 48-bit round key (the six bits of S-box j + 1 at 42 - 6j) for F.
+Des::RoundKey Pack(uint64_t subkey) {
+  auto group = [subkey](int box) {
+    return static_cast<uint32_t>(subkey >> (42 - 6 * box)) & 0x3F;
+  };
+  return {group(0) | group(6) << 8 | group(4) << 16 | group(2) << 24,
+          group(1) | group(7) << 8 | group(5) << 16 | group(3) << 24};
+}
+
+/// The cipher function f(R, K). E feeds S-box j + 1 the bits 4j .. 4j+5
+/// of R (1-based from the MSB, bit 0 being bit 32). Rotating R left by 5 puts
+/// the groups of S-boxes 1, 7, 5, 3 in the low six bits of bytes 0..3 and
+/// rotating it by 9 does the same for S-boxes 2, 8, 6, 4, so the
+/// expansion is two rotations and the key mixes in with two XORs. The
+/// eight lookups take whole bytes (see DesTables::sp).
+inline uint32_t F(const DesTables& t, uint32_t r, Des::RoundKey k) {
+  const uint32_t u = Rotl32(r, 5) ^ k.even;
+  const uint32_t v = Rotl32(r, 9) ^ k.odd;
+  return t.sp[0][u & 0xFF] ^ t.sp[6][(u >> 8) & 0xFF] ^
+         t.sp[4][(u >> 16) & 0xFF] ^ t.sp[2][u >> 24] ^
+         t.sp[1][v & 0xFF] ^ t.sp[7][(v >> 8) & 0xFF] ^
+         t.sp[5][(v >> 16) & 0xFF] ^ t.sp[3][v >> 24];
+}
+
+/// Calls fn(0) .. fn(K - 1) unrolled: with every lane index a constant,
+/// the per-lane halves stay in registers.
+template <size_t K, typename Fn>
+inline void ForLanes(Fn&& fn) {
+  [&]<size_t... k>(std::index_sequence<k...>) {
+    (fn(k), ...);
+  }(std::make_index_sequence<K>{});
+}
+
+/// Runs K independent blocks through IP, `rounds` Feistel rounds under
+/// `keys` and FP. `rounds` is a multiple of 16: each 16-round set ends on
+/// the pre-output R16 || L16, which the next set takes as its L0 || R0 —
+/// the inner FP∘IP pairs of EDE cancel. The K blocks share no state, so
+/// their lookups interleave; K = 1 is the single-block transform.
+template <size_t K>
+inline void Crypt(uint64_t* blocks, const Des::RoundKey* keys,
+                  size_t rounds) {
+  const DesTables& t = Tabs();
+  uint32_t left[K] = {};
+  uint32_t right[K] = {};
+  ForLanes<K>([&](size_t k) {
+    const uint64_t state = ApplyByteTab(t.ip, blocks[k]);
+    left[k] = static_cast<uint32_t>(state >> 32);
+    right[k] = static_cast<uint32_t>(state);
+  });
+  for (size_t set = 0; set < rounds; set += 16) {
+    // Two rounds per step, so the halves trade roles instead of places.
+    for (size_t i = set; i < set + 16; i += 2) {
+      ForLanes<K>([&](size_t k) { left[k] ^= F(t, right[k], keys[i]); });
+      ForLanes<K>([&](size_t k) { right[k] ^= F(t, left[k], keys[i + 1]); });
+    }
+    ForLanes<K>([&](size_t k) { std::swap(left[k], right[k]); });
+  }
+  ForLanes<K>([&](size_t k) {
+    blocks[k] = ApplyByteTab(
+        t.fp, (static_cast<uint64_t>(left[k]) << 32) | right[k]);
+  });
+}
+
 }  // namespace
 
 Des::Des(const Block64& key) {
@@ -170,42 +229,19 @@ Des::Des(const Block64& key) {
     c = Rotl28(c, kShifts[round]);
     d = Rotl28(d, kShifts[round]);
     uint64_t cd = (static_cast<uint64_t>(c) << 28) | d;
-    subkeys_[round] = Permute(cd, 56, kPc2, 48);
+    encrypt_[round] = Pack(Permute(cd, 56, kPc2, 48));
+    decrypt_[15 - round] = encrypt_[round];
   }
-}
-
-uint64_t Des::Rounds(uint64_t state, bool decrypt) const {
-  const DesTables& t = Tabs();
-  uint32_t left = static_cast<uint32_t>(state >> 32);
-  uint32_t right = static_cast<uint32_t>(state);
-  for (int round = 0; round < 16; ++round) {
-    uint64_t expanded = t.e[0][(right >> 24) & 0xFF] ^
-                        t.e[1][(right >> 16) & 0xFF] ^
-                        t.e[2][(right >> 8) & 0xFF] ^ t.e[3][right & 0xFF];
-    expanded ^= subkeys_[decrypt ? 15 - round : round];
-    uint32_t f = t.sp[0][(expanded >> 42) & 0x3F] ^
-                 t.sp[1][(expanded >> 36) & 0x3F] ^
-                 t.sp[2][(expanded >> 30) & 0x3F] ^
-                 t.sp[3][(expanded >> 24) & 0x3F] ^
-                 t.sp[4][(expanded >> 18) & 0x3F] ^
-                 t.sp[5][(expanded >> 12) & 0x3F] ^
-                 t.sp[6][(expanded >> 6) & 0x3F] ^ t.sp[7][expanded & 0x3F];
-    uint32_t next = left ^ f;
-    left = right;
-    right = next;
-  }
-  // Pre-output: R16 || L16 (note the swap).
-  return (static_cast<uint64_t>(right) << 32) | left;
 }
 
 uint64_t Des::EncryptU64(uint64_t block) const {
-  const DesTables& t = Tabs();
-  return ApplyByteTab(t.fp, Rounds(ApplyByteTab(t.ip, block), false));
+  Crypt<1>(&block, encrypt_.data(), encrypt_.size());
+  return block;
 }
 
 uint64_t Des::DecryptU64(uint64_t block) const {
-  const DesTables& t = Tabs();
-  return ApplyByteTab(t.fp, Rounds(ApplyByteTab(t.ip, block), true));
+  Crypt<1>(&block, decrypt_.data(), decrypt_.size());
+  return block;
 }
 
 Block64 Des::EncryptBlock(const Block64& plain) const {
@@ -218,35 +254,47 @@ Block64 Des::DecryptBlock(const Block64& cipher) const {
 
 namespace {
 
-Block64 SubKey(const TripleDes::Key& key, int index) {
+Des SubKey(const TripleDes::Key& key, int index) {
   Block64 k;
   for (int i = 0; i < 8; ++i) k[i] = key[index * 8 + i];
-  return k;
+  return Des(k);
 }
 
 }  // namespace
 
-TripleDes::TripleDes(const Key& key)
-    : des1_(SubKey(key, 0)), des2_(SubKey(key, 1)), des3_(SubKey(key, 2)) {}
+TripleDes::TripleDes(const Key& key) {
+  // EDE: encrypt = E_K1, D_K2, E_K3; decrypt = D_K3, E_K2, D_K1.
+  const Des des1 = SubKey(key, 0);
+  const Des des2 = SubKey(key, 1);
+  const Des des3 = SubKey(key, 2);
+  auto place = [](std::array<Des::RoundKey, 48>& schedule, int pass,
+                  const std::array<Des::RoundKey, 16>& keys) {
+    std::copy(keys.begin(), keys.end(), schedule.begin() + 16 * pass);
+  };
+  place(encrypt_, 0, des1.encrypt_);
+  place(encrypt_, 1, des2.decrypt_);
+  place(encrypt_, 2, des3.encrypt_);
+  place(decrypt_, 0, des3.decrypt_);
+  place(decrypt_, 1, des2.encrypt_);
+  place(decrypt_, 2, des1.decrypt_);
+}
 
 uint64_t TripleDes::EncryptU64(uint64_t block) const {
-  // EDE with the inner FP∘IP pairs cancelled: IP, three round sets on the
-  // permuted domain, one final FP.
-  const DesTables& t = Tabs();
-  uint64_t state = ApplyByteTab(t.ip, block);
-  state = des1_.Rounds(state, /*decrypt=*/false);
-  state = des2_.Rounds(state, /*decrypt=*/true);
-  state = des3_.Rounds(state, /*decrypt=*/false);
-  return ApplyByteTab(t.fp, state);
+  Crypt<1>(&block, encrypt_.data(), encrypt_.size());
+  return block;
 }
 
 uint64_t TripleDes::DecryptU64(uint64_t block) const {
-  const DesTables& t = Tabs();
-  uint64_t state = ApplyByteTab(t.ip, block);
-  state = des3_.Rounds(state, /*decrypt=*/true);
-  state = des2_.Rounds(state, /*decrypt=*/false);
-  state = des1_.Rounds(state, /*decrypt=*/true);
-  return ApplyByteTab(t.fp, state);
+  Crypt<1>(&block, decrypt_.data(), decrypt_.size());
+  return block;
+}
+
+void TripleDes::EncryptLanes(Lanes& blocks) const {
+  Crypt<kLanes>(blocks.data(), encrypt_.data(), encrypt_.size());
+}
+
+void TripleDes::DecryptLanes(Lanes& blocks) const {
+  Crypt<kLanes>(blocks.data(), decrypt_.data(), decrypt_.size());
 }
 
 Block64 TripleDes::EncryptBlock(const Block64& plain) const {

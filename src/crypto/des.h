@@ -2,6 +2,7 @@
 #define CSXA_CRYPTO_DES_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace csxa::crypto {
@@ -12,14 +13,25 @@ namespace csxa::crypto {
 using Block64 = std::array<uint8_t, 8>;
 
 /// Single DES (FIPS 46-3), implemented from scratch from the standard's
-/// permutation and S-box tables. The per-block transform runs on
-/// precomputed byte-indexed permutation tables and combined S/P boxes
-/// (generated at startup from the FIPS tables, so the known-answer tests
-/// pin both); the bit-by-bit reference permutation survives only in key
-/// scheduling. Kept for completeness and as the building block of 3DES;
-/// use TripleDes for actual document protection.
+/// permutation and S-box tables. Each Feistel round XORs two rotations of
+/// the right half with a packed round key and makes eight lookups into
+/// combined S/P boxes, one per byte-aligned six-bit field, so the
+/// expansion E costs no lookups at all. IP and FP run on byte-indexed
+/// tables. All tables are generated at startup from the FIPS tables, so
+/// the known-answer tests pin them; the bit-by-bit reference permutation
+/// survives only in key scheduling and table generation. Kept for
+/// completeness and as the building block of 3DES; use TripleDes for
+/// actual document protection.
 class Des {
  public:
+  /// A 48-bit round key split for the round function: `even` holds the
+  /// six-bit groups of S-boxes 1, 7, 5, 3 and `odd` those of S-boxes
+  /// 2, 8, 6, 4, one group in the low six bits of each byte.
+  struct RoundKey {
+    uint32_t even = 0;
+    uint32_t odd = 0;
+  };
+
   /// `key` is 8 bytes; parity bits are ignored as in the standard.
   explicit Des(const Block64& key);
 
@@ -33,32 +45,44 @@ class Des {
  private:
   friend class TripleDes;
 
-  /// The 16 Feistel rounds without IP/FP: maps an IP-domain state
-  /// (L0 << 32 | R0) to the pre-output (R16 << 32 | L16). Exposed to
-  /// TripleDes so the inner IP∘FP pairs of EDE cancel.
-  uint64_t Rounds(uint64_t state, bool decrypt) const;
-
-  std::array<uint64_t, 16> subkeys_;  // 48-bit round keys
+  std::array<RoundKey, 16> encrypt_;  // round keys in encryption order
+  std::array<RoundKey, 16> decrypt_;  // the same keys reversed
 };
 
 /// Triple-DES in EDE mode with a 24-byte key (K1,K2,K3), the cipher used by
-/// the paper's prototype (hardwired 3DES on the Axalto smart card).
+/// the paper's prototype (hardwired 3DES on the Axalto smart card). Both
+/// directions run as one 48-round schedule with the EDE order and the key
+/// reversal of the decrypting passes baked in: one IP, 48 rounds, one FP,
+/// the inner FP∘IP pairs cancelled.
 class TripleDes {
  public:
   using Key = std::array<uint8_t, 24>;
+
+  /// Blocks the lane transforms carry through the rounds together. The
+  /// lanes are independent, so their lookups overlap in the pipeline.
+  /// On x86-64 (gcc 12, -O2) 4 lanes ran 2.4x one lane on 256-byte
+  /// segments; 2 and 3 lanes were slower, 6 no faster (a 32-block
+  /// fragment leaves it a 2-block tail), 8 spilled registers.
+  static constexpr size_t kLanes = 4;
+  using Lanes = std::array<uint64_t, kLanes>;
 
   explicit TripleDes(const Key& key);
 
   Block64 EncryptBlock(const Block64& plain) const;
   Block64 DecryptBlock(const Block64& cipher) const;
 
-  /// Big-endian-uint64 block transforms: the hot-path API (one IP and one
-  /// FP per 3DES operation instead of three of each, no byte shuffling).
+  /// Big-endian-uint64 block transforms.
   uint64_t EncryptU64(uint64_t block) const;
   uint64_t DecryptU64(uint64_t block) const;
 
+  /// kLanes independent big-endian-uint64 blocks transformed in place:
+  /// the hot path of whole-segment encryption and decryption.
+  void EncryptLanes(Lanes& blocks) const;
+  void DecryptLanes(Lanes& blocks) const;
+
  private:
-  Des des1_, des2_, des3_;
+  std::array<Des::RoundKey, 48> encrypt_;
+  std::array<Des::RoundKey, 48> decrypt_;
 };
 
 }  // namespace csxa::crypto

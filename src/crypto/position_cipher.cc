@@ -1,5 +1,8 @@
 #include "crypto/position_cipher.h"
 
+#include <bit>
+#include <cstring>
+
 namespace csxa::crypto {
 
 namespace {
@@ -16,14 +19,52 @@ Block64 XorPosition(const Block64& b, uint64_t block_index) {
 
 inline uint64_t LoadBe64(const uint8_t* p) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 
 inline void StoreBe64(uint8_t* p, uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<uint8_t>(v & 0xFF);
-    v >>= 8;
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// One pass over a block-aligned segment: kLanes blocks at a time through
+/// the interleaved rounds, then the tail one block at a time. A
+/// big-endian-loaded block XORed with the integer byte position is
+/// exactly the per-byte position mix of XorPosition; encryption mixes it
+/// in before the cipher, decryption after.
+template <bool kEncrypt>
+void Sweep(const TripleDes& cipher, uint8_t* data, size_t n,
+           uint64_t first_block_index) {
+  constexpr size_t kStride = 8 * TripleDes::kLanes;
+  const uint64_t base = first_block_index * 8;
+  size_t off = 0;
+  for (; off + kStride <= n; off += kStride) {
+    TripleDes::Lanes lanes;  // every lane is loaded below
+    for (size_t k = 0; k < lanes.size(); ++k) {
+      lanes[k] = LoadBe64(data + off + 8 * k);
+      if constexpr (kEncrypt) lanes[k] ^= base + off + 8 * k;
+    }
+    if constexpr (kEncrypt) {
+      cipher.EncryptLanes(lanes);
+    } else {
+      cipher.DecryptLanes(lanes);
+    }
+    for (size_t k = 0; k < lanes.size(); ++k) {
+      if constexpr (!kEncrypt) lanes[k] ^= base + off + 8 * k;
+      StoreBe64(data + off + 8 * k, lanes[k]);
+    }
+  }
+  for (; off + 8 <= n; off += 8) {
+    const uint64_t block = LoadBe64(data + off);
+    StoreBe64(data + off,
+              kEncrypt ? cipher.EncryptU64(block ^ (base + off))
+                       : cipher.DecryptU64(block) ^ (base + off));
   }
 }
 
@@ -41,20 +82,12 @@ Block64 PositionCipher::DecryptBlock(const Block64& cipher,
 
 void PositionCipher::EncryptInPlace(uint8_t* data, size_t n,
                                     uint64_t first_block_index) const {
-  // A big-endian-loaded block XORed with the integer byte position is
-  // exactly the per-byte position mix of XorPosition.
-  for (size_t off = 0; off + 8 <= n; off += 8) {
-    const uint64_t pos = (first_block_index + off / 8) * 8;
-    StoreBe64(data + off, cipher_.EncryptU64(LoadBe64(data + off) ^ pos));
-  }
+  Sweep<true>(cipher_, data, n, first_block_index);
 }
 
 void PositionCipher::DecryptInPlace(uint8_t* data, size_t n,
                                     uint64_t first_block_index) const {
-  for (size_t off = 0; off + 8 <= n; off += 8) {
-    const uint64_t pos = (first_block_index + off / 8) * 8;
-    StoreBe64(data + off, cipher_.DecryptU64(LoadBe64(data + off)) ^ pos);
-  }
+  Sweep<false>(cipher_, data, n, first_block_index);
 }
 
 std::vector<uint8_t> PositionCipher::Encrypt(

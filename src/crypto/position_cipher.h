@@ -31,15 +31,15 @@ class PositionCipher {
   std::vector<uint8_t> Decrypt(const std::vector<uint8_t>& cipher_text,
                                uint64_t first_block_index = 0) const;
 
-  /// In-place whole-segment transforms — the hot path: one virtual-free
-  /// sweep over the buffer, position XOR and block transform in registers,
-  /// no per-block temporaries. `n` must be a multiple of 8.
+  /// In-place whole-segment transforms — the hot path: blocks go through
+  /// the rounds TripleDes::kLanes at a time (position-mixed ECB has no
+  /// dependency between blocks), the remainder one at a time, with the
+  /// position XOR and block transform in registers. `n` must be a
+  /// multiple of 8.
   void EncryptInPlace(uint8_t* data, size_t n,
                       uint64_t first_block_index) const;
   void DecryptInPlace(uint8_t* data, size_t n,
                       uint64_t first_block_index) const;
-
-  const TripleDes& raw_cipher() const { return cipher_; }
 
  private:
   TripleDes cipher_;
