@@ -32,10 +32,11 @@ namespace csxa::common {
 /// a VerifyPass, recording unauthenticated material into the digest cache —
 /// fails to compile (regression-tested by tests/typestate_compile_test).
 
-/// Passkey for the two mint sites (SoeDecryptor::VerifyChunkAgainstMaterial
-/// and SoeDecryptor::DecryptVerifiedBatch — both methods of SoeDecryptor,
-/// the only friend). Stateless; its value *is* the proof that control
-/// passed through the digest-chain verification code.
+/// Passkey of the verification path (SoeDecryptor::DecryptVerifiedBatch,
+/// its VerifyChunkAgainstMaterial step, and VerifiedViewOf over the buffer
+/// only DecryptVerifiedBatch writes — all methods of SoeDecryptor, the only
+/// friend). Stateless; its value *is* the proof that control passed
+/// through the digest-chain verification code.
 class VerifyPass {
  private:
   VerifyPass() = default;
@@ -76,37 +77,25 @@ class UnverifiedBytes {
 
 /// Document bytes that recombined to an authenticated Merkle root. Only a
 /// VerifyPass holder can construct one; everyone may read it. Move-only:
-/// a copy would be a second witness nobody verified. Two shapes, one type:
-/// an owning buffer (DecryptVerified's return) or a borrowed view over a
-/// buffer that is written exclusively by DecryptVerifiedBatch (the
+/// a copy would be a second witness nobody verified. It borrows a buffer
+/// that is written exclusively by DecryptVerifiedBatch (the
 /// SecureFetcher's document image — see SoeDecryptor::VerifiedViewOf).
 class VerifiedPlaintext {
  public:
-  VerifiedPlaintext(VerifyPass, std::vector<uint8_t> bytes)
-      : owned_(std::move(bytes)) {}
   VerifiedPlaintext(VerifyPass, const uint8_t* data, size_t size)
-      : view_(data), view_size_(size) {}
+      : data_(data), size_(size) {}
 
   VerifiedPlaintext(VerifiedPlaintext&&) noexcept = default;
   VerifiedPlaintext& operator=(VerifiedPlaintext&&) noexcept = default;
   VerifiedPlaintext(const VerifiedPlaintext&) = delete;
   VerifiedPlaintext& operator=(const VerifiedPlaintext&) = delete;
 
-  const uint8_t* data() const {
-    return view_ != nullptr ? view_ : owned_.data();
-  }
-  size_t size() const { return view_ != nullptr ? view_size_ : owned_.size(); }
-
-  /// Copy-out for consumers that want ownership (tests, reference
-  /// comparisons). Reading verified bytes is never restricted.
-  std::vector<uint8_t> ToVector() const {
-    return std::vector<uint8_t>(data(), data() + size());
-  }
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
 
  private:
-  std::vector<uint8_t> owned_;
-  const uint8_t* view_ = nullptr;
-  size_t view_size_ = 0;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
 };
 
 }  // namespace csxa::common

@@ -65,16 +65,6 @@ Status ChunkLayout::Validate(uint32_t block_size) const {
   return Status::OK();
 }
 
-uint64_t RangeResponse::WireBytes() const {
-  uint64_t bytes = ciphertext.size();
-  for (const ChunkMaterial& chunk : chunks) {
-    bytes += chunk.proof.size() * sizeof(Sha1Digest);
-    bytes += chunk.encrypted_digest.size();
-    if (chunk.has_prefix_state) bytes += 92;  // h[5] + length + buffer tail
-  }
-  return bytes;
-}
-
 std::vector<uint8_t> SoeDecryptor::SealDigest(const CipherBackend& backend,
                                               uint64_t chunk_index,
                                               const Sha1Digest& root,
@@ -135,61 +125,10 @@ Result<SecureDocumentStore> SecureDocumentStore::Build(
   return store;
 }
 
-Result<RangeResponse> SecureDocumentStore::ReadRange(uint64_t pos,
-                                                     uint64_t n) const {
-  const uint64_t size = ciphertext_.size();
-  if (n == 0 || pos >= size || pos + n > size) {
-    return Status::OutOfRange("ReadRange outside document");
-  }
-  RangeResponse resp;
-  // Extend left to a block boundary (decryption unit) and right to a
-  // fragment boundary (hashing unit).
-  resp.data_begin = pos / block_size_ * block_size_;
-  uint64_t end = pos + n;
-  uint64_t frag_end = (end + layout_.fragment_size - 1) /
-                      layout_.fragment_size * layout_.fragment_size;
-  frag_end = std::min(frag_end, size);
-  resp.ciphertext = common::UnverifiedBytes(std::vector<uint8_t>(
-      ciphertext_.begin() + resp.data_begin, ciphertext_.begin() + frag_end));
-
-  const uint32_t frags = layout_.fragments_per_chunk();
-  uint64_t first_chunk = resp.data_begin / layout_.chunk_size;
-  uint64_t last_chunk = (frag_end - 1) / layout_.chunk_size;
-  for (uint64_t c = first_chunk; c <= last_chunk; ++c) {
-    uint64_t chunk_begin = c * layout_.chunk_size;
-    uint64_t chunk_end = std::min(chunk_begin + layout_.chunk_size, size);
-    uint64_t cover_begin = std::max(chunk_begin, resp.data_begin);
-    uint64_t cover_end = std::min(chunk_end, frag_end);
-
-    RangeResponse::ChunkMaterial mat;
-    mat.chunk_index = c;
-    mat.first_fragment =
-        static_cast<uint32_t>((cover_begin - chunk_begin) /
-                              layout_.fragment_size);
-    mat.last_fragment = static_cast<uint32_t>((cover_end - 1 - chunk_begin) /
-                                              layout_.fragment_size);
-    // Intermediate hash of the untransferred prefix of the first fragment.
-    uint64_t frag_begin =
-        chunk_begin + uint64_t{mat.first_fragment} * layout_.fragment_size;
-    if (cover_begin > frag_begin) {
-      Sha1 hasher;
-      hasher.Update(ciphertext_.data() + frag_begin, cover_begin - frag_begin);
-      mat.prefix_state = hasher.SaveState();
-      mat.has_prefix_state = true;
-    }
-    MerkleTree tree = BuildChunkTree(ciphertext_, chunk_begin, chunk_end,
-                                     frags, layout_.fragment_size);
-    mat.proof = tree.ProofForRange(mat.first_fragment, mat.last_fragment);
-    mat.encrypted_digest = digests_[c];
-    resp.chunks.push_back(std::move(mat));
-  }
-  return resp;
-}
-
 uint64_t BatchResponse::WireBytes() const {
   uint64_t bytes = 0;
   for (const Segment& seg : segments) bytes += seg.ciphertext.size();
-  for (const RangeResponse::ChunkMaterial& chunk : chunks) {
+  for (const ChunkMaterial& chunk : chunks) {
     bytes += chunk.proof.size() * sizeof(Sha1Digest);
     bytes += chunk.encrypted_digest.size();
   }
@@ -230,7 +169,7 @@ Result<BatchResponse> SecureDocumentStore::ReadBatch(
       uint64_t cover_begin = std::max(chunk_begin, run.begin);
       uint64_t cover_end = std::min(chunk_end, run.end);
 
-      RangeResponse::ChunkMaterial mat;
+      BatchResponse::ChunkMaterial mat;
       mat.chunk_index = c;
       mat.first_fragment = static_cast<uint32_t>(
           (cover_begin - chunk_begin) / layout_.fragment_size);
@@ -332,7 +271,7 @@ SoeDecryptor::SoeDecryptor(const TripleDes::Key& key, ChunkLayout layout,
 }
 
 Status SoeDecryptor::VerifyChunkAgainstMaterial(
-    const RangeResponse::ChunkMaterial& mat, uint64_t chunk,
+    const BatchResponse::ChunkMaterial& mat, uint64_t chunk,
     const std::vector<Sha1Digest>& leaves,
     std::vector<std::pair<uint64_t, Sha1Digest>>* digest_memo) {
   const uint32_t bs = backend_->block_size();
@@ -424,13 +363,11 @@ Status SoeDecryptor::VerifyChunkAgainstMaterial(
   bool root_known = cache_->Root(chunk, &known_root);
   if (!root_known) {
     cache_->RecordMiss();
-    if (digest_memo != nullptr) {
-      for (const auto& [memo_chunk, memo_root] : *digest_memo) {
-        if (memo_chunk == chunk) {
-          known_root = memo_root;
-          root_known = true;
-          break;
-        }
+    for (const auto& [memo_chunk, memo_root] : *digest_memo) {
+      if (memo_chunk == chunk) {
+        known_root = memo_root;
+        root_known = true;
+        break;
       }
     }
   }
@@ -465,118 +402,13 @@ Status SoeDecryptor::VerifyChunkAgainstMaterial(
           ", expected " + std::to_string(expected_version_) +
           " (replayed document state?)");
     }
-    if (digest_memo != nullptr) digest_memo->emplace_back(chunk, root.value());
+    digest_memo->emplace_back(chunk, root.value());
   }
   // Everything that entered the (successful) root recomputation is now as
   // authentic as the digest: remember it for bare re-reads.
   cache_->Record(common::VerifyPass{}, chunk, root.value(),
                  mat.first_fragment, leaves, mat.proof);
   return Status::OK();
-}
-
-Result<common::VerifiedPlaintext> SoeDecryptor::DecryptVerified(
-    const RangeResponse& resp, uint64_t pos, uint64_t n) {
-  // The verification-path read of the tainted response bytes: minting the
-  // pass here is what entitles this function to see them at all.
-  const uint8_t* ct = resp.ciphertext.VerifyData(common::VerifyPass{});
-  CSXA_RETURN_NOT_OK(config_error_);
-  const uint32_t bs = backend_->block_size();
-  const uint64_t padded_size = (plaintext_size_ + bs - 1) / bs * bs;
-  if (pos < resp.data_begin ||
-      pos + n > resp.data_begin + resp.ciphertext.size()) {
-    return Status::IntegrityError("response does not cover requested range");
-  }
-  const uint64_t data_end = resp.data_begin + resp.ciphertext.size();
-
-  // Every chunk overlapping the transferred range must come with material,
-  // in order, or the terminal is withholding integrity evidence.
-  uint64_t expect_chunk = resp.data_begin / layout_.chunk_size;
-  uint64_t last_chunk = (data_end - 1) / layout_.chunk_size;
-  size_t mat_index = 0;
-  for (uint64_t c = expect_chunk; c <= last_chunk; ++c, ++mat_index) {
-    if (mat_index >= resp.chunks.size() ||
-        resp.chunks[mat_index].chunk_index != c) {
-      return Status::IntegrityError(
-          "missing integrity material for chunk in range response");
-    }
-    const auto& mat = resp.chunks[mat_index];
-    if (c >= chunk_count_) {
-      return Status::IntegrityError(
-          "chunk index out of bounds in range response");
-    }
-    uint64_t chunk_begin = c * layout_.chunk_size;
-    uint64_t chunk_end = std::min(chunk_begin + layout_.chunk_size,
-                                  padded_size);
-    if (mat.first_fragment > mat.last_fragment ||
-        mat.last_fragment >= layout_.fragments_per_chunk()) {
-      return Status::IntegrityError("bad fragment range");
-    }
-    // The hashed fragments must cover every transferred byte of this
-    // chunk: a terminal could otherwise narrow the claimed range, attach a
-    // genuine proof for it, and have bytes outside the range decrypted
-    // unverified.
-    uint64_t cover_begin = std::max(chunk_begin, resp.data_begin);
-    uint64_t cover_end = std::min(chunk_end, data_end);
-    uint64_t hashed_begin =
-        chunk_begin + uint64_t{mat.first_fragment} * layout_.fragment_size;
-    uint64_t hashed_end = std::min<uint64_t>(
-        chunk_begin +
-            (uint64_t{mat.last_fragment} + 1) * layout_.fragment_size,
-        chunk_end);
-    if (hashed_begin > cover_begin || hashed_end < cover_end) {
-      return Status::IntegrityError(
-          "integrity material does not cover the transferred range");
-    }
-    // Recompute the leaf hashes of the fragments we received.
-    std::vector<Sha1Digest> range_leaves;
-    const uint64_t h0 = NowNs();
-    for (uint32_t f = mat.first_fragment; f <= mat.last_fragment; ++f) {
-      uint64_t fb = chunk_begin + uint64_t{f} * layout_.fragment_size;
-      uint64_t fe = std::min<uint64_t>(fb + layout_.fragment_size, chunk_end);
-      uint64_t hash_from = fb;
-      Sha1 hasher;
-      if (f == mat.first_fragment && mat.has_prefix_state) {
-        hasher.RestoreState(mat.prefix_state);
-        hash_from = resp.data_begin;
-        if (hash_from <= fb || hash_from >= fe) {
-          return Status::IntegrityError("inconsistent prefix state");
-        }
-      }
-      if (hash_from < resp.data_begin || fe > data_end) {
-        return Status::IntegrityError(
-            "fragment range not covered by transferred bytes");
-      }
-      hasher.Update(ct + (hash_from - resp.data_begin), fe - hash_from);
-      counters_.bytes_hashed += fe - hash_from;
-      range_leaves.push_back(hasher.Finish());
-    }
-    counters_.hash_ns += NowNs() - h0;
-    // A prefix-state leaf hash is the true fragment hash (the state covers
-    // the untransferred prefix), so the recorded material stays sound.
-    CSXA_RETURN_NOT_OK(
-        VerifyChunkAgainstMaterial(mat, c, range_leaves, nullptr));
-  }
-
-  // All integrity material checked: decrypt the covered blocks in one
-  // whole-segment backend call and slice out the requested bytes.
-  uint64_t block_begin = pos / bs;
-  uint64_t block_end = (pos + n + bs - 1) / bs;
-  const uint64_t covered_begin = block_begin * bs;
-  if (covered_begin < resp.data_begin ||
-      block_end * bs - resp.data_begin > resp.ciphertext.size()) {
-    return Status::IntegrityError("block not covered by response");
-  }
-  const size_t len = (block_end - block_begin) * bs;
-  std::vector<uint8_t> plain(ct + (covered_begin - resp.data_begin),
-                             ct + (covered_begin - resp.data_begin) + len);
-  const uint64_t d0 = NowNs();
-  backend_->DecryptSegment(plain.data(), len, block_begin);
-  counters_.decrypt_ns += NowNs() - d0;
-  counters_.bytes_decrypted += len;
-  std::vector<uint8_t> out(plain.begin() + (pos - covered_begin),
-                           plain.begin() + (pos - covered_begin) + n);
-  // Mint site: everything above recombined to the authenticated root.
-  return common::VerifiedPlaintext(common::VerifyPass{}, std::move(out));
 }
 
 Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
@@ -684,12 +516,11 @@ Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
           return Status::IntegrityError(
               "missing integrity material for chunk in batch response");
         }
-        const RangeResponse::ChunkMaterial& mat = response.chunks[mat_index];
+        const BatchResponse::ChunkMaterial& mat = response.chunks[mat_index];
         ++mat_index;
         if (mat.chunk_index != c || mat.first_fragment != first ||
             mat.last_fragment != last ||
-            mat.last_fragment >= layout_.fragments_per_chunk() ||
-            mat.has_prefix_state) {
+            mat.last_fragment >= layout_.fragments_per_chunk()) {
           // The hashed fragments must cover exactly the transferred bytes
           // of this chunk: anything narrower would have bytes decrypted
           // unverified, anything else is a misaligned proof.

@@ -44,36 +44,6 @@ inline uint32_t DigestBlocks(uint32_t block_size) {
   return DigestCipherBytes(block_size) / block_size;
 }
 
-/// Response of the untrusted terminal to a random read: ciphertext covering
-/// the requested bytes (extended left to a block boundary and right to a
-/// fragment boundary), plus per-chunk integrity material following the
-/// Merkle-hash-tree protocol of Figure F1.
-struct RangeResponse {
-  uint64_t data_begin = 0;  ///< Absolute byte offset of ciphertext[0].
-  /// Terminal bytes: typestate-tainted until the Merkle chain vouches.
-  common::UnverifiedBytes ciphertext;
-
-  struct ChunkMaterial {
-    uint64_t chunk_index = 0;
-    uint32_t first_fragment = 0;  ///< Fragment range covered by ciphertext.
-    uint32_t last_fragment = 0;
-    /// Intermediate SHA-1 state of the prefix of `first_fragment` that is
-    /// *not* transferred (terminal hashed ciphertext bytes from the start
-    /// of the fragment up to data_begin). Unused when the range starts at a
-    /// fragment boundary.
-    bool has_prefix_state = false;
-    Sha1::State prefix_state;
-    std::vector<ProofNode> proof;          ///< Sibling hashes (Figure F1).
-    /// Encrypted ChunkDigest (DigestCipherBytes of the store's backend).
-    std::vector<uint8_t> encrypted_digest;
-  };
-  std::vector<ChunkMaterial> chunks;
-
-  /// Bytes moved over the terminal->SOE channel (ciphertext + hashes +
-  /// digests + hash states), for the cost model.
-  uint64_t WireBytes() const;
-};
-
 /// One terminal round trip of the *batched* verified-fetch protocol: the
 /// SOE's fetch planner coalesces every range it needs soon into one
 /// request of fragment-aligned runs, and names the chunks whose digests it
@@ -114,10 +84,8 @@ struct BatchRequest {
 /// fragment of the batch that falls into the chunk, and omitted entirely
 /// for bare chunks. Fragment alignment makes intermediate hash states
 /// unnecessary (each leaf hash restarts at a fragment boundary), so the
-/// per-request proof overhead of the unbatched protocol (sibling set +
-/// digest + prefix state, per range) collapses to at most one sibling set
-/// and one digest per chunk per batch — and to zero for cache-hit
-/// re-reads.
+/// proof overhead is at most one sibling set and one digest per chunk per
+/// batch — and zero for cache-hit re-reads.
 struct BatchResponse {
   struct Segment {
     uint64_t begin = 0;  ///< Absolute byte offset of ciphertext[0].
@@ -125,14 +93,29 @@ struct BatchResponse {
     common::UnverifiedBytes ciphertext;
   };
   std::vector<Segment> segments;  ///< Parallel to BatchRequest::runs.
+
+  /// Integrity material of one chunk, following the Merkle-hash-tree
+  /// protocol of Figure F1: the fragment interval the segment covers in
+  /// the chunk, the sibling hashes needed to rebuild its root, and the
+  /// chunk's encrypted ChunkDigest.
+  struct ChunkMaterial {
+    uint64_t chunk_index = 0;
+    uint32_t first_fragment = 0;  ///< Fragment range covered by ciphertext.
+    uint32_t last_fragment = 0;
+    std::vector<ProofNode> proof;  ///< Sibling hashes (trimmed by hints).
+    /// Encrypted ChunkDigest (DigestCipherBytes of the store's backend);
+    /// empty when the request's hint said the root is already known.
+    std::vector<uint8_t> encrypted_digest;
+  };
   /// Material for non-bare chunks, in ascending (segment, chunk) order.
   /// When two runs of one batch land in the same chunk, the chunk appears
   /// once per covered fragment range (rare; the planner merges same-chunk
   /// runs unless an already-valid fragment sits between them), but its
   /// digest is decrypted at most once per batch.
-  std::vector<RangeResponse::ChunkMaterial> chunks;
+  std::vector<ChunkMaterial> chunks;
 
-  /// Bytes moved over the terminal->SOE channel.
+  /// Bytes moved over the terminal->SOE channel (ciphertext + sibling
+  /// hashes + digests), for the cost model.
   uint64_t WireBytes() const;
 };
 
@@ -185,14 +168,12 @@ class SecureDocumentStore : public BatchSource {
   uint32_t block_size() const { return block_size_; }
   const std::vector<uint8_t>& ciphertext() const { return ciphertext_; }
 
-  /// Serves `[pos, pos+n)` with integrity material. Terminal-side hashing
-  /// is over ciphertext (so no key is needed), matching Section 6's
-  /// requirement that the terminal can cooperate in integrity checking.
-  Result<RangeResponse> ReadRange(uint64_t pos, uint64_t n) const;
-
   /// Serves a coalesced batch of fragment-aligned runs in one round trip
   /// (see BatchRequest/BatchResponse). Integrity material is emitted per
   /// chunk, not per run, and suppressed for the chunks the request waived.
+  /// Terminal-side hashing is over ciphertext (so no key is needed),
+  /// matching Section 6's requirement that the terminal can cooperate in
+  /// integrity checking.
   Result<BatchResponse> ReadBatch(const BatchRequest& request) const override;
 
   /// -- Attack emulation (tests) --------------------------------------
@@ -219,7 +200,7 @@ class SecureDocumentStore : public BatchSource {
 };
 
 /// SOE-side verifier/decryptor: holds the key, recomputes Merkle roots from
-/// RangeResponses, compares them to the decrypted ChunkDigests, and only
+/// BatchResponses, compares them to the decrypted ChunkDigests, and only
 /// then releases plaintext.
 class SoeDecryptor {
  public:
@@ -232,7 +213,7 @@ class SoeDecryptor {
   /// cross-serve shared one (the crypto layer holds it behind this handle
   /// only): it must be stamped with `expected_version` — a mismatch would
   /// let one version's authenticated hashes vouch for another's bytes.
-  /// Passing a mismatched handle is a hard error: every DecryptVerified*
+  /// Passing a mismatched handle is a hard error: every DecryptVerifiedBatch
   /// call on the decryptor fails with a fixed IntegrityError (the old
   /// silent fall-back to a private cache hid wiring bugs of exactly the
   /// replay class the version stamp exists to stop).
@@ -245,14 +226,6 @@ class SoeDecryptor {
                CipherBackendKind backend = CipherBackendKind::k3Des);
 
   static constexpr size_t kDefaultDigestCacheCapacity = 32;
-
-  /// Verifies integrity of `resp` and decrypts exactly the bytes
-  /// [pos, pos+n) of the document. Returns IntegrityError on any mismatch.
-  /// The returned VerifiedPlaintext is the typestate witness that the
-  /// bytes recombined to an authenticated Merkle root — the only other way
-  /// to obtain one is the batch path below.
-  Result<common::VerifiedPlaintext> DecryptVerified(const RangeResponse& resp,
-                                                    uint64_t pos, uint64_t n);
 
   /// True when the digest cache holds enough authenticated material to
   /// verify fragments [first, last] of `chunk` without any shipped
@@ -337,12 +310,13 @@ class SoeDecryptor {
                                          uint32_t version);
 
  private:
-  /// Shared chunk-verification core: recomputes the root from `leaves`
-  /// (fragments [first, last]) plus `proof`, authenticates it against the
-  /// encrypted digest (decrypting it at most once per batch via
-  /// `digest_memo`), and records the authenticated material in the cache.
+  /// DecryptVerifiedBatch's check of one chunk with shipped material:
+  /// recomputes the root from `leaves` (fragments [first, last]) plus
+  /// `proof`, authenticates it against the encrypted digest (decrypting it
+  /// at most once per batch via `digest_memo`), and records the
+  /// authenticated material in the cache.
   Status VerifyChunkAgainstMaterial(
-      const RangeResponse::ChunkMaterial& mat, uint64_t chunk,
+      const BatchResponse::ChunkMaterial& mat, uint64_t chunk,
       const std::vector<Sha1Digest>& leaves,
       std::vector<std::pair<uint64_t, Sha1Digest>>* digest_memo);
 

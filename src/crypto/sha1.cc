@@ -316,22 +316,6 @@ Sha1Digest Sha1::Finish() {
   return digest;
 }
 
-Sha1::State Sha1::SaveState() const {
-  State state;
-  state.h = h_;
-  state.length = length_;
-  state.buffer = buffer_;
-  state.buffered = buffered_;
-  return state;
-}
-
-void Sha1::RestoreState(const State& state) {
-  h_ = state.h;
-  length_ = state.length;
-  buffer_ = state.buffer;
-  buffered_ = state.buffered;
-}
-
 Sha1Digest Sha1::Hash(const uint8_t* data, size_t n) {
   Sha1 hasher;
   hasher.Update(data, n);

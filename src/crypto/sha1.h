@@ -16,12 +16,10 @@ namespace csxa::crypto {
 /// resistant hash function).
 using Sha1Digest = std::array<uint8_t, 20>;
 
-/// Incremental SHA-1 (FIPS 180-1), implemented from scratch.
-///
-/// Incrementality matters: the paper's "basic" integrity protocol has the
-/// untrusted terminal hash the prefix of a chunk and ship the *intermediate
-/// state* to the SOE, which continues hashing — `SaveState`/`RestoreState`
-/// expose exactly that.
+/// Incremental SHA-1 (FIPS 180-1), implemented from scratch. The paper's
+/// Figure F1 read also ships the terminal's intermediate state when a read
+/// starts mid-fragment; every read here is fragment-aligned, so each leaf
+/// hash starts fresh and no state ever leaves the hasher.
 class Sha1 {
  public:
   Sha1() { Reset(); }
@@ -38,17 +36,6 @@ class Sha1 {
   /// Finalizes and returns the digest. The object must be Reset() before
   /// reuse.
   Sha1Digest Finish();
-
-  /// Serialized mid-stream state (h0..h4, length, buffered block), allowing
-  /// a second party to continue the hash where the first stopped.
-  struct State {
-    std::array<uint32_t, 5> h;
-    uint64_t length = 0;
-    std::array<uint8_t, 64> buffer{};
-    size_t buffered = 0;
-  };
-  State SaveState() const;
-  void RestoreState(const State& state);
 
   /// One-shot convenience.
   static Sha1Digest Hash(const uint8_t* data, size_t n);

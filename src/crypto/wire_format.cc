@@ -167,11 +167,11 @@ void EncodeBatchResponse(const BatchResponse& response,
     PutBytes(out, ct.data(), ct.size());
   }
   PutU32(out, static_cast<uint32_t>(response.chunks.size()));
-  for (const RangeResponse::ChunkMaterial& mat : response.chunks) {
+  for (const BatchResponse::ChunkMaterial& mat : response.chunks) {
     PutU64(out, mat.chunk_index);
     PutU32(out, mat.first_fragment);
     PutU32(out, mat.last_fragment);
-    PutU8(out, 0);  // has_prefix_state: never set in the batched protocol.
+    PutU8(out, 0);  // has_prefix_state: reads are fragment-aligned.
     PutU32(out, static_cast<uint32_t>(mat.proof.size()));
     for (const ProofNode& node : mat.proof) {
       PutU32(out, static_cast<uint32_t>(node.level));
@@ -205,13 +205,13 @@ Result<BatchResponse> DecodeBatchResponse(const uint8_t* data, size_t size) {
   uint32_t chunks = r.Count(25);
   response.chunks.reserve(chunks);
   for (uint32_t i = 0; i < chunks && r.error == nullptr; ++i) {
-    RangeResponse::ChunkMaterial mat;
+    BatchResponse::ChunkMaterial mat;
     mat.chunk_index = r.U64();
     mat.first_fragment = r.U32();
     mat.last_fragment = r.U32();
     if (r.U8() != 0 && r.error == nullptr) {
-      // Fragment alignment makes prefix states unnecessary in a batch; a
-      // terminal shipping one is speaking the wrong protocol.
+      // Fragment alignment makes prefix states unnecessary; a terminal
+      // shipping one is speaking the wrong protocol.
       r.error = "prefix state on batched wire";
     }
     uint32_t proof = r.Count(32);

@@ -34,8 +34,10 @@ namespace csxa::crypto {
 ///                 u32 last_fragment, u8 has_prefix_state(=0),
 ///                 u32 count{proof} (u32 level, u64 index, 20B hash)*,
 ///                 u32 digest_len, bytes)*
-/// The batched protocol never ships prefix hash states (fragment alignment
-/// makes them unnecessary), so has_prefix_state must be zero on the wire.
+/// has_prefix_state is the flag of Figure F1's mid-fragment read, which
+/// ships the terminal's intermediate SHA-1 state. Every batch run is
+/// fragment-aligned, so no state is ever shipped: the byte is written as 0
+/// and a nonzero byte is rejected ("prefix state on batched wire").
 
 /// Serializes `request` into `out` (appended).
 void EncodeBatchRequest(const BatchRequest& request, std::vector<uint8_t>* out);

@@ -132,7 +132,7 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
     segments_ += req.runs.size();
     bare_chunk_reads_ += req.bare_chunks.size();
     uint64_t batch_proof_bytes = 0;
-    for (const crypto::RangeResponse::ChunkMaterial& mat :
+    for (const crypto::BatchResponse::ChunkMaterial& mat :
          resp.value().chunks) {
       proof_hashes_shipped_ += mat.proof.size();
       digest_bytes_shipped_ += mat.encrypted_digest.size();

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch_read.h"
 #include "crypto/aes.h"
 #include "crypto/cipher_backend.h"
 #include "crypto/des.h"
@@ -22,6 +23,7 @@ namespace {
 
 using namespace csxa;          // NOLINT
 using namespace csxa::crypto;  // NOLINT
+using csxa::testing::FetchVerified;
 
 uint8_t HexNibble(char c) {
   if (c >= '0' && c <= '9') return static_cast<uint8_t>(c - '0');
@@ -155,23 +157,6 @@ TEST(Sha1PaddingAtBlockBoundaries) {
   }
 }
 
-TEST(Sha1StateHandoff) {
-  // The terminal hashes a prefix, ships the intermediate state, and the
-  // SOE finishes the hash — the basic integrity protocol's key move.
-  std::string msg(300, '\0');
-  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<char>(i * 7);
-  for (size_t split : {0u, 1u, 63u, 64u, 65u, 128u, 299u, 300u}) {
-    Sha1 terminal;
-    terminal.Update(msg.substr(0, split));
-    Sha1::State state = terminal.SaveState();
-
-    Sha1 soe;
-    soe.RestoreState(state);
-    soe.Update(msg.substr(split));
-    CHECK(soe.Finish() == Sha1::Hash(msg));
-  }
-}
-
 TEST(MerkleRootFromRange) {
   std::vector<Sha1Digest> leaves;
   for (int i = 0; i < 8; ++i) {
@@ -280,8 +265,8 @@ const CipherBackendKind kAllBackends[] = {
 
 TEST(CipherBackendsRoundTripStore) {
   // The equivalence contract of the backend matrix: every backend serves
-  // byte-identical plaintext through both the ranged and the batched
-  // verified protocol, on aligned and odd-tail documents.
+  // byte-identical plaintext for unaligned ranges and for the whole
+  // document, on aligned and odd-tail documents.
   TripleDes::Key key{};
   for (size_t i = 0; i < key.size(); ++i) {
     key[i] = static_cast<uint8_t>(0x10 + i);
@@ -310,15 +295,12 @@ TEST(CipherBackendsRoundTripStore) {
       for (auto [pos, n] : std::vector<std::pair<uint64_t, uint64_t>>{
                {0, shape.doc}, {0, 1}, {shape.doc - 1, 1}, {3, 10},
                {250, 20}, {31, 257}}) {
-        auto resp = store.value().ReadRange(pos, n);
-        CHECK_OK(resp.status());
-        if (!resp.ok()) continue;
-        auto plain = soe.DecryptVerified(resp.value(), pos, n);
+        auto plain = FetchVerified(store.value(), &soe, pos, n);
         CHECK_OK(plain.status());
         if (!plain.ok()) continue;
         std::vector<uint8_t> expect(doc.begin() + pos,
                                     doc.begin() + pos + n);
-        CHECK(plain.value().ToVector() == expect);
+        CHECK(plain.value() == expect);
       }
 
       // Whole-document batched fetch: one run, one whole-segment decrypt.
@@ -346,9 +328,7 @@ bool BackendRangeFailsIntegrity(const SecureDocumentStore& store,
   SoeDecryptor soe(key, store.layout(), store.plaintext_size(),
                    store.chunk_count(), version,
                    SoeDecryptor::kDefaultDigestCacheCapacity, nullptr, kind);
-  auto resp = store.ReadRange(pos, n);
-  if (!resp.ok()) return false;
-  auto plain = soe.DecryptVerified(resp.value(), pos, n);
+  auto plain = FetchVerified(store, &soe, pos, n);
   return plain.status().code() == StatusCode::kIntegrityError;
 }
 
@@ -417,11 +397,13 @@ TEST(Des3CiphertextMatchesPinnedDigests) {
   if (!store.ok()) return;
   CHECK_EQ(Sha1Hex(store.value().ciphertext()),
            "94b582561b4c90c0fa758f534acc0b4f6ddeca99");
-  auto range = store.value().ReadRange(0, doc.size());
-  CHECK_OK(range.status());
-  if (!range.ok()) return;
+  BatchRequest whole;
+  whole.runs.push_back({0, store.value().ciphertext().size()});
+  auto batch = store.value().ReadBatch(whole);
+  CHECK_OK(batch.status());
+  if (!batch.ok()) return;
   std::vector<uint8_t> digests;
-  for (const auto& chunk : range.value().chunks) {
+  for (const auto& chunk : batch.value().chunks) {
     digests.insert(digests.end(), chunk.encrypted_digest.begin(),
                    chunk.encrypted_digest.end());
   }
@@ -508,14 +490,11 @@ TEST(SecureStoreRoundTrip) {
   // Ranges crossing block, fragment and chunk boundaries.
   for (auto [pos, n] : std::vector<std::pair<uint64_t, uint64_t>>{
            {0, 1000}, {0, 1}, {999, 1}, {3, 10}, {250, 20}, {31, 257}}) {
-    auto resp = store.value().ReadRange(pos, n);
-    CHECK_OK(resp.status());
-    if (!resp.ok()) continue;
-    auto plain = soe.DecryptVerified(resp.value(), pos, n);
+    auto plain = FetchVerified(store.value(), &soe, pos, n);
     CHECK_OK(plain.status());
     if (!plain.ok()) continue;
     std::vector<uint8_t> expect(doc.begin() + pos, doc.begin() + pos + n);
-    CHECK(plain.value().ToVector() == expect);
+    CHECK(plain.value() == expect);
   }
 }
 
@@ -524,43 +503,8 @@ bool RangeFailsIntegrity(const SecureDocumentStore& store,
                          uint64_t n) {
   SoeDecryptor soe(key, store.layout(), store.plaintext_size(),
                    store.chunk_count());
-  auto resp = store.ReadRange(pos, n);
-  if (!resp.ok()) return false;
-  auto plain = soe.DecryptVerified(resp.value(), pos, n);
+  auto plain = FetchVerified(store, &soe, pos, n);
   return plain.status().code() == StatusCode::kIntegrityError;
-}
-
-TEST(RangeNarrowingAttackDetected) {
-  // A malicious terminal transfers 4 fragments but claims (and proves)
-  // integrity for only the first 3, tampering with the 4th: the SOE must
-  // refuse to decrypt bytes outside the verified range.
-  TripleDes::Key key{};
-  for (size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<uint8_t>(0x33 + i);
-  }
-  ChunkLayout layout;
-  layout.chunk_size = 128;
-  layout.fragment_size = 32;
-  auto doc = TestDocument(256);
-  auto store = SecureDocumentStore::Build(doc, key, layout);
-  CHECK_OK(store.status());
-  if (!store.ok()) return;
-
-  auto wide = store.value().ReadRange(0, 128);   // fragments 0..3
-  auto narrow = store.value().ReadRange(0, 96);  // fragments 0..2
-  CHECK_OK(wide.status());
-  CHECK_OK(narrow.status());
-  if (!wide.ok() || !narrow.ok()) return;
-
-  RangeResponse attack = narrow.value();
-  attack.ciphertext = wide.value().ciphertext;
-  // csxa-lint: allow(taint-release) test tampers pre-verification ciphertext
-  attack.ciphertext.ReleaseUnverified()[100] ^= 0x01;  // unclaimed fragment 3
-
-  SoeDecryptor soe(key, layout, store.value().plaintext_size(),
-                   store.value().chunk_count());
-  auto plain = soe.DecryptVerified(attack, 0, 128);
-  CHECK(plain.status().code() == StatusCode::kIntegrityError);
 }
 
 TEST(SecureStoreDetectsAttacks) {
@@ -621,9 +565,7 @@ TEST(ReplayedStaleChunkRejected) {
   {  // Honest terminal, matching versions: reads succeed.
     SoeDecryptor soe(key, layout, store_v2.value().plaintext_size(),
                      store_v2.value().chunk_count(), /*expected_version=*/2);
-    auto resp = store_v2.value().ReadRange(100, 50);
-    CHECK_OK(resp.status());
-    if (resp.ok()) CHECK_OK(soe.DecryptVerified(resp.value(), 100, 50).status());
+    CHECK_OK(FetchVerified(store_v2.value(), &soe, 100, 50).status());
   }
   {  // Chunk 1 replayed from the v1 store into the v2 store.
     SecureDocumentStore attacked = store_v2.take();
@@ -631,30 +573,18 @@ TEST(ReplayedStaleChunkRejected) {
     SoeDecryptor soe(key, layout, attacked.plaintext_size(),
                      attacked.chunk_count(), /*expected_version=*/2);
     // Reads confined to intact chunks still succeed...
-    auto ok_resp = attacked.ReadRange(0, 64);
-    CHECK_OK(ok_resp.status());
-    if (ok_resp.ok()) {
-      CHECK_OK(soe.DecryptVerified(ok_resp.value(), 0, 64).status());
-    }
+    CHECK_OK(FetchVerified(attacked, &soe, 0, 64).status());
     // ...but any read touching the stale chunk is rejected as a replay.
-    auto stale_resp = attacked.ReadRange(130, 30);
-    CHECK_OK(stale_resp.status());
-    if (stale_resp.ok()) {
-      Status st = soe.DecryptVerified(stale_resp.value(), 130, 30).status();
-      CHECK(st.code() == StatusCode::kIntegrityError);
-      CHECK(st.message().find("stale") != std::string::npos);
-    }
+    Status st = FetchVerified(attacked, &soe, 130, 30).status();
+    CHECK(st.code() == StatusCode::kIntegrityError);
+    CHECK(st.message().find("stale") != std::string::npos);
   }
   {  // An SOE that still expects v1 must equally reject genuine v2 data:
      // the check is version equality, not recency heuristics.
     SoeDecryptor soe(key, layout, store_v1.value().plaintext_size(),
                      store_v1.value().chunk_count(), /*expected_version=*/2);
-    auto resp = store_v1.value().ReadRange(0, 64);
-    CHECK_OK(resp.status());
-    if (resp.ok()) {
-      Status st = soe.DecryptVerified(resp.value(), 0, 64).status();
-      CHECK(st.code() == StatusCode::kIntegrityError);
-    }
+    Status st = FetchVerified(store_v1.value(), &soe, 0, 64).status();
+    CHECK(st.code() == StatusCode::kIntegrityError);
   }
 }
 

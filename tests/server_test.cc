@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "access/access_rule.h"
+#include "batch_read.h"
 #include "bench/corpus.h"
 #include "server/document_service.h"
 #include "testing.h"
@@ -454,9 +455,7 @@ TEST(StaleCacheNeverVouchesForBumpedContent) {
                             store.value().chunk_count(),
                             /*expected_version=*/0,
                             /*digest_cache_capacity=*/8, stale_cache);
-    auto resp = store.value().ReadRange(0, 64);
-    CHECK_OK(resp.status());
-    CHECK_OK(v0.DecryptVerified(resp.value(), 0, 64).status());
+    CHECK_OK(testing::FetchVerified(store.value(), &v0, 0, 64).status());
   }
   CHECK(stale_cache->CanVerifyBare(0, 0, 7));
   // The version-1 decryptor's cache stays private: the stale shared

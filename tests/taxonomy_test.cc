@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "batch_read.h"
 #include "crypto/cipher_backend.h"
 #include "crypto/secure_store.h"
 #include "crypto/wire_format.h"
@@ -91,10 +92,7 @@ void CheckAttackClass(crypto::CipherBackendKind backend, int attack,
                            store.value().chunk_count(), expected_version,
                            crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
                            /*shared_cache=*/nullptr, backend);
-  auto resp = store.value().ReadRange(0, doc.size());
-  CHECK_OK(resp.status());
-  if (!resp.ok()) return;
-  auto plain = soe.DecryptVerified(resp.value(), 0, doc.size());
+  auto plain = testing::FetchVerified(store.value(), &soe, 0, doc.size());
   CHECK(!plain.ok());
   if (plain.ok()) {
     testing::Fail(__FILE__, __LINE__,

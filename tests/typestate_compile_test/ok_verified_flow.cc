@@ -17,15 +17,18 @@ uint64_t FrameSize(const csxa::common::UnverifiedBytes& tainted) {
   return still_tainted.size() + (tainted.empty() ? 0 : 1);
 }
 
-// The verification path returns witnesses; consumers may move and read
-// them freely.
+// The verification path writes the buffer; the decryptor then mints the
+// witness over it, which consumers may move and hand to the navigator.
 csxa::Status VerifyAndOpen(csxa::crypto::SoeDecryptor* soe,
-                           const csxa::crypto::RangeResponse& resp,
-                           std::vector<uint8_t>* out) {
-  auto plain = soe->DecryptVerified(resp, 0, 64);
-  if (!plain.ok()) return plain.status();
-  csxa::common::VerifiedPlaintext moved = std::move(plain.value());
-  *out = moved.ToVector();
+                           const csxa::crypto::BatchRequest& request,
+                           const csxa::crypto::BatchResponse& response,
+                           std::vector<uint8_t>* buffer) {
+  csxa::Status st = soe->DecryptVerifiedBatch(request, response,
+                                              buffer->data(), buffer->size());
+  if (!st.ok()) return st;
+  csxa::common::VerifiedPlaintext view =
+      soe->VerifiedViewOf(buffer->data(), buffer->size());
+  csxa::common::VerifiedPlaintext moved = std::move(view);
   auto nav = csxa::index::DocumentNavigator::OpenBuffer(moved, nullptr);
   return nav.status();
 }
@@ -33,8 +36,12 @@ csxa::Status VerifyAndOpen(csxa::crypto::SoeDecryptor* soe,
 }  // namespace
 
 csxa::Status Probe(csxa::crypto::SoeDecryptor* soe,
-                   const csxa::crypto::RangeResponse& resp,
-                   std::vector<uint8_t>* out) {
-  if (FrameSize(resp.ciphertext) == 0) return csxa::Status::OK();
-  return VerifyAndOpen(soe, resp, out);
+                   const csxa::crypto::BatchRequest& request,
+                   const csxa::crypto::BatchResponse& response,
+                   std::vector<uint8_t>* buffer) {
+  if (response.segments.empty() ||
+      FrameSize(response.segments[0].ciphertext) == 0) {
+    return csxa::Status::OK();
+  }
+  return VerifyAndOpen(soe, request, response, buffer);
 }

@@ -261,6 +261,30 @@ TEST(ResponseLengthLies) {
   ExpectRejected(m, "segment begin lie");
 }
 
+// The u8 after last_fragment is the prefix-state flag of Figure F1's
+// mid-fragment read. Batch runs are fragment-aligned, so an honest frame
+// writes 0; a frame that sets it must die in the decoder, by name.
+TEST(PrefixStateByteRejected) {
+  auto response = FuzzStore().ReadBatch(FuzzRequest());
+  CHECK_OK(response.status());
+  if (!response.ok()) return;
+  // magic(4) seg_count(4), per segment (u64 begin)(u64 len)(bytes),
+  // chunk_count(4), then the first chunk's (u64 index)(u32 first)(u32 last).
+  size_t offset = 8;
+  for (const crypto::BatchResponse::Segment& seg : response.value().segments) {
+    offset += 16 + seg.ciphertext.size();
+  }
+  offset += 4 + 8 + 4 + 4;
+  std::vector<uint8_t> frame = FuzzResponseFrame();
+  CHECK_EQ(frame[offset], uint8_t{0});
+  frame[offset] = 1;
+  auto decoded = crypto::DecodeBatchResponse(frame.data(), frame.size());
+  CHECK(decoded.status().code() == StatusCode::kIntegrityError);
+  CHECK(decoded.status().message().find("prefix state on batched wire") !=
+        std::string::npos);
+  ExpectRejected(frame, "prefix state set");
+}
+
 // Structurally valid frames carrying semantically tampered content: each
 // mutation re-encodes cleanly, so the decoder passes it and the digest
 // chain must be what refuses. This is the layer a wire attacker who knows

@@ -244,26 +244,22 @@ struct NcTimings {
   uint64_t hash_ns = 0;
 };
 
-/// NC reference point: the raw XML text is encrypted as-is; with no
-/// structure index nothing can be skipped, so the whole ciphertext crosses
-/// the wire and the SOE parses the plaintext with a SAX parser.
-Result<VariantRun> RunNc(const std::string& xml,
-                         const std::vector<access::AccessRule>& rules,
-                         const crypto::ChunkLayout& layout,
-                         crypto::CipherBackendKind backend,
-                         NcTimings* timings = nullptr) {
-  VariantRun run;
-  run.variant = index::Variant::kNc;
-  std::vector<uint8_t> bytes(xml.begin(), xml.end());
-  CSXA_ASSIGN_OR_RETURN(
-      crypto::SecureDocumentStore store,
-      crypto::SecureDocumentStore::Build(bytes, BenchKey(), layout,
-                                         /*version=*/0, backend));
-  crypto::SoeDecryptor soe(BenchKey(), layout, store.plaintext_size(),
+/// Stream-all serve of an NC image: with no structure index nothing can
+/// be skipped, so the whole ciphertext crosses the wire from `source` (the
+/// store itself, or a link to it) and the SOE SAX-filters the plaintext.
+/// `store` describes the image's layout and sizes.
+Result<VariantRun> ServeStreamAll(const crypto::BatchSource* source,
+                                  const crypto::SecureDocumentStore& store,
+                                  const std::vector<access::AccessRule>& rules,
+                                  crypto::CipherBackendKind backend,
+                                  const index::PlannerOptions& planner,
+                                  NcTimings* timings) {
+  crypto::SoeDecryptor soe(BenchKey(), store.layout(), store.plaintext_size(),
                            store.chunk_count(), /*expected_version=*/0,
                            crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
                            /*shared_cache=*/nullptr, backend);
-  index::SecureFetcher fetcher(&store, &soe);
+  index::SecureFetcher fetcher(source, store.layout(), store.plaintext_size(),
+                               store.ciphertext().size(), &soe, planner);
   const uint64_t t0 = NowNs();
   CSXA_RETURN_NOT_OK(fetcher.Ensure(0, fetcher.size()));
   std::string plain(
@@ -276,7 +272,9 @@ Result<VariantRun> RunNc(const std::string& xml,
     *timings = {NowNs() - t0, soe.counters().decrypt_ns,
                 soe.counters().hash_ns};
   }
-  run.encoded_bytes = bytes.size();
+  VariantRun run;
+  run.variant = index::Variant::kNc;
+  run.encoded_bytes = store.plaintext_size();
   run.wire_bytes = run.wire_bytes_full = fetcher.wire_bytes();
   run.bytes_fetched = fetcher.bytes_fetched();
   run.bytes_decrypted = soe.counters().bytes_decrypted;
@@ -288,6 +286,22 @@ Result<VariantRun> RunNc(const std::string& xml,
   run.peak_buffered_bytes = eval.stats().peak_buffered_bytes;
   run.view = ser.output();
   return run;
+}
+
+/// NC reference point: the raw XML text is encrypted as-is and served
+/// stream-all from the in-process store.
+Result<VariantRun> RunNc(const std::string& xml,
+                         const std::vector<access::AccessRule>& rules,
+                         const crypto::ChunkLayout& layout,
+                         crypto::CipherBackendKind backend,
+                         NcTimings* timings = nullptr) {
+  std::vector<uint8_t> bytes(xml.begin(), xml.end());
+  CSXA_ASSIGN_OR_RETURN(
+      crypto::SecureDocumentStore store,
+      crypto::SecureDocumentStore::Build(bytes, BenchKey(), layout,
+                                         /*version=*/0, backend));
+  return ServeStreamAll(&store, store, rules, backend, index::PlannerOptions(),
+                        timings);
 }
 
 /// Publication for the Figure 8 matrices: no shared digest cache, so every
@@ -684,11 +698,14 @@ bool BackendAttackRejected(crypto::CipherBackendKind backend, int attack) {
                            store.value().chunk_count(), expected_version,
                            crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
                            /*shared_cache=*/nullptr, backend);
-  auto resp = store.value().ReadRange(0, doc.size());
+  crypto::BatchRequest whole;
+  whole.runs.push_back({0, store.value().ciphertext().size()});
+  auto resp = store.value().ReadBatch(whole);
   if (!resp.ok()) return false;
-  auto plain = soe.DecryptVerified(resp.value(), 0, doc.size());
-  return !plain.ok() &&
-         plain.status().code() == StatusCode::kIntegrityError;
+  std::vector<uint8_t> plain(store.value().plaintext_size());
+  Status st = soe.DecryptVerifiedBatch(whole, resp.value(), plain.data(),
+                                       plain.size());
+  return st.code() == StatusCode::kIntegrityError;
 }
 
 /// The cross-backend section: the exact gates that make the cipher
@@ -928,8 +945,8 @@ bool RunLatencySweep(std::string* json, int folders,
     }
     // The stream-all side is the NC image — the raw text in a
     // SecureDocumentStore, no structure index — registered on the same
-    // terminal. (NC has no pipeline encoding, so it is served the way
-    // RunNc serves it: fetch everything, SAX-filter in the SOE.)
+    // terminal. (NC has no pipeline encoding, so ServeStreamAll serves
+    // it: fetch everything, SAX-filter in the SOE.)
     std::vector<uint8_t> raw(xml.begin(), xml.end());
     auto nc_build = crypto::SecureDocumentStore::Build(
         raw, BenchKey(), cfg.layout, /*version=*/0, backend);
@@ -992,29 +1009,16 @@ bool RunLatencySweep(std::string* json, int folders,
       net::RemoteBatchSource::Options full_opts = ropts;
       full_opts.doc_id = "sweep_full";
       net::RemoteBatchSource remote(full_opts);
-      crypto::SoeDecryptor soe(
-          BenchKey(), cfg.layout, nc_store->plaintext_size(),
-          nc_store->chunk_count(), /*expected_version=*/0,
-          crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
-          /*shared_cache=*/nullptr, backend);
-      index::SecureFetcher fetcher(&remote, cfg.layout,
-                                   nc_store->plaintext_size(),
-                                   nc_store->ciphertext().size(), &soe,
-                                   planner);
-      const uint64_t t0 = NowNs();
-      CSXA_RETURN_NOT_OK(fetcher.Ensure(0, fetcher.size()));
-      std::string plain(
-          common::AsChars(fetcher.verified_view().data(), fetcher.size()));
-      xml::SerializingHandler ser;
-      access::RuleEvaluator eval(rules, &ser);
-      CSXA_RETURN_NOT_OK(xml::SaxParser::Parse(plain, &eval));
-      CSXA_RETURN_NOT_OK(eval.Finish());
+      NcTimings timings;
+      CSXA_ASSIGN_OR_RETURN(VariantRun run,
+                            ServeStreamAll(&remote, *nc_store, rules, backend,
+                                           planner, &timings));
       Timed t;
-      t.wall_ns = NowNs() - t0;
-      t.wire_bytes = fetcher.wire_bytes();
-      t.requests = fetcher.requests();
+      t.wall_ns = timings.serve_ns;
+      t.wire_bytes = run.wire_bytes;
+      t.requests = run.requests;
       t.retries = remote.transport_stats().retries;
-      t.view = ser.output();
+      t.view = std::move(run.view);
       return t;
     };
     auto full = run_stream_all();

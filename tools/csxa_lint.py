@@ -52,8 +52,8 @@ time instead of rediscovered as runtime flakes:
       Sinks: navigator feeds (OpenBuffer), witness minting
       (VerifiedViewOf) and digest-cache writes (Record). Any path from a
       source to a sink that does not pass a verification mint site
-      (DecryptVerified / DecryptVerifiedBatch / VerifyChunkAgainstMaterial
-      / VerifyData) — including laundering through assignments, copies,
+      (DecryptVerifiedBatch / VerifyChunkAgainstMaterial / VerifyData) —
+      including laundering through assignments, copies,
       raw pointers or memcpy — is a finding. The PR 1 range-narrowing
       decrypt and PR 6 cache-poisoning bugs were both instances of this
       pattern, found dynamically; this pins the class statically.
@@ -438,8 +438,7 @@ SOURCE_CALL_RE = re.compile(
     r"\b(?:ReadBatch|ReadRange|DecodeBatchResponse)\s*\(|"
     r"(?:\.|->)\s*ReleaseUnverified\s*\(")
 MINT_CALL_RE = re.compile(
-    r"\b(?:DecryptVerifiedBatch|DecryptVerified|VerifyChunkAgainstMaterial|"
-    r"VerifyData)\s*\(")
+    r"\b(?:DecryptVerifiedBatch|VerifyChunkAgainstMaterial|VerifyData)\s*\(")
 SINK_CALL_RE = re.compile(
     r"\bOpenBuffer\s*\(|\bVerifiedViewOf\s*\(|(?:->|\.)\s*Record\s*\(")
 ASSIGN_OR_RETURN_RE = re.compile(r"\bCSXA_ASSIGN_OR_RETURN\s*\(")
@@ -507,7 +506,7 @@ def _scan_taint_region(path, stripped, begin, end, waivers, findings, seen):
                         path, line, "taint-dataflow",
                         "unverified bytes reach a trust sink without "
                         "passing a verification mint site "
-                        "(DecryptVerified*/VerifyChunkAgainstMaterial)"))
+                        "(DecryptVerifiedBatch/VerifyChunkAgainstMaterial)"))
         m = ASSIGN_OR_RETURN_RE.search(stmt)
         if m:
             args, _ = extract_call(stmt, stmt.index("(", m.start()))
