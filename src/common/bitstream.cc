@@ -1,6 +1,5 @@
 #include "common/bitstream.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -12,28 +11,49 @@ int BitsFor(uint64_t n) { return n <= 1 ? 0 : BitWidth(n - 1); }
 
 int BitWidth(uint64_t v) { return static_cast<int>(std::bit_width(v)); }
 
-void BitWriter::WriteBits(uint64_t value, int width) {
-  bytes_.resize((bit_size_ + static_cast<size_t>(width) + 7) / 8, 0);
-  while (width > 0) {
-    // Fill the free low bits of the current byte with the next value bits.
-    const int free = 8 - static_cast<int>(bit_size_ & 7);
-    const int n = std::min(free, width);
-    width -= n;
-    const uint64_t part = (value >> width) & ((uint64_t{1} << n) - 1);
-    bytes_[bit_size_ >> 3] |= static_cast<uint8_t>(part << (free - n));
-    bit_size_ += static_cast<size_t>(n);
+void BitWriter::FlushBytes() {
+  for (int shift = pending_ - 8; shift >= 0; shift -= 8) {
+    bytes_.push_back(static_cast<uint8_t>(acc_ >> shift));
   }
+  pending_ = 0;
+}
+
+void BitWriter::WriteBytes(const uint8_t* data, size_t n) {
+  if ((pending_ & 7) == 0) {
+    FlushBytes();
+    bytes_.insert(bytes_.end(), data, data + n);
+    return;
+  }
+  // Off a byte boundary: each stored word is the accumulator's pending
+  // bits followed by the head of the next eight input bytes, whose tail
+  // stays pending.
+  const int keep = 64 - pending_;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    PutWord((acc_ << keep) | (word >> pending_));
+    acc_ = word;
+  }
+  uint64_t tail = 0;
+  for (size_t j = i; j < n; ++j) tail = (tail << 8) | data[j];
+  WriteBits(tail, static_cast<int>(8 * (n - i)));
 }
 
 void BitWriter::AlignToByte() {
-  bit_size_ = (bit_size_ + 7) & ~size_t{7};
-  bytes_.resize((bit_size_ + 7) / 8, 0);
+  WriteBits(0, (8 - (pending_ & 7)) & 7);
 }
 
-void BitWriter::WriteAlignedBytes(const uint8_t* data, size_t n) {
+std::vector<uint8_t> BitWriter::TakeBytes() {
   AlignToByte();
-  bytes_.insert(bytes_.end(), data, data + n);
-  bit_size_ += n * 8;
+  FlushBytes();
+  acc_ = 0;
+  std::vector<uint8_t> out = std::move(bytes_);
+  bytes_.clear();
+  return out;
 }
 
 Status BitReader::ReadBits(int width, uint64_t* value) {

@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 
 namespace csxa {
@@ -23,34 +25,72 @@ int BitWidth(uint64_t v);
 ///
 /// The Skip index (Section 4 of the paper) packs per-element metadata with
 /// field widths that shrink recursively; this writer provides the raw
-/// bit-level substrate for that encoding.
+/// bit-level substrate for that encoding. Bits gather in a 64-bit
+/// accumulator that is stored one whole word at a time, and byte runs
+/// (text payloads) go in eight bytes per step at any bit phase.
 class BitWriter {
  public:
   BitWriter() = default;
 
   /// Appends the low `width` bits of `value`, most significant bit first.
   /// width == 0 is a no-op. Requires width <= 64.
-  void WriteBits(uint64_t value, int width);
+  void WriteBits(uint64_t value, int width) {
+    if (width == 0) return;
+    value &= ~uint64_t{0} >> (64 - width);
+    const int free = 64 - pending_;
+    if (width < free) {
+      acc_ = (acc_ << width) | value;
+      pending_ += width;
+      return;
+    }
+    // Fill the accumulator's word and store it; the bits shifted past its
+    // top are already stored or were never set. The split shift keeps
+    // free == 64 (an empty accumulator) defined.
+    const int rest = width - free;
+    PutWord(((acc_ << (free - 1)) << 1) | (value >> rest));
+    acc_ = value;
+    pending_ = rest;
+  }
 
   /// Appends a single bit.
   void WriteBit(bool bit) { WriteBits(bit ? 1 : 0, 1); }
 
-  /// Pads with zero bits to the next byte boundary, then appends raw bytes.
-  void WriteAlignedBytes(const uint8_t* data, size_t n);
+  /// Appends `n` whole bytes at the current (any) bit alignment.
+  void WriteBytes(const uint8_t* data, size_t n);
+  void WriteBytes(std::string_view s) {
+    WriteBytes(common::AsBytes(s), s.size());
+  }
 
   /// Pads with zero bits up to the next byte boundary.
   void AlignToByte();
 
-  /// Current length in bits.
-  size_t bit_size() const { return bit_size_; }
+  /// Reserves room for `bits` more bits.
+  void Reserve(size_t bits) { bytes_.reserve(bytes_.size() + bits / 8 + 9); }
 
-  /// Finished buffer (zero-padded to a whole byte).
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  /// Current length in bits.
+  size_t bit_size() const {
+    return bytes_.size() * 8 + static_cast<size_t>(pending_);
+  }
+
+  /// The finished buffer, zero-padded to a whole byte; leaves the writer
+  /// empty.
+  std::vector<uint8_t> TakeBytes();
 
  private:
-  std::vector<uint8_t> bytes_;
-  size_t bit_size_ = 0;
+  /// Stores the accumulator's whole pending bytes (pending_ % 8 == 0).
+  void FlushBytes();
+  void PutWord(uint64_t word) {
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    const size_t at = bytes_.size();
+    bytes_.resize(at + 8);
+    std::memcpy(bytes_.data() + at, &word, 8);
+  }
+
+  std::vector<uint8_t> bytes_;  ///< Stored bytes.
+  uint64_t acc_ = 0;  ///< Pending bits in the low `pending_` bits.
+  int pending_ = 0;   ///< 0..63.
 };
 
 /// MSB-first bit reader over a byte span, with random seek (needed by the

@@ -4,7 +4,6 @@
 
 #include "crypto/wire_format.h"
 #include "index/encoder.h"
-#include "xml/sax_parser.h"
 
 namespace csxa::server {
 
@@ -52,9 +51,8 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
 Result<std::shared_ptr<const pipeline::DocumentState>>
 DocumentService::BuildState(const std::string& xml, const DocumentConfig& cfg,
                             uint32_t version) {
-  CSXA_ASSIGN_OR_RETURN(auto dom, xml::SaxParser::ParseToDom(xml));
   CSXA_ASSIGN_OR_RETURN(index::EncodedDocument doc,
-                        index::Encode(*dom, cfg.variant));
+                        index::Encode(xml, cfg.variant));
   CSXA_ASSIGN_OR_RETURN(crypto::SecureDocumentStore store,
                         crypto::SecureDocumentStore::Build(
                             doc.bytes, cfg.key, cfg.layout, version,

@@ -14,6 +14,16 @@ std::unique_ptr<Node> Node::Text(std::string value) {
   return node;
 }
 
+Node::~Node() {
+  std::vector<std::unique_ptr<Node>> pending = std::move(children_);
+  while (!pending.empty()) {
+    std::unique_ptr<Node> node = std::move(pending.back());
+    pending.pop_back();
+    for (auto& child : node->children_) pending.push_back(std::move(child));
+    node->children_.clear();
+  }
+}
+
 Node* Node::AppendChild(std::unique_ptr<Node> child) {
   child->parent_ = this;
   children_.push_back(std::move(child));

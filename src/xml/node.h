@@ -21,6 +21,10 @@ class Node {
   /// Creates a text node.
   static std::unique_ptr<Node> Text(std::string value);
 
+  /// Frees the subtree without recursing, so a DOM of any depth tears
+  /// down on the default stack.
+  ~Node();
+
   Kind kind() const { return kind_; }
   bool is_element() const { return kind_ == Kind::kElement; }
   bool is_text() const { return kind_ == Kind::kText; }

@@ -1,41 +1,59 @@
 #include "xml/sax_parser.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace csxa::xml {
 
 namespace {
 
-bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
+/// Character classes of the "C" locale's isalpha/isalnum/isspace plus the
+/// XML name punctuation, one table lookup per character.
+enum : uint8_t { kNameStart = 1, kNameChar = 2, kSpace = 4 };
 
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         c == '-' || c == '.';
+constexpr std::array<uint8_t, 256> kCharClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (alpha || c == '_' || c == ':') t[c] |= kNameStart;
+    if (alpha || digit || c == '_' || c == ':' || c == '-' || c == '.') {
+      t[c] |= kNameChar;
+    }
+    if (c == ' ' || (c >= '\t' && c <= '\r')) t[c] |= kSpace;
+  }
+  return t;
+}();
+
+bool Is(char c, uint8_t cls) {
+  return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
 bool IsSpaceOnly(std::string_view s) {
   for (char c : s) {
-    if (!std::isspace(static_cast<unsigned char>(c))) return false;
+    if (!Is(c, kSpace)) return false;
   }
   return true;
 }
 
-/// Decodes the five predefined entities; unknown entities are kept verbatim.
-std::string DecodeEntities(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
+/// Decodes the five predefined entities of `raw` into `out` (replacing its
+/// contents); unknown entities are kept verbatim.
+void DecodeEntities(std::string_view raw, std::string* out) {
+  out->clear();
   size_t i = 0;
   while (i < raw.size()) {
-    if (raw[i] != '&') {
-      out.push_back(raw[i++]);
-      continue;
+    const size_t amp = raw.find('&', i);
+    if (amp == std::string_view::npos) {
+      out->append(raw.substr(i));
+      break;
     }
+    out->append(raw.substr(i, amp - i));
+    i = amp;
     auto tryMatch = [&](std::string_view ent, char repl) {
       if (raw.substr(i, ent.size()) == ent) {
-        out.push_back(repl);
+        out->push_back(repl);
         i += ent.size();
         return true;
       }
@@ -46,10 +64,31 @@ std::string DecodeEntities(std::string_view raw) {
         tryMatch("&apos;", '\'')) {
       continue;
     }
-    out.push_back(raw[i++]);
+    out->push_back(raw[i++]);
   }
-  return out;
 }
+
+/// The text run pending between two tags: a view of the input while it is
+/// one piece, joined in `joined_` once a comment, PI or CDATA splits it.
+class PendingText {
+ public:
+  void Append(std::string_view piece) {
+    if (piece.empty()) return;
+    if (text_.empty()) {
+      text_ = piece;
+      return;
+    }
+    if (text_.data() != joined_.data()) joined_.assign(text_);
+    joined_.append(piece);
+    text_ = joined_;
+  }
+  std::string_view text() const { return text_; }
+  void Clear() { text_ = {}; }
+
+ private:
+  std::string_view text_;
+  std::string joined_;
+};
 
 /// DOM builder used by ParseToDom.
 class DomBuilder : public EventHandler {
@@ -85,23 +124,31 @@ class DomBuilder : public EventHandler {
 }  // namespace
 
 Status SaxParser::Parse(std::string_view input, EventHandler* handler) {
-  std::vector<std::string> open_tags;
+  // Open tags are views into the input; an event's tag is copied into
+  // one reused buffer, its text decoded into another.
+  std::vector<std::string_view> open_tags;
   size_t i = 0;
   const size_t n = input.size();
-  std::string pending_text;
+  PendingText pending;
+  std::string tag_buf;
+  std::string value;
 
   auto flushText = [&]() {
-    if (!pending_text.empty() && !open_tags.empty() &&
-        !IsSpaceOnly(pending_text)) {
-      handler->OnValue(DecodeEntities(pending_text),
-                       static_cast<int>(open_tags.size()) + 1);
+    const std::string_view text = pending.text();
+    if (!text.empty() && !open_tags.empty() && !IsSpaceOnly(text)) {
+      DecodeEntities(text, &value);
+      handler->OnValue(value, static_cast<int>(open_tags.size()) + 1);
     }
-    pending_text.clear();
+    pending.Clear();
   };
 
   while (i < n) {
     if (input[i] != '<') {
-      pending_text.push_back(input[i++]);
+      const void* lt = std::memchr(input.data() + i, '<', n - i);
+      const size_t end =
+          lt == nullptr ? n : static_cast<const char*>(lt) - input.data();
+      pending.Append(input.substr(i, end - i));
+      i = end;
       continue;
     }
     // A markup construct starts here.
@@ -129,7 +176,7 @@ Status SaxParser::Parse(std::string_view input, EventHandler* handler) {
         if (end == std::string_view::npos) {
           return Status::ParseError("unterminated CDATA section");
         }
-        pending_text.append(input.substr(i + 9, end - (i + 9)));
+        pending.Append(input.substr(i + 9, end - (i + 9)));
         i = end + 3;
         continue;
       }
@@ -145,31 +192,33 @@ Status SaxParser::Parse(std::string_view input, EventHandler* handler) {
       flushText();
       size_t j = i + 2;
       size_t start = j;
-      while (j < n && IsNameChar(input[j])) ++j;
-      std::string tag(input.substr(start, j - start));
-      while (j < n && std::isspace(static_cast<unsigned char>(input[j]))) ++j;
+      while (j < n && Is(input[j], kNameChar)) ++j;
+      const std::string_view tag = input.substr(start, j - start);
+      while (j < n && Is(input[j], kSpace)) ++j;
       if (j >= n || input[j] != '>') {
-        return Status::ParseError("malformed closing tag </" + tag);
+        return Status::ParseError("malformed closing tag </" +
+                                  std::string(tag));
       }
       if (open_tags.empty() || open_tags.back() != tag) {
         return Status::ParseError(
-            "mismatched closing tag </" + tag + ">, expected </" +
-            (open_tags.empty() ? std::string("?") : open_tags.back()) + ">");
+            "mismatched closing tag </" + std::string(tag) + ">, expected </" +
+            std::string(open_tags.empty() ? "?" : open_tags.back()) + ">");
       }
-      handler->OnClose(tag, static_cast<int>(open_tags.size()));
+      tag_buf.assign(tag);
+      handler->OnClose(tag_buf, static_cast<int>(open_tags.size()));
       open_tags.pop_back();
       i = j + 1;
       continue;
     }
     // Opening tag.
-    if (!IsNameStart(next)) {
+    if (!Is(next, kNameStart)) {
       return Status::ParseError("invalid character after '<'");
     }
     flushText();
     size_t j = i + 1;
     size_t start = j;
-    while (j < n && IsNameChar(input[j])) ++j;
-    std::string tag(input.substr(start, j - start));
+    while (j < n && Is(input[j], kNameChar)) ++j;
+    const std::string_view tag = input.substr(start, j - start);
     // Skip attributes (quoted values may contain '>').
     bool self_closing = false;
     while (j < n) {
@@ -183,7 +232,8 @@ Status SaxParser::Parse(std::string_view input, EventHandler* handler) {
       if (c == '"' || c == '\'') {
         size_t close = input.find(c, j + 1);
         if (close == std::string_view::npos) {
-          return Status::ParseError("unterminated attribute value in <" + tag);
+          return Status::ParseError("unterminated attribute value in <" +
+                                    std::string(tag));
         }
         j = close + 1;
         continue;
@@ -191,18 +241,21 @@ Status SaxParser::Parse(std::string_view input, EventHandler* handler) {
       ++j;
     }
     if (j >= n || input[j] != '>') {
-      return Status::ParseError("unterminated opening tag <" + tag);
+      return Status::ParseError("unterminated opening tag <" +
+                                std::string(tag));
     }
     open_tags.push_back(tag);
-    handler->OnOpen(tag, static_cast<int>(open_tags.size()));
+    tag_buf.assign(tag);
+    handler->OnOpen(tag_buf, static_cast<int>(open_tags.size()));
     if (self_closing) {
-      handler->OnClose(tag, static_cast<int>(open_tags.size()));
+      handler->OnClose(tag_buf, static_cast<int>(open_tags.size()));
       open_tags.pop_back();
     }
     i = j + 1;
   }
   if (!open_tags.empty()) {
-    return Status::ParseError("unclosed element <" + open_tags.back() + ">");
+    return Status::ParseError("unclosed element <" +
+                              std::string(open_tags.back()) + ">");
   }
   return Status::OK();
 }

@@ -18,11 +18,16 @@ namespace csxa::xml {
 /// "similarly to elements" and does not evaluate on them); entity references
 /// `&lt; &gt; &amp; &quot; &apos;` are decoded.
 ///
+/// Text between two tags is one value: comments, PIs and CDATA sections
+/// inside it do not split it, entities are decoded over the joined run,
+/// and a whitespace-only run is dropped.
+///
 /// The parser is written from scratch (no libxml2) so the SOE pipeline has
 /// a dependency-free, auditable ingestion path.
 class SaxParser {
  public:
-  /// Parses `input`, forwarding events to `handler`.
+  /// Parses `input`, forwarding events to `handler`. The strings handed
+  /// to it are the parser's reused buffers, valid only during the call.
   /// Fails with ParseError on mismatched/unterminated tags.
   static Status Parse(std::string_view input, EventHandler* handler);
 

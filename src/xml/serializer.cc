@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace csxa::xml {
 
@@ -67,41 +68,50 @@ void AppendEscapedText(std::string_view text, std::string* out) {
 
 namespace {
 
-void SerializeInto(const Node& node, int indent, int level, std::string* out) {
-  auto pad = [&](int lvl) {
-    if (indent >= 0) out->append(static_cast<size_t>(indent) * lvl, ' ');
+/// Walks the subtree with an explicit stack, so any depth serializes on
+/// the default stack; an entry with `close` set writes its element's end
+/// tag.
+void SerializeInto(const Node& root, int indent, std::string* out) {
+  struct Frame {
+    const Node* node;
+    int level;
+    bool close;
   };
-  if (node.is_text()) {
-    pad(level);
-    AppendEscapedText(node.value(), out);
+  std::vector<Frame> stack{{&root, 0, false}};
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    const Node& node = *f.node;
+    if (indent >= 0) out->append(static_cast<size_t>(indent) * f.level, ' ');
+    if (node.is_text()) {
+      AppendEscapedText(node.value(), out);
+    } else if (f.close) {
+      out->append("</");
+      out->append(node.tag());
+      out->push_back('>');
+    } else if (node.children().empty()) {
+      out->push_back('<');
+      out->append(node.tag());
+      out->append("/>");
+    } else {
+      out->push_back('<');
+      out->append(node.tag());
+      out->push_back('>');
+      stack.push_back({&node, f.level, true});
+      for (auto it = node.children().rbegin(); it != node.children().rend();
+           ++it) {
+        stack.push_back({it->get(), f.level + 1, false});
+      }
+    }
     if (indent >= 0) out->push_back('\n');
-    return;
   }
-  pad(level);
-  out->push_back('<');
-  out->append(node.tag());
-  if (node.children().empty()) {
-    out->append("/>");
-    if (indent >= 0) out->push_back('\n');
-    return;
-  }
-  out->push_back('>');
-  if (indent >= 0) out->push_back('\n');
-  for (const auto& child : node.children()) {
-    SerializeInto(*child, indent, level + 1, out);
-  }
-  pad(level);
-  out->append("</");
-  out->append(node.tag());
-  out->push_back('>');
-  if (indent >= 0) out->push_back('\n');
 }
 
 }  // namespace
 
 std::string Serialize(const Node& node, int indent) {
   std::string out;
-  SerializeInto(node, indent, 0, &out);
+  SerializeInto(node, indent, &out);
   return out;
 }
 

@@ -2,36 +2,35 @@
 
 #include <cstdio>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "xml/serializer.h"
 
 namespace csxa::xml {
 
-namespace {
-
-void Walk(const Node& node, int depth, DocumentStats* stats,
-          std::unordered_set<std::string>* tags, size_t* depth_sum) {
-  if (node.is_text()) {
-    stats->text_nodes += 1;
-    stats->text_bytes += node.value().size();
-    return;
-  }
-  stats->elements += 1;
-  *depth_sum += static_cast<size_t>(depth);
-  if (depth > stats->max_depth) stats->max_depth = depth;
-  tags->insert(node.tag());
-  for (const auto& child : node.children()) {
-    Walk(*child, depth + 1, stats, tags, depth_sum);
-  }
-}
-
-}  // namespace
-
 DocumentStats ComputeStats(const Node& root) {
   DocumentStats stats;
   std::unordered_set<std::string> tags;
   size_t depth_sum = 0;
-  Walk(root, 1, &stats, &tags, &depth_sum);
+  // An explicit stack of (node, depth): any depth fits the default stack.
+  std::vector<std::pair<const Node*, int>> stack{{&root, 1}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    if (node->is_text()) {
+      stats.text_nodes += 1;
+      stats.text_bytes += node->value().size();
+      continue;
+    }
+    stats.elements += 1;
+    depth_sum += static_cast<size_t>(depth);
+    if (depth > stats.max_depth) stats.max_depth = depth;
+    tags.insert(node->tag());
+    for (const auto& child : node->children()) {
+      stack.emplace_back(child.get(), depth + 1);
+    }
+  }
   stats.distinct_tags = tags.size();
   stats.size_bytes = Serialize(root).size();
   stats.avg_depth = stats.elements == 0

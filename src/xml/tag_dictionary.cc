@@ -4,12 +4,12 @@
 
 namespace csxa::xml {
 
-TagId TagDictionary::Intern(const std::string& tag) {
+TagId TagDictionary::Intern(std::string_view tag) {
   auto it = ids_.find(tag);
   if (it != ids_.end()) return it->second;
   TagId id = static_cast<TagId>(names_.size());
-  names_.push_back(tag);
-  ids_.emplace(tag, id);
+  names_.emplace_back(tag);
+  ids_.emplace(names_.back(), id);
   return id;
 }
 

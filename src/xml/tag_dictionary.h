@@ -2,7 +2,9 @@
 #define CSXA_XML_TAG_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -22,7 +24,7 @@ class TagDictionary {
 
   /// Returns the id of `tag`, inserting it if new. Insertion order defines
   /// ids, which makes dictionaries deterministic for a given document.
-  TagId Intern(const std::string& tag);
+  TagId Intern(std::string_view tag);
 
   /// Looks a tag up without inserting; returns false if absent.
   bool Lookup(const std::string& tag, TagId* id) const;
@@ -45,8 +47,16 @@ class TagDictionary {
   }
 
  private:
+  /// Lets the map be probed with a string_view, without a std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, TagId> ids_;
+  std::unordered_map<std::string, TagId, Hash, std::equal_to<>> ids_;
 };
 
 }  // namespace csxa::xml

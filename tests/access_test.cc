@@ -4,7 +4,6 @@
 // containment-based rule-set minimization.
 
 #include <algorithm>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -441,26 +440,17 @@ TEST(DroppedInertChildCountsLikeTheFullPath) {
   }
 }
 
-/// CPU seconds this thread has run: unlike wall time, it does not count
-/// the time the test was descheduled.
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) / 1e9;
-}
-
 /// CPU seconds to feed a chain of `depth` nested <a> elements, with one
 /// text node at the bottom, through a fresh evaluator; checks the view.
 double TimeChain(const std::string& rules_text, int depth) {
   xml::SerializingHandler ser;
   access::RuleEvaluator eval(Rules(rules_text), &ser);
-  const double start = ThreadCpuSeconds();
+  const double start = testing::ThreadCpuSeconds();
   for (int d = 1; d <= depth; ++d) eval.OnOpen("a", d);
   eval.OnValue("x", depth + 1);
   for (int d = depth; d >= 1; --d) eval.OnClose("a", d);
   CHECK_OK(eval.Finish());
-  const double elapsed = ThreadCpuSeconds() - start;
+  const double elapsed = testing::ThreadCpuSeconds() - start;
   std::string expected;
   if (!rules_text.empty()) {
     expected.reserve(static_cast<size_t>(depth) * 7 + 1);

@@ -1,7 +1,8 @@
 // Property tests of common/bitstream, the one bit decoder the navigator
 // reads through: byte-at-a-time extraction and single-word loads must
 // agree with a reference bit loop at every width and bit offset, the
-// byte-at-a-time writer must stay byte-identical to a reference bit writer
+// word-at-a-time writer must stay byte-identical to a reference bit writer
+// under any mix of fields, bits, byte runs and alignment at every bit phase
 // and round-trip through the reader, and reads past the end fail as
 // Corruption without touching a byte beyond the buffer (the buffers here
 // are exact-size heap vectors, so the sanitizer job catches any overread).
@@ -58,6 +59,7 @@ class ReferenceWriter {
     }
   }
   void AlignToByte() { bits_ = (bits_ + 7) & ~size_t{7}; }
+  size_t bit_size() const { return bits_; }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
 
  private:
@@ -232,10 +234,12 @@ TEST(WriterIsByteIdenticalToReferenceAndRoundTrips) {
     fields.emplace_back(
         width == 64 ? raw : raw & ((uint64_t{1} << width) - 1), width);
   }
-  CHECK(writer.bytes() == reference.bytes());
-  CHECK_EQ(writer.bytes().size(), (writer.bit_size() + 7) / 8);
+  const size_t bit_size = writer.bit_size();
+  const std::vector<uint8_t> bytes = writer.TakeBytes();
+  CHECK(bytes == reference.bytes());
+  CHECK_EQ(bytes.size(), (bit_size + 7) / 8);
 
-  BitReader reader(writer.bytes().data(), writer.bytes().size());
+  BitReader reader(bytes.data(), bytes.size());
   for (const auto& [value, width] : fields) {
     if (width < 0) {
       CHECK_OK(reader.SeekTo((reader.position() + 7) / 8 * 8));
@@ -245,7 +249,80 @@ TEST(WriterIsByteIdenticalToReferenceAndRoundTrips) {
     CHECK_OK(reader.ReadBits(width, &v));
     CHECK_EQ(v, value);
   }
-  CHECK_EQ(reader.position(), writer.bit_size());
+  CHECK_EQ(reader.position(), bit_size);
+}
+
+TEST(WriterMatchesReferenceOnMixedOpsAtEveryPhase) {
+  // Random runs of WriteBits, WriteBit, byte runs and alignment, each run
+  // started at every bit phase 0..7, against the one-bit-at-a-time
+  // reference, then read back field by field.
+  enum Op { kBits, kBit, kRun, kAlign };
+  struct Field {
+    Op op;
+    uint64_t value;
+    int width;
+    std::vector<uint8_t> run;
+  };
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    for (int phase = 0; phase < 8; ++phase) {
+      uint64_t state = seed * 8 + static_cast<uint64_t>(phase);
+      BitWriter writer;
+      ReferenceWriter reference;
+      std::vector<Field> fields;
+      writer.WriteBits(0x55, phase);
+      reference.WriteBits(0x55, phase);
+      fields.push_back({kBits, 0x55 & ((1u << phase) - 1), phase, {}});
+      for (int i = 0; i < 400; ++i) {
+        const uint64_t pick = SplitMix(&state) % 16;
+        if (pick < 7) {
+          const int width = static_cast<int>(SplitMix(&state) % 65);
+          const uint64_t raw = SplitMix(&state);
+          writer.WriteBits(raw, width);
+          reference.WriteBits(raw, width);
+          fields.push_back(
+              {kBits, width == 64 ? raw : raw & ((uint64_t{1} << width) - 1),
+               width, {}});
+        } else if (pick < 11) {
+          const bool bit = SplitMix(&state) & 1;
+          writer.WriteBit(bit);
+          reference.WriteBits(bit, 1);
+          fields.push_back({kBit, bit, 1, {}});
+        } else if (pick < 15) {
+          const size_t n = SplitMix(&state) % 40;
+          std::vector<uint8_t> run = RandomBytes(n, SplitMix(&state));
+          writer.WriteBytes(run.data(), run.size());
+          for (uint8_t b : run) reference.WriteBits(b, 8);
+          fields.push_back({kRun, 0, 0, std::move(run)});
+        } else {
+          writer.AlignToByte();
+          reference.AlignToByte();
+          fields.push_back({kAlign, 0, 0, {}});
+        }
+        CHECK_EQ(writer.bit_size(), reference.bit_size());
+      }
+      const size_t bit_size = writer.bit_size();
+      const std::vector<uint8_t> bytes = writer.TakeBytes();
+      CHECK(bytes == reference.bytes());
+      CHECK_EQ(bytes.size(), (bit_size + 7) / 8);
+      CHECK_EQ(writer.bit_size(), size_t{0});
+
+      BitReader reader(bytes.data(), bytes.size());
+      for (const Field& f : fields) {
+        if (f.op == kAlign) {
+          CHECK_OK(reader.SeekTo((reader.position() + 7) / 8 * 8));
+        } else if (f.op == kRun) {
+          std::string got;
+          CHECK_OK(reader.ReadBytes(f.run.size(), &got));
+          CHECK(std::vector<uint8_t>(got.begin(), got.end()) == f.run);
+        } else {
+          uint64_t v = 0;
+          CHECK_OK(reader.ReadBits(f.width, &v));
+          CHECK_EQ(v, f.value);
+        }
+      }
+      CHECK_EQ(reader.position(), bit_size);
+    }
+  }
 }
 
 TEST(OverlongReadFailsAsCorruptionWithoutReading) {

@@ -6,8 +6,10 @@
 // stale sessions closed while fresh sessions see the new digests — even
 // when the bump races in-flight serves.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -465,6 +467,75 @@ TEST(StaleCacheNeverVouchesForBumpedContent) {
                            /*expected_version=*/1,
                            /*digest_cache_capacity=*/8, stale_cache);
   CHECK(!soe.CanVerifyBare(0, 0, 7));
+}
+
+// ---------------------------------------------------------------------------
+// Owner side: publishing costs time linear in the document, whatever its
+// shape.
+// ---------------------------------------------------------------------------
+
+/// CPU seconds to publish `xml` (parse, encode, encrypt) once.
+double TimePublish(const std::string& xml) {
+  server::DocumentService service;
+  const double start = testing::ThreadCpuSeconds();
+  CHECK_OK(service.Publish("doc", xml, TestConfig(index::Variant::kTcsbr)));
+  return testing::ThreadCpuSeconds() - start;
+}
+
+TEST(PublishCostsLinearTime) {
+  // Depth, width and text length must each cost linear work on the owner
+  // side: no per-level recursion, no whole-tree rounds per width change,
+  // no per-byte re-copies. time(4n) / time(n) over the min of 3 runs each
+  // must stay within 5; an attempt over the bound (a busy machine's shared
+  // caches can punish the 4x working set) is re-measured, up to 3
+  // attempts. Quadratic work (a ratio near 16) fails every attempt.
+  struct Shape {
+    const char* name;
+    std::function<std::string(int)> make;
+    int n;
+  };
+  const Shape shapes[] = {
+      {"chain",
+       [](int n) {
+         std::string xml;
+         for (int i = 0; i < n; ++i) xml += "<a>";
+         xml += "x";
+         for (int i = 0; i < n; ++i) xml += "</a>";
+         return xml;
+       },
+       16 << 10},
+      {"fan-out",
+       [](int n) {
+         std::string xml = "<r>";
+         for (int i = 0; i < n; ++i) xml += "<l>x</l>";
+         return xml + "</r>";
+       },
+       16 << 10},
+      {"text",
+       [](int n) {
+         return "<t>" + std::string(static_cast<size_t>(n), 'x') + "</t>";
+       },
+       256 << 10},
+  };
+  for (const Shape& shape : shapes) {
+    const std::string small_xml = shape.make(shape.n);
+    const std::string large_xml = shape.make(4 * shape.n);
+    double ratio = 0;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      double small = 1e9, large = 1e9;
+      for (int run = 0; run < 3; ++run) {
+        small = std::min(small, TimePublish(small_xml));
+        large = std::min(large, TimePublish(large_xml));
+      }
+      ratio = large / small;
+      if (ratio <= 5) break;
+    }
+    if (ratio > 5) {
+      testing::Fail(__FILE__, __LINE__,
+                    std::string(shape.name) + ": 4x the size took " +
+                        std::to_string(ratio) + "x the time");
+    }
+  }
 }
 
 }  // namespace

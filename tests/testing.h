@@ -6,6 +6,7 @@
 // every registered test and exits nonzero if any check failed.
 
 #include <cstdio>
+#include <ctime>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -37,6 +38,15 @@ std::string Repr(const T& v) {
   std::ostringstream os;
   os << v;
   return os.str();
+}
+
+/// CPU seconds this thread has run: unlike wall time, it does not count
+/// the time the test was descheduled (the scaling gates time with it).
+inline double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) / 1e9;
 }
 
 inline void Fail(const char* file, int line, const std::string& msg) {

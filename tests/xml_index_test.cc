@@ -312,6 +312,31 @@ std::vector<std::pair<std::string, std::string>> PinnedDocuments() {
   }
   text += "<h>foot</h></t>";
   docs.emplace_back("text_3mb", std::move(text));
+  // 300 distinct tags: descendant-tag sets span several 64-bit words.
+  std::string many = "<root>";
+  std::vector<std::string> open;
+  uint64_t state = 7;
+  auto next = [&state] {
+    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t pick = next() % 8;
+    if (pick < 4 && open.size() < 24) {
+      open.push_back("t" + std::to_string(next() % 300));
+      many += "<" + open.back() + ">";
+    } else if (pick < 6) {
+      many += "v" + std::to_string(next() % 1000) + "&amp;";
+    } else if (!open.empty()) {
+      many += "</" + open.back() + ">";
+      open.pop_back();
+    }
+  }
+  for (; !open.empty(); open.pop_back()) many += "</" + open.back() + ">";
+  many += "</root>";
+  docs.emplace_back("tags_300", std::move(many));
   return docs;
 }
 
@@ -326,8 +351,8 @@ struct PinnedImage {
 
 using V = index::Variant;
 
-// Recorded from the recursive Ann-tree encoder; any change here is a
-// format change.
+// Recorded from the earlier encoder, which built a pointer tree per
+// document and recursed over it; any change here is a format change.
 const PinnedImage kPinnedImages[] = {
     {"hospital", V::kTc, "033d2dd89e1fa1a81ea940c0f523d86bb0816f86",
      1158280, 98633, 0},
@@ -401,6 +426,14 @@ const PinnedImage kPinnedImages[] = {
      11812680, 314, 11812773},
     {"text_3mb", V::kTcsbr, "5b550a94954acd807f4a99c55e2b513bc43a53d4",
      11812680, 312, 11812771},
+    {"tags_300", V::kTc, "1933431d6bdefc022691e5ea3e8b61d3af13ba3c",
+     386232, 115110, 0},
+    {"tags_300", V::kTcs, "19fe02c2712de272ca7e2a67e5d4e43cb92be3f6",
+     386232, 165279, 532980},
+    {"tags_300", V::kTcsb, "504ea81dc8cf5dd463394c75ab59d4a5cc1c756e",
+     386232, 678250, 1045650},
+    {"tags_300", V::kTcsbr, "4ffef9c4d51b923ae364bc0aeff5d337d3905861",
+     386232, 219173, 586573},
 };
 
 std::string VariantEnum(index::Variant variant) {
@@ -433,6 +466,18 @@ TEST(EncodedImagesArePinned) {
       auto doc = index::Encode(*dom.value(), variant);
       CHECK_OK(doc.status());
       if (!doc.ok()) continue;
+      // The publish path parses straight into the flat tree; it must
+      // produce the DOM path's image and accounting.
+      auto direct = index::Encode(xml, variant);
+      CHECK_OK(direct.status());
+      if (direct.ok()) {
+        CHECK(direct.value().bytes == doc.value().bytes);
+        CHECK(direct.value().dictionary == doc.value().dictionary);
+        CHECK_EQ(direct.value().stream_offset, doc.value().stream_offset);
+        CHECK_EQ(direct.value().root_size_bits, doc.value().root_size_bits);
+        CHECK_EQ(direct.value().text_bits, doc.value().text_bits);
+        CHECK_EQ(direct.value().structure_bits, doc.value().structure_bits);
+      }
       const PinnedImage got{name.c_str(), variant,
                             nullptr,       doc.value().text_bits,
                             doc.value().structure_bits,

@@ -1,6 +1,7 @@
 // csxa_demo — end-to-end demonstration of the paper's pipeline:
 //
-//   XML text --SaxParser--> DOM --index::Encode--> Skip-index image
+//   XML text --SaxParser--> flat post-order tree --index::Encode-->
+//     Skip-index image
 //     --SecureDocumentStore--> encrypted chunks on the untrusted terminal
 //     --SecureFetcher/SoeDecryptor--> verified plaintext, fetched lazily
 //     --DocumentNavigator--> SAX events
