@@ -191,25 +191,20 @@ const char* RootTag(CorpusFamily family) {
   return "Doc";
 }
 
-/// Incremental element-depth scanner: pieces are whole syntactic units
-/// (no tag straddles a boundary), so carrying the open-element depth
-/// across pieces reproduces exactly what one pass over the concatenation
-/// would compute.
-struct DepthScanner {
+/// Deepest element nesting in `xml`.
+uint32_t MaxDepth(std::string_view xml) {
   uint32_t depth = 0;
   uint32_t max_depth = 0;
-
-  void Scan(std::string_view piece) {
-    for (size_t i = 0; i + 1 < piece.size(); ++i) {
-      if (piece[i] != '<') continue;
-      if (piece[i + 1] == '/') {
-        if (depth > 0) --depth;
-      } else {
-        max_depth = std::max(max_depth, ++depth);
-      }
+  for (size_t i = 0; i + 1 < xml.size(); ++i) {
+    if (xml[i] != '<') continue;
+    if (xml[i + 1] == '/') {
+      if (depth > 0) --depth;
+    } else {
+      max_depth = std::max(max_depth, ++depth);
     }
   }
-};
+  return max_depth;
+}
 
 }  // namespace
 
@@ -258,28 +253,20 @@ std::vector<RuleFamily> AllRuleFamilies() {
           RuleFamily::kPredicateHeavy};
 }
 
-CorpusSummary StreamCorpus(const CorpusSpec& spec, const CorpusSink& sink) {
-  CorpusSummary summary;
-  summary.spec = spec;
+Corpus GenerateCorpus(const CorpusSpec& spec) {
+  Corpus corpus;
+  corpus.spec = spec;
+  std::string& xml = corpus.xml;
+  xml.reserve(spec.target_bytes + 4096);
   // Mix the family into the seed so two families at one seed do not share
   // a record stream shape-by-accident.
   Rng rng{spec.seed * 0x100000001b3ULL +
           static_cast<uint64_t>(spec.family) * 0x9e3779b9ULL};
   const uint32_t depth = spec.depth != 0 ? spec.depth : 48;
 
-  DepthScanner scanner;
-  std::string piece;
-  auto flush = [&]() {
-    summary.total_bytes += piece.size();
-    scanner.Scan(piece);
-    sink(piece);
-    piece.clear();
-  };
-
-  piece += "<";
-  piece += RootTag(spec.family);
-  piece += ">";
-  flush();
+  xml += "<";
+  xml += RootTag(spec.family);
+  xml += ">";
   const std::string closing =
       std::string("</") + RootTag(spec.family) + ">";
   // kFlatText's guarded rule needs its evidence as the *last* child, so
@@ -287,51 +274,36 @@ CorpusSummary StreamCorpus(const CorpusSpec& spec, const CorpusSink& sink) {
   const uint64_t reserve =
       closing.size() +
       (spec.family == CorpusFamily::kFlatText ? 16 : 0);
-  while (summary.total_bytes + reserve < spec.target_bytes ||
-         summary.records == 0) {
+  while (xml.size() + reserve < spec.target_bytes || corpus.records == 0) {
     switch (spec.family) {
       case CorpusFamily::kHospital:
-        HospitalRecord(&rng, summary.records, &piece);
+        HospitalRecord(&rng, corpus.records, &xml);
         break;
       case CorpusFamily::kWsu:
-        WsuRecord(&rng, summary.records, &piece);
+        WsuRecord(&rng, corpus.records, &xml);
         break;
       case CorpusFamily::kSigmod:
-        SigmodRecord(&rng, summary.records, &piece);
+        SigmodRecord(&rng, corpus.records, &xml);
         break;
       case CorpusFamily::kDeepNest:
-        DeepNestRecord(&rng, depth, &piece);
+        DeepNestRecord(&rng, depth, &xml);
         break;
       case CorpusFamily::kPredicateStorm:
-        PredicateStormRecord(&rng, &piece);
+        PredicateStormRecord(&rng, &xml);
         break;
       case CorpusFamily::kFlatText:
-        FlatTextRecord(&rng, summary.records, &piece);
+        FlatTextRecord(&rng, corpus.records, &xml);
         break;
     }
-    ++summary.records;
-    flush();
+    ++corpus.records;
   }
   if (spec.family == CorpusFamily::kFlatText) {
     // Root-level evidence after every paragraph: the guarded rule set
     // holds the entire document pending until its very last element.
-    piece += Tagged("Lang", "en");
+    xml += Tagged("Lang", "en");
   }
-  piece += closing;
-  flush();
-  summary.max_depth = scanner.max_depth;
-  return summary;
-}
-
-Corpus GenerateCorpus(const CorpusSpec& spec) {
-  Corpus corpus;
-  corpus.xml.reserve(spec.target_bytes + 4096);
-  CorpusSummary summary = StreamCorpus(spec, [&corpus](std::string_view p) {
-    corpus.xml.append(p.data(), p.size());
-  });
-  corpus.spec = summary.spec;
-  corpus.records = summary.records;
-  corpus.max_depth = summary.max_depth;
+  xml += closing;
+  corpus.max_depth = MaxDepth(xml);
   return corpus;
 }
 

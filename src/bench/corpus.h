@@ -2,7 +2,6 @@
 #define CSXA_BENCH_CORPUS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,27 +82,6 @@ struct Corpus {
 
 /// Pure synthesis — cannot fail; same spec yields byte-identical output.
 Corpus GenerateCorpus(const CorpusSpec& spec);
-
-/// What StreamCorpus learned while emitting (everything Corpus carries
-/// except the bytes themselves).
-struct CorpusSummary {
-  CorpusSpec spec;
-  uint64_t total_bytes = 0;
-  uint64_t records = 0;
-  uint32_t max_depth = 0;
-};
-
-/// Bounded piece of corpus text, in document order. Pieces are whole
-/// syntactic units (the root open tag, one record, the closing material),
-/// never a split tag.
-using CorpusSink = std::function<void(std::string_view piece)>;
-
-/// Streaming synthesis: emits the same bytes GenerateCorpus would — in
-/// record-sized pieces through `sink` — while holding only one record in
-/// memory. This is how soak-scale corpora reach a file or a SAX parser
-/// without a gigabyte string in between; GenerateCorpus is now the
-/// degenerate sink that concatenates.
-CorpusSummary StreamCorpus(const CorpusSpec& spec, const CorpusSink& sink);
 
 /// The rule set of `rules` matched to `family`'s tag vocabulary.
 /// `extra_absent_rules` appends that many descendant-axis grants of tags

@@ -152,7 +152,6 @@ Status AuthorizedViewReader::DriveOne() {
                       /*wanted=*/false);
           CSXA_RETURN_NOT_OK(nav_->SkipSubtree());
           ++stats_.deferrals;
-          stats_.deferred_bits += item.subtree_bits;
           break;
         }
       }

@@ -38,7 +38,6 @@ struct DriveStats {
   uint64_t skips = 0;          ///< Subtrees pruned before being fetched.
   uint64_t skipped_bits = 0;   ///< Encoded bits those subtrees span.
   uint64_t deferrals = 0;      ///< Pending subtrees skipped-for-later.
-  uint64_t deferred_bits = 0;  ///< Encoded bits those subtrees span.
   uint64_t rereads = 0;        ///< Granted deferrals spliced back in.
   uint64_t reread_bits = 0;    ///< Encoded bits re-decoded during splices.
   /// Plaintext bytes the fetcher actually pulled during splices — the

@@ -83,34 +83,6 @@ TEST(GenerationIsDeterministic) {
   }
 }
 
-TEST(StreamingMatchesBatchByteForByte) {
-  // The sink API is the primary generator and GenerateCorpus its
-  // degenerate wrapper — so streamed pieces concatenated must be the
-  // batch string exactly, the summary must match the batch metadata, and
-  // the emission must actually be piecewise (holding one record, not the
-  // document).
-  for (bench::CorpusFamily family : bench::AllFamilies()) {
-    const bench::CorpusSpec spec{family, /*seed=*/1,
-                                 /*target_bytes=*/32768, /*depth=*/0};
-    const bench::Corpus batch = bench::GenerateCorpus(spec);
-    std::string streamed;
-    size_t pieces = 0;
-    size_t largest_piece = 0;
-    const bench::CorpusSummary summary =
-        bench::StreamCorpus(spec, [&](std::string_view piece) {
-          streamed.append(piece.data(), piece.size());
-          ++pieces;
-          largest_piece = std::max(largest_piece, piece.size());
-        });
-    CHECK(streamed == batch.xml);
-    CHECK_EQ(summary.total_bytes, batch.xml.size());
-    CHECK_EQ(summary.records, batch.records);
-    CHECK_EQ(summary.max_depth, batch.max_depth);
-    CHECK(pieces > 2);  // Root tag + records + closing, not one blob.
-    CHECK(largest_piece < batch.xml.size() / 4);
-  }
-}
-
 TEST(TargetSizeReached) {
   for (bench::CorpusFamily family : bench::AllFamilies()) {
     for (uint64_t target : {uint64_t{4} << 10, uint64_t{32} << 10}) {

@@ -62,21 +62,25 @@ def main():
                         f'{where}: {key} {variant[key]} > '
                         f'baseline {ref[key]} (+{tolerance:.0%})')
 
-    for strategy in ("deferred", "buffered"):
-        ref = baseline["deferred_mode"][strategy]
-        cur = fresh["deferred_mode"][strategy]
-        for key in ("wire_bytes", "peak_buffered_bytes"):
-            if cur[key] > ref[key] * (1 + tolerance):
-                rc |= fail(
-                    f'deferred_mode/{strategy}: {key} {cur[key]} > '
-                    f'baseline {ref[key]} (+{tolerance:.0%})')
+    # A section the bench stopped early is a failure, not a traceback.
+    if "deferred" not in fresh.get("deferred_mode", {}):
+        rc |= fail("deferred_mode section missing from fresh run")
+    else:
+        for strategy in ("deferred", "buffered"):
+            ref = baseline["deferred_mode"][strategy]
+            cur = fresh["deferred_mode"][strategy]
+            for key in ("wire_bytes", "peak_buffered_bytes"):
+                if cur[key] > ref[key] * (1 + tolerance):
+                    rc |= fail(
+                        f'deferred_mode/{strategy}: {key} {cur[key]} > '
+                        f'baseline {ref[key]} (+{tolerance:.0%})')
 
     # Shared-cache economics must not regress: a warm serve that starts
     # re-shipping tree hashes or digests has lost cross-serve sharing, and
     # its wire bytes are gated like every other scenario. The absolute
     # gates depend only on the fresh run, so they apply even against a
     # baseline predating the warm_cache section.
-    if "warm_cache" not in fresh:
+    if "warm" not in fresh.get("warm_cache", {}):
         rc |= fail("warm_cache section missing from fresh run")
     else:
         warm = fresh["warm_cache"]["warm"]
@@ -205,10 +209,12 @@ def main():
         matrix = fresh["fault_matrix"]
         if matrix.get("view_mismatches", 1) != 0:
             rc |= fail(
-                f'fault_matrix: {matrix["view_mismatches"]} view mismatches')
+                f'fault_matrix: {matrix.get("view_mismatches", "unreported")}'
+                f' view mismatches')
         if matrix.get("contract_violations", 1) != 0:
             rc |= fail(
-                f'fault_matrix: {matrix["contract_violations"]} outcomes '
+                f'fault_matrix: '
+                f'{matrix.get("contract_violations", "unreported")} outcomes '
                 f'outside the transport contract')
         cells = matrix.get("cells", [])
         seen = {(c["fault"], c["backend"], c["cache"]) for c in cells}

@@ -52,15 +52,28 @@
 // ends in a terminal IntegrityError — never a divergent view, never an
 // uncontracted error class.
 //
-// The scenario matrix source is flag-driven: --folders/--chunk/--fragment
-// resize the hand-built hospital document and layout; --corpus FAMILY
-// swaps in a generated corpus with its matched rule families (exploratory:
-// the strict pruning gates assume the hand-built document and are skipped).
+// Every serve yields a pipeline::ServeReport; one table (kCounters) maps
+// JSON keys to its fields, and every section writes through one scoped
+// JSON writer, so a section that stops early still leaves a well-formed
+// file with "checks_passed": false. The inputs are fixed: the hand-built
+// hospital document (12 folders, 4 under --quick; the strict pruning gates
+// are calibrated to its shape) on 1 KiB chunks of 64 B fragments. Generated
+// corpora are served by the backends section and by csxa_stored --families.
+//
+// Usage: csxa_bench [--quick] [--backend 3des|aes|aes-portable] [--out FILE]
 
+#include <algorithm>
+#include <concepts>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "access/access_rule.h"
@@ -83,6 +96,198 @@
 namespace {
 
 using namespace csxa;  // NOLINT
+using pipeline::ServeReport;
+using ull = unsigned long long;
+
+/// One object or array of the output, closed by its destructor: a section
+/// that returns early still leaves well-formed JSON. Members are written
+/// in order, and a nested scope must close before its parent writes again.
+/// Members of an array take an empty key. Nested containers start on
+/// their own indented line; scalars run on.
+class JsonScope {
+ public:
+  /// The document's root object, appended to `out`.
+  explicit JsonScope(std::string* out) : JsonScope(out, 0, '}') {
+    out->push_back('{');
+  }
+  JsonScope(const JsonScope&) = delete;
+  JsonScope& operator=(const JsonScope&) = delete;
+  ~JsonScope() {
+    if (nested_) NewLine(depth_);
+    out_->push_back(close_);
+  }
+
+  JsonScope Object(std::string_view key = {}) { return Open(key, '{', '}'); }
+  JsonScope Array(std::string_view key = {}) { return Open(key, '[', ']'); }
+
+  void Field(std::string_view key, std::string_view v) {
+    Member(key, /*container=*/false);
+    String(v);
+  }
+  void Field(std::string_view key, const char* v) {
+    Field(key, std::string_view(v));
+  }
+  void Field(std::string_view key, bool v) {
+    Member(key, /*container=*/false);
+    *out_ += v ? "true" : "false";
+  }
+  /// One decimal: the bench's rates.
+  void Field(std::string_view key, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1f", v);
+    Member(key, /*container=*/false);
+    *out_ += buf;
+  }
+  template <std::integral T>
+  void Field(std::string_view key, T v) {
+    Member(key, /*container=*/false);
+    *out_ += std::to_string(v);
+  }
+
+ private:
+  JsonScope(std::string* out, int depth, char close)
+      : out_(out), depth_(depth), close_(close) {}
+
+  JsonScope Open(std::string_view key, char open, char close) {
+    Member(key, /*container=*/true);
+    out_->push_back(open);
+    return JsonScope(out_, depth_ + 1, close);
+  }
+  void Member(std::string_view key, bool container) {
+    if (!first_) out_->push_back(',');
+    if (container) {
+      nested_ = true;
+      NewLine(depth_ + 1);
+    } else if (!first_) {
+      out_->push_back(' ');
+    }
+    first_ = false;
+    if (key.empty()) return;
+    String(key);
+    *out_ += ": ";
+  }
+  void NewLine(int depth) {
+    out_->push_back('\n');
+    out_->append(2 * static_cast<size_t>(depth), ' ');
+  }
+  void String(std::string_view s) {
+    out_->push_back('"');
+    for (char c : s) {
+      if (c == '"' || c == '\\') {
+        out_->push_back('\\');
+        out_->push_back(c);
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out_ += buf;
+      } else {
+        out_->push_back(c);
+      }
+    }
+    out_->push_back('"');
+  }
+
+  std::string* out_;
+  int depth_;
+  char close_;
+  bool first_ = true;
+  bool nested_ = false;  ///< A container member broke the line.
+};
+
+/// The run's verdict, written last as "checks_passed".
+bool checks_passed = true;
+
+/// Prints "where: message" to stderr and fails the run.
+void VReport(const std::string& where, const char* fmt, va_list args) {
+  std::fprintf(stderr, "%s: ", where.c_str());
+  std::vfprintf(stderr, fmt, args);
+  std::fputc('\n', stderr);
+  checks_passed = false;
+}
+
+/// Every in-bench gate: when `cond` is false, prints "where: message" and
+/// fails the run. Returns `cond`.
+[[gnu::format(printf, 3, 4)]] bool Check(bool cond, const std::string& where,
+                                         const char* fmt, ...) {
+  if (cond) return true;
+  va_list args;
+  va_start(args, fmt);
+  VReport(where, fmt, args);
+  va_end(args);
+  return false;
+}
+
+/// A serve or setup step that could not run: fails the run, and the
+/// section stops there.
+[[gnu::format(printf, 2, 3)]] void Fail(const std::string& where,
+                                        const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  VReport(where, fmt, args);
+  va_end(args);
+}
+void Fail(const std::string& where, const Status& status) {
+  Fail(where, "%s", status.ToString().c_str());
+}
+
+/// JSON key → ServeReport field, for every counter a section publishes.
+struct Counter {
+  const char* key;
+  uint64_t (*get)(const ServeReport&);
+};
+constexpr Counter kCounters[] = {
+    {"encoded_bytes", [](const ServeReport& r) { return r.encoded_bytes; }},
+    {"wire_bytes", [](const ServeReport& r) { return r.wire_bytes; }},
+    {"bytes_fetched", [](const ServeReport& r) { return r.bytes_fetched; }},
+    {"bytes_decrypted",
+     [](const ServeReport& r) { return r.soe.bytes_decrypted; }},
+    {"bytes_hashed", [](const ServeReport& r) { return r.soe.bytes_hashed; }},
+    {"requests", [](const ServeReport& r) { return r.requests; }},
+    {"segments", [](const ServeReport& r) { return r.segments; }},
+    {"bare_chunk_reads",
+     [](const ServeReport& r) { return r.bare_chunk_reads; }},
+    {"proof_hashes_shipped",
+     [](const ServeReport& r) { return r.proof_hashes_shipped; }},
+    {"digest_bytes_shipped",
+     [](const ServeReport& r) { return r.digest_bytes_shipped; }},
+    {"gap_fragments_bridged",
+     [](const ServeReport& r) { return r.gap_fragments_bridged; }},
+    {"subtree_skips", [](const ServeReport& r) { return r.drive.skips; }},
+    {"skipped_encoded_bytes",
+     [](const ServeReport& r) { return r.drive.skipped_bits / 8; }},
+    {"events_in", [](const ServeReport& r) { return r.eval.events_in; }},
+    {"peak_buffered",
+     [](const ServeReport& r) { return r.eval.peak_buffered; }},
+    {"peak_buffered_bytes",
+     [](const ServeReport& r) { return r.eval.peak_buffered_bytes; }},
+    {"deferrals", [](const ServeReport& r) { return r.drive.deferrals; }},
+    {"deferrals_granted",
+     [](const ServeReport& r) { return r.eval.deferrals_granted; }},
+    {"deferrals_denied",
+     [](const ServeReport& r) { return r.eval.deferrals_denied; }},
+    {"rereads", [](const ServeReport& r) { return r.drive.rereads; }},
+    {"reread_bytes",
+     [](const ServeReport& r) { return r.drive.reread_fetched_bytes; }},
+    {"reread_decoded_bytes",
+     [](const ServeReport& r) { return r.drive.reread_bits / 8; }},
+    {"retries", [](const ServeReport& r) { return r.retries; }},
+};
+
+/// Writes the named counters of `r`, in the order given.
+void WriteCounters(JsonScope* out, const ServeReport& r,
+                   std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    const Counter* c = std::find_if(
+        std::begin(kCounters), std::end(kCounters), [key](const Counter& e) {
+          return std::strcmp(e.key, key) == 0;
+        });
+    if (c == std::end(kCounters)) {
+      std::fprintf(stderr, "csxa_bench: no counter %s\n", key);
+      std::abort();
+    }
+    out->Field(key, c->get(r));
+  }
+}
 
 crypto::TripleDes::Key BenchKey() {
   crypto::TripleDes::Key key{};
@@ -153,6 +358,15 @@ std::string MakeDocument(int folders, int consults, int analyses) {
   return xml;
 }
 
+/// What every section serves from, fixed by the command line.
+struct Bench {
+  bool quick = false;
+  int folders = 12;  ///< Hospital folders; 4 under --quick.
+  crypto::ChunkLayout layout;
+  crypto::CipherBackendKind backend = crypto::CipherBackendKind::k3Des;
+  std::string xml;  ///< MakeDocument(folders, 3, 4).
+};
+
 struct Scenario {
   std::string name;
   std::string rules_text;
@@ -209,99 +423,59 @@ std::vector<Scenario> Scenarios() {
   return s;
 }
 
-struct VariantRun {
-  index::Variant variant = index::Variant::kNc;
-  uint64_t encoded_bytes = 0;
-  uint64_t wire_bytes = 0;
-  uint64_t wire_bytes_full = 0;  ///< Same variant, skipping disabled.
-  uint64_t bytes_fetched = 0;
-  uint64_t bytes_decrypted = 0;
-  uint64_t bytes_hashed = 0;
-  uint64_t requests = 0;
-  uint64_t segments = 0;
-  uint64_t bare_chunk_reads = 0;
-  uint64_t proof_hashes_shipped = 0;
-  uint64_t digest_bytes_shipped = 0;
-  uint64_t gap_fragments_bridged = 0;
-  uint64_t skips = 0;
-  uint64_t skipped_bytes = 0;
-  uint64_t events_in = 0;
-  uint64_t peak_buffered = 0;
-  uint64_t peak_buffered_bytes = 0;
-  uint64_t deferrals = 0;
-  uint64_t rereads = 0;
-  uint64_t reread_bytes = 0;          ///< Bytes actually pulled in splices.
-  uint64_t reread_decoded_bytes = 0;  ///< Encoded span re-decoded.
-  std::string view;
-};
-
-/// Wall clock of one NC serve (fetch, decrypt, parse, evaluate) and the
-/// SOE's decrypt and hash timers inside it: the backends section's
-/// closed_world probe, the one timing gate on the in-process serve.
-struct NcTimings {
-  uint64_t serve_ns = 0;
-  uint64_t decrypt_ns = 0;
-  uint64_t hash_ns = 0;
-};
+/// Every variant, in enum order, so a serve list indexes by Variant.
+constexpr index::Variant kVariants[] = {
+    index::Variant::kNc, index::Variant::kTc, index::Variant::kTcs,
+    index::Variant::kTcsb, index::Variant::kTcsbr};
 
 /// Stream-all serve of an NC image: with no structure index nothing can
 /// be skipped, so the whole ciphertext crosses the wire from `source` (the
 /// store itself, or a link to it) and the SOE SAX-filters the plaintext.
-/// `store` describes the image's layout and sizes.
-Result<VariantRun> ServeStreamAll(const crypto::BatchSource* source,
-                                  const crypto::SecureDocumentStore& store,
-                                  const std::vector<access::AccessRule>& rules,
-                                  crypto::CipherBackendKind backend,
-                                  const index::PlannerOptions& planner,
-                                  NcTimings* timings) {
+/// `store` describes the image's layout and sizes. The report carries the
+/// fetcher's, the decryptor's and the evaluator's counters; with no
+/// navigator, `drive` stays zero.
+Result<ServeReport> ServeStreamAll(const crypto::BatchSource* source,
+                                   const crypto::SecureDocumentStore& store,
+                                   const std::vector<access::AccessRule>& rules,
+                                   crypto::CipherBackendKind backend,
+                                   const index::PlannerOptions& planner) {
   crypto::SoeDecryptor soe(BenchKey(), store.layout(), store.plaintext_size(),
                            store.chunk_count(), /*expected_version=*/0,
                            crypto::SoeDecryptor::kDefaultDigestCacheCapacity,
                            /*shared_cache=*/nullptr, backend);
   index::SecureFetcher fetcher(source, store.layout(), store.plaintext_size(),
                                store.ciphertext().size(), &soe, planner);
-  const uint64_t t0 = NowNs();
   CSXA_RETURN_NOT_OK(fetcher.Ensure(0, fetcher.size()));
-  std::string plain(
-      common::AsChars(fetcher.verified_view().data(), fetcher.size()));
   xml::SerializingHandler ser;
   access::RuleEvaluator eval(rules, &ser);
-  CSXA_RETURN_NOT_OK(xml::SaxParser::Parse(plain, &eval));
+  CSXA_RETURN_NOT_OK(xml::SaxParser::Parse(
+      common::AsChars(fetcher.verified_view().data(), fetcher.size()), &eval));
   CSXA_RETURN_NOT_OK(eval.Finish());
-  if (timings != nullptr) {
-    *timings = {NowNs() - t0, soe.counters().decrypt_ns,
-                soe.counters().hash_ns};
-  }
-  VariantRun run;
-  run.variant = index::Variant::kNc;
-  run.encoded_bytes = store.plaintext_size();
-  run.wire_bytes = run.wire_bytes_full = fetcher.wire_bytes();
-  run.bytes_fetched = fetcher.bytes_fetched();
-  run.bytes_decrypted = soe.counters().bytes_decrypted;
-  run.bytes_hashed = soe.counters().bytes_hashed;
-  run.requests = fetcher.requests();
-  run.segments = fetcher.segments();
-  run.events_in = eval.stats().events_in;
-  run.peak_buffered = eval.stats().peak_buffered;
-  run.peak_buffered_bytes = eval.stats().peak_buffered_bytes;
-  run.view = ser.output();
-  return run;
+  ServeReport r;
+  r.view = ser.output();
+  r.eval = eval.stats();
+  r.encoded_bytes = fetcher.size();
+  r.wire_bytes = fetcher.wire_bytes();
+  r.bytes_fetched = fetcher.bytes_fetched();
+  r.requests = fetcher.requests();
+  r.segments = fetcher.segments();
+  r.bare_chunk_reads = fetcher.bare_chunk_reads();
+  r.proof_hashes_shipped = fetcher.proof_hashes_shipped();
+  r.digest_bytes_shipped = fetcher.digest_bytes_shipped();
+  r.gap_fragments_bridged = fetcher.planner_stats().gap_fragments_bridged;
+  r.retries = fetcher.retries();
+  r.reconnects = fetcher.reconnects();
+  r.soe = soe.counters();
+  return r;
 }
 
-/// NC reference point: the raw XML text is encrypted as-is and served
-/// stream-all from the in-process store.
-Result<VariantRun> RunNc(const std::string& xml,
-                         const std::vector<access::AccessRule>& rules,
-                         const crypto::ChunkLayout& layout,
-                         crypto::CipherBackendKind backend,
-                         NcTimings* timings = nullptr) {
+/// The NC image: the raw XML text encrypted as-is, no structure index.
+Result<crypto::SecureDocumentStore> BuildNcStore(
+    const std::string& xml, const crypto::ChunkLayout& layout,
+    crypto::CipherBackendKind backend) {
   std::vector<uint8_t> bytes(xml.begin(), xml.end());
-  CSXA_ASSIGN_OR_RETURN(
-      crypto::SecureDocumentStore store,
-      crypto::SecureDocumentStore::Build(bytes, BenchKey(), layout,
-                                         /*version=*/0, backend));
-  return ServeStreamAll(&store, store, rules, backend, index::PlannerOptions(),
-                        timings);
+  return crypto::SecureDocumentStore::Build(bytes, BenchKey(), layout,
+                                            /*version=*/0, backend);
 }
 
 /// Publication for the Figure 8 matrices: no shared digest cache, so every
@@ -318,49 +492,160 @@ server::DocumentConfig ColdConfig(index::Variant variant,
   return cfg;
 }
 
-Result<VariantRun> RunVariant(const std::string& xml, index::Variant variant,
-                              const std::vector<access::AccessRule>& rules,
-                              const crypto::ChunkLayout& layout,
-                              crypto::CipherBackendKind backend) {
-  if (variant == index::Variant::kNc) return RunNc(xml, rules, layout, backend);
+/// The skip-enabled serve of `xml` as `variant` (NC: stream-all from the
+/// in-process store), checked against full streaming of the same image.
+/// `wire_bytes_full`, if set, receives the full-streaming wire bytes.
+Result<ServeReport> RunVariant(const std::string& xml, index::Variant variant,
+                               const std::vector<access::AccessRule>& rules,
+                               const crypto::ChunkLayout& layout,
+                               crypto::CipherBackendKind backend,
+                               uint64_t* wire_bytes_full = nullptr) {
+  if (variant == index::Variant::kNc) {
+    CSXA_ASSIGN_OR_RETURN(crypto::SecureDocumentStore store,
+                          BuildNcStore(xml, layout, backend));
+    CSXA_ASSIGN_OR_RETURN(
+        ServeReport report,
+        ServeStreamAll(&store, store, rules, backend, index::PlannerOptions()));
+    if (wire_bytes_full != nullptr) *wire_bytes_full = report.wire_bytes;
+    return report;
+  }
   server::DocumentService service;
   CSXA_RETURN_NOT_OK(
       service.Publish("bench", xml, ColdConfig(variant, layout, backend)));
   CSXA_ASSIGN_OR_RETURN(
-      pipeline::ServeReport report,
+      ServeReport report,
       service.Serve("bench", rules, {/*skip=*/true, UINT64_MAX}));
   CSXA_ASSIGN_OR_RETURN(
-      pipeline::ServeReport full,
+      ServeReport full,
       service.Serve("bench", rules, {/*skip=*/false, UINT64_MAX}));
   if (full.view != report.view) {
     return Status::Internal("skip-enabled view diverges from full streaming");
   }
+  if (wire_bytes_full != nullptr) *wire_bytes_full = full.wire_bytes;
+  return report;
+}
 
-  VariantRun run;
-  run.variant = variant;
-  run.encoded_bytes = report.encoded_bytes;
-  run.wire_bytes = report.wire_bytes;
-  run.wire_bytes_full = full.wire_bytes;
-  run.bytes_fetched = report.bytes_fetched;
-  run.bytes_decrypted = report.soe.bytes_decrypted;
-  run.bytes_hashed = report.soe.bytes_hashed;
-  run.requests = report.requests;
-  run.segments = report.segments;
-  run.bare_chunk_reads = report.bare_chunk_reads;
-  run.proof_hashes_shipped = report.proof_hashes_shipped;
-  run.digest_bytes_shipped = report.digest_bytes_shipped;
-  run.gap_fragments_bridged = report.gap_fragments_bridged;
-  run.skips = report.drive.skips;
-  run.skipped_bytes = report.drive.skipped_bits / 8;
-  run.events_in = report.eval.events_in;
-  run.peak_buffered = report.eval.peak_buffered;
-  run.peak_buffered_bytes = report.eval.peak_buffered_bytes;
-  run.deferrals = report.drive.deferrals;
-  run.rereads = report.drive.rereads;
-  run.reread_bytes = report.drive.reread_fetched_bytes;
-  run.reread_decoded_bytes = report.drive.reread_bits / 8;
-  run.view = std::move(report.view);
-  return run;
+/// The single-session reference view: plaintext SAX pass, no crypto.
+Result<std::string> DirectView(const std::string& xml,
+                               const std::vector<access::AccessRule>& rules) {
+  xml::SerializingHandler ser;
+  access::RuleEvaluator eval(rules, &ser);
+  CSXA_RETURN_NOT_OK(xml::SaxParser::Parse(xml, &eval));
+  CSXA_RETURN_NOT_OK(eval.Finish());
+  return ser.output();
+}
+
+/// The run's fixed inputs.
+void WriteConfig(const Bench& bench, const char* name, JsonScope* root) {
+  JsonScope out = root->Object(name);
+  out.Field("source", "hospital_builtin");
+  out.Field("folders", bench.folders);
+  out.Field("document_bytes", bench.xml.size());
+  out.Field("chunk_size", bench.layout.chunk_size);
+  out.Field("fragment_size", bench.layout.fragment_size);
+  out.Field("backend", crypto::CipherBackendKindName(bench.backend));
+  out.Field("backend_hardware",
+            crypto::CipherBackendHardwareAccelerated(bench.backend));
+}
+
+/// The Figure 8 matrix: every scenario × variant on the hospital
+/// document, gated on the paper's claim that index metadata pays for
+/// itself.
+void RunScenarios(const Bench& bench, const char* name, JsonScope* root) {
+  JsonScope out = root->Array(name);
+  // Skip-mode cost sanity, whole matrix: a skip-enabled serve may
+  // never pay more wire than full streaming of the same variant beyond
+  // the per-chunk digest slack — the planner's proof-aware hole filling
+  // and stream-all fallback exist to guarantee it. (Full streaming ships
+  // one encrypted digest per chunk too, but chunk-touch order can shift
+  // which serves trim them, hence the slack — sized to the backend's
+  // digest ciphertext, 24 bytes for 3DES and 32 for AES.)
+  const uint64_t digest_bytes = crypto::DigestCipherBytes(
+      crypto::CipherBackendBlockSize(bench.backend));
+  const uint64_t chunk = bench.layout.chunk_size;
+  for (const Scenario& sc : Scenarios()) {
+    auto parsed = access::ParseRuleList(sc.rules_text);
+    if (!parsed.ok()) {
+      return Fail(sc.name, "bad rules: %s",
+                  parsed.status().ToString().c_str());
+    }
+    const std::vector<access::AccessRule> rules = parsed.take();
+    std::vector<ServeReport> runs;  // Indexed by Variant.
+    std::vector<uint64_t> wire_full;
+    for (index::Variant v : kVariants) {
+      uint64_t full = 0;
+      auto run = RunVariant(bench.xml, v, rules, bench.layout, bench.backend,
+                            &full);
+      if (!run.ok()) return Fail(sc.name + "/" + VariantName(v), run.status());
+      runs.push_back(run.take());
+      wire_full.push_back(full);
+    }
+    auto at = [&runs](index::Variant v) -> const ServeReport& {
+      return runs[static_cast<size_t>(v)];
+    };
+    const std::string& reference = at(index::Variant::kNc).view;
+
+    JsonScope row = out.Object();
+    row.Field("name", sc.name);
+    row.Field("rules", rules.size());
+    row.Field("view_bytes", reference.size());
+    row.Field("bitmap_pruning", sc.bitmap_pruning);
+    JsonScope cells = row.Array("variants");
+    for (index::Variant v : kVariants) {
+      const ServeReport& run = at(v);
+      const std::string where = sc.name + "/" + VariantName(v);
+      const bool matches = Check(run.view == reference, where,
+                                 "authorized view diverges from NC");
+      JsonScope cell = cells.Object();
+      cell.Field("variant", VariantName(v));
+      WriteCounters(&cell, run,
+                    {"encoded_bytes", "wire_bytes", "bytes_fetched",
+                     "bytes_decrypted", "bytes_hashed", "requests", "segments",
+                     "bare_chunk_reads", "proof_hashes_shipped",
+                     "digest_bytes_shipped", "gap_fragments_bridged",
+                     "subtree_skips", "skipped_encoded_bytes", "events_in",
+                     "peak_buffered", "peak_buffered_bytes", "deferrals",
+                     "rereads", "reread_bytes", "reread_decoded_bytes"});
+      const uint64_t full = wire_full[static_cast<size_t>(v)];
+      cell.Field("wire_bytes_full_stream", full);
+      cell.Field("view_matches_reference", matches);
+
+      const uint64_t slack =
+          (run.encoded_bytes + chunk - 1) / chunk * digest_bytes;
+      Check(run.wire_bytes <= full + slack, where,
+            "skip-mode wire %llu exceeds full streaming %llu + %llu slack "
+            "(cost-model inversion)",
+            ull(run.wire_bytes), ull(full), ull(slack));
+    }
+
+    // The paper's claim, enforced: index metadata must pay for itself.
+    const ServeReport& tc = at(index::Variant::kTc);
+    const ServeReport& tcs = at(index::Variant::kTcs);
+    for (index::Variant v : {index::Variant::kTcsb, index::Variant::kTcsbr}) {
+      const ServeReport& rich = at(v);
+      Check(!sc.bitmap_pruning ||
+                (rich.wire_bytes < tcs.wire_bytes &&
+                 rich.soe.bytes_decrypted < tcs.soe.bytes_decrypted),
+            sc.name + "/" + VariantName(v),
+            "expected strictly fewer wire/decrypted bytes than TCS (wire "
+            "%llu vs %llu, decrypted %llu vs %llu)",
+            ull(rich.wire_bytes), ull(tcs.wire_bytes),
+            ull(rich.soe.bytes_decrypted), ull(tcs.soe.bytes_decrypted));
+    }
+    Check(!sc.size_pruning || tcs.wire_bytes < tc.wire_bytes, sc.name,
+          "expected TCS to transfer strictly less than TC (%llu vs %llu)",
+          ull(tcs.wire_bytes), ull(tc.wire_bytes));
+    // Batched-fetch gate: the integrity protocol must not invert
+    // the cost model. TC — which streams everything — must stay within a
+    // handful of coalesced round trips and under raw NC's wire bytes
+    // (proofs amortized per chunk, not per request).
+    const ServeReport& nc = at(index::Variant::kNc);
+    Check(sc.name != "closed_world" ||
+              (tc.requests <= 40 && tc.wire_bytes < nc.wire_bytes),
+          sc.name, "batched fetch regressed on TC (%llu requests, wire %llu "
+          "vs NC %llu)",
+          ull(tc.requests), ull(tc.wire_bytes), ull(nc.wire_bytes));
+  }
 }
 
 /// The adversarial pending-part workload for the deferred-mode section: a
@@ -386,116 +671,72 @@ std::string MakeGuardedDocument(int folders, int consults) {
 /// enforces the PR's regression gate: with the deferral budget on, peak
 /// buffered bytes must stay below the budget while the view stays
 /// byte-identical — even though a pending predicate guards the document's
-/// largest subtrees. Appends a "deferred_mode" JSON object; returns false
-/// when a gate fails.
-bool RunDeferredMode(std::string* json, const crypto::ChunkLayout& layout,
-                     crypto::CipherBackendKind backend) {
+/// largest subtrees.
+void RunDeferredMode(const Bench& bench, const char* name, JsonScope* root) {
+  JsonScope out = root->Object(name);
   const uint64_t kBudget = 1024;
   const std::string xml = MakeGuardedDocument(/*folders=*/6, /*consults=*/24);
   auto parsed =
       access::ParseRuleList("+ /Hospital/Folder[Clearance = open]/MedActs\n");
-  if (!parsed.ok()) return false;
+  if (!parsed.ok()) return Fail(name, parsed.status());
   std::vector<access::AccessRule> rules = parsed.take();
 
   server::DocumentService service;
   const Status published = service.Publish(
-      "bench", xml, ColdConfig(index::Variant::kTcsbr, layout, backend));
-  if (!published.ok()) {
-    std::fprintf(stderr, "deferred_mode: %s\n", published.ToString().c_str());
-    return false;
-  }
+      "bench", xml,
+      ColdConfig(index::Variant::kTcsbr, bench.layout, bench.backend));
+  if (!published.ok()) return Fail(name, published);
   pipeline::ServeOptions deferred{/*enable_skip=*/true, kBudget};
   pipeline::ServeOptions buffered{/*enable_skip=*/true, UINT64_MAX};
   pipeline::ServeOptions full{/*enable_skip=*/false, UINT64_MAX};
-  auto d = service.Serve("bench", rules, deferred);
-  auto b = service.Serve("bench", rules, buffered);
-  auto f = service.Serve("bench", rules, full);
-  if (!d.ok() || !b.ok() || !f.ok()) {
-    std::fprintf(stderr, "deferred_mode: serve failed\n");
-    return false;
+  auto d_run = service.Serve("bench", rules, deferred);
+  auto b_run = service.Serve("bench", rules, buffered);
+  auto f_run = service.Serve("bench", rules, full);
+  if (!d_run.ok() || !b_run.ok() || !f_run.ok()) {
+    return Fail(name, "serve failed");
   }
+  const ServeReport& d = d_run.value();
+  const ServeReport& b = b_run.value();
+  const ServeReport& f = f_run.value();
 
-  bool ok = true;
-  if (d.value().view != f.value().view || b.value().view != f.value().view) {
-    std::fprintf(stderr,
-                 "deferred_mode: views diverge across strategies\n");
-    ok = false;
-  }
-  if (d.value().eval.peak_buffered_bytes >= kBudget) {
-    std::fprintf(stderr,
-                 "deferred_mode: peak buffered bytes %llu breach the %llu "
-                 "budget\n",
-                 static_cast<unsigned long long>(
-                     d.value().eval.peak_buffered_bytes),
-                 static_cast<unsigned long long>(kBudget));
-    ok = false;
-  }
-  if (b.value().eval.peak_buffered_bytes < kBudget) {
-    std::fprintf(stderr,
-                 "deferred_mode: workload not adversarial (buffered peak "
-                 "%llu under budget)\n",
-                 static_cast<unsigned long long>(
-                     b.value().eval.peak_buffered_bytes));
-    ok = false;
-  }
-  if (d.value().drive.deferrals == 0 || d.value().drive.rereads == 0 ||
-      d.value().eval.deferrals_denied == 0) {
-    std::fprintf(stderr,
-                 "deferred_mode: expected both granted and denied "
-                 "deferrals\n");
-    ok = false;
-  }
+  const bool views_identical = Check(d.view == f.view && b.view == f.view,
+                                     name, "views diverge across strategies");
+  const bool budget_respected =
+      Check(d.eval.peak_buffered_bytes < kBudget, name,
+            "peak buffered bytes %llu breach the %llu budget",
+            ull(d.eval.peak_buffered_bytes), ull(kBudget));
+  Check(b.eval.peak_buffered_bytes >= kBudget, name,
+        "workload not adversarial (buffered peak %llu under budget)",
+        ull(b.eval.peak_buffered_bytes));
+  Check(d.drive.deferrals != 0 && d.drive.rereads != 0 &&
+            d.eval.deferrals_denied != 0,
+        name, "expected both granted and denied deferrals");
   // Re-read economy: granted deferrals must not pay the proof machinery
   // twice — splices verify against the digest cache (bare chunk reads)
   // and the deferred strategy must beat classic buffering on the wire.
-  if (d.value().bare_chunk_reads == 0) {
-    std::fprintf(stderr,
-                 "deferred_mode: re-reads shipped integrity material the "
-                 "digest cache should have waived\n");
-    ok = false;
-  }
-  if (d.value().wire_bytes >= b.value().wire_bytes) {
-    std::fprintf(stderr,
-                 "deferred_mode: deferral no longer cheaper than "
-                 "buffering on the wire (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(d.value().wire_bytes),
-                 static_cast<unsigned long long>(b.value().wire_bytes));
-    ok = false;
-  }
+  Check(d.bare_chunk_reads != 0, name,
+        "re-reads shipped integrity material the digest cache should have "
+        "waived");
+  Check(d.wire_bytes < b.wire_bytes, name,
+        "deferral no longer cheaper than buffering on the wire (%llu vs "
+        "%llu)",
+        ull(d.wire_bytes), ull(b.wire_bytes));
 
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
-  auto emit = [&](const char* name, const pipeline::ServeReport& r) {
-    *json += std::string("    \"") + name + "\": {";
-    *json += "\"wire_bytes\": " + u64(r.wire_bytes);
-    *json += ", \"bytes_decrypted\": " + u64(r.soe.bytes_decrypted);
-    *json += ", \"peak_buffered\": " + u64(r.eval.peak_buffered);
-    *json += ", \"peak_buffered_bytes\": " + u64(r.eval.peak_buffered_bytes);
-    *json += ", \"deferrals\": " + u64(r.drive.deferrals);
-    *json += ", \"deferrals_granted\": " + u64(r.eval.deferrals_granted);
-    *json += ", \"deferrals_denied\": " + u64(r.eval.deferrals_denied);
-    *json += ", \"rereads\": " + u64(r.drive.rereads);
-    *json += ", \"reread_bytes\": " + u64(r.drive.reread_fetched_bytes);
-    *json += ", \"reread_decoded_bytes\": " + u64(r.drive.reread_bits / 8);
-    *json += ", \"bare_chunk_reads\": " + u64(r.bare_chunk_reads);
-    *json += "}";
+  out.Field("document_bytes", xml.size());
+  out.Field("pending_buffer_budget", kBudget);
+  auto write = [&out](const char* strategy, const ServeReport& r) {
+    JsonScope s = out.Object(strategy);
+    WriteCounters(&s, r,
+                  {"wire_bytes", "bytes_decrypted", "peak_buffered",
+                   "peak_buffered_bytes", "deferrals", "deferrals_granted",
+                   "deferrals_denied", "rereads", "reread_bytes",
+                   "reread_decoded_bytes", "bare_chunk_reads"});
   };
-  *json += "  \"deferred_mode\": {\n";
-  *json += "    \"document_bytes\": " + u64(xml.size()) + ",\n";
-  *json += "    \"pending_buffer_budget\": " + u64(kBudget) + ",\n";
-  emit("deferred", d.value());
-  *json += ",\n";
-  emit("buffered", b.value());
-  *json += ",\n";
-  emit("full_stream", f.value());
-  *json += ",\n    \"views_identical\": ";
-  *json += d.value().view == f.value().view &&
-                   b.value().view == f.value().view
-               ? "true"
-               : "false";
-  *json += ",\n    \"budget_respected\": ";
-  *json += d.value().eval.peak_buffered_bytes < kBudget ? "true" : "false";
-  *json += "\n  },\n";
-  return ok;
+  write("deferred", d);
+  write("buffered", b);
+  write("full_stream", f);
+  out.Field("views_identical", views_identical);
+  out.Field("budget_respected", budget_respected);
 }
 
 /// The cross-serve shared-cache scenario: one DocumentService, two
@@ -505,11 +746,8 @@ bool RunDeferredMode(std::string* json, const crypto::ChunkLayout& layout,
 /// ciphertext only and must land under 60% of the cold serve's. This is
 /// also the needle workload's round-trip economics fix: each of the many
 /// small batches a needle serve issues stops carrying material entirely.
-/// Appends a "warm_cache" JSON object; returns false when a gate fails.
-bool RunWarmCache(std::string* json, int folders,
-                  crypto::CipherBackendKind backend) {
-  const std::string xml = MakeDocument(folders, /*consults=*/3,
-                                       /*analyses=*/4);
+void RunWarmCache(const Bench& bench, const char* name, JsonScope* root) {
+  JsonScope out = root->Object(name);
   server::DocumentConfig cfg;
   cfg.variant = index::Variant::kTcsbr;
   // A finer-grained layout than the main matrix: the integrity-overhead
@@ -518,159 +756,106 @@ bool RunWarmCache(std::string* json, int folders,
   cfg.layout.chunk_size = 512;
   cfg.layout.fragment_size = 32;
   cfg.key = BenchKey();
-  cfg.backend = backend;
+  cfg.backend = bench.backend;
   server::DocumentService service;
-  if (!service.Publish("bench", xml, cfg).ok()) return false;
+  const Status published = service.Publish("bench", bench.xml, cfg);
+  if (!published.ok()) return Fail(name, published);
   auto parsed = access::ParseRuleList("+ //Prescription\n");
-  if (!parsed.ok()) return false;
+  if (!parsed.ok()) return Fail(name, parsed.status());
   std::vector<access::AccessRule> rules = parsed.take();
 
   pipeline::ServeOptions opts;
-  auto cold = service.Serve("bench", rules, opts);
-  auto warm = service.Serve("bench", rules, opts);
-  if (!cold.ok() || !warm.ok()) {
-    std::fprintf(stderr, "warm_cache: serve failed\n");
-    return false;
+  auto cold_run = service.Serve("bench", rules, opts);
+  auto warm_run = service.Serve("bench", rules, opts);
+  if (!cold_run.ok() || !warm_run.ok()) {
+    return Fail(name, "serve failed");
   }
+  const ServeReport& cold = cold_run.value();
+  const ServeReport& warm = warm_run.value();
 
-  bool ok = true;
-  if (warm.value().view != cold.value().view) {
-    std::fprintf(stderr, "warm_cache: warm view diverges from cold\n");
-    ok = false;
-  }
-  if (warm.value().proof_hashes_shipped != 0 ||
-      warm.value().digest_bytes_shipped != 0) {
-    std::fprintf(stderr,
-                 "warm_cache: warm serve re-shipped integrity material "
-                 "(%llu hashes, %llu digest bytes) the shared cache holds\n",
-                 static_cast<unsigned long long>(
-                     warm.value().proof_hashes_shipped),
-                 static_cast<unsigned long long>(
-                     warm.value().digest_bytes_shipped));
-    ok = false;
-  }
-  if (warm.value().bare_chunk_reads == 0) {
-    std::fprintf(stderr, "warm_cache: no bare chunk reads on a warm serve\n");
-    ok = false;
-  }
-  if (warm.value().wire_bytes * 10 >= cold.value().wire_bytes * 6) {
-    std::fprintf(stderr,
-                 "warm_cache: warm wire %llu not under 60%% of cold %llu\n",
-                 static_cast<unsigned long long>(warm.value().wire_bytes),
-                 static_cast<unsigned long long>(cold.value().wire_bytes));
-    ok = false;
-  }
+  Check(warm.view == cold.view, name, "warm view diverges from cold");
+  Check(warm.proof_hashes_shipped == 0 && warm.digest_bytes_shipped == 0,
+        name,
+        "warm serve re-shipped integrity material (%llu hashes, %llu digest "
+        "bytes) the shared cache holds",
+        ull(warm.proof_hashes_shipped), ull(warm.digest_bytes_shipped));
+  Check(warm.bare_chunk_reads != 0, name,
+        "no bare chunk reads on a warm serve");
+  const bool under_60 =
+      Check(warm.wire_bytes * 10 < cold.wire_bytes * 6, name,
+            "warm wire %llu not under 60%% of cold %llu",
+            ull(warm.wire_bytes), ull(cold.wire_bytes));
 
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
-  auto emit = [&](const char* name, const pipeline::ServeReport& r) {
-    *json += std::string("    \"") + name + "\": {";
-    *json += "\"wire_bytes\": " + u64(r.wire_bytes);
-    *json += ", \"bytes_fetched\": " + u64(r.bytes_fetched);
-    *json += ", \"requests\": " + u64(r.requests);
-    *json += ", \"proof_hashes_shipped\": " + u64(r.proof_hashes_shipped);
-    *json += ", \"digest_bytes_shipped\": " + u64(r.digest_bytes_shipped);
-    *json += ", \"bare_chunk_reads\": " + u64(r.bare_chunk_reads);
-    *json += "}";
+  out.Field("document_bytes", bench.xml.size());
+  out.Field("chunk_size", cfg.layout.chunk_size);
+  out.Field("fragment_size", cfg.layout.fragment_size);
+  auto write = [&out](const char* serve, const ServeReport& r) {
+    JsonScope s = out.Object(serve);
+    WriteCounters(&s, r,
+                  {"wire_bytes", "bytes_fetched", "requests",
+                   "proof_hashes_shipped", "digest_bytes_shipped",
+                   "bare_chunk_reads"});
   };
-  *json += "  \"warm_cache\": {\n";
-  *json += "    \"document_bytes\": " + u64(xml.size()) + ",\n";
-  *json += "    \"chunk_size\": " + u64(cfg.layout.chunk_size) +
-           ", \"fragment_size\": " + u64(cfg.layout.fragment_size) + ",\n";
-  emit("cold", cold.value());
-  *json += ",\n";
-  emit("warm", warm.value());
-  *json += ",\n    \"warm_under_60_percent\": ";
-  *json += warm.value().wire_bytes * 10 < cold.value().wire_bytes * 6
-               ? "true"
-               : "false";
-  *json += "\n  },\n";
-  return ok;
+  write("cold", cold);
+  write("warm", warm);
+  out.Field("warm_under_60_percent", under_60);
 }
 
-/// The single-session reference view: plaintext SAX pass, no crypto.
-Result<std::string> DirectView(const std::string& xml,
-                               const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CSXA_RETURN_NOT_OK(xml::SaxParser::Parse(xml, &eval));
-  CSXA_RETURN_NOT_OK(eval.Finish());
-  return ser.output();
-}
-
-/// The corpus-generator section: every family at `corpus_bytes`, with its
-/// four matched rule families evaluated by a direct SAX pass. Everything
-/// here is a pure function of (family, seed, size), so the regression
-/// script diffs the counters exactly. In-bench gates: generation is
-/// deterministic (regenerating yields byte-identical XML), every corpus
-/// reaches its target size, and appending absent-tag rules (the rule-set-
-/// size axis of the paper's complexity experiment) never changes a view.
-/// Appends a "corpus" JSON array; returns false when a gate fails.
-bool RunCorpusSection(std::string* json, uint64_t corpus_bytes) {
-  bool ok = true;
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
-  *json += "  \"corpus\": {\n";
-  *json += "    \"target_bytes\": " + u64(corpus_bytes) +
-           ", \"seed\": 1,\n    \"families\": [\n";
-  const std::vector<bench::CorpusFamily> families = bench::AllFamilies();
-  for (size_t i = 0; i < families.size(); ++i) {
-    const bench::CorpusFamily family = families[i];
+/// The corpus-generator section: every family at 64 KiB (16 KiB under
+/// --quick), with its four matched rule families evaluated by a direct SAX
+/// pass. Everything here is a pure function of (family, seed, size), so
+/// the regression script diffs the counters exactly. In-bench gates:
+/// generation is deterministic (regenerating yields byte-identical XML),
+/// every corpus reaches its target size, and appending absent-tag rules
+/// (the rule-set-size axis of the paper's complexity experiment) never
+/// changes a view.
+void RunCorpus(const Bench& bench, const char* name, JsonScope* root) {
+  JsonScope out = root->Object(name);
+  const uint64_t corpus_bytes =
+      bench.quick ? uint64_t{16} << 10 : uint64_t{64} << 10;
+  out.Field("target_bytes", corpus_bytes);
+  out.Field("seed", 1);
+  JsonScope rows = out.Array("families");
+  for (bench::CorpusFamily family : bench::AllFamilies()) {
+    const std::string where = std::string(name) + "/" +
+                              bench::FamilyName(family);
     bench::CorpusSpec spec;
     spec.family = family;
     spec.seed = 1;
     spec.target_bytes = corpus_bytes;
     const bench::Corpus corpus = bench::GenerateCorpus(spec);
-    if (bench::GenerateCorpus(spec).xml != corpus.xml) {
-      std::fprintf(stderr, "corpus/%s: generation is not deterministic\n",
-                   bench::FamilyName(family));
-      ok = false;
-    }
-    if (corpus.xml.size() < corpus_bytes) {
-      std::fprintf(stderr, "corpus/%s: %zu bytes under the %llu target\n",
-                   bench::FamilyName(family), corpus.xml.size(),
-                   static_cast<unsigned long long>(corpus_bytes));
-      ok = false;
-    }
-    *json += std::string("      {\"family\": \"") +
-             bench::FamilyName(family) + "\"";
-    *json += ", \"document_bytes\": " + u64(corpus.xml.size());
-    *json += ", \"records\": " + u64(corpus.records);
-    *json += ", \"max_depth\": " + u64(corpus.max_depth);
-    *json += ", \"rule_families\": [";
-    const std::vector<bench::RuleFamily> rule_families =
-        bench::AllRuleFamilies();
-    for (size_t r = 0; r < rule_families.size(); ++r) {
-      const bench::RuleFamily rf = rule_families[r];
+    Check(bench::GenerateCorpus(spec).xml == corpus.xml, where,
+          "generation is not deterministic");
+    Check(corpus.xml.size() >= corpus_bytes, where,
+          "%zu bytes under the %llu target", corpus.xml.size(),
+          ull(corpus_bytes));
+    JsonScope row = rows.Object();
+    row.Field("family", bench::FamilyName(family));
+    row.Field("document_bytes", corpus.xml.size());
+    row.Field("records", corpus.records);
+    row.Field("max_depth", corpus.max_depth);
+    JsonScope cells = row.Array("rule_families");
+    for (bench::RuleFamily rf : bench::AllRuleFamilies()) {
+      const std::string cell = where + "/" + bench::RuleFamilyName(rf);
       auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
       auto grown = access::ParseRuleList(
           bench::RulesFor(family, rf, /*extra_absent_rules=*/8));
       if (!rules.ok() || !grown.ok()) {
-        std::fprintf(stderr, "corpus/%s/%s: bad rules\n",
-                     bench::FamilyName(family), bench::RuleFamilyName(rf));
-        return false;
+        return Fail(cell, "bad rules");
       }
       auto view = DirectView(corpus.xml, rules.value());
       auto grown_view = DirectView(corpus.xml, grown.value());
       if (!view.ok() || !grown_view.ok()) {
-        std::fprintf(stderr, "corpus/%s/%s: direct view failed\n",
-                     bench::FamilyName(family), bench::RuleFamilyName(rf));
-        return false;
+        return Fail(cell, "direct view failed");
       }
-      if (view.value() != grown_view.value()) {
-        std::fprintf(stderr,
-                     "corpus/%s/%s: absent-tag rules changed the view\n",
-                     bench::FamilyName(family), bench::RuleFamilyName(rf));
-        ok = false;
-      }
-      *json += std::string("{\"rules\": \"") + bench::RuleFamilyName(rf) +
-               "\", \"rule_count\": " + u64(rules.value().size()) +
-               ", \"view_bytes\": " + u64(view.value().size()) + "}";
-      *json += r + 1 < rule_families.size() ? ", " : "";
+      Check(view.value() == grown_view.value(), cell,
+            "absent-tag rules changed the view");
+      JsonScope c = cells.Object();
+      c.Field("rules", bench::RuleFamilyName(rf));
+      c.Field("rule_count", rules.value().size());
+      c.Field("view_bytes", view.value().size());
     }
-    *json += "]}";
-    *json += i + 1 < families.size() ? ",\n" : "\n";
   }
-  *json += "    ]\n  },\n";
-  return ok;
 }
 
 /// One store-level attack against a store built under `backend`; returns
@@ -720,36 +905,22 @@ bool BackendAttackRejected(crypto::CipherBackendKind backend, int attack) {
 /// closed_world NC serve of the hospital document per backend — the
 /// workload where decrypt dominates — gated on full runs to the PR 7
 /// target (AES on AES-NI hardware ≥ 9 MB/s serve rate, 10× the
-/// BENCH_PR6 software-3DES baseline). Appends a "backends" JSON object;
-/// returns false when a gate fails.
-bool RunBackendSection(std::string* json, bool quick,
-                       crypto::ChunkLayout layout, int folders) {
+/// BENCH_PR6 software-3DES baseline).
+void RunBackends(const Bench& bench, const char* name, JsonScope* root) {
   using crypto::CipherBackendKind;
   using crypto::CipherBackendKindName;
-  // Every backend serves the same layout here; if the flag-chosen one
-  // cannot hold AES blocks (fragment not a multiple of 16), fall back to
-  // the default so the cross-backend gates still run.
-  if (!layout.Validate(crypto::kMaxCipherBlockSize).ok()) {
-    layout = crypto::ChunkLayout{};
-    layout.chunk_size = 1024;
-    layout.fragment_size = 64;
-  }
+  JsonScope out = root->Object(name);
   const CipherBackendKind kBackends[] = {CipherBackendKind::k3Des,
                                          CipherBackendKind::kAes,
                                          CipherBackendKind::kAesPortable};
-  bool ok = true;
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
 
   // (1) Equivalence matrix over generated corpora. Quick mode trims the
   // family list and corpus size so sanitizer smokes stay fast; the gate
   // itself (byte-identical views) is never relaxed.
   const std::vector<bench::CorpusFamily> families =
-      quick ? bench::PaperFamilies() : bench::AllFamilies();
-  const uint64_t corpus_bytes = quick ? uint64_t{8} << 10
-                                      : uint64_t{24} << 10;
-  const auto variants = {index::Variant::kNc, index::Variant::kTc,
-                         index::Variant::kTcs, index::Variant::kTcsb,
-                         index::Variant::kTcsbr};
+      bench.quick ? bench::PaperFamilies() : bench::AllFamilies();
+  const uint64_t corpus_bytes =
+      bench.quick ? uint64_t{8} << 10 : uint64_t{24} << 10;
   uint64_t serves = 0;
   uint64_t view_mismatches = 0;
   for (bench::CorpusFamily family : families) {
@@ -759,29 +930,24 @@ bool RunBackendSection(std::string* json, bool quick,
     spec.target_bytes = corpus_bytes;
     const bench::Corpus corpus = bench::GenerateCorpus(spec);
     for (bench::RuleFamily rf : bench::AllRuleFamilies()) {
+      const std::string cell = std::string(name) + "/" +
+                               bench::FamilyName(family) + "/" +
+                               bench::RuleFamilyName(rf);
       auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
-      if (!rules.ok()) return false;
+      if (!rules.ok()) return Fail(cell, rules.status());
       auto reference = DirectView(corpus.xml, rules.value());
-      if (!reference.ok()) return false;
-      for (index::Variant v : variants) {
+      if (!reference.ok()) return Fail(cell, reference.status());
+      for (index::Variant v : kVariants) {
         for (CipherBackendKind backend : kBackends) {
-          auto run = RunVariant(corpus.xml, v, rules.value(), layout, backend);
-          if (!run.ok()) {
-            std::fprintf(stderr, "backends/%s/%s/%s/%s: %s\n",
-                         bench::FamilyName(family), bench::RuleFamilyName(rf),
-                         VariantName(v), CipherBackendKindName(backend),
-                         run.status().ToString().c_str());
-            return false;
-          }
+          const std::string where = cell + "/" + VariantName(v) + "/" +
+                                    CipherBackendKindName(backend);
+          auto run = RunVariant(corpus.xml, v, rules.value(), bench.layout,
+                                backend);
+          if (!run.ok()) return Fail(where, run.status());
           ++serves;
-          if (run.value().view != reference.value()) {
-            std::fprintf(stderr,
-                         "backends/%s/%s/%s/%s: authorized view diverges "
-                         "from the direct reference\n",
-                         bench::FamilyName(family), bench::RuleFamilyName(rf),
-                         VariantName(v), CipherBackendKindName(backend));
+          if (!Check(run.value().view == reference.value(), where,
+                     "authorized view diverges from the direct reference")) {
             ++view_mismatches;
-            ok = false;
           }
         }
       }
@@ -790,102 +956,94 @@ bool RunBackendSection(std::string* json, bool quick,
 
   // (2) Attack matrix: 4 attacks × 3 backends, every one a clean
   // IntegrityError.
+  static const char* const kAttackNames[] = {
+      "tampered_byte", "swapped_blocks", "transposed_digests",
+      "stale_version"};
   uint64_t attacks_rejected = 0;
-  const uint64_t attacks_total = 4 * (sizeof(kBackends) / sizeof(*kBackends));
+  const uint64_t attacks_total = std::size(kAttackNames) * std::size(kBackends);
   for (CipherBackendKind backend : kBackends) {
     for (int attack = 0; attack < 4; ++attack) {
-      if (BackendAttackRejected(backend, attack)) {
+      if (Check(BackendAttackRejected(backend, attack),
+                std::string(name) + "/" + CipherBackendKindName(backend),
+                "%s not rejected as a clean IntegrityError",
+                kAttackNames[attack])) {
         ++attacks_rejected;
-      } else {
-        static const char* const kAttackNames[] = {
-            "tampered_byte", "swapped_blocks", "transposed_digests",
-            "stale_version"};
-        std::fprintf(stderr,
-                     "backends/%s: %s not rejected as a clean "
-                     "IntegrityError\n",
-                     CipherBackendKindName(backend), kAttackNames[attack]);
-        ok = false;
       }
     }
   }
 
-  *json += "  \"backends\": {\n";
-  *json += "    \"equivalence\": {\"families\": " + u64(families.size()) +
-           ", \"rule_families\": " +
-           u64(bench::AllRuleFamilies().size()) +
-           ", \"variants\": " + u64(variants.size()) +
-           ", \"backends\": [\"3des\", \"aes\", \"aes-portable\"],\n";
-  *json += "      \"serves\": " + u64(serves) +
-           ", \"views_identical\": " +
-           (view_mismatches == 0 ? "true" : "false") +
-           ", \"attacks_rejected\": " + u64(attacks_rejected) +
-           ", \"attacks_total\": " + u64(attacks_total) +
-           ", \"all_attacks_rejected\": " +
-           (attacks_rejected == attacks_total ? "true" : "false") + "},\n";
+  {
+    JsonScope eq = out.Object("equivalence");
+    eq.Field("families", families.size());
+    eq.Field("rule_families", bench::AllRuleFamilies().size());
+    eq.Field("variants", std::size(kVariants));
+    {
+      JsonScope names = eq.Array("backends");
+      for (CipherBackendKind backend : kBackends) {
+        names.Field({}, CipherBackendKindName(backend));
+      }
+    }
+    eq.Field("serves", serves);
+    eq.Field("views_identical", view_mismatches == 0);
+    eq.Field("attacks_rejected", attacks_rejected);
+    eq.Field("attacks_total", attacks_total);
+    eq.Field("all_attacks_rejected", attacks_rejected == attacks_total);
+  }
 
   // (3) Per-backend perf probe: the closed_world NC serve — the whole
   // ciphertext crosses the wire and the SOE decrypts and hashes all of
   // it, so the cipher dominates and the backends are directly
   // comparable. Best of three serves to damp scheduler noise.
-  const std::string xml = MakeDocument(folders, /*consults=*/3,
-                                       /*analyses=*/4);
   auto parsed = access::ParseRuleList("+ /Hospital/Folder/MedActs\n");
-  if (!parsed.ok()) return false;
+  if (!parsed.ok()) return Fail(name, parsed.status());
   std::vector<access::AccessRule> rules = parsed.take();
-  *json += "    \"nc_closed_world\": [\n";
-  for (size_t b = 0; b < sizeof(kBackends) / sizeof(*kBackends); ++b) {
-    const CipherBackendKind backend = kBackends[b];
-    VariantRun run;
-    NcTimings best;
+  JsonScope probes = out.Array("nc_closed_world");
+  for (CipherBackendKind backend : kBackends) {
+    const std::string where =
+        std::string(name) + "/" + CipherBackendKindName(backend);
+    auto store = BuildNcStore(bench.xml, bench.layout, backend);
+    if (!store.ok()) return Fail(where, store.status());
+    ServeReport best;
+    uint64_t best_ns = 0;
     for (int rep = 0; rep < 3; ++rep) {
-      NcTimings t;
-      auto again = RunNc(xml, rules, layout, backend, &t);
-      if (!again.ok()) {
-        std::fprintf(stderr, "backends/%s: NC serve failed: %s\n",
-                     CipherBackendKindName(backend),
-                     again.status().ToString().c_str());
-        return false;
+      const uint64_t t0 = NowNs();
+      auto run = ServeStreamAll(&store.value(), store.value(), rules, backend,
+                                index::PlannerOptions());
+      const uint64_t ns = NowNs() - t0;
+      if (!run.ok()) {
+        return Fail(where, "NC serve failed: %s",
+                    run.status().ToString().c_str());
       }
-      if (rep == 0 || t.serve_ns < best.serve_ns) {
-        best = t;
-        run = again.take();
+      if (rep == 0 || ns < best_ns) {
+        best_ns = ns;
+        best = run.take();
       }
     }
     auto mbps = [](uint64_t bytes, uint64_t ns) {
       return ns == 0 ? 0.0 : static_cast<double>(bytes) * 1000.0 /
                                  static_cast<double>(ns);
     };
-    const double serve_mb_s = mbps(run.encoded_bytes, best.serve_ns);
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "      {\"backend\": \"%s\", \"hardware\": %s, "
-                  "\"block_size\": %u, \"document_bytes\": %llu, "
-                  "\"serve_ns\": %llu, \"serve_mb_s\": %.1f, "
-                  "\"decrypt_mb_s\": %.1f, \"hash_mb_s\": %.1f}",
-                  CipherBackendKindName(backend),
-                  crypto::CipherBackendHardwareAccelerated(backend) ? "true"
-                                                                    : "false",
-                  crypto::CipherBackendBlockSize(backend),
-                  static_cast<unsigned long long>(run.encoded_bytes),
-                  static_cast<unsigned long long>(best.serve_ns), serve_mb_s,
-                  mbps(run.bytes_decrypted, best.decrypt_ns),
-                  mbps(run.bytes_hashed, best.hash_ns));
-    *json += buf;
-    *json += b + 1 < sizeof(kBackends) / sizeof(*kBackends) ? ",\n" : "\n";
+    const double serve_mb_s = mbps(best.encoded_bytes, best_ns);
+    JsonScope probe = probes.Object();
+    probe.Field("backend", CipherBackendKindName(backend));
+    probe.Field("hardware", crypto::CipherBackendHardwareAccelerated(backend));
+    probe.Field("block_size", crypto::CipherBackendBlockSize(backend));
+    probe.Field("document_bytes", best.encoded_bytes);
+    probe.Field("serve_ns", best_ns);
+    probe.Field("serve_mb_s", serve_mb_s);
+    probe.Field("decrypt_mb_s",
+                mbps(best.soe.bytes_decrypted, best.soe.decrypt_ns));
+    probe.Field("hash_mb_s", mbps(best.soe.bytes_hashed, best.soe.hash_ns));
     // The PR 7 acceptance gate, applied where it is meaningful: a full
     // (non-quick) run on a machine whose AES backend really runs AES-NI.
-    if (!quick && backend == CipherBackendKind::kAes &&
-        crypto::CipherBackendHardwareAccelerated(backend) &&
-        serve_mb_s < 9.0) {
-      std::fprintf(stderr,
-                   "backends/aes: closed_world NC serve %.1f MB/s under "
-                   "the 9 MB/s PR 7 target on AES-NI hardware\n",
-                   serve_mb_s);
-      ok = false;
-    }
+    Check(bench.quick || backend != CipherBackendKind::kAes ||
+              !crypto::CipherBackendHardwareAccelerated(backend) ||
+              serve_mb_s >= 9.0,
+          where,
+          "closed_world NC serve %.1f MB/s under the 9 MB/s target on AES-NI "
+          "hardware",
+          serve_mb_s);
   }
-  *json += "    ]\n  },\n";
-  return ok;
 }
 
 /// The network-latency sweep (PR 9): the paper's architecture claim,
@@ -905,78 +1063,68 @@ bool RunBackendSection(std::string* json, bool quick,
 /// cost-model gate on the scenario matrix already pins skip-vs-full
 /// *within* a variant; this section prices the paper's Figure 8
 /// comparison across link latencies.)
-/// Appends a "latency_sweep" JSON object; returns false on a gate fail.
-bool RunLatencySweep(std::string* json, int folders,
-                     crypto::CipherBackendKind backend) {
-  const std::string xml = MakeDocument(folders, /*consults=*/3,
-                                       /*analyses=*/4);
-  auto parsed = access::ParseRuleList("+ /Hospital/Folder/MedActs\n");
-  if (!parsed.ok()) return false;
-  std::vector<access::AccessRule> rules = parsed.take();
-  auto reference = DirectView(xml, rules);
-  if (!reference.ok()) return false;
-
+void RunLatencySweep(const Bench& bench, const char* name, JsonScope* root) {
+  JsonScope out = root->Object(name);
   // ~9600-baud-class serial link: byte time dominates round trips, the
   // regime the paper's SOE targets. Raising this erodes the skip win at
   // high RTT (skip pays more round trips); the gate documents the trade.
   constexpr uint64_t kBandwidthBytesPerS = 8192;
-  const uint64_t kRttMs[] = {0, 1, 10};
+  out.Field("scenario", "closed_world");
+  out.Field("skip_variant", "tcsbr");
+  out.Field("stream_all_variant", "nc");
+  out.Field("document_bytes", bench.xml.size());
+  out.Field("bandwidth_bytes_per_s", kBandwidthBytesPerS);
+  JsonScope points = out.Array("points");
 
-  bool ok = true;
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
-  *json += "  \"latency_sweep\": {\n";
-  *json += "    \"scenario\": \"closed_world\", \"skip_variant\": \"tcsbr\","
-           " \"stream_all_variant\": \"nc\",\n";
-  *json += "    \"document_bytes\": " + u64(xml.size()) +
-           ", \"bandwidth_bytes_per_s\": " + u64(kBandwidthBytesPerS) +
-           ",\n    \"points\": [\n";
-  for (size_t p = 0; p < 3; ++p) {
-    const uint64_t rtt_ns = kRttMs[p] * 1'000'000ULL;
+  auto parsed = access::ParseRuleList("+ /Hospital/Folder/MedActs\n");
+  if (!parsed.ok()) return Fail(name, parsed.status());
+  std::vector<access::AccessRule> rules = parsed.take();
+  auto reference = DirectView(bench.xml, rules);
+  if (!reference.ok()) return Fail(name, reference.status());
+
+  for (uint64_t rtt_ms : {0, 1, 10}) {
+    const std::string where =
+        std::string(name) + "/" + std::to_string(rtt_ms) + "ms";
     server::DocumentConfig cfg;
     cfg.variant = index::Variant::kTcsbr;
-    cfg.layout.chunk_size = 1024;
-    cfg.layout.fragment_size = 64;
+    cfg.layout = bench.layout;
     cfg.key = BenchKey();
-    cfg.backend = backend;
+    cfg.backend = bench.backend;
     server::DocumentService service;
-    if (!service.Publish("sweep_skip", xml, cfg).ok()) {
-      std::fprintf(stderr, "latency_sweep: publish failed\n");
-      return false;
+    if (!service.Publish("sweep_skip", bench.xml, cfg).ok()) {
+      return Fail(name, "publish failed");
     }
     // The stream-all side is the NC image — the raw text in a
     // SecureDocumentStore, no structure index — registered on the same
     // terminal. (NC has no pipeline encoding, so ServeStreamAll serves
     // it: fetch everything, SAX-filter in the SOE.)
-    std::vector<uint8_t> raw(xml.begin(), xml.end());
-    auto nc_build = crypto::SecureDocumentStore::Build(
-        raw, BenchKey(), cfg.layout, /*version=*/0, backend);
-    if (!nc_build.ok()) return false;
+    auto nc_build = BuildNcStore(bench.xml, cfg.layout, bench.backend);
+    if (!nc_build.ok()) return Fail(where, nc_build.status());
     auto nc_store =
         std::make_shared<crypto::SecureDocumentStore>(nc_build.take());
     net::TerminalServer server;
     auto link = service.TerminalLink("sweep_skip");
-    if (!link.ok()) return false;
+    if (!link.ok()) return Fail(where, link.status());
     server.RegisterDocument("sweep_skip", link.take());
     server.RegisterDocument("sweep_full", nc_store);
-    if (!server.Start().ok()) return false;
+    Status started = server.Start();
+    if (!started.ok()) return Fail(where, started);
     net::FaultProxy::Options proxy_opts;
     proxy_opts.upstream_port = server.port();
-    proxy_opts.rtt_ns = rtt_ns;
+    proxy_opts.rtt_ns = rtt_ms * 1'000'000ULL;
     proxy_opts.bandwidth_bytes_per_s = kBandwidthBytesPerS;
     net::FaultProxy proxy(proxy_opts);
-    if (!proxy.Start().ok()) return false;
+    started = proxy.Start();
+    if (!started.ok()) return Fail(where, started);
     // Pacing stretches every response; the sweep measures latency, it
     // must never trip deadlines into retries.
     net::RemoteBatchSource::Options ropts;
     ropts.port = proxy.port();
     ropts.doc_id = "sweep_skip";
     ropts.deadline_ns = 30'000'000'000ULL;
-    if (!service
-             .AttachTransport("sweep_skip",
-                              std::make_shared<net::RemoteBatchSource>(ropts))
-             .ok()) {
-      return false;
-    }
+    const Status attached = service.AttachTransport(
+        "sweep_skip", std::make_shared<net::RemoteBatchSource>(ropts));
+    if (!attached.ok()) return Fail(where, attached);
     // On a slow link every round trip is expensive, so the SOE spends
     // response buffer to save them: a 16 KB batch horizon (vs the
     // default four chunks) — still smartcard-plausible RAM — applied to
@@ -984,94 +1132,52 @@ bool RunLatencySweep(std::string* json, int folders,
     index::PlannerOptions planner;
     planner.max_batch_bytes = 16 << 10;
 
-    struct Timed {
-      uint64_t wall_ns = 0;
-      uint64_t wire_bytes = 0;
-      uint64_t requests = 0;
-      uint64_t retries = 0;
-      std::string view;
-    };
-    auto run_skip = [&]() -> Result<Timed> {
-      pipeline::ServeOptions opts{/*skip=*/true, UINT64_MAX};
-      opts.planner = planner;
-      const uint64_t t0 = NowNs();
-      CSXA_ASSIGN_OR_RETURN(pipeline::ServeReport report,
-                            service.Serve("sweep_skip", rules, opts));
-      Timed t;
-      t.wall_ns = NowNs() - t0;
-      t.wire_bytes = report.wire_bytes;
-      t.requests = report.requests;
-      t.retries = report.retries;
-      t.view = std::move(report.view);
-      return t;
-    };
-    auto run_stream_all = [&]() -> Result<Timed> {
-      net::RemoteBatchSource::Options full_opts = ropts;
-      full_opts.doc_id = "sweep_full";
-      net::RemoteBatchSource remote(full_opts);
-      NcTimings timings;
-      CSXA_ASSIGN_OR_RETURN(VariantRun run,
-                            ServeStreamAll(&remote, *nc_store, rules, backend,
-                                           planner, &timings));
-      Timed t;
-      t.wall_ns = timings.serve_ns;
-      t.wire_bytes = run.wire_bytes;
-      t.requests = run.requests;
-      t.retries = remote.transport_stats().retries;
-      t.view = std::move(run.view);
-      return t;
-    };
-    auto full = run_stream_all();
-    auto skip = run_skip();
+    net::RemoteBatchSource::Options full_opts = ropts;
+    full_opts.doc_id = "sweep_full";
+    net::RemoteBatchSource remote(full_opts);
+    uint64_t t0 = NowNs();
+    auto full = ServeStreamAll(&remote, *nc_store, rules, bench.backend,
+                               planner);
+    const uint64_t full_ns = NowNs() - t0;
+    pipeline::ServeOptions opts{/*skip=*/true, UINT64_MAX};
+    opts.planner = planner;
+    t0 = NowNs();
+    auto skip = service.Serve("sweep_skip", rules, opts);
+    const uint64_t skip_ns = NowNs() - t0;
     (void)service.AttachTransport("sweep_skip", nullptr);
     proxy.Stop();
     server.Stop();
     if (!full.ok() || !skip.ok()) {
-      std::fprintf(stderr, "latency_sweep/%llums: serve failed: %s\n",
-                   static_cast<unsigned long long>(kRttMs[p]),
-                   (full.ok() ? skip : full).status().ToString().c_str());
-      return false;
+      return Fail(where, "serve failed: %s",
+                  (full.ok() ? skip.status() : full.status())
+                      .ToString()
+                      .c_str());
     }
-    if (skip.value().view != reference.value() ||
-        full.value().view != reference.value()) {
-      std::fprintf(stderr,
-                   "latency_sweep/%llums: remote view diverges from the "
-                   "direct SAX pass\n",
-                   static_cast<unsigned long long>(kRttMs[p]));
-      ok = false;
-    }
-    const bool wins_wire = skip.value().wire_bytes < full.value().wire_bytes;
-    const bool wins_wall = skip.value().wall_ns < full.value().wall_ns;
-    if (!wins_wire || !wins_wall) {
-      std::fprintf(
-          stderr,
-          "latency_sweep/%llums: skip must beat stream-all on wire AND "
-          "wall clock (wire %llu vs %llu, wall %.1f ms vs %.1f ms)\n",
-          static_cast<unsigned long long>(kRttMs[p]),
-          static_cast<unsigned long long>(skip.value().wire_bytes),
-          static_cast<unsigned long long>(full.value().wire_bytes),
-          skip.value().wall_ns / 1e6, full.value().wall_ns / 1e6);
-      ok = false;
-    }
-    auto emit = [&](const char* name, const Timed& t) {
-      *json += std::string("\"") + name + "\": {\"wire_bytes\": " +
-               u64(t.wire_bytes) + ", \"requests\": " + u64(t.requests) +
-               ", \"retries\": " + u64(t.retries) +
-               ", \"wall_ns\": " + u64(t.wall_ns) + "}";
+    Check(skip.value().view == reference.value() &&
+              full.value().view == reference.value(),
+          where, "remote view diverges from the direct SAX pass");
+    const uint64_t skip_wire = skip.value().wire_bytes;
+    const uint64_t full_wire = full.value().wire_bytes;
+    const bool wins_wire = skip_wire < full_wire;
+    const bool wins_wall = skip_ns < full_ns;
+    Check(wins_wire && wins_wall, where,
+          "skip must beat stream-all on wire AND wall clock (wire %llu vs "
+          "%llu, wall %.1f ms vs %.1f ms)",
+          ull(skip_wire), ull(full_wire), skip_ns / 1e6, full_ns / 1e6);
+
+    JsonScope point = points.Object();
+    point.Field("rtt_ms", rtt_ms);
+    auto write = [&point](const char* mode, const ServeReport& r,
+                          uint64_t wall_ns) {
+      JsonScope s = point.Object(mode);
+      WriteCounters(&s, r, {"wire_bytes", "requests", "retries"});
+      s.Field("wall_ns", wall_ns);
     };
-    *json += "      {\"rtt_ms\": " + u64(kRttMs[p]) + ", ";
-    emit("stream_all", full.value());
-    *json += ", ";
-    emit("tcsbr_skip", skip.value());
-    *json += ", \"skip_wins_wire\": ";
-    *json += wins_wire ? "true" : "false";
-    *json += ", \"skip_wins_wall_clock\": ";
-    *json += wins_wall ? "true" : "false";
-    *json += "}";
-    *json += p + 1 < 3 ? ",\n" : "\n";
+    write("stream_all", full.value(), full_ns);
+    write("tcsbr_skip", skip.value(), skip_ns);
+    point.Field("skip_wins_wire", wins_wire);
+    point.Field("skip_wins_wall_clock", wins_wall);
   }
-  *json += "    ]\n  },\n";
-  return ok;
 }
 
 /// The fault matrix (PR 9): every injectable network fault, against both
@@ -1085,8 +1191,8 @@ bool RunLatencySweep(std::string* json, int folders,
 /// the contracted classes — fails the bench. The per-cell retry and
 /// reconnect counts are published for the trajectory, not gated (they
 /// depend on scheduling).
-/// Appends a "fault_matrix" JSON object; returns false on a gate fail.
-bool RunFaultMatrix(std::string* json) {
+void RunFaultMatrix(const Bench&, const char* name, JsonScope* root) {
+  JsonScope out = root->Object(name);
   struct FaultCase {
     net::FaultProxy::Fault fault;
     const char* name;
@@ -1107,217 +1213,168 @@ bool RunFaultMatrix(std::string* json) {
   const std::string xml = MakeDocument(/*folders=*/4, /*consults=*/3,
                                        /*analyses=*/4);
   auto parsed = access::ParseRuleList("+ //Prescription\n");
-  if (!parsed.ok()) return false;
+  if (!parsed.ok()) return Fail(name, parsed.status());
   std::vector<access::AccessRule> rules = parsed.take();
   auto reference = DirectView(xml, rules);
-  if (!reference.ok()) return false;
+  if (!reference.ok()) return Fail(name, reference.status());
 
-  bool ok = true;
   uint64_t view_mismatches = 0;
   uint64_t contract_violations = 0;
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
-  *json += "  \"fault_matrix\": {\n    \"cells\": [\n";
-  bool first_cell = true;
-  for (const FaultCase& fc : kCases) {
-    for (crypto::CipherBackendKind backend :
-         {crypto::CipherBackendKind::k3Des,
-          crypto::CipherBackendKind::kAes}) {
-      for (bool warm : {false, true}) {
-        const std::string cell =
-            std::string(fc.name) + "/" +
-            crypto::CipherBackendKindName(backend) +
-            (warm ? "/warm" : "/cold");
-        server::DocumentConfig cfg;
-        cfg.variant = index::Variant::kTcsbr;
-        cfg.layout.chunk_size = 256;
-        cfg.layout.fragment_size = 32;
-        cfg.key = BenchKey();
-        cfg.backend = backend;
-        server::DocumentService service;
-        if (!service.Publish("doc", xml, cfg).ok()) return false;
-        net::TerminalServer server;
-        auto link = service.TerminalLink("doc");
-        if (!link.ok()) return false;
-        server.RegisterDocument("doc", link.take());
-        if (!server.Start().ok()) return false;
+  {
+    JsonScope cells = out.Array("cells");
+    for (const FaultCase& fc : kCases) {
+      for (crypto::CipherBackendKind backend :
+           {crypto::CipherBackendKind::k3Des,
+            crypto::CipherBackendKind::kAes}) {
+        for (bool warm : {false, true}) {
+          const std::string cell = std::string(name) + "/" + fc.name + "/" +
+                                   crypto::CipherBackendKindName(backend) +
+                                   (warm ? "/warm" : "/cold");
+          server::DocumentConfig cfg;
+          cfg.variant = index::Variant::kTcsbr;
+          cfg.layout.chunk_size = 256;
+          cfg.layout.fragment_size = 32;
+          cfg.key = BenchKey();
+          cfg.backend = backend;
+          server::DocumentService service;
+          Status st = service.Publish("doc", xml, cfg);
+          if (!st.ok()) return Fail(cell, st);
+          net::TerminalServer server;
+          auto link = service.TerminalLink("doc");
+          if (!link.ok()) return Fail(cell, link.status());
+          server.RegisterDocument("doc", link.take());
+          st = server.Start();
+          if (!st.ok()) return Fail(cell, st);
 
-        net::RemoteBatchSource::Options ropts;
-        ropts.doc_id = "doc";
-        ropts.deadline_ns = 250'000'000;
-        ropts.max_attempts = 4;
-        ropts.backoff_initial_ns = 1'000'000;
-        ropts.backoff_max_ns = 8'000'000;
+          net::RemoteBatchSource::Options ropts;
+          ropts.doc_id = "doc";
+          ropts.deadline_ns = 250'000'000;
+          ropts.max_attempts = 4;
+          ropts.backoff_initial_ns = 1'000'000;
+          ropts.backoff_max_ns = 8'000'000;
 
-        if (warm) {
-          // Prime the shared digest cache over a clean remote path.
-          ropts.port = server.port();
-          if (!service
-                   .AttachTransport(
-                       "doc",
-                       std::make_shared<net::RemoteBatchSource>(ropts))
-                   .ok()) {
-            return false;
+          if (warm) {
+            // Prime the shared digest cache over a clean remote path.
+            ropts.port = server.port();
+            st = service.AttachTransport(
+                "doc", std::make_shared<net::RemoteBatchSource>(ropts));
+            if (!st.ok()) return Fail(cell, st);
+            auto primed =
+                service.Serve("doc", rules, pipeline::ServeOptions{});
+            if (!primed.ok() || primed.value().view != reference.value()) {
+              return Fail(cell, "priming serve failed");
+            }
+            (void)service.AttachTransport("doc", nullptr);
           }
-          auto primed = service.Serve("doc", rules, pipeline::ServeOptions{});
-          if (!primed.ok() || primed.value().view != reference.value()) {
-            std::fprintf(stderr, "fault_matrix/%s: priming serve failed\n",
-                         cell.c_str());
-            return false;
+
+          net::FaultProxy::Options proxy_opts;
+          proxy_opts.upstream_port = server.port();
+          // Response 0 is the bind ack; 1 is the first real batch response.
+          proxy_opts.program = {{fc.fault, /*response_index=*/1, fc.arg}};
+          net::FaultProxy proxy(proxy_opts);
+          st = proxy.Start();
+          if (!st.ok()) return Fail(cell, st);
+          ropts.port = proxy.port();
+          st = service.AttachTransport(
+              "doc", std::make_shared<net::RemoteBatchSource>(ropts));
+          if (!st.ok()) return Fail(cell, st);
+
+          auto report = service.Serve("doc", rules, pipeline::ServeOptions{});
+          const char* outcome = nullptr;
+          uint64_t retries = 0;
+          uint64_t reconnects = 0;
+          if (report.ok()) {
+            retries = report.value().retries;
+            reconnects = report.value().reconnects;
+            if (report.value().view != reference.value()) {
+              outcome = "VIEW_MISMATCH";
+              ++view_mismatches;
+            } else if (fc.survivable) {
+              outcome = "retried_success";
+            } else {
+              // Tampering should not have produced a view at all — even a
+              // correct one (a retry that re-verified) breaks the terminal
+              // contract this matrix pins.
+              outcome = "UNEXPECTED_VIEW";
+              ++contract_violations;
+            }
+          } else {
+            const StatusCode code = report.status().code();
+            const bool contracted = code == StatusCode::kIntegrityError ||
+                                    code == StatusCode::kUnavailable ||
+                                    code == StatusCode::kDeadlineExceeded;
+            if (!contracted) {
+              outcome = "UNCONTRACTED_ERROR";
+              ++contract_violations;
+            } else if (fc.survivable) {
+              outcome = "UNEXPECTED_FAILURE";
+              ++contract_violations;
+            } else if (code != StatusCode::kIntegrityError) {
+              outcome = "WRONG_ERROR_CLASS";
+              ++contract_violations;
+            } else {
+              outcome = "integrity_error";
+            }
           }
+          // Contract breaches are spelled in capitals.
+          Check(!(outcome[0] >= 'A' && outcome[0] <= 'Z'), cell, "%s (%s)",
+                outcome,
+                report.ok() ? "serve returned a view"
+                            : report.status().ToString().c_str());
+          Check(proxy.faults_fired() == 1, cell,
+                "programmed fault fired %llu times, not once",
+                ull(proxy.faults_fired()));
+
+          JsonScope c = cells.Object();
+          c.Field("fault", fc.name);
+          c.Field("backend", crypto::CipherBackendKindName(backend));
+          c.Field("cache", warm ? "warm" : "cold");
+          c.Field("outcome", outcome);
+          c.Field("retries", retries);
+          c.Field("reconnects", reconnects);
+
           (void)service.AttachTransport("doc", nullptr);
+          proxy.Stop();
+          server.Stop();
         }
-
-        net::FaultProxy::Options proxy_opts;
-        proxy_opts.upstream_port = server.port();
-        // Response 0 is the bind ack; 1 is the first real batch response.
-        proxy_opts.program = {{fc.fault, /*response_index=*/1, fc.arg}};
-        net::FaultProxy proxy(proxy_opts);
-        if (!proxy.Start().ok()) return false;
-        ropts.port = proxy.port();
-        if (!service
-                 .AttachTransport(
-                     "doc", std::make_shared<net::RemoteBatchSource>(ropts))
-                 .ok()) {
-          return false;
-        }
-
-        auto report = service.Serve("doc", rules, pipeline::ServeOptions{});
-        const char* outcome = nullptr;
-        uint64_t retries = 0;
-        uint64_t reconnects = 0;
-        if (report.ok()) {
-          retries = report.value().retries;
-          reconnects = report.value().reconnects;
-          if (report.value().view != reference.value()) {
-            outcome = "VIEW_MISMATCH";
-            ++view_mismatches;
-            ok = false;
-          } else if (fc.survivable) {
-            outcome = "retried_success";
-          } else {
-            // Tampering should not have produced a view at all — even a
-            // correct one (a retry that re-verified) breaks the terminal
-            // contract this matrix pins.
-            outcome = "UNEXPECTED_VIEW";
-            ++contract_violations;
-            ok = false;
-          }
-        } else {
-          const StatusCode code = report.status().code();
-          const bool contracted =
-              code == StatusCode::kIntegrityError ||
-              code == StatusCode::kUnavailable ||
-              code == StatusCode::kDeadlineExceeded;
-          if (!contracted) {
-            outcome = "UNCONTRACTED_ERROR";
-            ++contract_violations;
-            ok = false;
-          } else if (fc.survivable) {
-            outcome = "UNEXPECTED_FAILURE";
-            ++contract_violations;
-            ok = false;
-          } else if (code != StatusCode::kIntegrityError) {
-            outcome = "WRONG_ERROR_CLASS";
-            ++contract_violations;
-            ok = false;
-          } else {
-            outcome = "integrity_error";
-          }
-        }
-        if (outcome[0] >= 'A' && outcome[0] <= 'Z') {
-          std::fprintf(stderr, "fault_matrix/%s: %s (%s)\n", cell.c_str(),
-                       outcome,
-                       report.ok() ? "serve returned a view"
-                                   : report.status().ToString().c_str());
-        }
-        if (proxy.faults_fired() != 1) {
-          std::fprintf(stderr,
-                       "fault_matrix/%s: programmed fault fired %llu times,"
-                       " not once\n",
-                       cell.c_str(),
-                       static_cast<unsigned long long>(proxy.faults_fired()));
-          ok = false;
-        }
-
-        *json += first_cell ? "" : ",\n";
-        first_cell = false;
-        *json += std::string("      {\"fault\": \"") + fc.name +
-                 "\", \"backend\": \"" +
-                 crypto::CipherBackendKindName(backend) + "\", \"cache\": \"" +
-                 (warm ? "warm" : "cold") + "\", \"outcome\": \"" + outcome +
-                 "\", \"retries\": " + u64(retries) +
-                 ", \"reconnects\": " + u64(reconnects) + "}";
-
-        (void)service.AttachTransport("doc", nullptr);
-        proxy.Stop();
-        server.Stop();
       }
     }
   }
-  *json += "\n    ],\n";
-  *json += "    \"view_mismatches\": " + u64(view_mismatches) + ",\n";
-  *json += "    \"contract_violations\": " + u64(contract_violations) +
-           "\n  },\n";
-  return ok;
+  out.Field("view_mismatches", view_mismatches);
+  out.Field("contract_violations", contract_violations);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
+/// One top-level member of the output: writes `name` into the root.
+struct Section {
+  const char* name;
+  void (*run)(const Bench& bench, const char* name, JsonScope* root);
+};
 
-void AppendVariantJson(std::string* json, const VariantRun& run,
-                       bool view_matches) {
-  auto u64 = [](uint64_t v) { return std::to_string(v); };
-  *json += "        {\"variant\": \"";
-  *json += index::VariantName(run.variant);
-  *json += "\", \"encoded_bytes\": " + u64(run.encoded_bytes);
-  *json += ", \"wire_bytes\": " + u64(run.wire_bytes);
-  *json += ", \"wire_bytes_full_stream\": " + u64(run.wire_bytes_full);
-  *json += ", \"bytes_fetched\": " + u64(run.bytes_fetched);
-  *json += ", \"bytes_decrypted\": " + u64(run.bytes_decrypted);
-  *json += ", \"bytes_hashed\": " + u64(run.bytes_hashed);
-  *json += ", \"requests\": " + u64(run.requests);
-  *json += ", \"segments\": " + u64(run.segments);
-  *json += ", \"bare_chunk_reads\": " + u64(run.bare_chunk_reads);
-  *json += ", \"proof_hashes_shipped\": " + u64(run.proof_hashes_shipped);
-  *json += ", \"digest_bytes_shipped\": " + u64(run.digest_bytes_shipped);
-  *json += ", \"gap_fragments_bridged\": " + u64(run.gap_fragments_bridged);
-  *json += ", \"subtree_skips\": " + u64(run.skips);
-  *json += ", \"skipped_encoded_bytes\": " + u64(run.skipped_bytes);
-  *json += ", \"events_in\": " + u64(run.events_in);
-  *json += ", \"peak_buffered\": " + u64(run.peak_buffered);
-  *json += ", \"peak_buffered_bytes\": " + u64(run.peak_buffered_bytes);
-  *json += ", \"deferrals\": " + u64(run.deferrals);
-  *json += ", \"rereads\": " + u64(run.rereads);
-  *json += ", \"reread_bytes\": " + u64(run.reread_bytes);
-  *json += ", \"reread_decoded_bytes\": " + u64(run.reread_decoded_bytes);
-  *json += ", \"view_matches_reference\": ";
-  *json += view_matches ? "true" : "false";
-  *json += "}";
-}
+constexpr Section kSections[] = {
+    {"config", WriteConfig},
+    {"scenarios", RunScenarios},
+    {"deferred_mode", RunDeferredMode},
+    {"warm_cache", RunWarmCache},
+    {"backends", RunBackends},
+    // Transport sections: skip navigation priced across a slow
+    // link, and the fault matrix served through the programmed proxy.
+    {"latency_sweep", RunLatencySweep},
+    {"fault_matrix", RunFaultMatrix},
+    {"corpus", RunCorpus},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  int folders = 12;
-  bool quick = false;
-  std::string out_path;
-  std::string corpus_name;
-  uint64_t corpus_source_bytes = 1 << 16;
-  crypto::ChunkLayout layout;
-  layout.chunk_size = 1024;
-  layout.fragment_size = 64;
-  crypto::CipherBackendKind backend = crypto::CipherBackendKind::k3Des;
+  Bench bench;
+  bench.layout.chunk_size = 1024;
+  bench.layout.fragment_size = 64;
+  std::string out_path = "BENCH_PR9.json";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--quick") {
-      quick = true;
-      folders = 4;
+      bench.quick = true;
+      bench.folders = 4;
     } else if (arg == "--backend" && i + 1 < argc) {
       auto kind = crypto::ParseCipherBackendName(argv[++i]);
       if (!kind.ok()) {
@@ -1325,234 +1382,28 @@ int main(int argc, char** argv) {
                      kind.status().message().c_str());
         return 2;
       }
-      backend = kind.value();
-    } else if (arg == "--folders" && i + 1 < argc) {
-      folders = std::atoi(argv[++i]);
-      if (folders <= 0) folders = 1;
-    } else if (arg == "--chunk" && i + 1 < argc) {
-      layout.chunk_size = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--fragment" && i + 1 < argc) {
-      layout.fragment_size = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--corpus" && i + 1 < argc) {
-      corpus_name = argv[++i];
-    } else if (arg == "--corpus-bytes" && i + 1 < argc) {
-      corpus_source_bytes = std::strtoull(argv[++i], nullptr, 10);
+      bench.backend = kind.value();
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: csxa_bench [--quick] [--folders N] [--chunk N] "
-                   "[--fragment N] [--backend 3des|aes|aes-portable] "
-                   "[--corpus FAMILY [--corpus-bytes N]] [--out FILE]\n");
+                   "usage: csxa_bench [--quick] "
+                   "[--backend 3des|aes|aes-portable] [--out FILE]\n");
       return 2;
     }
   }
-  if (!layout.Validate(crypto::CipherBackendBlockSize(backend)).ok()) {
-    std::fprintf(stderr,
-                 "csxa_bench: invalid --chunk/--fragment layout for the %s "
-                 "backend\n",
-                 crypto::CipherBackendKindName(backend));
-    return 2;
+  bench.xml = MakeDocument(bench.folders, /*consults=*/3, /*analyses=*/4);
+
+  std::string json;
+  {
+    JsonScope root(&json);
+    root.Field("benchmark", "csxa_skip_navigation");
+    root.Field("pr", 9);
+    for (const Section& section : kSections) {
+      section.run(bench, section.name, &root);
+    }
+    root.Field("checks_passed", checks_passed);
   }
-  // Only a standard-source run may default to the committed baseline name;
-  // an exploratory --corpus run that forgot --out must not clobber it.
-  if (out_path.empty())
-    out_path = corpus_name.empty() ? "BENCH_PR9.json" : "bench_corpus.json";
-
-  // The scenario matrix source: the hand-built hospital document (whose
-  // shape the strict pruning gates assume), or — exploratory — a generated
-  // corpus with its matched rule families.
-  const bool standard_source = corpus_name.empty();
-  std::string xml;
-  bench::CorpusFamily corpus_family = bench::CorpusFamily::kHospital;
-  if (standard_source) {
-    xml = MakeDocument(folders, /*consults=*/3, /*analyses=*/4);
-  } else {
-    auto family = bench::ParseFamily(corpus_name);
-    if (!family.ok()) {
-      std::fprintf(stderr, "csxa_bench: %s\n",
-                   family.status().message().c_str());
-      return 2;
-    }
-    corpus_family = family.value();
-    bench::CorpusSpec spec;
-    spec.family = corpus_family;
-    spec.target_bytes = corpus_source_bytes;
-    xml = bench::GenerateCorpus(spec).xml;
-  }
-
-  const auto variants = {index::Variant::kNc, index::Variant::kTc,
-                         index::Variant::kTcs, index::Variant::kTcsb,
-                         index::Variant::kTcsbr};
-
-  std::string json = "{\n  \"benchmark\": \"csxa_skip_navigation\",\n";
-  json += "  \"pr\": 9,\n";
-  json += "  \"config\": {\"source\": \"" +
-          (standard_source ? std::string("hospital_builtin")
-                           : JsonEscape(corpus_name)) +
-          "\", \"folders\": " + std::to_string(folders) +
-          ", \"document_bytes\": " + std::to_string(xml.size()) +
-          ", \"chunk_size\": " + std::to_string(layout.chunk_size) +
-          ", \"fragment_size\": " + std::to_string(layout.fragment_size) +
-          ", \"backend\": \"" +
-          crypto::CipherBackendKindName(backend) +
-          "\", \"backend_hardware\": " +
-          (crypto::CipherBackendHardwareAccelerated(backend) ? "true"
-                                                             : "false") +
-          "},\n  \"scenarios\": [\n";
-
-  bool ok = true;
-  std::vector<Scenario> scenarios;
-  if (standard_source) {
-    scenarios = Scenarios();
-  } else {
-    // A generated corpus brings its own matched rule families; the strict
-    // pruning expectations are calibrated to the hand-built document, so
-    // scenario-level gates stay off (cost-model gates still apply).
-    for (bench::RuleFamily rf : bench::AllRuleFamilies()) {
-      scenarios.push_back({bench::RuleFamilyName(rf),
-                           bench::RulesFor(corpus_family, rf),
-                           /*bitmap_pruning=*/false, /*size_pruning=*/false});
-    }
-  }
-  for (size_t s = 0; s < scenarios.size(); ++s) {
-    const Scenario& sc = scenarios[s];
-    auto parsed = access::ParseRuleList(sc.rules_text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s: bad rules: %s\n", sc.name.c_str(),
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    std::vector<access::AccessRule> rules = parsed.take();
-
-    std::vector<VariantRun> runs;
-    for (index::Variant v : variants) {
-      auto run = RunVariant(xml, v, rules, layout, backend);
-      if (!run.ok()) {
-        std::fprintf(stderr, "%s/%s: %s\n", sc.name.c_str(), VariantName(v),
-                     run.status().ToString().c_str());
-        return 2;
-      }
-      runs.push_back(std::move(run.value()));
-    }
-
-    const std::string& reference = runs.front().view;  // NC
-    json += "    {\"name\": \"" + JsonEscape(sc.name) + "\",";
-    json += " \"rules\": " + std::to_string(rules.size()) + ",";
-    json += " \"view_bytes\": " + std::to_string(reference.size()) + ",";
-    json += " \"bitmap_pruning\": ";
-    json += sc.bitmap_pruning ? "true" : "false";
-    json += ", \"variants\": [\n";
-    for (size_t r = 0; r < runs.size(); ++r) {
-      bool matches = runs[r].view == reference;
-      if (!matches) {
-        std::fprintf(stderr, "%s/%s: authorized view diverges from NC\n",
-                     sc.name.c_str(), VariantName(runs[r].variant));
-        ok = false;
-      }
-      AppendVariantJson(&json, runs[r], matches);
-      json += r + 1 < runs.size() ? ",\n" : "\n";
-    }
-    json += "      ]}";
-    json += s + 1 < scenarios.size() ? ",\n" : "\n";
-
-    // The paper's claim, enforced: index metadata must pay for itself.
-    auto run_for = [&runs](index::Variant v) -> const VariantRun& {
-      for (const VariantRun& r : runs) {
-        if (r.variant == v) return r;
-      }
-      return runs.front();  // Unreachable: all variants always run.
-    };
-    const VariantRun& tc = run_for(index::Variant::kTc);
-    const VariantRun& tcs = run_for(index::Variant::kTcs);
-    for (const VariantRun& rich : runs) {
-      if (rich.variant != index::Variant::kTcsb &&
-          rich.variant != index::Variant::kTcsbr) {
-        continue;
-      }
-      if (sc.bitmap_pruning &&
-          (rich.wire_bytes >= tcs.wire_bytes ||
-           rich.bytes_decrypted >= tcs.bytes_decrypted)) {
-        std::fprintf(stderr,
-                     "%s/%s: expected strictly fewer wire/decrypted bytes "
-                     "than TCS (wire %llu vs %llu, decrypted %llu vs %llu)\n",
-                     sc.name.c_str(), VariantName(rich.variant),
-                     static_cast<unsigned long long>(rich.wire_bytes),
-                     static_cast<unsigned long long>(tcs.wire_bytes),
-                     static_cast<unsigned long long>(rich.bytes_decrypted),
-                     static_cast<unsigned long long>(tcs.bytes_decrypted));
-        ok = false;
-      }
-    }
-    // Skip-mode cost sanity, whole matrix (PR 5): a skip-enabled serve may
-    // never pay more wire than full streaming of the same variant beyond
-    // the per-chunk digest slack — the planner's proof-aware hole filling
-    // and stream-all fallback exist to guarantee it. (Full streaming ships
-    // one encrypted digest per chunk too, but chunk-touch order can shift
-    // which serves trim them, hence the slack — sized to the backend's
-    // digest ciphertext, 24 bytes for 3DES and 32 for AES.)
-    const uint64_t digest_bytes =
-        crypto::DigestCipherBytes(crypto::CipherBackendBlockSize(backend));
-    for (const VariantRun& run : runs) {
-      const uint64_t chunks =
-          (run.encoded_bytes + layout.chunk_size - 1) / layout.chunk_size;
-      const uint64_t slack = chunks * digest_bytes;
-      if (run.wire_bytes > run.wire_bytes_full + slack) {
-        std::fprintf(stderr,
-                     "%s/%s: skip-mode wire %llu exceeds full streaming "
-                     "%llu + %llu slack (cost-model inversion)\n",
-                     sc.name.c_str(), VariantName(run.variant),
-                     static_cast<unsigned long long>(run.wire_bytes),
-                     static_cast<unsigned long long>(run.wire_bytes_full),
-                     static_cast<unsigned long long>(slack));
-        ok = false;
-      }
-    }
-    if (sc.size_pruning && tcs.wire_bytes >= tc.wire_bytes) {
-      std::fprintf(stderr,
-                   "%s: expected TCS to transfer strictly less than TC "
-                   "(%llu vs %llu)\n",
-                   sc.name.c_str(),
-                   static_cast<unsigned long long>(tcs.wire_bytes),
-                   static_cast<unsigned long long>(tc.wire_bytes));
-      ok = false;
-    }
-    // Batched-fetch gate (PR 4): the integrity protocol must not invert
-    // the cost model. TC — which streams everything — must stay within a
-    // handful of coalesced round trips and under raw NC's wire bytes
-    // (proofs amortized per chunk, not per request).
-    const VariantRun& nc = run_for(index::Variant::kNc);
-    if (standard_source && sc.name == "closed_world" &&
-        (tc.requests > 40 || tc.wire_bytes >= nc.wire_bytes)) {
-      std::fprintf(stderr,
-                   "%s: batched fetch regressed on TC (%llu requests, "
-                   "wire %llu vs NC %llu)\n",
-                   sc.name.c_str(),
-                   static_cast<unsigned long long>(tc.requests),
-                   static_cast<unsigned long long>(tc.wire_bytes),
-                   static_cast<unsigned long long>(nc.wire_bytes));
-      ok = false;
-    }
-  }
-
-  json += "  ],\n";
-  if (!RunDeferredMode(&json, layout, backend)) ok = false;
-  if (!RunWarmCache(&json, folders, backend)) ok = false;
-  if (!RunBackendSection(&json, quick, layout, folders)) ok = false;
-  // Transport sections (PR 9): skip navigation priced across a slow
-  // link, and the fault matrix served through the programmed proxy.
-  if (!RunLatencySweep(&json, folders, backend)) ok = false;
-  if (!RunFaultMatrix(&json)) ok = false;
-  // Corpus-scale section: the seeded generator across every family. Quick
-  // mode (the ctest smoke) shrinks it to keep sanitizer runs fast; the
-  // default run is what BENCH_PR9.json commits and CI gates.
-  if (!RunCorpusSection(&json, quick ? uint64_t{16} << 10
-                                     : uint64_t{64} << 10)) {
-    ok = false;
-  }
-  json += "  \"checks_passed\": ";
-  json += ok ? "true" : "false";
-  json += "\n}\n";
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -1560,8 +1411,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::fwrite(json.data(), 1, json.size(), f);
+  std::fputc('\n', f);
   std::fclose(f);
-  std::printf("%s%s written to %s\n", ok ? "" : "CHECKS FAILED; ",
+  std::printf("%s%s written to %s\n", checks_passed ? "" : "CHECKS FAILED; ",
               "benchmark results", out_path.c_str());
-  return ok ? 0 : 1;
+  return checks_passed ? 0 : 1;
 }
