@@ -1,7 +1,15 @@
 #include "crypto/des.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
+
+#include "crypto/cpu_features.h"
+
+#if defined(__x86_64__)
+#define CSXA_BITSLICE_POSSIBLE 1
+#include <immintrin.h>
+#endif
 
 namespace csxa::crypto {
 
@@ -218,6 +226,239 @@ inline void Crypt(uint64_t* blocks, const Des::RoundKey* keys,
   });
 }
 
+#ifdef CSXA_BITSLICE_POSSIBLE
+
+// ---- The bitsliced kernel. A pass holds 512 blocks as 64 slices: after
+// the transpose, bit i of lane q in slice s is bit s of block 8i + q, so
+// slice 64 - n holds FIPS bit n of every block and each permutation is a
+// table of slice indices.
+
+/// The truth table of one leaf of an S-box circuit, as a vpternlog
+/// immediate. The six input bits b1..b6 split into leaf inputs (b1, b2,
+/// b3), the immediate's operands A, B, C, and selectors (b4, b5, b6):
+/// leaf `sel` = (b4 b5 b6) of output bit `out` (0 = the nibble's MSB) maps
+/// b1 b2 b3 to that output bit.
+constexpr int LeafTable(int box, int out, int sel) {
+  int imm = 0;
+  for (int abc = 0; abc < 8; ++abc) {
+    const int six = abc << 3 | sel;  // b1 .. b6, b1 the MSB
+    const int row = (six >> 4 & 2) | (six & 1);
+    const int col = six >> 1 & 0xF;
+    imm |= (kSbox[box][row * 16 + col] >> (3 - out) & 1) << abc;
+  }
+  return imm;
+}
+
+/// E: S-box `box`'s input bit `bit` (0 = b1) is R's bit 4 box + bit - 1,
+/// wrapping (0-based from the MSB).
+constexpr int ExpandSource(int box, int bit) {
+  return (4 * box + bit + 31) % 32;
+}
+
+/// P⁻¹: the f output bit (0-based) that S-box output bit `pre` feeds.
+constexpr int PermuteTarget(int pre) {
+  int k = 0;
+  while (kPbox[k] != pre + 1) ++k;
+  return k;
+}
+
+// gcc 12's unmasked AVX-512 shift and rotate intrinsics pass an
+// intentionally undefined vector as the merge source, which it then
+// reports as uninitialized once they are inlined here.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/// s ? a : b. `a` is the operand vpternlog overwrites: callers pass a
+/// dead temporary there, so the selector needs no copy.
+__attribute__((target("avx512f"), always_inline)) inline __m512i Select(
+    __m512i s, __m512i a, __m512i b) {
+  return _mm512_ternarylogic_epi64(a, s, b, 0xE2);
+}
+
+template <int kBox, int kOut, int kSel>
+__attribute__((target("avx512f"), always_inline)) inline __m512i Leaf(
+    const __m512i* x) {
+  constexpr int kImm = LeafTable(kBox, kOut, kSel);
+  return _mm512_ternarylogic_epi64(x[0], x[1], x[2], kImm);
+}
+
+/// One output bit of S-box kBox: eight leaves, then three levels of
+/// select on b6, b5 and b4. 15 ternary operations.
+template <int kBox, int kOut>
+__attribute__((target("avx512f"), always_inline)) inline __m512i SboxBit(
+    const __m512i* x) {
+  const __m512i s0 =
+      Select(x[5], Leaf<kBox, kOut, 1>(x), Leaf<kBox, kOut, 0>(x));
+  const __m512i s1 =
+      Select(x[5], Leaf<kBox, kOut, 3>(x), Leaf<kBox, kOut, 2>(x));
+  const __m512i s2 =
+      Select(x[5], Leaf<kBox, kOut, 5>(x), Leaf<kBox, kOut, 4>(x));
+  const __m512i s3 =
+      Select(x[5], Leaf<kBox, kOut, 7>(x), Leaf<kBox, kOut, 6>(x));
+  return Select(x[3], Select(x[4], s3, s2), Select(x[4], s1, s0));
+}
+
+/// S-box kBox's input bit kBit: E's slice of `r` XOR the round key bit.
+template <int kBox, int kBit>
+__attribute__((target("avx512f"), always_inline)) inline __m512i KeyXor(
+    const __m512i* r, const uint32_t* k) {
+  return _mm512_xor_si512(
+      r[ExpandSource(kBox, kBit)],
+      _mm512_set1_epi32(static_cast<int>(k[6 * kBox + kBit])));
+}
+
+/// S-box kBox of one round: six key XORs on E's slices of `r`, the
+/// circuit, and P's XOR of the four outputs into `l`.
+template <int kBox>
+__attribute__((target("avx512f"), always_inline)) inline void SboxSlices(
+    const __m512i* r, __m512i* l, const uint32_t* k) {
+  const __m512i x[6] = {KeyXor<kBox, 0>(r, k), KeyXor<kBox, 1>(r, k),
+                        KeyXor<kBox, 2>(r, k), KeyXor<kBox, 3>(r, k),
+                        KeyXor<kBox, 4>(r, k), KeyXor<kBox, 5>(r, k)};
+  constexpr int kT0 = PermuteTarget(4 * kBox);
+  constexpr int kT1 = PermuteTarget(4 * kBox + 1);
+  constexpr int kT2 = PermuteTarget(4 * kBox + 2);
+  constexpr int kT3 = PermuteTarget(4 * kBox + 3);
+  l[kT0] = _mm512_xor_si512(l[kT0], SboxBit<kBox, 0>(x));
+  l[kT1] = _mm512_xor_si512(l[kT1], SboxBit<kBox, 1>(x));
+  l[kT2] = _mm512_xor_si512(l[kT2], SboxBit<kBox, 2>(x));
+  l[kT3] = _mm512_xor_si512(l[kT3], SboxBit<kBox, 3>(x));
+}
+
+/// l ^= f(r, k) on 512 blocks; `k` holds the round's 48 key slices.
+__attribute__((target("avx512f"))) void RoundSlices(const __m512i* r,
+                                                    __m512i* l,
+                                                    const uint32_t* k) {
+  SboxSlices<0>(r, l, k);
+  SboxSlices<1>(r, l, k);
+  SboxSlices<2>(r, l, k);
+  SboxSlices<3>(r, l, k);
+  SboxSlices<4>(r, l, k);
+  SboxSlices<5>(r, l, k);
+  SboxSlices<6>(r, l, k);
+  SboxSlices<7>(r, l, k);
+}
+
+/// Transposes each 64x64 bit matrix formed by lane q of v[0..63]: bit c
+/// of v[i] trades places with bit i of v[c]. Six stages of masked swaps;
+/// it is its own inverse.
+__attribute__((target("avx512f"))) void Transpose(__m512i* v) {
+  constexpr uint64_t kLow[6] = {0x00000000FFFFFFFF, 0x0000FFFF0000FFFF,
+                                0x00FF00FF00FF00FF, 0x0F0F0F0F0F0F0F0F,
+                                0x3333333333333333, 0x5555555555555555};
+  for (int stage = 0, j = 32; stage < 6; ++stage, j >>= 1) {
+    const __m512i low =
+        _mm512_set1_epi64(static_cast<long long>(kLow[stage]));
+    for (int i = 0; i < 64; ++i) {
+      if ((i & j) != 0) continue;
+      // t = the high bits of v[i] XOR the low bits of v[i + j], in place
+      // of the low bits: swapping them is two XORs.
+      const unsigned shift = static_cast<unsigned>(j);
+      const __m512i t = _mm512_ternarylogic_epi64(
+          _mm512_srli_epi64(v[i], shift), v[i + j], low,
+          0x28);  // (a ^ b) & c
+      v[i + j] = _mm512_xor_si512(v[i + j], t);
+      v[i] = _mm512_xor_si512(v[i], _mm512_slli_epi64(t, shift));
+    }
+  }
+}
+
+/// Byte-reverses each 64-bit lane (AVX-512F has no byte shuffle).
+__attribute__((target("avx512f"))) inline __m512i ByteSwap(__m512i x) {
+  x = _mm512_rol_epi32(_mm512_rol_epi64(x, 32), 16);
+  return Select(_mm512_set1_epi64(0x00FF00FF00FF00FF),
+                _mm512_srli_epi64(x, 8), _mm512_slli_epi64(x, 8));
+}
+
+/// The position mix of vector i: lane_mix plus the 64 i bytes before it.
+__attribute__((target("avx512f"), always_inline)) inline __m512i MixOf(
+    __m512i lane_mix, size_t i) {
+  return _mm512_add_epi64(lane_mix,
+                          _mm512_set1_epi64(static_cast<long long>(64 * i)));
+}
+
+/// One pass over kSliceBlocks blocks at `data`: load big-endian, position
+/// mix, transpose, IP, 48 rounds with the key slices at `keys` walked
+/// `step` apart, FP, transpose back, store.
+template <bool kEncrypt>
+__attribute__((target("avx512f"))) void CryptSlices(uint8_t* data,
+                                                    uint64_t mix,
+                                                    const uint32_t* keys,
+                                                    ptrdiff_t step) {
+  // Vector i holds blocks 8i .. 8i + 7: lane q's block sits 64 i + 8 q
+  // bytes into the pass.
+  const __m512i lane_mix = _mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<long long>(mix)),
+      _mm512_set_epi64(56, 48, 40, 32, 24, 16, 8, 0));
+  __m512i v[64];
+  for (size_t i = 0; i < 64; ++i) {
+    v[i] = ByteSwap(_mm512_loadu_si512(data + 64 * i));
+    if constexpr (kEncrypt) v[i] = _mm512_xor_si512(v[i], MixOf(lane_mix, i));
+  }
+  Transpose(v);
+  __m512i halves[2][32];
+  __m512i* l = halves[0];
+  __m512i* r = halves[1];
+  for (int i = 0; i < 32; ++i) {
+    l[i] = v[64 - kIp[i]];
+    r[i] = v[64 - kIp[32 + i]];
+  }
+  for (int set = 0; set < 3; ++set) {
+    for (int i = 0; i < 16; i += 2) {
+      RoundSlices(r, l, keys);
+      RoundSlices(l, r, keys + step);
+      keys += 2 * step;
+    }
+    std::swap(l, r);
+  }
+  for (int n = 1; n <= 64; ++n) {
+    const int src = kFp[n - 1];
+    v[64 - n] = src <= 32 ? l[src - 1] : r[src - 33];
+  }
+  Transpose(v);
+  for (size_t i = 0; i < 64; ++i) {
+    if constexpr (!kEncrypt) v[i] = _mm512_xor_si512(v[i], MixOf(lane_mix, i));
+    _mm512_storeu_si512(data + 64 * i, ByteSwap(v[i]));
+  }
+}
+
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+#endif  // CSXA_BITSLICE_POSSIBLE
+
+bool UseSlicedKernel() {
+#ifdef CSXA_BITSLICE_POSSIBLE
+  static const bool use = CpuHasAvx512f() && !ForcePortableCrypto();
+  return use;
+#else
+  return false;
+#endif
+}
+
+/// Runs one pass, zero-padding a short one through a stack buffer.
+template <bool kEncrypt>
+void SlicedPass(uint8_t* data, size_t blocks, uint64_t mix,
+                const uint32_t* keys, ptrdiff_t step) {
+#ifdef CSXA_BITSLICE_POSSIBLE
+  constexpr size_t kPassBytes = 8 * TripleDes::kSliceBlocks;
+  if (blocks == TripleDes::kSliceBlocks) {
+    CryptSlices<kEncrypt>(data, mix, keys, step);
+    return;
+  }
+  uint8_t pad[kPassBytes] = {};
+  std::memcpy(pad, data, 8 * blocks);
+  CryptSlices<kEncrypt>(pad, mix, keys, step);
+  std::memcpy(data, pad, 8 * blocks);
+#else
+  (void)data, (void)blocks, (void)mix, (void)keys, (void)step;
+#endif
+}
+
 }  // namespace
 
 Des::Des(const Block64& key) {
@@ -277,6 +518,26 @@ TripleDes::TripleDes(const Key& key) {
   place(decrypt_, 0, des3.decrypt_);
   place(decrypt_, 1, des2.encrypt_);
   place(decrypt_, 2, des1.decrypt_);
+  if (!UseSlicedKernel()) return;
+  // Unpack each packed round key (see Pack) into one mask per key bit.
+  for (size_t round = 0; round < encrypt_.size(); ++round) {
+    const Des::RoundKey k = encrypt_[round];
+    const uint32_t groups[8] = {k.even,       k.odd,       k.even >> 24,
+                                k.odd >> 24,  k.even >> 16, k.odd >> 16,
+                                k.even >> 8,  k.odd >> 8};
+    for (size_t box = 0; box < 8; ++box) {
+      for (size_t bit = 0; bit < 6; ++bit) {
+        slice_keys_[48 * round + 6 * box + bit] =
+            (groups[box] >> (5 - bit) & 1) != 0 ? ~0u : 0u;
+      }
+    }
+  }
+}
+
+bool TripleDes::SlicedKernelAvailable() { return UseSlicedKernel(); }
+
+const char* TripleDesKernelName() {
+  return UseSlicedKernel() ? "bitsliced-avx512" : "table";
 }
 
 uint64_t TripleDes::EncryptU64(uint64_t block) const {
@@ -295,6 +556,18 @@ void TripleDes::EncryptLanes(Lanes& blocks) const {
 
 void TripleDes::DecryptLanes(Lanes& blocks) const {
   Crypt<kLanes>(blocks.data(), decrypt_.data(), decrypt_.size());
+}
+
+// Decryption runs the encryption schedule backwards (see the constructor).
+void TripleDes::EncryptSliced(uint8_t* data, size_t blocks,
+                              uint64_t mix) const {
+  SlicedPass<true>(data, blocks, mix, slice_keys_.data(), 48);
+}
+
+void TripleDes::DecryptSliced(uint8_t* data, size_t blocks,
+                              uint64_t mix) const {
+  SlicedPass<false>(data, blocks, mix,
+                    slice_keys_.data() + slice_keys_.size() - 48, -48);
 }
 
 Block64 TripleDes::EncryptBlock(const Block64& plain) const {

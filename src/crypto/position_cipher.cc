@@ -1,5 +1,6 @@
 #include "crypto/position_cipher.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -33,8 +34,10 @@ inline void StoreBe64(uint8_t* p, uint64_t v) {
   std::memcpy(p, &v, sizeof v);
 }
 
-/// One pass over a block-aligned segment: kLanes blocks at a time through
-/// the interleaved rounds, then the tail one block at a time. A
+/// One pass over a block-aligned segment. While kSliceThreshold blocks or
+/// more remain and the host runs the bitsliced kernel, up to kSliceBlocks
+/// go through it at a time; the rest go kLanes blocks at a time through
+/// the interleaved table rounds, then one block at a time. A
 /// big-endian-loaded block XORed with the integer byte position is
 /// exactly the per-byte position mix of XorPosition; encryption mixes it
 /// in before the cipher, decryption after.
@@ -44,6 +47,17 @@ void Sweep(const TripleDes& cipher, uint8_t* data, size_t n,
   constexpr size_t kStride = 8 * TripleDes::kLanes;
   const uint64_t base = first_block_index * 8;
   size_t off = 0;
+  if (TripleDes::SlicedKernelAvailable()) {
+    while ((n - off) / 8 >= TripleDes::kSliceThreshold) {
+      const size_t blocks = std::min((n - off) / 8, TripleDes::kSliceBlocks);
+      if constexpr (kEncrypt) {
+        cipher.EncryptSliced(data + off, blocks, base + off);
+      } else {
+        cipher.DecryptSliced(data + off, blocks, base + off);
+      }
+      off += 8 * blocks;
+    }
+  }
   for (; off + kStride <= n; off += kStride) {
     TripleDes::Lanes lanes;  // every lane is loaded below
     for (size_t k = 0; k < lanes.size(); ++k) {

@@ -31,11 +31,15 @@ class PositionCipher {
   std::vector<uint8_t> Decrypt(const std::vector<uint8_t>& cipher_text,
                                uint64_t first_block_index = 0) const;
 
-  /// In-place whole-segment transforms — the hot path: blocks go through
-  /// the rounds TripleDes::kLanes at a time (position-mixed ECB has no
-  /// dependency between blocks), the remainder one at a time, with the
-  /// position XOR and block transform in registers. `n` must be a
-  /// multiple of 8.
+  /// In-place whole-segment transforms — the hot path. Position-mixed ECB
+  /// has no dependency between blocks, so blocks go through the rounds
+  /// side by side: TripleDes::kSliceBlocks per bitsliced pass while at
+  /// least TripleDes::kSliceThreshold remain (the last pass zero-padded)
+  /// on hosts that run that kernel, then TripleDes::kLanes at a time
+  /// through the table kernel, the remainder one at a time. Shorter
+  /// calls (32-block fragment reads, 24-byte digest seals) stay on the
+  /// table kernel, where a padded 512-block pass would cost more. `n`
+  /// must be a multiple of 8.
   void EncryptInPlace(uint8_t* data, size_t n,
                       uint64_t first_block_index) const;
   void DecryptInPlace(uint8_t* data, size_t n,

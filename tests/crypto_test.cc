@@ -426,15 +426,28 @@ TEST(Des3SplitSegmentsMatchWholeSegment) {
   // Position-mixed ECB has no dependency between blocks: a segment cut
   // anywhere and transformed as two calls with matching first blocks
   // gives the bytes of one whole call. Cuts from one block to one past
-  // the lane count cover the interleaved body and the scalar tail.
+  // the lane count cover the interleaved table body and its scalar tail;
+  // cuts around kSliceThreshold and kSliceBlocks put each side on the
+  // table kernel, a padded bitsliced pass or whole passes (where the host
+  // runs the bitsliced kernel).
   auto backend = MakeCipherBackend(CipherBackendKind::k3Des, PinnedKey());
   const uint64_t first_block = 12345;
-  const auto buf = TestDocument(8 * (4 * TripleDes::kLanes + 3));
+  const size_t blocks =
+      2 * TripleDes::kSliceBlocks + TripleDes::kSliceThreshold + 3;
+  const auto buf = TestDocument(8 * blocks);
   auto whole_enc = buf;
   backend->EncryptSegment(whole_enc.data(), whole_enc.size(), first_block);
   auto whole_dec = buf;
   backend->DecryptSegment(whole_dec.data(), whole_dec.size(), first_block);
-  for (size_t cut = 8; cut <= 8 * (TripleDes::kLanes + 1); cut += 8) {
+  std::vector<size_t> cuts;
+  for (size_t cut = 1; cut <= TripleDes::kLanes + 1; ++cut) {
+    cuts.push_back(cut);
+  }
+  for (size_t edge : {TripleDes::kSliceThreshold, TripleDes::kSliceBlocks}) {
+    cuts.insert(cuts.end(), {edge - 1, edge, edge + 1});
+  }
+  for (size_t cut_blocks : cuts) {
+    const size_t cut = 8 * cut_blocks;
     auto enc = buf;
     backend->EncryptSegment(enc.data(), cut, first_block);
     backend->EncryptSegment(enc.data() + cut, enc.size() - cut,
@@ -455,6 +468,50 @@ TEST(Des3SplitSegmentsMatchWholeSegment) {
     const size_t covered = pieces.size() / cut * cut;
     CHECK(std::equal(pieces.begin(), pieces.begin() + covered,
                      whole_dec.begin()));
+  }
+}
+
+TEST(Des3SegmentsMatchPerBlockReference) {
+  // The segment transforms against the single-block API, which always
+  // runs the table kernel: block counts on both sides of kSliceThreshold
+  // and of the pass boundaries, including 8195 = 16 passes + a table
+  // tail, at three first blocks (one past 2^40) under two keys.
+  TripleDes::Key other{};
+  for (size_t i = 0; i < other.size(); ++i) {
+    other[i] = static_cast<uint8_t>(i * 37 + 5);
+  }
+  const size_t counts[] = {TripleDes::kSliceThreshold - 1,
+                           TripleDes::kSliceThreshold,
+                           511,
+                           512,
+                           513,
+                           1023,
+                           1025,
+                           8195};
+  const uint64_t firsts[] = {0, 12345, (uint64_t{1} << 40) + 3};
+  for (const TripleDes::Key& key : {PinnedKey(), other}) {
+    const PositionCipher cipher(key);
+    for (size_t count : counts) {
+      const auto buf = TestDocument(8 * count);
+      for (uint64_t first : firsts) {
+        std::vector<uint8_t> enc_ref(buf.size());
+        std::vector<uint8_t> dec_ref(buf.size());
+        for (size_t b = 0; b < count; ++b) {
+          Block64 block;
+          std::copy_n(buf.begin() + 8 * b, 8, block.begin());
+          const Block64 enc = cipher.EncryptBlock(block, first + b);
+          const Block64 dec = cipher.DecryptBlock(block, first + b);
+          std::copy(enc.begin(), enc.end(), enc_ref.begin() + 8 * b);
+          std::copy(dec.begin(), dec.end(), dec_ref.begin() + 8 * b);
+        }
+        auto enc = buf;
+        cipher.EncryptInPlace(enc.data(), enc.size(), first);
+        CHECK(enc == enc_ref);
+        auto dec = buf;
+        cipher.DecryptInPlace(dec.data(), dec.size(), first);
+        CHECK(dec == dec_ref);
+      }
+    }
   }
 }
 

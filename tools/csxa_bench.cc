@@ -1027,6 +1027,9 @@ void RunBackends(const Bench& bench, const char* name, JsonScope* root) {
     JsonScope probe = probes.Object();
     probe.Field("backend", CipherBackendKindName(backend));
     probe.Field("hardware", crypto::CipherBackendHardwareAccelerated(backend));
+    if (backend == CipherBackendKind::k3Des) {
+      probe.Field("kernel", crypto::TripleDesKernelName());
+    }
     probe.Field("block_size", crypto::CipherBackendBlockSize(backend));
     probe.Field("document_bytes", best.encoded_bytes);
     probe.Field("serve_ns", best_ns);

@@ -265,11 +265,14 @@ int Run(const Options& opt) {
                 "bytes shipped\n",
                 static_cast<unsigned long long>(pr.proof_hashes_shipped),
                 static_cast<unsigned long long>(pr.digest_bytes_shipped));
-    std::printf("  decrypted in SOE     %8llu bytes (%s%s, %.1f MB/s)\n",
+    std::string cipher = crypto::CipherBackendKindName(opt.backend);
+    if (crypto::CipherBackendHardwareAccelerated(opt.backend)) cipher += ", hw";
+    if (opt.backend == crypto::CipherBackendKind::k3Des) {
+      cipher += std::string(", ") + crypto::TripleDesKernelName();
+    }
+    std::printf("  decrypted in SOE     %8llu bytes (%s, %.1f MB/s)\n",
                 static_cast<unsigned long long>(pr.soe.bytes_decrypted),
-                crypto::CipherBackendKindName(opt.backend),
-                crypto::CipherBackendHardwareAccelerated(opt.backend) ? ", hw"
-                                                                      : "",
+                cipher.c_str(),
                 mb_s(pr.soe.bytes_decrypted + pr.soe.digest_bytes_decrypted,
                      pr.soe.decrypt_ns));
     std::printf("  hashed in SOE        %8llu bytes (%s, %.1f MB/s)\n",
