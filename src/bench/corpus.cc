@@ -2,22 +2,17 @@
 
 #include <algorithm>
 
+#include "common/splitmix64.h"
+
 namespace csxa::bench {
 
 namespace {
 
-/// splitmix64: tiny, seedable, identical on every platform. The corpus
-/// must be a pure function of the spec — libc rand() is neither.
+/// The corpus must be a pure function of the spec.
 struct Rng {
   uint64_t state;
 
-  uint64_t Next() {
-    state += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  uint64_t Next() { return SplitMix64(&state); }
   uint64_t Below(uint64_t n) { return Next() % n; }
   bool Chance(uint64_t num, uint64_t den) { return Below(den) < num; }
 };

@@ -14,7 +14,7 @@ namespace csxa::bench {
 /// Table 2 datasets plus adversarial families, so every optimization is
 /// measured against workloads it could actually lose on — not one hand-
 /// built 21 KB document. Same spec → byte-identical corpus, on any
-/// platform (the generator uses its own splitmix64, never libc rand), so
+/// platform (the generator uses common/splitmix64.h, never libc rand), so
 /// benchmarks, property tests and the service benchmark all reproduce
 /// exactly.
 enum class CorpusFamily : uint8_t {

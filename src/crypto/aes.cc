@@ -298,15 +298,12 @@ void Aes128::DecryptBlockPortable(const uint8_t in[16],
 }
 
 void Aes128::EncryptSegmentTweaked(uint8_t* data, size_t n,
-                                   uint64_t first_block,
-                                   bool allow_hardware) const {
+                                   uint64_t first_block) const {
 #ifdef CSXA_AESNI_POSSIBLE
-  if (allow_hardware && UseAesNi()) {
+  if (UseAesNi()) {
     EncryptSegmentNi(rk_, data, n, first_block);
     return;
   }
-#else
-  (void)allow_hardware;
 #endif
   for (size_t off = 0; off + 16 <= n; off += 16) {
     XorTweak(data + off, first_block + off / 16);
@@ -315,15 +312,12 @@ void Aes128::EncryptSegmentTweaked(uint8_t* data, size_t n,
 }
 
 void Aes128::DecryptSegmentTweaked(uint8_t* data, size_t n,
-                                   uint64_t first_block,
-                                   bool allow_hardware) const {
+                                   uint64_t first_block) const {
 #ifdef CSXA_AESNI_POSSIBLE
-  if (allow_hardware && UseAesNi() && have_drk_) {
+  if (UseAesNi() && have_drk_) {
     DecryptSegmentNi(drk_, data, n, first_block);
     return;
   }
-#else
-  (void)allow_hardware;
 #endif
   for (size_t off = 0; off + 16 <= n; off += 16) {
     DecryptBlockPortable(data + off, data + off);

@@ -17,8 +17,8 @@ class Aes128 {
 
   explicit Aes128(const Key& key);
 
-  /// Single-block portable transforms (used directly by the portable
-  /// backend and as the reference the AES-NI path is tested against).
+  /// Single-block portable transforms (the portable segment path, and the
+  /// reference the segment API is tested against).
   void EncryptBlockPortable(const uint8_t in[16], uint8_t out[16]) const;
   void DecryptBlockPortable(const uint8_t in[16], uint8_t out[16]) const;
 
@@ -28,15 +28,15 @@ class Aes128 {
   /// 64-bit big-endian absolute *byte* position in the last 8 bytes of a
   /// 16-byte word — before encryption (and after decryption). This is the
   /// paper's position-mixing transposed to a 16-byte block. Dispatches to
-  /// AES-NI when `allow_hardware` and the CPU supports it (and
-  /// CSXA_FORCE_PORTABLE is unset), else to the portable cipher.
-  void EncryptSegmentTweaked(uint8_t* data, size_t n, uint64_t first_block,
-                             bool allow_hardware) const;
-  void DecryptSegmentTweaked(uint8_t* data, size_t n, uint64_t first_block,
-                             bool allow_hardware) const;
+  /// AES-NI when the CPU supports it and CSXA_FORCE_PORTABLE is unset,
+  /// else to the portable cipher.
+  void EncryptSegmentTweaked(uint8_t* data, size_t n,
+                             uint64_t first_block) const;
+  void DecryptSegmentTweaked(uint8_t* data, size_t n,
+                             uint64_t first_block) const;
 
-  /// True when EncryptSegmentTweaked(allow_hardware=true) would actually
-  /// run AES-NI instructions on this machine.
+  /// True when EncryptSegmentTweaked would actually run AES-NI
+  /// instructions on this machine.
   static bool HardwareAvailable();
 
  private:

@@ -41,28 +41,26 @@ class Des3Backend : public CipherBackend {
 /// argument intact (see ARCHITECTURE.md).
 class AesBackend : public CipherBackend {
  public:
-  AesBackend(const TripleDes::Key& key, bool allow_hardware)
+  explicit AesBackend(const TripleDes::Key& key)
       : aes_([&key] {
           Aes128::Key k;
           std::copy_n(key.begin(), k.size(), k.begin());
           return Aes128(k);
-        }()),
-        allow_hardware_(allow_hardware) {}
+        }()) {}
 
   uint32_t block_size() const override { return 16; }
 
   void EncryptSegment(uint8_t* data, size_t n,
                       uint64_t first_block) const override {
-    aes_.EncryptSegmentTweaked(data, n, first_block, allow_hardware_);
+    aes_.EncryptSegmentTweaked(data, n, first_block);
   }
   void DecryptSegment(uint8_t* data, size_t n,
                       uint64_t first_block) const override {
-    aes_.DecryptSegmentTweaked(data, n, first_block, allow_hardware_);
+    aes_.DecryptSegmentTweaked(data, n, first_block);
   }
 
  private:
   Aes128 aes_;
-  bool allow_hardware_;
 };
 
 }  // namespace
@@ -71,9 +69,7 @@ std::unique_ptr<const CipherBackend> MakeCipherBackend(
     CipherBackendKind kind, const TripleDes::Key& key) {
   switch (kind) {
     case CipherBackendKind::kAes:
-      return std::make_unique<AesBackend>(key, /*allow_hardware=*/true);
-    case CipherBackendKind::kAesPortable:
-      return std::make_unique<AesBackend>(key, /*allow_hardware=*/false);
+      return std::make_unique<AesBackend>(key);
     case CipherBackendKind::k3Des:
       break;
   }
@@ -83,7 +79,6 @@ std::unique_ptr<const CipherBackend> MakeCipherBackend(
 const char* CipherBackendKindName(CipherBackendKind kind) {
   switch (kind) {
     case CipherBackendKind::kAes: return "aes";
-    case CipherBackendKind::kAesPortable: return "aes-portable";
     case CipherBackendKind::k3Des: break;
   }
   return "3des";
@@ -92,10 +87,8 @@ const char* CipherBackendKindName(CipherBackendKind kind) {
 Result<CipherBackendKind> ParseCipherBackendName(const std::string& name) {
   if (name == "3des") return CipherBackendKind::k3Des;
   if (name == "aes") return CipherBackendKind::kAes;
-  if (name == "aes-portable") return CipherBackendKind::kAesPortable;
-  return Status::InvalidArgument(
-      "unknown cipher backend '" + name + "' (expected 3des, aes, or "
-      "aes-portable)");
+  return Status::InvalidArgument("unknown cipher backend '" + name +
+                                 "' (expected 3des or aes)");
 }
 
 bool CipherBackendHardwareAccelerated(CipherBackendKind kind) {

@@ -47,20 +47,19 @@ class CipherBackend {
 };
 
 enum class CipherBackendKind {
-  k3Des,         ///< Paper-faithful position-mixed 3DES (the default).
-  kAes,          ///< Position-mixed AES-128; AES-NI when the CPU has it.
-  kAesPortable,  ///< The AES backend pinned to its portable software path.
+  k3Des,  ///< Paper-faithful position-mixed 3DES (the default).
+  kAes,   ///< Position-mixed AES-128; AES-NI when the CPU has it.
 };
 
-/// Constructs a backend over the 24-byte document key (the AES backends
-/// derive their 16-byte key from its first 16 bytes). Never fails: every
+/// Constructs a backend over the 24-byte document key (the AES backend
+/// derives its 16-byte key from its first 16 bytes). Never fails: every
 /// kind has a software path on every machine.
 std::unique_ptr<const CipherBackend> MakeCipherBackend(
     CipherBackendKind kind, const TripleDes::Key& key);
 
 const char* CipherBackendKindName(CipherBackendKind kind);
 
-/// Parses "3des" / "aes" / "aes-portable" (the --backend flag values).
+/// Parses "3des" / "aes" (the --backend flag values).
 Result<CipherBackendKind> ParseCipherBackendName(const std::string& name);
 
 /// Whether a backend of `kind` would run hardware crypto instructions

@@ -50,16 +50,4 @@ Result<HeaderInfo> ParseHeaderInfo(const uint8_t* data, size_t size) {
   return info;
 }
 
-Result<EncodedDocument> ParseHeader(const std::vector<uint8_t>& bytes) {
-  auto info = ParseHeaderInfo(bytes.data(), bytes.size());
-  if (!info.ok()) return info.status();
-  EncodedDocument doc;
-  doc.variant = info.value().variant;
-  doc.dictionary = std::move(info.value().dictionary);
-  doc.stream_offset = info.value().stream_offset;
-  doc.root_size_bits = info.value().root_size_bits;
-  doc.bytes = bytes;
-  return doc;
-}
-
 }  // namespace csxa::index

@@ -77,18 +77,7 @@ struct EncodedDocument {
   // Size accounting for Figure 8.
   uint64_t structure_bits = 0;    ///< Everything except text payloads.
   uint64_t text_bits = 0;         ///< 8 * total text bytes.
-
-  /// structure/text ratio in percent (Figure 8's Y axis).
-  double StructTextRatio() const {
-    return text_bits == 0 ? 0.0
-                          : 100.0 * static_cast<double>(structure_bits) /
-                                static_cast<double>(text_bits);
-  }
 };
-
-/// Reads and validates an encoded document image (header metadata only;
-/// size accounting fields are left zero).
-Result<EncodedDocument> ParseHeader(const std::vector<uint8_t>& bytes);
 
 namespace format {
 inline constexpr char kMagic[4] = {'C', 'S', 'X', 'A'};

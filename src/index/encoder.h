@@ -24,7 +24,8 @@ namespace csxa::index {
 /// element by element, at the greatest fixed point.
 Result<EncodedDocument> Encode(std::string_view xml, Variant variant);
 
-/// Encodes a DOM tree, flattened iteratively into the same arena.
+/// Encodes a DOM tree, flattened iteratively into the same arena. Kept for
+/// perfbench's `index.encode` probe only (see xml/node.h).
 Result<EncodedDocument> Encode(const xml::Node& root, Variant variant);
 
 }  // namespace csxa::index

@@ -1,23 +1,23 @@
 #include "index/variants.h"
 
 #include "index/encoder.h"
-#include "xml/serializer.h"
+#include "xml/flat_tree.h"
+#include "xml/stats.h"
 
 namespace csxa::index {
 
-Result<SizeReport> MeasureVariant(const xml::Node& root, Variant variant) {
+Result<SizeReport> MeasureVariant(std::string_view xml, Variant variant) {
   SizeReport report;
   report.variant = variant;
   if (variant == Variant::kNc) {
-    std::string text = xml::Serialize(root);
-    report.total_bytes = text.size();
-    report.text_bytes = root.TextLength();
+    CSXA_ASSIGN_OR_RETURN(xml::FlatTree tree, xml::FlatTree::Parse(xml));
+    const xml::DocumentStats stats = xml::ComputeStats(tree);
+    report.total_bytes = stats.size_bytes;
+    report.text_bytes = stats.text_bytes;
     report.structure_bytes = report.total_bytes - report.text_bytes;
     return report;
   }
-  auto encoded = Encode(root, variant);
-  if (!encoded.ok()) return encoded.status();
-  const EncodedDocument& doc = encoded.value();
+  CSXA_ASSIGN_OR_RETURN(EncodedDocument doc, Encode(xml, variant));
   report.total_bytes = doc.bytes.size();
   report.text_bytes = doc.text_bits / 8;
   report.structure_bytes = (doc.structure_bits + 7) / 8;

@@ -1,9 +1,10 @@
 #ifndef CSXA_INDEX_VARIANTS_H_
 #define CSXA_INDEX_VARIANTS_H_
 
+#include <string_view>
+
 #include "common/status.h"
 #include "index/encoded_document.h"
-#include "xml/node.h"
 
 namespace csxa::index {
 
@@ -22,8 +23,9 @@ struct SizeReport {
   }
 };
 
-/// Measures the size of `root` under any variant, including NC (raw XML).
-Result<SizeReport> MeasureVariant(const xml::Node& root, Variant variant);
+/// Measures the size of the document `xml` under any variant, including NC
+/// (its compact serialization, from xml::ComputeStats).
+Result<SizeReport> MeasureVariant(std::string_view xml, Variant variant);
 
 }  // namespace csxa::index
 

@@ -5,16 +5,11 @@
 #include <thread>
 #include <utility>
 
+#include "common/splitmix64.h"
+
 namespace csxa::net {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 void SleepNs(uint64_t ns) {
   if (ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));

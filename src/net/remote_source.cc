@@ -6,20 +6,12 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/splitmix64.h"
 #include "crypto/wire_format.h"
 
 namespace csxa::net {
 
 namespace {
-
-/// splitmix64 — the corpus generator's PRNG, reused so a backoff schedule
-/// is a pure function of the seed and the retry sequence.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 bool Retryable(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||

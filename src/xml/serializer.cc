@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 namespace csxa::xml {
 
@@ -64,55 +63,6 @@ void AppendEscapedText(std::string_view text, std::string* out) {
     if (const char* entity = EntityFor(data[i])) escape(i, entity);
   }
   out->append(data + run, n - run);
-}
-
-namespace {
-
-/// Walks the subtree with an explicit stack, so any depth serializes on
-/// the default stack; an entry with `close` set writes its element's end
-/// tag.
-void SerializeInto(const Node& root, int indent, std::string* out) {
-  struct Frame {
-    const Node* node;
-    int level;
-    bool close;
-  };
-  std::vector<Frame> stack{{&root, 0, false}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const Node& node = *f.node;
-    if (indent >= 0) out->append(static_cast<size_t>(indent) * f.level, ' ');
-    if (node.is_text()) {
-      AppendEscapedText(node.value(), out);
-    } else if (f.close) {
-      out->append("</");
-      out->append(node.tag());
-      out->push_back('>');
-    } else if (node.children().empty()) {
-      out->push_back('<');
-      out->append(node.tag());
-      out->append("/>");
-    } else {
-      out->push_back('<');
-      out->append(node.tag());
-      out->push_back('>');
-      stack.push_back({&node, f.level, true});
-      for (auto it = node.children().rbegin(); it != node.children().rend();
-           ++it) {
-        stack.push_back({it->get(), f.level + 1, false});
-      }
-    }
-    if (indent >= 0) out->push_back('\n');
-  }
-}
-
-}  // namespace
-
-std::string Serialize(const Node& node, int indent) {
-  std::string out;
-  SerializeInto(node, indent, &out);
-  return out;
 }
 
 void SerializingHandler::OnOpen(const std::string& tag, int depth) {

@@ -5,18 +5,12 @@
 #include <string_view>
 
 #include "xml/event.h"
-#include "xml/node.h"
 
 namespace csxa::xml {
 
-/// Serializes a DOM subtree back to XML text. Entities are escaped so that
-/// Serialize(Parse(x)) round-trips. `indent` < 0 produces compact output.
-std::string Serialize(const Node& node, int indent = -1);
-
 /// Appends `text` to `out` with `<`, `>`, `&` escaped, building no
-/// temporary string. Shared by Serialize and SerializingHandler. The scan
-/// tests eight bytes per step and copies the runs between special
-/// characters in bulk.
+/// temporary string. The scan tests eight bytes per step and copies the
+/// runs between special characters in bulk.
 void AppendEscapedText(std::string_view text, std::string* out);
 
 /// EventHandler that serializes the event stream it receives; used to turn

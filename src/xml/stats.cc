@@ -1,38 +1,39 @@
 #include "xml/stats.h"
 
 #include <cstdio>
-#include <unordered_set>
-#include <utility>
 #include <vector>
-
-#include "xml/serializer.h"
 
 namespace csxa::xml {
 
-DocumentStats ComputeStats(const Node& root) {
+DocumentStats ComputeStats(const FlatTree& tree) {
   DocumentStats stats;
-  std::unordered_set<std::string> tags;
+  const std::vector<FlatTree::Record>& records = tree.records();
+  // Post-order: a parent follows its children, so sweeping backwards
+  // reaches each parent (and its depth) before any of its children.
+  std::vector<int> depth(records.size());
   size_t depth_sum = 0;
-  // An explicit stack of (node, depth): any depth fits the default stack.
-  std::vector<std::pair<const Node*, int>> stack{{&root, 1}};
-  while (!stack.empty()) {
-    const auto [node, depth] = stack.back();
-    stack.pop_back();
-    if (node->is_text()) {
+  for (size_t i = records.size(); i-- > 0;) {
+    const FlatTree::Record& r = records[i];
+    if (r.is_text()) {
+      const std::string_view text = tree.text(r);
       stats.text_nodes += 1;
-      stats.text_bytes += node->value().size();
+      stats.text_bytes += text.size();
+      // Escaped as the serializer writes it: &amp; &lt; &gt;.
+      stats.size_bytes += text.size();
+      for (char c : text) {
+        stats.size_bytes += c == '&' ? 4 : (c == '<' || c == '>') ? 3 : 0;
+      }
       continue;
     }
+    depth[i] = r.parent == FlatTree::kNoParent ? 1 : depth[r.parent] + 1;
     stats.elements += 1;
-    depth_sum += static_cast<size_t>(depth);
-    if (depth > stats.max_depth) stats.max_depth = depth;
-    tags.insert(node->tag());
-    for (const auto& child : node->children()) {
-      stack.emplace_back(child.get(), depth + 1);
-    }
+    depth_sum += static_cast<size_t>(depth[i]);
+    if (depth[i] > stats.max_depth) stats.max_depth = depth[i];
+    // <t/> when childless, else <t>...</t>.
+    const size_t tag = tree.dictionary().Name(r.tag).size();
+    stats.size_bytes += r.first == i ? tag + 3 : 2 * tag + 5;
   }
-  stats.distinct_tags = tags.size();
-  stats.size_bytes = Serialize(root).size();
+  stats.distinct_tags = tree.dictionary().size();
   stats.avg_depth = stats.elements == 0
                         ? 0.0
                         : static_cast<double>(depth_sum) /

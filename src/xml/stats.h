@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <string>
 
-#include "xml/node.h"
+#include "xml/flat_tree.h"
 
 namespace csxa::xml {
 
@@ -22,8 +22,9 @@ struct DocumentStats {
   std::string ToString() const;
 };
 
-/// Computes Table 2 statistics for a document.
-DocumentStats ComputeStats(const Node& root);
+/// Computes Table 2 statistics for a document in one reverse sweep over
+/// its records; `size_bytes` is the compact serialization's length.
+DocumentStats ComputeStats(const FlatTree& tree);
 
 }  // namespace csxa::xml
 

@@ -207,10 +207,34 @@ std::vector<uint8_t> TestDocument(size_t n) {
   return doc;
 }
 
+/// The AES segment API's per-block reference: the portable single-block
+/// transform, with block i's plaintext XORed with its tweak (the 64-bit
+/// big-endian byte position (first + i) * 16 in bytes 8..15).
+std::vector<uint8_t> AesPerBlock(const Aes128& aes, std::vector<uint8_t> buf,
+                                 uint64_t first, bool encrypt) {
+  for (size_t b = 0; 16 * b < buf.size(); ++b) {
+    uint8_t* block = buf.data() + 16 * b;
+    auto tweak = [&] {
+      const uint64_t pos = (first + b) * 16;
+      for (int i = 0; i < 8; ++i) {
+        block[8 + i] ^= static_cast<uint8_t>(pos >> (56 - 8 * i));
+      }
+    };
+    if (encrypt) {
+      tweak();
+      aes.EncryptBlockPortable(block, block);
+    } else {
+      aes.DecryptBlockPortable(block, block);
+      tweak();
+    }
+  }
+  return buf;
+}
+
 TEST(Aes128Fips197Vector) {
-  // FIPS-197 Appendix C.1. Block 0's position tweak is zero, so the
-  // segment API at first_block=0 is raw AES — the KAT pins both the
-  // portable path and (when the CPU has AES-NI) the hardware path.
+  // FIPS-197 Appendix C.1 on the portable block API. Block 0's position
+  // tweak is zero, so the segment API at first_block=0 is raw AES on
+  // whichever path dispatch picks (AES-NI unless CSXA_FORCE_PORTABLE).
   Aes128::Key key{};
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
   Aes128 aes(key);
@@ -219,49 +243,48 @@ TEST(Aes128Fips197Vector) {
   const std::string want_ct = "69c4e0d86a7b0430d8cdb78070b4c55a";
 
   uint8_t block[16];
-  std::copy(pt.begin(), pt.end(), block);
-  aes.EncryptSegmentTweaked(block, 16, 0, /*allow_hardware=*/false);
+  aes.EncryptBlockPortable(pt.data(), block);
   CHECK_EQ(ToHex(block, 16), want_ct);
-  aes.DecryptSegmentTweaked(block, 16, 0, /*allow_hardware=*/false);
+  aes.DecryptBlockPortable(block, block);
   CHECK(std::equal(pt.begin(), pt.end(), block));
 
   std::copy(pt.begin(), pt.end(), block);
-  aes.EncryptSegmentTweaked(block, 16, 0, /*allow_hardware=*/true);
+  aes.EncryptSegmentTweaked(block, 16, 0);
   CHECK_EQ(ToHex(block, 16), want_ct);
-  aes.DecryptSegmentTweaked(block, 16, 0, /*allow_hardware=*/true);
+  aes.DecryptSegmentTweaked(block, 16, 0);
   CHECK(std::equal(pt.begin(), pt.end(), block));
 }
 
-TEST(AesHardwareAndPortableAgree) {
-  // The NI and portable paths of one key must be interchangeable on any
-  // segment shape: one machine's hardware-encrypted store must decrypt on
-  // another machine's software path (and under CSXA_FORCE_PORTABLE).
+TEST(AesSegmentsMatchPerBlockReference) {
+  // The segment transforms, on whichever path dispatch picks, against the
+  // portable per-block reference on any segment shape: one machine's
+  // hardware-encrypted store must decrypt on another machine's software
+  // path (and under CSXA_FORCE_PORTABLE).
   Aes128::Key key{};
   for (size_t i = 0; i < key.size(); ++i) {
     key[i] = static_cast<uint8_t>(0x8e ^ (i * 11));
   }
   Aes128 aes(key);
+  const uint64_t firsts[] = {0, 77, (uint64_t{1} << 40) + 3};
   for (size_t blocks : {1u, 2u, 3u, 4u, 5u, 9u, 32u}) {
-    std::vector<uint8_t> buf(blocks * 16);
-    for (size_t i = 0; i < buf.size(); ++i) {
-      buf[i] = static_cast<uint8_t>(i * 13 + 5);
+    const auto buf = TestDocument(16 * blocks);
+    for (uint64_t first : firsts) {
+      auto enc = buf;
+      aes.EncryptSegmentTweaked(enc.data(), enc.size(), first);
+      CHECK(enc == AesPerBlock(aes, buf, first, /*encrypt=*/true));
+      auto dec = buf;
+      aes.DecryptSegmentTweaked(dec.data(), dec.size(), first);
+      CHECK(dec == AesPerBlock(aes, buf, first, /*encrypt=*/false));
     }
-    std::vector<uint8_t> hw = buf, sw = buf;
-    aes.EncryptSegmentTweaked(hw.data(), hw.size(), 77, true);
-    aes.EncryptSegmentTweaked(sw.data(), sw.size(), 77, false);
-    CHECK(hw == sw);
-    // Identical plaintext blocks at different positions differ (tweak).
-    std::vector<uint8_t> same(32, 0x41), enc = same;
-    aes.EncryptSegmentTweaked(enc.data(), enc.size(), 0, true);
-    CHECK(!std::equal(enc.begin(), enc.begin() + 16, enc.begin() + 16));
-    aes.DecryptSegmentTweaked(hw.data(), hw.size(), 77, false);
-    CHECK(hw == buf);
   }
+  // Identical plaintext blocks at different positions differ (tweak).
+  std::vector<uint8_t> same(32, 0x41);
+  aes.EncryptSegmentTweaked(same.data(), same.size(), 0);
+  CHECK(!std::equal(same.begin(), same.begin() + 16, same.begin() + 16));
 }
 
-const CipherBackendKind kAllBackends[] = {
-    CipherBackendKind::k3Des, CipherBackendKind::kAes,
-    CipherBackendKind::kAesPortable};
+const CipherBackendKind kAllBackends[] = {CipherBackendKind::k3Des,
+                                          CipherBackendKind::kAes};
 
 TEST(CipherBackendsRoundTripStore) {
   // The equivalence contract of the backend matrix: every backend serves
@@ -334,8 +357,9 @@ bool BackendRangeFailsIntegrity(const SecureDocumentStore& store,
 
 TEST(CipherBackendsDetectAttacks) {
   // Every tamper class of the 3DES reference must fire identically on
-  // every backend (including the forced-portable AES path): flipped
-  // ciphertext, block substitution, digest transposition, stale version.
+  // every backend (crypto_test_portable runs it on the portable AES
+  // path): flipped ciphertext, block substitution, digest transposition,
+  // stale version.
   TripleDes::Key key{};
   for (size_t i = 0; i < key.size(); ++i) {
     key[i] = static_cast<uint8_t>(0x21 + i);

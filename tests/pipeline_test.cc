@@ -20,7 +20,7 @@
 #include "pipeline/authorized_view_reader.h"
 #include "server/document_service.h"
 #include "testing.h"
-#include "xml/node.h"
+#include "xml/flat_tree.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
 #include "xml/stats.h"
@@ -715,13 +715,18 @@ TEST(ChainOf160kPublishesAndServesOnTheDefaultStack) {
   auto report = service.Serve("doc", Rules("+ /a\n"), pipeline::ServeOptions());
   CHECK_OK(report.status());
   if (report.ok()) CHECK(report.value().view == xml);
-  // A DOM of the same depth serializes, measures and frees without
-  // recursing as well (csxa_demo does all three).
-  auto dom = xml::SaxParser::ParseToDom(xml);
-  CHECK_OK(dom.status());
-  if (!dom.ok()) return;
-  CHECK(xml::Serialize(*dom.value()) == xml);
-  CHECK_EQ(xml::ComputeStats(*dom.value()).max_depth, 160 << 10);
+  // The streaming serializer and the Table 2 sweep take the same depth,
+  // and a DOM of it builds and frees without recursing.
+  xml::SerializingHandler serialized;
+  CHECK_OK(xml::SaxParser::Parse(xml, &serialized));
+  CHECK(serialized.output() == xml);
+  auto tree = xml::FlatTree::Parse(xml);
+  CHECK_OK(tree.status());
+  if (tree.ok()) {
+    CHECK_EQ(xml::ComputeStats(tree.value()).max_depth, 160 << 10);
+  }
+  // Built and freed within the statement.
+  CHECK_OK(xml::SaxParser::ParseToDom(xml).status());
 }
 
 TEST(TamperInsideVerbatimSubtreeFailsClosed) {

@@ -48,7 +48,6 @@ crypto::ChunkLayout TestLayout() {
 constexpr crypto::CipherBackendKind kBackends[] = {
     crypto::CipherBackendKind::k3Des,
     crypto::CipherBackendKind::kAes,
-    crypto::CipherBackendKind::kAesPortable,
 };
 
 // Runs one store-level attack under one backend and checks the rejection

@@ -13,7 +13,7 @@
 #include "index/encoder.h"
 #include "index/variants.h"
 #include "testing.h"
-#include "xml/node.h"
+#include "xml/flat_tree.h"
 #include "xml/sax_parser.h"
 #include "xml/serializer.h"
 #include "xml/stats.h"
@@ -49,7 +49,7 @@ TEST(SaxEntitiesAndMarkup) {
 
 TEST(EscapingMatchesPerCharacterReference) {
   // Specials at the edges, adjacent, alone, and absent; the streaming
-  // handler and the DOM serializer share one escaper.
+  // handler and AppendEscapedText share one escaper.
   auto reference = [](const std::string& text) {
     std::string out;
     for (char c : text) {
@@ -74,19 +74,15 @@ TEST(EscapingMatchesPerCharacterReference) {
     xml::AppendEscapedText(text, &appended);
     CHECK_EQ(appended, "pre" + reference(text));
   }
-  auto dom = xml::SaxParser::ParseToDom("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
-  CHECK_OK(dom.status());
-  if (dom.ok()) {
-    CHECK_EQ(xml::Serialize(*dom.value()),
-             "<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
-  }
+  CHECK_EQ(EventDump("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>"),
+           "<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
 }
 
 TEST(DomStatsSanity) {
-  auto dom = xml::SaxParser::ParseToDom(kDoc);
-  CHECK_OK(dom.status());
-  if (!dom.ok()) return;
-  auto stats = xml::ComputeStats(*dom.value());
+  auto tree = xml::FlatTree::Parse(kDoc);
+  CHECK_OK(tree.status());
+  if (!tree.ok()) return;
+  auto stats = xml::ComputeStats(tree.value());
   CHECK_EQ(stats.elements, size_t{11});
   CHECK_EQ(stats.text_nodes, size_t{6});
   CHECK_EQ(stats.max_depth, 4);
@@ -170,16 +166,13 @@ TEST(SkipSubtree) {
 }
 
 TEST(VariantSizesOrdered) {
-  auto dom = xml::SaxParser::ParseToDom(kDoc);
-  CHECK_OK(dom.status());
-  if (!dom.ok()) return;
   uint64_t tcsbr = 0, tcsb = 0, nc = 0;
   for (auto [variant, out] :
        std::initializer_list<std::pair<index::Variant, uint64_t*>>{
            {index::Variant::kNc, &nc},
            {index::Variant::kTcsb, &tcsb},
            {index::Variant::kTcsbr, &tcsbr}}) {
-    auto rep = index::MeasureVariant(*dom.value(), variant);
+    auto rep = index::MeasureVariant(kDoc, variant);
     CHECK_OK(rep.status());
     if (rep.ok()) *out = rep.value().total_bytes;
   }
@@ -504,4 +497,166 @@ TEST(EncodedImagesArePinned) {
   CHECK_EQ(checked, sizeof(kPinnedImages) / sizeof(kPinnedImages[0]));
 }
 
+/// The csxa_demo built-in sample: its Table 2 line and Figure 8 sizes are
+/// the ones the demo prints.
+const char kDemoSample[] = R"(<Folder>
+  <Admin>
+    <Name>Jane Doe</Name>
+    <SSN>123-45-678</SSN>
+    <Insurance>ACME Health</Insurance>
+  </Admin>
+  <MedActs>
+    <Consult>
+      <Date>2004-01-12</Date>
+      <Diagnostic>flu</Diagnostic>
+      <Prescription>rest</Prescription>
+    </Consult>
+    <Analysis>
+      <Type>G3</Type>
+      <Cholesterol>260</Cholesterol>
+      <Comments>borderline</Comments>
+    </Analysis>
+    <Analysis>
+      <Comments>ok</Comments>
+      <Cholesterol>180</Cholesterol>
+      <Type>G2</Type>
+    </Analysis>
+  </MedActs>
+</Folder>)";
+
+/// Documents whose Table 2 statistics and Figure 8 sizes are pinned: the
+/// demo sample, every corpus family at seed 1 and 16 KiB, a 160k-deep
+/// chain and a document dense in escaped characters, empty elements and
+/// CDATA.
+std::vector<std::pair<std::string, std::string>> StatsDocuments() {
+  std::vector<std::pair<std::string, std::string>> docs;
+  docs.emplace_back("demo_sample", kDemoSample);
+  for (bench::CorpusFamily family : bench::AllFamilies()) {
+    bench::CorpusSpec spec;
+    spec.family = family;
+    spec.seed = 1;
+    spec.target_bytes = 16 << 10;
+    docs.emplace_back(bench::FamilyName(family),
+                      bench::GenerateCorpus(spec).xml);
+  }
+  std::string chain;
+  for (int i = 0; i < (160 << 10); ++i) chain += "<a>";
+  chain += "bottom";
+  for (int i = 0; i < (160 << 10); ++i) chain += "</a>";
+  docs.emplace_back("chain_160k", std::move(chain));
+  std::string escapes = "<e>&amp;<x></x>";
+  for (int i = 0; i < 64; ++i) {
+    escapes += "<t>a &lt; b &amp;&amp; c &gt; d</t><u/><v>&gt;</v>";
+    escapes += "<w><![CDATA[<&>]]><y/>&#38;&quot;</w>";
+  }
+  escapes += "&lt;&lt;</e>";
+  docs.emplace_back("escapes", std::move(escapes));
+  return docs;
+}
+
+/// Recorded from the DOM-based ComputeStats and MeasureVariant, which the
+/// flat-tree sweep replaced byte for byte.
+struct PinnedStats {
+  const char* doc;
+  const char* stats;      ///< DocumentStats::ToString().
+  uint64_t sizes[5][3];   ///< {total, structure, text} bytes, NC..TCSBR.
+};
+
+const PinnedStats kPinnedStats[] = {
+    {"demo_sample",
+     "size=416B text=68B max_depth=4 avg_depth=3.3"
+     " tags=14 text_nodes=12 elements=18",
+     {{416, 348, 68}, {268, 200, 68}, {282, 214, 68},
+      {292, 224, 68}, {286, 218, 68}}},
+    {"hospital",
+     "size=17731B text=9750B max_depth=5 avg_depth=4.4"
+     " tags=19 text_nodes=293 elements=411",
+     {{17731, 7981, 9750}, {10798, 1048, 9750}, {11238, 1488, 9750},
+      {11521, 1771, 9750}, {11274, 1524, 9750}}},
+    {"wsu",
+     "size=16588B text=5108B max_depth=4 avg_depth=3.1"
+     " tags=13 text_nodes=617 elements=754",
+     {{16588, 11480, 5108}, {6588, 1480, 5108}, {7294, 2186, 5108},
+      {7516, 2408, 5108}, {7429, 2321, 5108}}},
+    {"sigmod",
+     "size=16434B text=7542B max_depth=6 avg_depth=4.7"
+     " tags=13 text_nodes=345 elements=492",
+     {{16434, 8892, 7542}, {8541, 999, 7542}, {9030, 1488, 7542},
+      {9269, 1727, 7542}, {9073, 1531, 7542}}},
+    {"deep_nest",
+     "size=17068B text=4889B max_depth=51 avg_depth=26.5"
+     " tags=7 text_nodes=561 elements=1101",
+     {{17068, 12179, 4889}, {6427, 1538, 4889}, {7814, 2925, 4889},
+      {8299, 3410, 4889}, {7889, 3000, 4889}}},
+    {"predicate_storm",
+     "size=16455B text=10985B max_depth=5 avg_depth=4.3"
+     " tags=8 text_nodes=250 elements=408",
+     {{16455, 5470, 10985}, {11722, 737, 10985}, {12180, 1195, 10985},
+      {12338, 1353, 10985}, {12203, 1218, 10985}}},
+    {"flat_text",
+     "size=16399B text=14946B max_depth=3 avg_depth=2.5"
+     " tags=5 text_nodes=204 elements=205",
+     {{16399, 1453, 14946}, {15419, 473, 14946}, {15700, 754, 14946},
+      {15764, 818, 14946}, {15700, 754, 14946}}},
+    {"chain_160k",
+     "size=1146886B text=6B max_depth=163840 avg_depth=81920.5"
+     " tags=1 text_nodes=1 elements=163840",
+     {{1146886, 1146880, 6}, {81949, 81943, 6}, {466320, 466314, 6},
+      {487972, 487966, 6}, {487972, 487966, 6}}},
+    {"escapes",
+     "size=5400B text=1539B max_depth=3 avg_depth=2.2"
+     " tags=7 text_nodes=258 elements=322",
+     {{5400, 3861, 1539}, {2099, 560, 1539}, {2567, 1028, 1539},
+      {2623, 1084, 1539}, {2591, 1052, 1539}}},
+};
+
+constexpr index::Variant kAllVariants[] = {
+    index::Variant::kNc, index::Variant::kTc, index::Variant::kTcs,
+    index::Variant::kTcsb, index::Variant::kTcsbr};
+
+TEST(StatsAndVariantSizesArePinned) {
+  size_t checked = 0;
+  for (const auto& [name, xml] : StatsDocuments()) {
+    std::string stats;
+    uint64_t sizes[5][3] = {};
+    {
+      auto tree = xml::FlatTree::Parse(xml);
+      CHECK_OK(tree.status());
+      if (!tree.ok()) continue;
+      stats = xml::ComputeStats(tree.value()).ToString();
+      for (size_t v = 0; v < 5; ++v) {
+        auto rep = index::MeasureVariant(xml, kAllVariants[v]);
+        CHECK_OK(rep.status());
+        if (!rep.ok()) continue;
+        sizes[v][0] = rep.value().total_bytes;
+        sizes[v][1] = rep.value().structure_bytes;
+        sizes[v][2] = rep.value().text_bytes;
+      }
+    }
+    const PinnedStats* want = nullptr;
+    for (const PinnedStats& pin : kPinnedStats) {
+      if (name == pin.doc) want = &pin;
+    }
+    bool same = want != nullptr && stats == want->stats;
+    std::string row = "    {\"" + name + "\",\n     \"" + stats + "\",\n     {";
+    for (size_t v = 0; v < 5; ++v) {
+      row += std::string(v == 0 ? "" : ", ") + "{" +
+             std::to_string(sizes[v][0]) + ", " +
+             std::to_string(sizes[v][1]) + ", " +
+             std::to_string(sizes[v][2]) + "}";
+      for (size_t k = 0; k < 3; ++k) {
+        same = same && want->sizes[v][k] == sizes[v][k];
+      }
+    }
+    if (!same) {
+      testing::Fail(__FILE__, __LINE__,
+                    "stats or sizes differ from their pin; observed:\n" +
+                        row + "}},");
+    }
+    ++checked;
+  }
+  CHECK_EQ(checked, sizeof(kPinnedStats) / sizeof(kPinnedStats[0]));
+}
+
 }  // namespace
+

@@ -60,7 +60,7 @@
 // are calibrated to its shape) on 1 KiB chunks of 64 B fragments. Generated
 // corpora are served by the backends section and by csxa_stored --families.
 //
-// Usage: csxa_bench [--quick] [--backend 3des|aes|aes-portable] [--out FILE]
+// Usage: csxa_bench [--quick] [--backend 3des|aes] [--out FILE]
 
 #include <algorithm>
 #include <concepts>
@@ -897,8 +897,9 @@ bool BackendAttackRejected(crypto::CipherBackendKind backend, int attack) {
 /// backend a pure performance axis, plus the per-backend decrypt-bound
 /// perf probe. (1) Equivalence matrix: every corpus family × rule family
 /// × variant must serve the byte-identical authorized view under every
-/// backend — "3des" (the paper-faithful default), "aes" (AES-NI when the
-/// CPU has it), and "aes-portable" (the fallback path pinned on). (2)
+/// backend — "3des" (the paper-faithful default) and "aes" (AES-NI when
+/// the CPU has it; the portable path under CSXA_FORCE_PORTABLE=1, as the
+/// csxa_bench_smoke_portable test runs it). (2)
 /// Attack matrix: flipped ciphertext byte, swapped cipher blocks,
 /// transposed chunk digests, and a replayed stale version must each fail
 /// closed as a clean IntegrityError on every backend. (3) Perf: a
@@ -911,8 +912,7 @@ void RunBackends(const Bench& bench, const char* name, JsonScope* root) {
   using crypto::CipherBackendKindName;
   JsonScope out = root->Object(name);
   const CipherBackendKind kBackends[] = {CipherBackendKind::k3Des,
-                                         CipherBackendKind::kAes,
-                                         CipherBackendKind::kAesPortable};
+                                         CipherBackendKind::kAes};
 
   // (1) Equivalence matrix over generated corpora. Quick mode trims the
   // family list and corpus size so sanitizer smokes stay fast; the gate
@@ -954,7 +954,7 @@ void RunBackends(const Bench& bench, const char* name, JsonScope* root) {
     }
   }
 
-  // (2) Attack matrix: 4 attacks × 3 backends, every one a clean
+  // (2) Attack matrix: 4 attacks × 2 backends, every one a clean
   // IntegrityError.
   static const char* const kAttackNames[] = {
       "tampered_byte", "swapped_blocks", "transposed_digests",
@@ -1391,7 +1391,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: csxa_bench [--quick] "
-                   "[--backend 3des|aes|aes-portable] [--out FILE]\n");
+                   "[--backend 3des|aes] [--out FILE]\n");
       return 2;
     }
   }

@@ -40,8 +40,7 @@
 #include "index/encoder.h"
 #include "index/variants.h"
 #include "server/document_service.h"
-#include "xml/sax_parser.h"
-#include "xml/serializer.h"
+#include "xml/flat_tree.h"
 #include "xml/stats.h"
 
 namespace {
@@ -148,9 +147,7 @@ bool TamperIsDetected(const std::string& xml,
   const server::DocumentConfig cfg = DemoConfig(opt);
   server::DocumentService service;
   if (!service.Publish("demo", xml, cfg).ok()) return false;
-  auto dom = xml::SaxParser::ParseToDom(xml);
-  if (!dom.ok()) return false;
-  auto doc = index::Encode(*dom.value(), cfg.variant);
+  auto doc = index::Encode(xml, cfg.variant);
   if (!doc.ok()) return false;
   auto store = crypto::SecureDocumentStore::Build(
       doc.value().bytes, cfg.key, cfg.layout, /*version=*/0, cfg.backend);
@@ -203,15 +200,15 @@ int Run(const Options& opt) {
     for (const auto& r : subject_rules) {
       std::printf("  %s\n", r.ToString().c_str());
     }
-    auto dom = xml::SaxParser::ParseToDom(xml);
-    if (dom.ok()) {
+    auto tree = xml::FlatTree::Parse(xml);
+    if (tree.ok()) {
       std::printf("document: %s\n",
-                  xml::ComputeStats(*dom.value()).ToString().c_str());
+                  xml::ComputeStats(tree.value()).ToString().c_str());
       std::printf("encoding sizes (Figure 8):\n");
       for (auto v :
            {index::Variant::kNc, index::Variant::kTc, index::Variant::kTcs,
             index::Variant::kTcsb, index::Variant::kTcsbr}) {
-        auto rep = index::MeasureVariant(*dom.value(), v);
+        auto rep = index::MeasureVariant(xml, v);
         if (rep.ok()) {
           std::printf("  %-6s %6llu bytes  (structure/text %.1f%%)\n",
                       index::VariantName(v),
@@ -455,7 +452,7 @@ int main(int argc, char** argv) {
           "                 [--subject NAME] [--variant tc|tcs|tcsb|tcsbr]\n"
           "                 [--chunk BYTES] [--fragment BYTES] [--no-skip]\n"
           "                 [--defer-budget BYTES]\n"
-          "                 [--backend 3des|aes|aes-portable]\n");
+          "                 [--backend 3des|aes]\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument %s (try --help)\n", arg.c_str());

@@ -43,7 +43,7 @@ void Usage() {
                "  --seed N         corpus content seed (default 1)\n"
                "  --chunk N        chunk size in bytes (default 1024)\n"
                "  --fragment N     fragment size in bytes (default 64)\n"
-               "  --backend B      3des (default), aes, aes-portable\n"
+               "  --backend B      3des (default) or aes\n"
                "  --duration S     seconds to serve; 0 (default) = forever\n");
 }
 
