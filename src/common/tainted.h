@@ -59,6 +59,10 @@ class UnverifiedBytes {
   size_t size() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
 
+  /// Replaces the contents with a copy of [data, data + n), reusing the
+  /// storage. Writing bytes in exposes nothing: they stay tainted.
+  void Assign(const uint8_t* data, size_t n) { bytes_.assign(data, data + n); }
+
   /// Verification-path read: only SoeDecryptor can produce the pass, so
   /// only code reachable from the Merkle verification path can see the
   /// bytes — exactly the code whose job is to judge them.

@@ -27,47 +27,43 @@ size_t VerifiedDigestCache::NodeIndex(int level, uint64_t index) const {
 
 const VerifiedDigestCache::Entry* VerifiedDigestCache::Find(
     uint64_t chunk) const {
-  for (const Entry& e : entries_) {
-    if (e.chunk == chunk && !e.known.empty()) {
-      e.last_use = ++clock_;
-      return &e;
-    }
-  }
-  return nullptr;
+  auto it = index_.find(chunk);
+  if (it == index_.end() || it->second.entry == kNoEntry) return nullptr;
+  const Entry& e = entries_[it->second.entry];
+  e.last_use = ++clock_;
+  return &e;
 }
 
 VerifiedDigestCache::Entry* VerifiedDigestCache::Obtain(uint64_t chunk) {
-  for (Entry& e : entries_) {
-    if (e.chunk == chunk && !e.known.empty()) {
-      e.last_use = ++clock_;
-      return &e;
-    }
-  }
-  Entry* e;
+  if (const Entry* found = Find(chunk)) return const_cast<Entry*>(found);
+  size_t slot;
   if (entries_.size() < capacity_) {
-    e = &entries_.emplace_back();
+    slot = entries_.size();
+    entries_.emplace_back();
   } else {
-    // Displace the least recently used *unpinned* entry (capacity is
-    // small; a linear scan is cheaper than any index). Pinned chunks are
-    // the ones in-flight batches' waivers and trimming hints depend on —
-    // evicting one mid-batch would fail an honest response. (Inline, not a
-    // lambda: thread-safety analysis cannot carry REQUIRES(mu_) into a
-    // lambda body, so a capture touching pinned_ would be a false alarm.)
-    size_t victim = entries_.size();
+    // Displace the least recently used *unpinned* entry. Pinned chunks
+    // are the ones in-flight batches' waivers and trimming hints depend
+    // on — evicting one mid-batch would fail an honest response. Only a
+    // full cache gets here, so lookups never pay for this scan. (Inline,
+    // not a lambda: thread-safety analysis cannot carry REQUIRES(mu_) into
+    // a lambda body, so a capture touching guarded state would be a false
+    // alarm.)
+    slot = entries_.size();
     for (size_t i = 0; i < entries_.size(); ++i) {
-      if (std::find(pinned_.begin(), pinned_.end(), entries_[i].chunk) !=
-          pinned_.end()) {
-        continue;
-      }
-      if (victim == entries_.size() ||
-          entries_[i].last_use < entries_[victim].last_use) {
-        victim = i;
+      if (entries_[i].slot->pins != 0) continue;
+      if (slot == entries_.size() ||
+          entries_[i].last_use < entries_[slot].last_use) {
+        slot = i;
       }
     }
-    if (victim == entries_.size()) return nullptr;  // All slots pinned.
+    if (slot == entries_.size()) return nullptr;  // All slots pinned.
     ++stats_.evictions;
-    e = &entries_[victim];
+    index_.erase(entries_[slot].chunk);  // Unpinned: nothing else holds it.
   }
+  Entry* e = &entries_[slot];
+  Slot& record = index_[chunk];
+  record.entry = static_cast<uint32_t>(slot);
+  e->slot = &record;
   e->chunk = chunk;
   e->last_use = ++clock_;
   e->nodes.assign(2 * size_t{frags_} - 1, Sha1Digest{});
@@ -94,17 +90,48 @@ void VerifiedDigestCache::FillIn(Entry* e) {
   }
 }
 
+void VerifiedDigestCache::PinLocked(const std::vector<uint64_t>& chunks) {
+  for (uint64_t chunk : chunks) ++index_[chunk].pins;
+}
+
 void VerifiedDigestCache::Pin(const std::vector<uint64_t>& chunks) {
   MutexLock lock(&mu_);
-  pinned_.insert(pinned_.end(), chunks.begin(), chunks.end());
+  PinLocked(chunks);
 }
 
 void VerifiedDigestCache::Unpin(const std::vector<uint64_t>& chunks) {
   MutexLock lock(&mu_);
   for (uint64_t chunk : chunks) {
-    auto it = std::find(pinned_.begin(), pinned_.end(), chunk);
-    if (it != pinned_.end()) pinned_.erase(it);
+    auto it = index_.find(chunk);
+    if (it == index_.end() || it->second.pins == 0) continue;
+    if (--it->second.pins == 0 && it->second.entry == kNoEntry) {
+      index_.erase(it);
+    }
   }
+}
+
+VerifiedDigestCache::PinScope VerifiedDigestCache::PinAndClaim(
+    std::vector<uint64_t> chunks, const std::vector<Cover>& covers,
+    std::vector<Claim>* claims) {
+  claims->clear();
+  MutexLock lock(&mu_);
+  PinLocked(chunks);
+  // A chunk split across two runs (an already-valid fragment between
+  // them) is waived only when *every* covered range verifies bare.
+  for (const Cover& cover : covers) {
+    const bool bare = CanVerifyBareLocked(cover.chunk, cover.first, cover.last);
+    if (!claims->empty() && claims->back().chunk == cover.chunk) {
+      claims->back().bare &= bare;
+    } else {
+      claims->push_back({cover.chunk, bare, 0, false});
+    }
+  }
+  for (Claim& claim : *claims) {
+    if (claim.bare) continue;
+    claim.known_nodes = KnownMaskLocked(claim.chunk);
+    claim.root_known = Find(claim.chunk) != nullptr;
+  }
+  return PinScope(this, std::move(chunks), PinScope::Adopt{});
 }
 
 bool VerifiedDigestCache::CanVerifyBare(uint64_t chunk, uint32_t first,
@@ -113,6 +140,11 @@ bool VerifiedDigestCache::CanVerifyBare(uint64_t chunk, uint32_t first,
   // batch, so hit/miss accounting happens at verification time
   // (RecordBareHit / the decryptor's material path), not here.
   MutexLock lock(&mu_);
+  return CanVerifyBareLocked(chunk, first, last);
+}
+
+bool VerifiedDigestCache::CanVerifyBareLocked(uint64_t chunk, uint32_t first,
+                                              uint32_t last) const {
   const Entry* e = Find(chunk);
   if (e == nullptr || first > last || last >= frags_) return false;
   uint64_t lo = first, hi = last, width = frags_;
@@ -199,6 +231,10 @@ bool VerifiedDigestCache::Node(uint64_t chunk, int level, uint64_t index,
 
 uint64_t VerifiedDigestCache::KnownMask(uint64_t chunk) const {
   MutexLock lock(&mu_);
+  return KnownMaskLocked(chunk);
+}
+
+uint64_t VerifiedDigestCache::KnownMaskLocked(uint64_t chunk) const {
   const Entry* e = Find(chunk);
   if (e == nullptr || e->known.size() > 64) return 0;
   uint64_t mask = 0;

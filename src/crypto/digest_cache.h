@@ -1,7 +1,9 @@
 #ifndef CSXA_CRYPTO_DIGEST_CACHE_H_
 #define CSXA_CRYPTO_DIGEST_CACHE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/tainted.h"
@@ -39,9 +41,12 @@ namespace csxa::crypto {
 /// re-read ciphertext changes the recomputed leaf hash, the comparison
 /// fails, the recombined root diverges from the cached one, and the read
 /// is rejected — the cache narrows the *wire format*, never the trust
-/// chain. Capacity is a few dozen entries (one entry is ~2·m hashes for m
-/// fragments per chunk), so the SOE memory bound is respected; eviction
-/// only costs a fallback to the classic proof-carrying read.
+/// chain. One entry is ~2·m hashes for m fragments per chunk; a per-serve
+/// cache holds a few dozen, a shared one sized to a whole document holds
+/// every chunk. Lookups go through a chunk index, so their cost does not
+/// grow with capacity; eviction (only when full) scans for the least
+/// recently used unpinned entry and only costs a fallback to the classic
+/// proof-carrying read.
 ///
 /// Sharing across serves: every method is internally synchronized, so one
 /// cache instance can back many concurrent sessions of the *same document
@@ -130,14 +135,58 @@ class VerifiedDigestCache {
     PinScope(const PinScope&) = delete;
     PinScope& operator=(const PinScope&) = delete;
 
-   private:
-    void Release() {
+    /// True when this scope pins `chunk` in `cache`.
+    bool Covers(const VerifiedDigestCache* cache, uint64_t chunk) const {
+      return cache_ != nullptr && cache_ == cache &&
+             std::find(chunks_.begin(), chunks_.end(), chunk) !=
+                 chunks_.end();
+    }
+
+    /// Unpins now and hands the chunk list back, so a caller that pins
+    /// once per batch can reuse its storage.
+    std::vector<uint64_t> Release() {
       if (cache_ != nullptr) cache_->Unpin(chunks_);
       cache_ = nullptr;
+      return std::move(chunks_);
     }
+
+   private:
+    friend class VerifiedDigestCache;
+    struct Adopt {};
+    /// Takes over pins the cache already counted for `chunks`.
+    PinScope(VerifiedDigestCache* cache, std::vector<uint64_t> chunks, Adopt)
+        : cache_(cache), chunks_(std::move(chunks)) {}
+
     VerifiedDigestCache* cache_ = nullptr;
     std::vector<uint64_t> chunks_;
   };
+
+  /// One chunk's covered fragment interval [first, last] in a batch.
+  struct Cover {
+    uint64_t chunk = 0;
+    uint32_t first = 0;
+    uint32_t last = 0;
+  };
+  /// What a batch may claim for one chunk: a waiver when every covered
+  /// range verifies bare, else the proof-trimming hint (KnownMask and
+  /// whether the root is cached).
+  struct Claim {
+    uint64_t chunk = 0;
+    bool bare = false;
+    uint64_t known_nodes = 0;
+    bool root_known = false;
+  };
+
+  /// One batch's claims in one critical section: pins `chunks` (the
+  /// distinct chunks of `covers`), then probes CanVerifyBare for every
+  /// cover in order and, for each chunk that is not bare, KnownMask and
+  /// RootKnown — the probes, and so the LRU touches, a caller pinning and
+  /// probing one call at a time would make. `covers` are sorted by chunk;
+  /// `claims` gets one entry per distinct chunk. The returned scope holds
+  /// the pins.
+  PinScope PinAndClaim(std::vector<uint64_t> chunks,
+                       const std::vector<Cover>& covers,
+                       std::vector<Claim>* claims) CSXA_EXCLUDES(mu_);
 
   /// Records authenticated material after a successful verification: the
   /// recomputed leaf hashes of [first, first + leaves.size()), the sibling
@@ -178,14 +227,24 @@ class VerifiedDigestCache {
  private:
   friend class PinScope;
 
+  struct Slot;
   struct Entry {
     uint64_t chunk = 0;
     mutable uint64_t last_use = 0;  ///< LRU clock; touched on const reads.
+    Slot* slot = nullptr;  ///< This chunk's index record (stable address).
     Sha1Digest root{};
     /// Flat binary tree, level-major: nodes_[0..m) = leaves, then m/2
     /// level-1 nodes, ..., ending with the root at nodes_[2m-2].
     std::vector<Sha1Digest> nodes;
     std::vector<uint8_t> known;
+  };
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  /// Index record of one chunk: its entry, if resident, and how many live
+  /// pins name it. A pinned chunk keeps its record while not resident, so
+  /// a Record() that brings it in finds it shielded.
+  struct Slot {
+    uint32_t entry = kNoEntry;
+    uint32_t pins = 0;
   };
 
   void Pin(const std::vector<uint64_t>& chunks) CSXA_EXCLUDES(mu_);
@@ -194,7 +253,11 @@ class VerifiedDigestCache {
   // Lock-held internals: the annotations make "mu_ must be held by the
   // caller" a compile-time obligation under clang, not a comment.
   size_t NodeIndex(int level, uint64_t index) const;  // Pure geometry.
+  void PinLocked(const std::vector<uint64_t>& chunks) CSXA_REQUIRES(mu_);
   const Entry* Find(uint64_t chunk) const CSXA_REQUIRES(mu_);
+  bool CanVerifyBareLocked(uint64_t chunk, uint32_t first,
+                           uint32_t last) const CSXA_REQUIRES(mu_);
+  uint64_t KnownMaskLocked(uint64_t chunk) const CSXA_REQUIRES(mu_);
   /// Find or insert-with-eviction; nullptr when every evictable slot is
   /// pinned (the caller simply skips recording).
   Entry* Obtain(uint64_t chunk) CSXA_REQUIRES(mu_);
@@ -209,8 +272,10 @@ class VerifiedDigestCache {
   mutable Mutex mu_;
   mutable uint64_t clock_ CSXA_GUARDED_BY(mu_) = 0;
   std::vector<Entry> entries_ CSXA_GUARDED_BY(mu_);
-  /// Multiset of chunks shielded from eviction.
-  std::vector<uint64_t> pinned_ CSXA_GUARDED_BY(mu_);
+  /// chunk -> entry and pin count: every lookup is one hash probe. Node
+  /// addresses are stable across rehashing, so entries point back at
+  /// their records.
+  std::unordered_map<uint64_t, Slot> index_ CSXA_GUARDED_BY(mu_);
   mutable Stats stats_ CSXA_GUARDED_BY(mu_);
 };
 

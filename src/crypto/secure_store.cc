@@ -137,28 +137,35 @@ uint64_t BatchResponse::WireBytes() const {
 
 Result<BatchResponse> SecureDocumentStore::ReadBatch(
     const BatchRequest& request) const {
+  BatchResponse resp;
+  CSXA_RETURN_NOT_OK(FillBatch(request, &resp));
+  return resp;
+}
+
+Status SecureDocumentStore::FillBatch(const BatchRequest& request,
+                                      BatchResponse* resp) const {
   const uint64_t size = ciphertext_.size();
   const uint32_t frags = layout_.fragments_per_chunk();
   auto is_bare = [&request](uint64_t c) {
     return std::find(request.bare_chunks.begin(), request.bare_chunks.end(),
                      c) != request.bare_chunks.end();
   };
-  BatchResponse resp;
+  resp->segments.resize(request.runs.size());
+  size_t chunks = 0;  // Material entries filled so far.
   uint64_t prev_end = 0;
-  for (const BatchRequest::Run& run : request.runs) {
+  for (size_t s = 0; s < request.runs.size(); ++s) {
+    const BatchRequest::Run& run = request.runs[s];
     if (run.begin >= run.end || run.end > size ||
         run.begin % layout_.fragment_size != 0 ||
         (run.end % layout_.fragment_size != 0 && run.end != size) ||
-        (run.begin < prev_end && !resp.segments.empty())) {
+        (run.begin < prev_end && s != 0)) {
       return Status::InvalidArgument("malformed batch run");
     }
     prev_end = run.end;
 
-    BatchResponse::Segment seg;
+    BatchResponse::Segment& seg = resp->segments[s];
     seg.begin = run.begin;
-    seg.ciphertext = common::UnverifiedBytes(std::vector<uint8_t>(
-        ciphertext_.begin() + run.begin, ciphertext_.begin() + run.end));
-    resp.segments.push_back(std::move(seg));
+    seg.ciphertext.Assign(ciphertext_.data() + run.begin, run.end - run.begin);
 
     uint64_t first_chunk = run.begin / layout_.chunk_size;
     uint64_t last_chunk = (run.end - 1) / layout_.chunk_size;
@@ -169,7 +176,8 @@ Result<BatchResponse> SecureDocumentStore::ReadBatch(
       uint64_t cover_begin = std::max(chunk_begin, run.begin);
       uint64_t cover_end = std::min(chunk_end, run.end);
 
-      BatchResponse::ChunkMaterial mat;
+      if (chunks == resp->chunks.size()) resp->chunks.emplace_back();
+      BatchResponse::ChunkMaterial& mat = resp->chunks[chunks++];
       mat.chunk_index = c;
       mat.first_fragment = static_cast<uint32_t>(
           (cover_begin - chunk_begin) / layout_.fragment_size);
@@ -194,10 +202,10 @@ Result<BatchResponse> SecureDocumentStore::ReadBatch(
         if (hint.root_known) mat.encrypted_digest.clear();
         break;
       }
-      resp.chunks.push_back(std::move(mat));
     }
   }
-  return resp;
+  resp->chunks.resize(chunks);
+  return Status::OK();
 }
 
 void SecureDocumentStore::TamperByte(uint64_t pos, uint8_t xor_mask) {
@@ -411,9 +419,9 @@ Status SoeDecryptor::VerifyChunkAgainstMaterial(
   return Status::OK();
 }
 
-Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
-                                          const BatchResponse& response,
-                                          uint8_t* out, size_t out_size) {
+Status SoeDecryptor::DecryptVerifiedBatch(
+    const BatchRequest& request, const BatchResponse& response, uint8_t* out,
+    size_t out_size, const VerifiedDigestCache::PinScope* held) {
   CSXA_RETURN_NOT_OK(config_error_);
   const uint32_t bs = backend_->block_size();
   const uint64_t padded_size = (plaintext_size_ + bs - 1) / bs * bs;
@@ -431,12 +439,24 @@ Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
   // Pin every chunk this batch's waivers and trimming hints rely on:
   // mid-batch Record() calls for other chunks must not evict the cached
   // material the request was built against (an honest response would
-  // otherwise fail verification under a small cache).
-  std::vector<uint64_t> claimed = request.bare_chunks;
-  for (const BatchRequest::ChunkHint& hint : request.hints) {
-    claimed.push_back(hint.chunk);
+  // otherwise fail verification under a small cache). The fetcher's
+  // batch guard already pins them; anything it does not cover is pinned
+  // here.
+  bool covered = held != nullptr;
+  for (uint64_t c : request.bare_chunks) {
+    covered = covered && held->Covers(cache_.get(), c);
   }
-  VerifiedDigestCache::PinScope pin(cache_.get(), std::move(claimed));
+  for (const BatchRequest::ChunkHint& hint : request.hints) {
+    covered = covered && held->Covers(cache_.get(), hint.chunk);
+  }
+  VerifiedDigestCache::PinScope pin;
+  if (!covered) {
+    std::vector<uint64_t> claimed = request.bare_chunks;
+    for (const BatchRequest::ChunkHint& hint : request.hints) {
+      claimed.push_back(hint.chunk);
+    }
+    pin = VerifiedDigestCache::PinScope(cache_.get(), std::move(claimed));
+  }
 
   // Phase 1 — verify every segment's chunks before releasing any byte.
   std::vector<std::pair<uint64_t, Sha1Digest>> digest_memo;
@@ -473,8 +493,8 @@ Status SoeDecryptor::DecryptVerifiedBatch(const BatchRequest& request,
       // Leaf hashes of the shipped fragments: fragment alignment means
       // every hash starts fresh at a fragment boundary — no intermediate
       // states cross the wire in the batched protocol.
-      std::vector<Sha1Digest> leaves;
-      leaves.reserve(last - first + 1);
+      std::vector<Sha1Digest>& leaves = leaves_;
+      leaves.clear();
       const uint64_t h0 = NowNs();
       for (uint32_t f = first; f <= last; ++f) {
         uint64_t fb = chunk_begin + uint64_t{f} * layout_.fragment_size;

@@ -175,6 +175,9 @@ class SecureDocumentStore : public BatchSource {
   /// matching Section 6's requirement that the terminal can cooperate in
   /// integrity checking.
   Result<BatchResponse> ReadBatch(const BatchRequest& request) const override;
+  /// ReadBatch into `response`, reusing its segment, proof and digest
+  /// storage. On error `response` holds no usable result.
+  Status FillBatch(const BatchRequest& request, BatchResponse* response) const;
 
   /// -- Attack emulation (tests) --------------------------------------
   /// Flips bits of one ciphertext byte (random modification attack).
@@ -249,13 +252,19 @@ class SoeDecryptor {
     return cache_->MissingProofNodes(chunk, first, last);
   }
 
-  /// Pins `chunks` against eviction for the guard's lifetime. The fetcher
-  /// pins every chunk of a batch *before* probing for waivers and
-  /// trimming hints: with the cache shared across serves, a concurrent
-  /// session's Record() could otherwise evict an entry between the probe
-  /// and the verification that depends on it, failing an honest response.
-  VerifiedDigestCache::PinScope PinChunks(std::vector<uint64_t> chunks) {
-    return VerifiedDigestCache::PinScope(cache_.get(), std::move(chunks));
+  /// Pins the batch's chunks (`chunks`, the distinct chunks of `covers`)
+  /// against eviction for the returned guard's lifetime and, in the same
+  /// critical section, fills `claims` with each chunk's waiver or
+  /// trimming hint (VerifiedDigestCache::PinAndClaim). The fetcher pins
+  /// *before* the probes: with the cache shared across serves, a
+  /// concurrent session's Record() could otherwise evict an entry between
+  /// the probe and the verification that depends on it, failing an honest
+  /// response.
+  VerifiedDigestCache::PinScope ClaimBatch(
+      std::vector<uint64_t> chunks,
+      const std::vector<VerifiedDigestCache::Cover>& covers,
+      std::vector<VerifiedDigestCache::Claim>* claims) {
+    return cache_->PinAndClaim(std::move(chunks), covers, claims);
   }
 
   /// Verifies and decrypts a whole batch: each segment's chunks are
@@ -266,10 +275,13 @@ class SoeDecryptor {
   /// verified segment is handed to the cipher backend as one whole block
   /// run, so backends pipeline across blocks. Any mismatch fails the
   /// whole batch with IntegrityError before a single unverified byte is
-  /// released.
-  Status DecryptVerifiedBatch(const BatchRequest& request,
-                              const BatchResponse& response, uint8_t* out,
-                              size_t out_size);
+  /// released. Every chunk the request waives or hints stays pinned until
+  /// verification ends: by `held` (the batch's ClaimBatch guard) where it
+  /// covers them all, else by a pin taken here.
+  Status DecryptVerifiedBatch(
+      const BatchRequest& request, const BatchResponse& response,
+      uint8_t* out, size_t out_size,
+      const VerifiedDigestCache::PinScope* held = nullptr);
 
   /// Mints the typestate witness for a buffer that is written exclusively
   /// by this decryptor's DecryptVerifiedBatch (the SecureFetcher's
@@ -332,6 +344,8 @@ class SoeDecryptor {
   /// stamped for another version; fails every decrypt entry point.
   Status config_error_ = Status::OK();
   Counters counters_;
+  /// One chunk's recomputed leaf hashes, reused across batches.
+  std::vector<Sha1Digest> leaves_;
 };
 
 }  // namespace csxa::crypto

@@ -14,18 +14,29 @@ namespace {
 constexpr uint32_t kRequestMagic = 0x43535851;   // "QXSC" on the wire.
 constexpr uint32_t kResponseMagic = 0x43535852;  // "RXSC" on the wire.
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+/// Little-endian writer over bytes the encoder sized up front: one resize
+/// per frame instead of a capacity check per byte.
+struct Writer {
+  uint8_t* p;
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+  void U8(uint8_t v) { *p++ = v; }
+  void U32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) *p++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) *p++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  void Bytes(const uint8_t* src, size_t n) {
+    if (n != 0) std::memcpy(p, src, n);
+    p += n;
+  }
+};
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutBytes(std::vector<uint8_t>* out, const uint8_t* p, size_t n) {
-  if (n != 0) out->insert(out->end(), p, p + n);
+/// Grows `out` by `n` bytes and returns a writer at the old end.
+Writer Append(std::vector<uint8_t>* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return Writer{out->data() + at};
 }
 
 /// Bounds-checked cursor over an untrusted frame: every accessor verifies
@@ -79,6 +90,14 @@ struct Reader {
     }
     return c;
   }
+  /// The next `k` bytes, consumed; null (and latched) when absent.
+  const uint8_t* Take(size_t k) {
+    if (!Need(k)) return nullptr;
+    const uint8_t* at = p;
+    p += k;
+    n -= k;
+    return at;
+  }
   /// Copies `k` bytes into `dst` (resized by the caller *after* Need).
   /// `dst` may be null when `k` is zero — an empty vector's data() is —
   /// so the copy is skipped rather than handing memcpy a null pointer.
@@ -100,112 +119,123 @@ Status WireError(const Reader& r, const char* frame) {
 
 void EncodeBatchRequest(const BatchRequest& request,
                         std::vector<uint8_t>* out) {
-  PutU32(out, kRequestMagic);
-  PutU32(out, static_cast<uint32_t>(request.runs.size()));
+  Writer w = Append(out, 16 + 16 * request.runs.size() +
+                             8 * request.bare_chunks.size() +
+                             17 * request.hints.size());
+  w.U32(kRequestMagic);
+  w.U32(static_cast<uint32_t>(request.runs.size()));
   for (const BatchRequest::Run& run : request.runs) {
-    PutU64(out, run.begin);
-    PutU64(out, run.end);
+    w.U64(run.begin);
+    w.U64(run.end);
   }
-  PutU32(out, static_cast<uint32_t>(request.bare_chunks.size()));
-  for (uint64_t chunk : request.bare_chunks) PutU64(out, chunk);
-  PutU32(out, static_cast<uint32_t>(request.hints.size()));
+  w.U32(static_cast<uint32_t>(request.bare_chunks.size()));
+  for (uint64_t chunk : request.bare_chunks) w.U64(chunk);
+  w.U32(static_cast<uint32_t>(request.hints.size()));
   for (const BatchRequest::ChunkHint& hint : request.hints) {
-    PutU64(out, hint.chunk);
-    PutU64(out, hint.known_nodes);
-    PutU8(out, hint.root_known ? 1 : 0);
+    w.U64(hint.chunk);
+    w.U64(hint.known_nodes);
+    w.U8(hint.root_known ? 1 : 0);
   }
 }
 
 Result<BatchRequest> DecodeBatchRequest(const uint8_t* data, size_t size) {
-  Reader r{data, size};
-  if (r.U32() != kRequestMagic) {
-    if (r.error == nullptr) r.error = "bad magic";
-    return WireError(r, "request");
-  }
   BatchRequest request;
-  uint32_t runs = r.Count(16);
-  request.runs.reserve(runs);
-  for (uint32_t i = 0; i < runs && r.error == nullptr; ++i) {
-    BatchRequest::Run run;
+  CSXA_RETURN_NOT_OK(DecodeBatchRequest(data, size, &request));
+  return request;
+}
+
+Status DecodeBatchRequest(const uint8_t* data, size_t size,
+                          BatchRequest* out) {
+  Reader r{data, size};
+  BatchRequest& request = *out;
+  request.runs.clear();
+  request.bare_chunks.clear();
+  request.hints.clear();
+  if (r.U32() != kRequestMagic && r.error == nullptr) r.error = "bad magic";
+  // Counts are checked against the bytes present before anything is
+  // sized from them.
+  request.runs.resize(r.Count(16));
+  for (BatchRequest::Run& run : request.runs) {
     run.begin = r.U64();
     run.end = r.U64();
-    request.runs.push_back(run);
   }
-  uint32_t bare = r.Count(8);
-  request.bare_chunks.reserve(bare);
-  for (uint32_t i = 0; i < bare && r.error == nullptr; ++i) {
-    request.bare_chunks.push_back(r.U64());
-  }
-  uint32_t hints = r.Count(17);
-  request.hints.reserve(hints);
-  for (uint32_t i = 0; i < hints && r.error == nullptr; ++i) {
-    BatchRequest::ChunkHint hint;
+  request.bare_chunks.resize(r.Count(8));
+  for (uint64_t& chunk : request.bare_chunks) chunk = r.U64();
+  request.hints.resize(r.Count(17));
+  for (BatchRequest::ChunkHint& hint : request.hints) {
     hint.chunk = r.U64();
     hint.known_nodes = r.U64();
     uint8_t flag = r.U8();
-    if (flag > 1) r.error = "root_known flag not boolean";
+    if (flag > 1 && r.error == nullptr) r.error = "root_known flag not boolean";
     hint.root_known = flag == 1;
-    request.hints.push_back(hint);
   }
-  if (r.error != nullptr) return WireError(r, "request");
-  if (r.n != 0) {
-    r.error = "trailing bytes after frame";
+  if (r.error == nullptr && r.n != 0) r.error = "trailing bytes after frame";
+  if (r.error != nullptr) {
+    request.runs.clear();
+    request.bare_chunks.clear();
+    request.hints.clear();
     return WireError(r, "request");
   }
-  return request;
+  return Status::OK();
 }
 
 void EncodeBatchResponse(const BatchResponse& response,
                          std::vector<uint8_t>* out) {
-  PutU32(out, kResponseMagic);
-  PutU32(out, static_cast<uint32_t>(response.segments.size()));
+  size_t bytes = 12;
   for (const BatchResponse::Segment& seg : response.segments) {
-    PutU64(out, seg.begin);
+    bytes += 16 + seg.ciphertext.size();
+  }
+  for (const BatchResponse::ChunkMaterial& mat : response.chunks) {
+    bytes += 25 + 32 * mat.proof.size() + mat.encrypted_digest.size();
+  }
+  Writer w = Append(out, bytes);
+  w.U32(kResponseMagic);
+  w.U32(static_cast<uint32_t>(response.segments.size()));
+  for (const BatchResponse::Segment& seg : response.segments) {
+    w.U64(seg.begin);
     // csxa-lint: allow(taint-release) framing copies tainted bytes verbatim
     const std::vector<uint8_t>& ct = seg.ciphertext.ReleaseUnverified();
-    PutU64(out, ct.size());
-    PutBytes(out, ct.data(), ct.size());
+    w.U64(ct.size());
+    w.Bytes(ct.data(), ct.size());
   }
-  PutU32(out, static_cast<uint32_t>(response.chunks.size()));
+  w.U32(static_cast<uint32_t>(response.chunks.size()));
   for (const BatchResponse::ChunkMaterial& mat : response.chunks) {
-    PutU64(out, mat.chunk_index);
-    PutU32(out, mat.first_fragment);
-    PutU32(out, mat.last_fragment);
-    PutU8(out, 0);  // has_prefix_state: reads are fragment-aligned.
-    PutU32(out, static_cast<uint32_t>(mat.proof.size()));
+    w.U64(mat.chunk_index);
+    w.U32(mat.first_fragment);
+    w.U32(mat.last_fragment);
+    w.U8(0);  // has_prefix_state: reads are fragment-aligned.
+    w.U32(static_cast<uint32_t>(mat.proof.size()));
     for (const ProofNode& node : mat.proof) {
-      PutU32(out, static_cast<uint32_t>(node.level));
-      PutU64(out, node.index);
-      PutBytes(out, node.hash.data(), node.hash.size());
+      w.U32(static_cast<uint32_t>(node.level));
+      w.U64(node.index);
+      w.Bytes(node.hash.data(), node.hash.size());
     }
-    PutU32(out, static_cast<uint32_t>(mat.encrypted_digest.size()));
-    PutBytes(out, mat.encrypted_digest.data(), mat.encrypted_digest.size());
+    w.U32(static_cast<uint32_t>(mat.encrypted_digest.size()));
+    w.Bytes(mat.encrypted_digest.data(), mat.encrypted_digest.size());
   }
 }
 
 Result<BatchResponse> DecodeBatchResponse(const uint8_t* data, size_t size) {
-  Reader r{data, size};
-  if (r.U32() != kResponseMagic) {
-    if (r.error == nullptr) r.error = "bad magic";
-    return WireError(r, "response");
-  }
   BatchResponse response;
-  uint32_t segments = r.Count(16);
-  response.segments.reserve(segments);
-  for (uint32_t i = 0; i < segments && r.error == nullptr; ++i) {
-    BatchResponse::Segment seg;
+  CSXA_RETURN_NOT_OK(DecodeBatchResponse(data, size, &response));
+  return response;
+}
+
+Status DecodeBatchResponse(const uint8_t* data, size_t size,
+                           BatchResponse* out) {
+  Reader r{data, size};
+  BatchResponse& response = *out;
+  if (r.U32() != kResponseMagic && r.error == nullptr) r.error = "bad magic";
+  response.segments.resize(r.Count(16));
+  for (BatchResponse::Segment& seg : response.segments) {
     seg.begin = r.U64();
-    uint64_t len = r.U64();
-    if (!r.Need(len)) break;
-    std::vector<uint8_t> raw(len);
-    r.Bytes(raw.data(), len);
-    seg.ciphertext = common::UnverifiedBytes(std::move(raw));
-    response.segments.push_back(std::move(seg));
+    const uint64_t len = r.U64();
+    const uint8_t* bytes = r.Take(len);
+    if (bytes == nullptr) break;
+    seg.ciphertext.Assign(bytes, len);
   }
-  uint32_t chunks = r.Count(25);
-  response.chunks.reserve(chunks);
-  for (uint32_t i = 0; i < chunks && r.error == nullptr; ++i) {
-    BatchResponse::ChunkMaterial mat;
+  response.chunks.resize(r.Count(25));
+  for (BatchResponse::ChunkMaterial& mat : response.chunks) {
     mat.chunk_index = r.U64();
     mat.first_fragment = r.U32();
     mat.last_fragment = r.U32();
@@ -214,27 +244,24 @@ Result<BatchResponse> DecodeBatchResponse(const uint8_t* data, size_t size) {
       // shipping one is speaking the wrong protocol.
       r.error = "prefix state on batched wire";
     }
-    uint32_t proof = r.Count(32);
-    mat.proof.reserve(proof);
-    for (uint32_t j = 0; j < proof && r.error == nullptr; ++j) {
-      ProofNode node;
+    mat.proof.resize(r.Count(32));
+    for (ProofNode& node : mat.proof) {
       node.level = static_cast<int>(r.U32());
       node.index = r.U64();
       r.Bytes(node.hash.data(), node.hash.size());
-      mat.proof.push_back(node);
     }
-    uint64_t digest_len = r.U32();
-    if (!r.Need(digest_len)) break;
-    mat.encrypted_digest.resize(digest_len);
-    r.Bytes(mat.encrypted_digest.data(), digest_len);
-    response.chunks.push_back(std::move(mat));
+    const uint64_t digest_len = r.U32();
+    const uint8_t* digest = r.Take(digest_len);
+    if (digest == nullptr) break;
+    mat.encrypted_digest.assign(digest, digest + digest_len);
   }
-  if (r.error != nullptr) return WireError(r, "response");
-  if (r.n != 0) {
-    r.error = "trailing bytes after frame";
+  if (r.error == nullptr && r.n != 0) r.error = "trailing bytes after frame";
+  if (r.error != nullptr) {
+    response.segments.clear();
+    response.chunks.clear();
     return WireError(r, "response");
   }
-  return response;
+  return Status::OK();
 }
 
 }  // namespace csxa::crypto

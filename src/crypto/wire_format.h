@@ -45,12 +45,22 @@ void EncodeBatchRequest(const BatchRequest& request, std::vector<uint8_t>* out);
 /// Parses a request frame; the frame must span exactly [data, data+size).
 Result<BatchRequest> DecodeBatchRequest(const uint8_t* data, size_t size);
 
+/// Parses a request frame into `out`, reusing its storage: on success
+/// `out` equals a fresh decode; on failure it is left empty.
+Status DecodeBatchRequest(const uint8_t* data, size_t size, BatchRequest* out);
+
 /// Serializes `response` into `out` (appended).
 void EncodeBatchResponse(const BatchResponse& response,
                          std::vector<uint8_t>* out);
 
 /// Parses a response frame; the frame must span exactly [data, data+size).
 Result<BatchResponse> DecodeBatchResponse(const uint8_t* data, size_t size);
+
+/// Parses a response frame into `out`, reusing its segment, proof and
+/// digest storage: on success `out` equals a fresh decode; on failure it
+/// is left empty.
+Status DecodeBatchResponse(const uint8_t* data, size_t size,
+                           BatchResponse* out);
 
 }  // namespace csxa::crypto
 

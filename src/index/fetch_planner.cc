@@ -1,10 +1,28 @@
 #include "index/fetch_planner.h"
 
 #include <algorithm>
-#include <map>
-#include <utility>
+#include <array>
+#include <bit>
 
 namespace csxa::index {
+
+namespace {
+
+/// Fragment bitmaps: bit f of word f / 64.
+std::vector<uint64_t> Bitmap(uint64_t bits) {
+  return std::vector<uint64_t>((bits + 63) / 64, 0);
+}
+bool Test(const std::vector<uint64_t>& map, uint64_t f) {
+  return (map[f / 64] >> (f % 64)) & 1;
+}
+void Set(std::vector<uint64_t>* map, uint64_t f) {
+  (*map)[f / 64] |= uint64_t{1} << (f % 64);
+}
+void Clear(std::vector<uint64_t>* map, uint64_t f) {
+  (*map)[f / 64] &= ~(uint64_t{1} << (f % 64));
+}
+
+}  // namespace
 
 FetchPlanner::FetchPlanner(uint64_t document_bytes, uint32_t fragment_size,
                            uint32_t chunk_size, const PlannerOptions& options)
@@ -17,7 +35,8 @@ FetchPlanner::FetchPlanner(uint64_t document_bytes, uint32_t fragment_size,
                          : options.gap_threshold_bytes),
       max_batch_(options.max_batch_bytes == 0 ? uint64_t{4} * chunk_size
                                               : options.max_batch_bytes),
-      marks_(fragment_count_, Mark::kUnknown),
+      wanted_(Bitmap(fragment_count_)),
+      excluded_(Bitmap(fragment_count_)),
       planned_(fragment_count_, 0) {}
 
 uint64_t FetchPlanner::FragmentBytes(uint64_t f) const {
@@ -35,10 +54,11 @@ void FetchPlanner::HintWanted(uint64_t begin, uint64_t end) {
   for (uint64_t f = first; f <= last; ++f) {
     // Re-promising a cancelled range (a granted deferral) takes its bytes
     // back out of the fallback's avoidance ledger.
-    if (marks_[f] == Mark::kExcluded && !planned_[f]) {
+    if (Test(excluded_, f) && !planned_[f]) {
       avoided_bytes_ -= FragmentBytes(f);
     }
-    marks_[f] = Mark::kWanted;
+    Set(&wanted_, f);
+    Clear(&excluded_, f);
   }
 }
 
@@ -64,7 +84,7 @@ void FetchPlanner::HintExcluded(uint64_t begin, uint64_t end) {
   if (skips_save_fragments_) readahead_bytes_ = 0;
   uint64_t wasted_frags = 0;
   for (uint64_t f = first; f < last_end; ++f) {
-    if (marks_[f] == Mark::kExcluded) continue;
+    if (Test(excluded_, f)) continue;
     // An exclusion over a fragment some batch actually emitted cancels
     // bytes speculation already paid for: that part of the skip saved
     // nothing. (Holes below the frontier were never fetched — not waste;
@@ -74,14 +94,20 @@ void FetchPlanner::HintExcluded(uint64_t begin, uint64_t end) {
     } else {
       avoided_bytes_ += FragmentBytes(f);
     }
-    marks_[f] = Mark::kExcluded;
+    Set(&excluded_, f);
+    Clear(&wanted_, f);
   }
   stats_.speculation_waste_bytes += wasted_frags * fragment_size_;
 }
 
 void FetchPlanner::HintStreamAll() {
   ++stats_.hints_wanted;
-  std::fill(marks_.begin(), marks_.end(), Mark::kWanted);
+  MarkAllWanted();
+}
+
+void FetchPlanner::MarkAllWanted() {
+  std::fill(wanted_.begin(), wanted_.end(), ~uint64_t{0});
+  std::fill(excluded_.begin(), excluded_.end(), 0);
   avoided_bytes_ = 0;
 }
 
@@ -102,10 +128,11 @@ constexpr uint64_t kHashBytes = 20;  // SHA-1 proof node on the wire.
 
 }  // namespace
 
-std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
-                                            const std::vector<bool>& valid,
-                                            const ProofCostProbe& proof_cost) {
-  std::vector<FragmentRun> runs;
+const std::vector<FragmentRun>& FetchPlanner::Plan(
+    uint64_t begin, uint64_t end, const std::vector<bool>& valid,
+    const ProofCostProbe& proof_cost) {
+  std::vector<FragmentRun>& runs = runs_;
+  runs.clear();
   end = std::min(end, document_bytes_);
   if (begin >= end) return runs;
   const uint64_t d0 = begin / fragment_size_;
@@ -133,8 +160,7 @@ std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
       proof_overhead_bytes_ > avoided_bytes_) {
     stream_all_fallback_ = true;
     ++stats_.stream_all_fallbacks;
-    std::fill(marks_.begin(), marks_.end(), Mark::kWanted);
-    avoided_bytes_ = 0;
+    MarkAllWanted();
   }
 
   // Adaptive window: a demand that continues exactly where the last batch
@@ -171,25 +197,50 @@ std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
       std::min(fragment_count_,
                (window_end + frags_per_chunk - 1) / frags_per_chunk *
                    frags_per_chunk);
-  std::vector<uint8_t> include(extent - base, 0);
+  std::vector<uint8_t>& include = include_;
+  include.assign(extent - base, 0);
   auto inc = [&](uint64_t f) { return include[f - base] != 0; };
 
   // Pass 1 — mark what the batch needs: the demand, hinted-wanted
   // fragments, and the speculative window (which never crosses an
-  // exclusion).
-  for (uint64_t f = first_missing; f < window_end; ++f) {
+  // exclusion). Past the demand and the window only wanted fragments
+  // count, so that stretch is walked through the wanted bitmap's set
+  // bits. The first missing demand fragment is always included;
+  // `last_inc` bounds the rest, since no later pass includes a fragment
+  // outside the chunks pass 1 reached.
+  uint64_t last_inc = first_missing;
+  const uint64_t dense_end =
+      std::min(window_end, std::max(d1 + 1, spec_end));
+  for (uint64_t f = first_missing; f < dense_end; ++f) {
     if (valid[f]) continue;  // Never re-fetch held fragments.
-    if (f <= d1 || marks_[f] == Mark::kWanted ||
-        (f < spec_end && marks_[f] != Mark::kExcluded)) {
+    if (f <= d1 || Test(wanted_, f) ||
+        (f < spec_end && !Test(excluded_, f))) {
       include[f - base] = 1;
+      last_inc = f;
     }
   }
+  for (uint64_t f = dense_end; f < window_end;) {
+    const uint64_t word = wanted_[f / 64] >> (f % 64);
+    if (word == 0) {
+      f = (f / 64 + 1) * 64;
+      continue;
+    }
+    f += static_cast<uint64_t>(std::countr_zero(word));
+    if (f >= window_end) break;
+    if (!valid[f]) {
+      include[f - base] = 1;
+      last_inc = f;
+    }
+    ++f;
+  }
+  const uint64_t shaped_end =
+      std::min(extent, (last_inc / frags_per_chunk + 1) * frags_per_chunk);
 
   // Pass 2 — bridge sub-threshold gaps between included runs (no valid
   // fragment may be re-fetched, so any held fragment splits).
   if (gap_threshold_ > 0) {
     uint64_t prev_inc = UINT64_MAX;
-    for (uint64_t f = base; f < extent; ++f) {
+    for (uint64_t f = first_missing; f <= last_inc; ++f) {
       if (!inc(f)) continue;
       if (prev_inc != UINT64_MAX && f > prev_inc + 1) {
         const uint64_t gap = f - prev_inc - 1;
@@ -212,8 +263,9 @@ std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
   // (post-trimming: already-cached hashes ship regardless of shape — for
   // free) and keep the cheaper coverage. Greedy hole-by-hole first, then
   // whole-chunk completion (which also captures edge extension and
-  // multi-hole combinations the greedy step prices individually).
-  for (uint64_t cf = base; cf < extent; cf += frags_per_chunk) {
+  // multi-hole combinations the greedy step prices individually). Only
+  // chunks up to the last included fragment can hold one.
+  for (uint64_t cf = base; cf < shaped_end; cf += frags_per_chunk) {
     const uint64_t ce = std::min(extent, cf + frags_per_chunk);
     const uint64_t chunk = cf / frags_per_chunk;
 
@@ -221,19 +273,28 @@ std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
     // ship (only genuinely new hashes when the probe is set). The greedy
     // loop below prices the same ranges repeatedly — memoize per chunk so
     // the (shared, mutex-guarded) cache probe runs once per distinct
-    // range instead of once per candidate evaluation.
-    std::map<std::pair<uint64_t, uint64_t>, uint64_t> cost_memo;
+    // range instead of once per candidate evaluation. A range beyond the
+    // table's capacity is priced afresh each time.
+    struct Priced {
+      uint64_t first, last, cost;
+    };
+    std::array<Priced, 64> memo;
+    size_t memo_size = 0;
     auto range_cost = [&](uint64_t first, uint64_t last) -> uint64_t {
-      auto [it, fresh] = cost_memo.try_emplace({first, last}, 0);
-      if (fresh) {
-        const uint64_t nodes =
-            proof_cost != nullptr
-                ? proof_cost(chunk, static_cast<uint32_t>(first - cf),
-                             static_cast<uint32_t>(last - cf))
-                : ProofNodeCount(frags_per_chunk, first - cf, last - cf);
-        it->second = nodes * kHashBytes;
+      for (size_t i = 0; i < memo_size; ++i) {
+        if (memo[i].first == first && memo[i].last == last) {
+          return memo[i].cost;
+        }
       }
-      return it->second;
+      const uint64_t nodes =
+          proof_cost != nullptr
+              ? proof_cost(chunk, static_cast<uint32_t>(first - cf),
+                           static_cast<uint32_t>(last - cf))
+              : ProofNodeCount(frags_per_chunk, first - cf, last - cf);
+      if (memo_size < memo.size()) {
+        memo[memo_size++] = {first, last, nodes * kHashBytes};
+      }
+      return nodes * kHashBytes;
     };
     auto coverage_cost = [&]() -> uint64_t {
       uint64_t cost = 0, range_start = UINT64_MAX;
@@ -266,8 +327,11 @@ std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
 
     // Greedy: fill any maximal hole (run of unplanned, unheld fragments)
     // whose ciphertext costs no more than the proof hashes it removes.
-    // Valid fragments bound holes — they can never be re-fetched.
+    // Valid fragments bound holes — they can never be re-fetched. A
+    // coverage that ships no hash (a warm chunk) has nothing to save:
+    // neither a fill nor completion can pay for its bytes.
     uint64_t cost_before = coverage_cost();
+    if (cost_before == 0) continue;
     bool filled = true;
     while (filled && cost_before > 0) {
       filled = false;
@@ -310,11 +374,11 @@ std::vector<FragmentRun> FetchPlanner::Plan(uint64_t begin, uint64_t end,
   }
 
   // Emit maximal included runs.
-  for (uint64_t f = base; f < extent; ++f) {
+  for (uint64_t f = base; f < shaped_end; ++f) {
     if (!inc(f)) continue;
     // An excluded fragment the batch fetches anyway (bridged, hole-filled
     // or demanded outright) stops being avoided ciphertext.
-    if (marks_[f] == Mark::kExcluded && !planned_[f]) {
+    if (Test(excluded_, f) && !planned_[f]) {
       avoided_bytes_ -= FragmentBytes(f);
     }
     planned_[f] = 1;

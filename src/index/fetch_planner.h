@@ -147,10 +147,12 @@ class FetchPlanner {
   ///
   /// The returned runs are sorted and disjoint, and always include the
   /// first missing demand fragment (progress guarantee); a demand wider
-  /// than the horizon completes over successive calls.
-  std::vector<FragmentRun> Plan(uint64_t begin, uint64_t end,
-                                const std::vector<bool>& valid,
-                                const ProofCostProbe& proof_cost = nullptr);
+  /// than the horizon completes over successive calls. They live in the
+  /// planner's reused storage, valid until the next Plan() call: planning
+  /// a batch allocates nothing once that storage has grown.
+  const std::vector<FragmentRun>& Plan(
+      uint64_t begin, uint64_t end, const std::vector<bool>& valid,
+      const ProofCostProbe& proof_cost = nullptr);
 
   uint64_t fragment_count() const { return fragment_count_; }
   uint64_t gap_threshold_bytes() const { return gap_threshold_; }
@@ -169,10 +171,10 @@ class FetchPlanner {
   const Stats& stats() const { return stats_; }
 
  private:
-  enum class Mark : uint8_t { kUnknown, kWanted, kExcluded };
-
   /// Actual document bytes of fragment `f` (tail fragments are short).
   uint64_t FragmentBytes(uint64_t f) const;
+  /// Every fragment wanted, none excluded (stream-all).
+  void MarkAllWanted();
 
   uint64_t document_bytes_;
   uint32_t fragment_size_;
@@ -180,7 +182,10 @@ class FetchPlanner {
   uint64_t fragment_count_;
   uint64_t gap_threshold_;
   uint64_t max_batch_;
-  std::vector<Mark> marks_;
+  /// Per-fragment classification (see class comment), one bit each: a
+  /// fragment is wanted, excluded, or neither (unknown).
+  std::vector<uint64_t> wanted_;
+  std::vector<uint64_t> excluded_;
   /// Adaptive sequential readahead: fragment right after the last planned
   /// batch, and the current window (bytes of unknown fragments a batch may
   /// speculate through). Doubles on sequential demands, zeroed by
@@ -200,6 +205,9 @@ class FetchPlanner {
   uint64_t avoided_bytes_ = 0;
   bool stream_all_fallback_ = false;
   mutable Stats stats_;
+  /// Plan()'s result and its per-fragment include marks, reused.
+  std::vector<FragmentRun> runs_;
+  std::vector<uint8_t> include_;
 };
 
 }  // namespace csxa::index

@@ -46,22 +46,20 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
   // batch horizon completes over successive iterations (each is
   // guaranteed to validate at least the first missing demand fragment).
   while (true) {
-    std::vector<FragmentRun> runs =
+    const std::vector<FragmentRun>& runs =
         planner_.Plan(begin, end, fragment_valid_, proof_probe_);
     if (runs.empty()) return Status::OK();  // Demand fully held.
 
     // One pass over the runs derives both the request ranges and every
     // (chunk, covered fragment interval) pair the batch touches. Runs are
-    // sorted and disjoint, so covers of one chunk are adjacent.
-    struct ChunkCover {
-      uint64_t chunk;
-      uint32_t first;  ///< Covered fragment interval within the chunk.
-      uint32_t last;
-    };
-    crypto::BatchRequest req;
-    req.runs.reserve(runs.size());
-    std::vector<ChunkCover> covers;
-    std::vector<uint64_t> touched_chunks;
+    // sorted and disjoint, so covers of one chunk are adjacent. All of it
+    // goes into storage reused from the previous round trip.
+    crypto::BatchRequest& req = req_;
+    req.runs.clear();
+    req.bare_chunks.clear();
+    req.hints.clear();
+    covers_.clear();
+    touched_.clear();
     for (const FragmentRun& run : runs) {
       crypto::BatchRequest::Run r;
       r.begin = run.begin_frag * fragment_size_;
@@ -73,55 +71,34 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
         uint64_t cover_begin = std::max<uint64_t>(chunk_begin, r.begin);
         uint64_t cover_end =
             std::min<uint64_t>(chunk_begin + chunk_size_, r.end);
-        covers.push_back(
+        covers_.push_back(
             {c,
              static_cast<uint32_t>((cover_begin - chunk_begin) /
                                    fragment_size_),
              static_cast<uint32_t>((cover_end - 1 - chunk_begin) /
                                    fragment_size_)});
-        if (touched_chunks.empty() || touched_chunks.back() != c) {
-          touched_chunks.push_back(c);
-        }
+        if (touched_.empty() || touched_.back() != c) touched_.push_back(c);
       }
     }
-    // Pin the batch's chunks *before* probing the cache: with the cache
-    // shared across serves, a concurrent session's insertions could evict
-    // an entry between the waiver probe below and the verification that
-    // relies on it — failing an honest response. Pinned entries cannot be
-    // displaced until the guard dies (after DecryptVerifiedBatch).
-    crypto::VerifiedDigestCache::PinScope pin =
-        soe_->PinChunks(touched_chunks);
-
+    // Pin the batch's chunks *before* probing the cache, in the same
+    // critical section as the probes: with the cache shared across
+    // serves, a concurrent session's insertions could evict an entry
+    // between the waiver probe and the verification that relies on it —
+    // failing an honest response. Pinned entries cannot be displaced
+    // until the guard is released (after DecryptVerifiedBatch).
+    //
     // Waive integrity material for every chunk whose covered fragment
-    // ranges the SOE can already verify from its digest cache. A chunk
-    // split across two runs (rare: an already-valid fragment between
-    // them) is waived only when *every* covered range verifies bare.
-    // Probe each (chunk, covered range) exactly once.
-    struct ChunkClaim {
-      uint64_t chunk;
-      bool all_bare;
-    };
-    std::vector<ChunkClaim> claims;
-    for (const ChunkCover& cover : covers) {
-      const bool bare =
-          soe_->CanVerifyBare(cover.chunk, cover.first, cover.last);
-      if (!claims.empty() && claims.back().chunk == cover.chunk) {
-        claims.back().all_bare &= bare;
-      } else {
-        claims.push_back({cover.chunk, bare});
-      }
-    }
-    for (const ChunkClaim& claim : claims) {
-      if (claim.all_bare) {
+    // ranges the SOE can already verify from its digest cache. For the
+    // rest, trim the proof instead — declare every tree node the SOE
+    // already holds so the terminal ships only the genuinely new hashes
+    // (and no digest once the root is authenticated).
+    crypto::VerifiedDigestCache::PinScope pin =
+        soe_->ClaimBatch(std::move(touched_), covers_, &claims_);
+    for (const crypto::VerifiedDigestCache::Claim& claim : claims_) {
+      if (claim.bare) {
         req.bare_chunks.push_back(claim.chunk);
-        continue;
-      }
-      // Not fully bare: trim the proof instead — declare every tree node
-      // the SOE already holds so the terminal ships only the genuinely
-      // new hashes (and no digest once the root is authenticated).
-      crypto::BatchRequest::ChunkHint hint = soe_->CacheHintFor(claim.chunk);
-      if (hint.known_nodes != 0 || hint.root_known) {
-        req.hints.push_back(hint);
+      } else if (claim.known_nodes != 0 || claim.root_known) {
+        req.hints.push_back({claim.chunk, claim.known_nodes, claim.root_known});
       }
     }
 
@@ -141,9 +118,9 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
     // Feed the realized proof overhead back: the planner's stream-all
     // fallback weighs it against the ciphertext skipping actually avoided.
     planner_.ReportProofBytes(batch_proof_bytes);
-    CSXA_RETURN_NOT_OK(soe_->DecryptVerifiedBatch(req, resp.value(),
-                                                  buffer_.data(),
-                                                  buffer_.size()));
+    CSXA_RETURN_NOT_OK(soe_->DecryptVerifiedBatch(
+        req, resp.value(), buffer_.data(), buffer_.size(), &pin));
+    touched_ = pin.Release();
     for (const FragmentRun& run : runs) {
       for (uint64_t f = run.begin_frag; f < run.end_frag; ++f) {
         fragment_valid_[f] = true;

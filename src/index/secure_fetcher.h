@@ -128,6 +128,12 @@ class SecureFetcher : public Fetcher {
   uint64_t digest_bytes_shipped_ = 0;
   /// Source transport stats at construction (delta base for this serve).
   crypto::BatchSource::TransportStats transport_base_;
+  /// One batch's request, chunk covers, claims and pinned chunks, reused
+  /// across round trips so a round trip allocates nothing here.
+  crypto::BatchRequest req_;
+  std::vector<crypto::VerifiedDigestCache::Cover> covers_;
+  std::vector<crypto::VerifiedDigestCache::Claim> claims_;
+  std::vector<uint64_t> touched_;
 };
 
 }  // namespace csxa::index

@@ -15,17 +15,43 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
   // and response frames are serialized and re-parsed on every round trip,
   // so the length-checked decoder (the attacker-controlled surface a real
   // transport will expose) is exercised by every serve of every test, not
-  // only by the fuzz corpus.
-  std::vector<uint8_t> request_frame;
-  crypto::EncodeBatchRequest(request, &request_frame);
-  CSXA_ASSIGN_OR_RETURN(
-      crypto::BatchRequest decoded_request,
-      crypto::DecodeBatchRequest(request_frame.data(), request_frame.size()));
+  // only by the fuzz corpus. Frames, the decoded request and the store's
+  // response live in pooled scratch.
+  std::shared_ptr<const pipeline::DocumentState> state;
+  std::unique_ptr<LinkScratch> scratch;
+  {
+    MutexLock lock(&mu_);
+    state = state_;
+    if (!idle_scratch_.empty()) {
+      scratch = std::move(idle_scratch_.back());
+      idle_scratch_.pop_back();
+    }
+  }
+  if (scratch == nullptr) scratch = std::make_unique<LinkScratch>();
+  Result<crypto::BatchResponse> result =
+      RoundTrip(*state, request, scratch.get());
+  // A scratch whose frame grew past 1 MiB (one huge read under a wide
+  // batch horizon) is dropped rather than kept at that size.
+  constexpr size_t kRetainedFrameBytes = size_t{1} << 20;
+  if (scratch->response_frame.capacity() <= kRetainedFrameBytes) {
+    MutexLock lock(&mu_);
+    idle_scratch_.push_back(std::move(scratch));
+  }
+  return result;
+}
 
-  std::shared_ptr<const pipeline::DocumentState> state = Current();
-  const uint64_t size = state->store.ciphertext().size();
-  const uint32_t fragment = state->store.layout().fragment_size;
-  for (const crypto::BatchRequest::Run& run : decoded_request.runs) {
+Result<crypto::BatchResponse> DocumentEntry::RoundTrip(
+    const pipeline::DocumentState& state, const crypto::BatchRequest& request,
+    LinkScratch* scratch) {
+  scratch->request_frame.clear();
+  crypto::EncodeBatchRequest(request, &scratch->request_frame);
+  CSXA_RETURN_NOT_OK(crypto::DecodeBatchRequest(scratch->request_frame.data(),
+                                                scratch->request_frame.size(),
+                                                &scratch->request));
+
+  const uint64_t size = state.store.ciphertext().size();
+  const uint32_t fragment = state.store.layout().fragment_size;
+  for (const crypto::BatchRequest::Run& run : scratch->request.runs) {
     // A session builds its runs against its own version's geometry: every
     // end is fragment-aligned except a tail run ending at that version's
     // ciphertext size. An end beyond the current size — or an unaligned
@@ -38,12 +64,12 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
           "stale session: batch range beyond the current document version");
     }
   }
-  CSXA_ASSIGN_OR_RETURN(crypto::BatchResponse response,
-                        state->store.ReadBatch(decoded_request));
-  std::vector<uint8_t> response_frame;
-  crypto::EncodeBatchResponse(response, &response_frame);
-  return crypto::DecodeBatchResponse(response_frame.data(),
-                                     response_frame.size());
+  CSXA_RETURN_NOT_OK(
+      state.store.FillBatch(scratch->request, &scratch->response));
+  scratch->response_frame.clear();
+  crypto::EncodeBatchResponse(scratch->response, &scratch->response_frame);
+  return crypto::DecodeBatchResponse(scratch->response_frame.data(),
+                                     scratch->response_frame.size());
 }
 
 }  // namespace internal

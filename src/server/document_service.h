@@ -73,8 +73,26 @@ class DocumentEntry : public crypto::BatchSource {
   Mutex update_mu CSXA_ACQUIRED_BEFORE(mu_);
 
  private:
+  /// One round trip's frames, decoded request and store response. Kept in
+  /// a pool and reused, so a warm round trip allocates only the response
+  /// it hands back.
+  struct LinkScratch {
+    std::vector<uint8_t> request_frame;
+    crypto::BatchRequest request;
+    crypto::BatchResponse response;
+    std::vector<uint8_t> response_frame;
+  };
+
   mutable Mutex mu_;
   std::shared_ptr<const pipeline::DocumentState> state_ CSXA_GUARDED_BY(mu_);
+  /// ReadBatch's round trip against `state`, in `scratch`.
+  static Result<crypto::BatchResponse> RoundTrip(
+      const pipeline::DocumentState& state,
+      const crypto::BatchRequest& request, LinkScratch* scratch);
+
+  /// Scratch of finished round trips: one per concurrent reader at most.
+  mutable std::vector<std::unique_ptr<LinkScratch>> idle_scratch_
+      CSXA_GUARDED_BY(mu_);
 };
 
 }  // namespace internal

@@ -12,6 +12,7 @@
 
 #include "access/access_rule.h"
 #include "bench/corpus.h"
+#include "common/splitmix64.h"
 #include "crypto/secure_store.h"
 #include "index/encoder.h"
 #include "index/fetch_planner.h"
@@ -426,6 +427,162 @@ TEST(TamperedTrimmedProofIsRejected) {
 // Deferral re-reads through the pipeline: cheap with the cache, still
 // tamper-proof, and never double-fetching.
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Shared-cache semantics pinned: one seeded op sequence of batch reads
+// (cold, trimmed and bare), probes, pins and tampered reads, at a capacity
+// that evicts constantly and at one that never does. The final Stats, the
+// resident chunk set and a fold of every probe answer were recorded from
+// the linear-scan cache; any change in lookup, LRU order, the pinned-slot
+// rule or accounting moves one of them.
+// ---------------------------------------------------------------------------
+
+struct CacheRunResult {
+  crypto::VerifiedDigestCache::Stats stats;
+  uint64_t resident = 0;     ///< Bit c set when chunk c's root is cached.
+  uint64_t probe_fold = 0;   ///< Order-sensitive fold of probe answers.
+  uint64_t reads_failed = 0;
+};
+
+CacheRunResult RunSeededCacheOps(size_t capacity) {
+  CacheRunResult out;
+  auto layout = SmallLayout();  // 8 fragments of 8 B per 64 B chunk.
+  std::vector<uint8_t> doc(20 * 64 - 24);
+  for (size_t i = 0; i < doc.size(); ++i) {
+    doc[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  auto built = crypto::SecureDocumentStore::Build(doc, TestKey(), layout);
+  CHECK_OK(built.status());
+  if (!built.ok()) return out;
+  crypto::SecureDocumentStore& store = built.value();
+  const uint64_t chunks = store.chunk_count();
+  const uint64_t size = store.ciphertext().size();
+  auto cache = std::make_shared<crypto::VerifiedDigestCache>(
+      layout.fragments_per_chunk(), capacity);
+  crypto::SoeDecryptor soe(TestKey(), layout, doc.size(), chunks, 0,
+                           capacity, cache);
+  std::vector<uint8_t> plain(doc.size(), 0);
+  std::vector<crypto::VerifiedDigestCache::PinScope> pins;
+  uint64_t rng = 20260417;
+  auto fold = [&out](uint64_t v) {
+    out.probe_fold = (out.probe_fold ^ v) * 0x100000001B3ULL;
+  };
+  auto read = [&](uint64_t begin, uint64_t end) -> Status {
+    // Built the way SecureFetcher builds a batch: waive every chunk whose
+    // covered range verifies bare, hint the rest.
+    crypto::BatchRequest req;
+    req.runs.push_back({begin, end});
+    for (uint64_t c = begin / 64; c <= (end - 1) / 64; ++c) {
+      const uint64_t cb = std::max(begin, c * 64);
+      const uint64_t ce = std::min(end, c * 64 + 64);
+      const auto first = static_cast<uint32_t>((cb - c * 64) / 8);
+      const auto last = static_cast<uint32_t>((ce - 1 - c * 64) / 8);
+      if (soe.CanVerifyBare(c, first, last)) {
+        req.bare_chunks.push_back(c);
+        continue;
+      }
+      crypto::BatchRequest::ChunkHint hint = soe.CacheHintFor(c);
+      if (hint.known_nodes != 0 || hint.root_known) req.hints.push_back(hint);
+    }
+    CSXA_ASSIGN_OR_RETURN(crypto::BatchResponse resp, store.ReadBatch(req));
+    return soe.DecryptVerifiedBatch(req, resp, plain.data(), plain.size());
+  };
+  for (int op = 0; op < 600; ++op) {
+    const uint64_t r = SplitMix64(&rng);
+    const uint64_t c = (r >> 8) % chunks;
+    const uint64_t f1 = (r >> 16) % 8;
+    const uint64_t span = (r >> 24) % 12;  // Up to the next chunk.
+    switch (r % 8) {
+      case 0: case 1: case 2: case 3: {
+        const uint64_t begin = c * 64 + f1 * 8;
+        const uint64_t end = std::min(size, begin + (span + 1) * 8);
+        if (begin >= end) break;
+        Status st = read(begin, end);
+        CHECK_OK(st);
+        if (st.ok()) {
+          CHECK(std::equal(doc.begin() + begin,
+                           doc.begin() + std::min<uint64_t>(end, doc.size()),
+                           plain.begin() + begin));
+        }
+        break;
+      }
+      case 4: {
+        const auto first = static_cast<uint32_t>(f1);
+        const auto last = static_cast<uint32_t>(
+            std::min<uint64_t>(7, f1 + span % 4));
+        fold(cache->CanVerifyBare(c, first, last) ? 1 : 2);
+        fold(cache->MissingProofNodes(c, first, last));
+        fold(cache->KnownMask(c));
+        crypto::Sha1Digest node{};
+        fold(cache->Node(c, static_cast<int>(span % 4), f1 >> (span % 4),
+                         &node)
+                 ? node[0] + 3u
+                 : 5u);
+        break;
+      }
+      case 5: {
+        if (pins.size() >= 3) break;
+        std::vector<uint64_t> pinned;
+        for (uint64_t k = 0; k <= span % 3; ++k) {
+          pinned.push_back((c + k * 5) % chunks);
+        }
+        pins.emplace_back(cache.get(), std::move(pinned));
+        break;
+      }
+      case 6: {
+        if (pins.empty()) break;
+        pins.erase(pins.begin() + static_cast<long>(f1 % pins.size()));
+        break;
+      }
+      case 7: {
+        // A tampered fragment fails closed, cold or bare, and is restored.
+        const uint64_t pos = c * 64 + f1 * 8 + 3;
+        if (pos >= size) break;
+        store.TamperByte(pos, 0x40);
+        Status st = read(c * 64 + f1 * 8, std::min(size, c * 64 + f1 * 8 + 8));
+        CHECK(!st.ok());
+        if (!st.ok()) ++out.reads_failed;
+        store.TamperByte(pos, 0x40);
+        break;
+      }
+    }
+  }
+  pins.clear();
+  out.stats = cache->stats();
+  for (uint64_t c = 0; c < chunks; ++c) {
+    if (cache->RootKnown(c)) out.resident |= uint64_t{1} << c;
+  }
+  return out;
+}
+
+TEST(SharedCacheSemanticsArePinned) {
+  struct Pinned {
+    size_t capacity;
+    uint64_t bare_hits, misses, records, evictions, resident, probe_fold;
+  };
+  // Recorded from the cache that scanned its entries on every lookup.
+  const Pinned kPinned[] = {
+      {4, 69, 444, 359, 311, 0x60048, 0xf195715ec52f4324ULL},
+      {4096, 456, 24, 42, 0, 0xfffff, 0xe11de27d87273a0ULL},
+  };
+  for (const Pinned& want : kPinned) {
+    const CacheRunResult r = RunSeededCacheOps(want.capacity);
+    std::printf("  capacity %zu: bare_hits %llu misses %llu records %llu "
+                "evictions %llu resident %#llx\n",
+                want.capacity, static_cast<unsigned long long>(r.stats.bare_hits),
+                static_cast<unsigned long long>(r.stats.misses),
+                static_cast<unsigned long long>(r.stats.records),
+                static_cast<unsigned long long>(r.stats.evictions),
+                static_cast<unsigned long long>(r.resident));
+    CHECK_EQ(r.stats.bare_hits, want.bare_hits);
+    CHECK_EQ(r.stats.misses, want.misses);
+    CHECK_EQ(r.stats.records, want.records);
+    CHECK_EQ(r.stats.evictions, want.evictions);
+    CHECK_EQ(r.resident, want.resident);
+    CHECK_EQ(r.probe_fold, want.probe_fold);
+    CHECK_EQ(r.reads_failed, uint64_t{69});
+  }
+}
 
 TEST(DeferralRereadsUseDigestCache) {
   const std::string xml = TestDocument(/*folders=*/6);

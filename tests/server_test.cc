@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +147,100 @@ TEST(ConcurrentServesMatchSingleSessionViews) {
   if (stats.ok()) {
     CHECK(stats.value().records > 0);
     CHECK(stats.value().bare_hits > 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reused per-round-trip storage (the fetcher's batch scratch, the planner's
+// run list, the terminal link's pooled frames) must carry nothing from one
+// session into another: sessions pulled alternately on one thread serve
+// exactly what each serves alone.
+// ---------------------------------------------------------------------------
+
+TEST(InterleavedSessionsMatchTheirDrainedAloneServes) {
+  server::DocumentService service;
+  // Private per-serve caches: a session's requests and wire bytes then do
+  // not depend on which serves ran before it.
+  server::DocumentConfig a_cfg = TestConfig(index::Variant::kTcsbr);
+  a_cfg.shared_cache_capacity = 0;
+  server::DocumentConfig b_cfg = TestConfig(index::Variant::kTcs);
+  b_cfg.shared_cache_capacity = 0;
+  b_cfg.layout.chunk_size = 512;
+  b_cfg.layout.fragment_size = 64;
+  CHECK_OK(service.Publish("a", TestDocument(6, "va"), a_cfg));
+  CHECK_OK(service.Publish("b", TestDocument(9, "vb"), b_cfg));
+
+  struct Serve {
+    const char* doc;
+    std::vector<access::AccessRule> rules;
+    uint64_t budget;
+    std::string view;
+    uint64_t requests = 0;
+    uint64_t wire_bytes = 0;
+  };
+  // Two sessions on "a" share its terminal link; "b" differs in document,
+  // layout, variant and rules. One tight budget forces deferral re-reads.
+  const struct {
+    const char* doc;
+    const char* rules;
+    uint64_t budget;
+  } kServes[] = {
+      {"a", kRuleSets[0], UINT64_MAX},
+      {"b", kRuleSets[1], UINT64_MAX},
+      {"a", kRuleSets[2], 64},
+  };
+  std::vector<Serve> alone;
+  for (const auto& spec : kServes) {
+    auto rules = access::ParseRuleList(spec.rules);
+    CHECK_OK(rules.status());
+    if (!rules.ok()) return;
+    Serve serve{spec.doc, rules.take(), spec.budget, "", 0, 0};
+    pipeline::ServeOptions opts;
+    opts.pending_buffer_budget = spec.budget;
+    auto session = service.OpenSession(serve.doc, serve.rules, opts);
+    CHECK_OK(session.status());
+    if (!session.ok()) return;
+    auto report = session.value()->Drain();
+    CHECK_OK(report.status());
+    if (!report.ok()) return;
+    serve.view = report.value().view;
+    serve.requests = session.value()->stream().fetcher().requests();
+    serve.wire_bytes = session.value()->stream().fetcher().wire_bytes();
+    CHECK(serve.requests > 1);
+    alone.push_back(std::move(serve));
+  }
+
+  std::vector<std::unique_ptr<server::SecureSession>> sessions;
+  std::vector<xml::SerializingHandler> out(alone.size());
+  for (const Serve& serve : alone) {
+    pipeline::ServeOptions opts;
+    opts.pending_buffer_budget = serve.budget;
+    auto session = service.OpenSession(serve.doc, serve.rules, opts);
+    CHECK_OK(session.status());
+    if (!session.ok()) return;
+    sessions.push_back(session.take());
+  }
+  std::vector<bool> done(alone.size(), false);
+  size_t finished = 0;
+  while (finished < alone.size()) {
+    for (size_t i = 0; i < sessions.size(); ++i) {
+      if (done[i]) continue;
+      auto item = sessions[i]->Next();
+      CHECK_OK(item.status());
+      if (!item.ok()) return;
+      if (item.value().end) {
+        done[i] = true;
+        ++finished;
+        continue;
+      }
+      out[i].Feed(item.value().event, item.value().depth);
+    }
+  }
+  for (size_t i = 0; i < alone.size(); ++i) {
+    CHECK(out[i].output() == alone[i].view);
+    CHECK_EQ(sessions[i]->stream().fetcher().requests(), alone[i].requests);
+    CHECK_EQ(sessions[i]->stream().fetcher().wire_bytes(),
+             alone[i].wire_bytes);
   }
 }
 

@@ -465,6 +465,113 @@ TEST(RequestFrameFuzz) {
   CHECK(decode_is_clean(flag));
 }
 
+// Decoding into a reused request or response (the terminal link's pooled
+// scratch) must be indistinguishable from a fresh decode: a short frame
+// after a long one leaves no extra run, hint, segment or proof behind, and
+// a malformed frame after a valid one fails and leaves nothing visible.
+TEST(DecodeIntoReusedStorageEqualsFreshDecode) {
+  auto reencode_response = [](const crypto::BatchResponse& r) {
+    std::vector<uint8_t> f;
+    crypto::EncodeBatchResponse(r, &f);
+    return f;
+  };
+  auto reencode_request = [](const crypto::BatchRequest& r) {
+    std::vector<uint8_t> f;
+    crypto::EncodeBatchRequest(r, &f);
+    return f;
+  };
+
+  // Responses: three segments with proofs and digests, then one segment
+  // of one fragment with a short proof, then a bare read (no material).
+  const std::vector<uint8_t> long_frame = FuzzResponseFrame();
+  std::vector<std::vector<uint8_t>> short_frames;
+  for (bool bare : {false, true}) {
+    crypto::BatchRequest request;
+    request.runs.push_back({64, 128});
+    if (bare) request.bare_chunks.push_back(0);
+    auto response = FuzzStore().ReadBatch(request);
+    CHECK_OK(response.status());
+    if (!response.ok()) return;
+    short_frames.push_back(reencode_response(response.value()));
+  }
+  for (const std::vector<uint8_t>& short_frame : short_frames) {
+    crypto::BatchResponse reused;
+    CHECK_OK(crypto::DecodeBatchResponse(long_frame.data(), long_frame.size(),
+                                         &reused));
+    CHECK_EQ(reused.segments.size(), size_t{3});
+    CHECK_OK(crypto::DecodeBatchResponse(short_frame.data(),
+                                         short_frame.size(), &reused));
+    auto fresh =
+        crypto::DecodeBatchResponse(short_frame.data(), short_frame.size());
+    CHECK_OK(fresh.status());
+    if (!fresh.ok()) return;
+    CHECK_EQ(reused.segments.size(), fresh.value().segments.size());
+    CHECK_EQ(reused.chunks.size(), fresh.value().chunks.size());
+    for (size_t i = 0; i < reused.chunks.size(); ++i) {
+      CHECK_EQ(reused.chunks[i].proof.size(),
+               fresh.value().chunks[i].proof.size());
+    }
+    CHECK_EQ(reused.WireBytes(), fresh.value().WireBytes());
+    CHECK(reencode_response(reused) == short_frame);
+  }
+
+  // Malformed after valid: a truncated digest, trailing garbage, a count
+  // lie and a bad magic each fail as IntegrityError and leave the
+  // response empty — including the failures found only after every
+  // segment already parsed.
+  std::vector<std::vector<uint8_t>> malformed;
+  malformed.emplace_back(long_frame.begin(), long_frame.end() - 5);
+  malformed.push_back(long_frame);
+  malformed.back().push_back(0);
+  malformed.push_back(long_frame);
+  PatchU32(&malformed.back(), 4, 0xffffffffu);
+  malformed.push_back(long_frame);
+  malformed.back()[0] ^= 0xff;
+  for (const std::vector<uint8_t>& bad : malformed) {
+    crypto::BatchResponse reused;
+    CHECK_OK(crypto::DecodeBatchResponse(long_frame.data(), long_frame.size(),
+                                         &reused));
+    Status st = crypto::DecodeBatchResponse(bad.data(), bad.size(), &reused);
+    CHECK(st.code() == StatusCode::kIntegrityError);
+    CHECK(reused.segments.empty());
+    CHECK(reused.chunks.empty());
+    CHECK_EQ(reused.WireBytes(), uint64_t{0});
+  }
+
+  // Requests: runs, waivers and hints, then a single bare run.
+  crypto::BatchRequest long_request = FuzzRequest();
+  long_request.bare_chunks = {1, 3};
+  long_request.hints.push_back({2, 0x5aULL, true});
+  long_request.hints.push_back({0, 0x3ULL, false});
+  crypto::BatchRequest short_request;
+  short_request.runs.push_back({0, 64});
+  const std::vector<uint8_t> long_req_frame = reencode_request(long_request);
+  const std::vector<uint8_t> short_req_frame = reencode_request(short_request);
+  crypto::BatchRequest reused;
+  CHECK_OK(crypto::DecodeBatchRequest(long_req_frame.data(),
+                                      long_req_frame.size(), &reused));
+  CHECK(reencode_request(reused) == long_req_frame);
+  CHECK_OK(crypto::DecodeBatchRequest(short_req_frame.data(),
+                                      short_req_frame.size(), &reused));
+  CHECK_EQ(reused.runs.size(), size_t{1});
+  CHECK(reused.bare_chunks.empty());
+  CHECK(reused.hints.empty());
+  CHECK(reencode_request(reused) == short_req_frame);
+
+  std::vector<uint8_t> bad_flag = long_req_frame;
+  bad_flag.back() = 2;  // The last hint's root_known flag.
+  std::vector<uint8_t> cut(long_req_frame.begin(), long_req_frame.end() - 3);
+  for (const std::vector<uint8_t>& bad : {bad_flag, cut}) {
+    CHECK_OK(crypto::DecodeBatchRequest(long_req_frame.data(),
+                                        long_req_frame.size(), &reused));
+    Status st = crypto::DecodeBatchRequest(bad.data(), bad.size(), &reused);
+    CHECK(st.code() == StatusCode::kIntegrityError);
+    CHECK(reused.runs.empty());
+    CHECK(reused.bare_chunks.empty());
+    CHECK(reused.hints.empty());
+  }
+}
+
 // The corpus-size witness the issue gates on: at least 50 distinct
 // response-frame mutations ran and were cleanly rejected above.
 TEST(FuzzCorpusSize) {

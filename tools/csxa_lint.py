@@ -47,8 +47,10 @@ time instead of rediscovered as runtime flakes:
 
   taint-dataflow
       Intraprocedural source→sink tracking of the verify-before-trust
-      invariant. Sources: BatchSource reads (ReadBatch/ReadRange), wire
-      decodes (DecodeBatchResponse) and ReleaseUnverified() escapes.
+      invariant. Sources: BatchSource reads (ReadBatch/ReadRange), the
+      store's FillBatch, wire decodes (DecodeBatchResponse, including the
+      decode-into form, whose `&out` argument becomes tainted) and
+      ReleaseUnverified() escapes.
       Sinks: navigator feeds (OpenBuffer), witness minting
       (VerifiedViewOf) and digest-cache writes (Record). Any path from a
       source to a sink that does not pass a verification mint site
@@ -443,8 +445,9 @@ def _judge_memcpy(path, line, args, lines, waivers, findings):
 # --------------------------------------------------------------------------
 
 SOURCE_CALL_RE = re.compile(
-    r"\b(?:ReadBatch|ReadRange|DecodeBatchResponse)\s*\(|"
+    r"\b(?:ReadBatch|FillBatch|ReadRange|DecodeBatchResponse)\s*\(|"
     r"(?:\.|->)\s*ReleaseUnverified\s*\(")
+ADDRESS_ARG_RE = re.compile(r"^\s*&\s*([A-Za-z_]\w*)")
 MINT_CALL_RE = re.compile(
     r"\b(?:DecryptVerifiedBatch|VerifyChunkAgainstMaterial|VerifyData)\s*\(")
 SINK_CALL_RE = re.compile(
@@ -503,6 +506,14 @@ def _scan_taint_region(path, stripped, begin, end, waivers, findings, seen):
     for off, stmt in _statements(stripped, begin, end):
         if MINT_CALL_RE.search(stmt):
             continue  # Verification path: its reads are the point.
+        # A source that fills an out-parameter (`FillBatch(req, &resp)`,
+        # `DecodeBatchResponse(p, n, &resp)`) taints what it writes.
+        for src in SOURCE_CALL_RE.finditer(stmt):
+            args, _ = extract_call(stmt, stmt.index("(", src.start()))
+            for arg in split_top_level_args(args):
+                am = ADDRESS_ARG_RE.match(arg)
+                if am:
+                    tainted.add(am.group(1))
         sink = SINK_CALL_RE.search(stmt)
         if sink and has_taint(stmt):
             line = line_of(stripped, off + sink.start())
@@ -884,6 +895,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/taint/laundering.cc", 61, "taint-release"),
     ("src/taint/laundering.cc", 67, "taint-release"),
     ("src/taint/laundering.cc", 72, "byte-reinterpret"),
+    ("src/taint/laundering.cc", 89, "taint-dataflow"),
 }
 
 

@@ -80,4 +80,13 @@ void VerifiedPathIsClean(Source* src, Soe* soe, unsigned char* out) {
   Navigator::OpenBuffer(out, 64);
 }
 
+// Violation: a decode into reused storage taints the storage it fills.
+bool DecodeBatchResponse(const unsigned char* p, unsigned long n,
+                         BatchResponse* out);
+void DecodeIntoLaunder(const unsigned char* frame, unsigned long n) {
+  BatchResponse resp;
+  DecodeBatchResponse(frame, n, &resp);
+  Navigator::OpenBuffer(resp.data(), resp.size());  // line 89: taint-dataflow
+}
+
 }  // namespace csxa::taint_fixture
