@@ -3,22 +3,121 @@
 #include <algorithm>
 #include <utility>
 
+// Parked pool instances are poisoned under AddressSanitizer (gcc defines
+// __SANITIZE_ADDRESS__, clang reports the feature).
+#if defined(__SANITIZE_ADDRESS__)
+#define CSXA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CSXA_ASAN 1
+#endif
+#endif
+
+#ifdef CSXA_ASAN
+#include <sanitizer/asan_interface.h>
+#define CSXA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define CSXA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define CSXA_POISON(p, n) ((void)(p), (void)(n))
+#define CSXA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace csxa::access {
 
 namespace internal {
 
-PathMatcher::PathMatcher(const std::vector<xpath::Step>* steps,
-                         const std::vector<xml::TagId>* tags, int base_depth)
-    : steps_(steps), tags_(tags), base_depth_(base_depth) {
-  Frame root;
-  TokenState init;
-  if (!steps_->empty() && (*steps_)[0].axis == xpath::Axis::kDescendant) {
-    root.desc.push_back(std::move(init));
+void CondSet::Reserve(uint32_t n) {
+  auto* grown = new PredInstance*[n];
+  std::copy(data(), data() + size_, grown);
+  if (!inline_storage()) delete[] heap_;
+  heap_ = grown;
+  capacity_ = n;
+}
+
+void PredInstance::StartCollection(int node_depth, CondSet&& conds) {
+  if (live_collections_ == collections_.size()) collections_.emplace_back();
+  Collection& c = collections_[live_collections_++];
+  c.node_depth = node_depth;
+  c.value.clear();
+  c.conds = std::move(conds);
+}
+
+void PredInstance::EndCollection(size_t i) {
+  // Rotate the ended entry past the live ones: swaps keep every string's
+  // storage in the vector.
+  collections_[i].conds.clear();
+  std::rotate(collections_.begin() + static_cast<ptrdiff_t>(i),
+              collections_.begin() + static_cast<ptrdiff_t>(i) + 1,
+              collections_.begin() + static_cast<ptrdiff_t>(live_collections_));
+  --live_collections_;
+}
+
+InstancePool::~InstancePool() {
+  // Every holder is gone by now (the evaluator declares the pool first),
+  // so every instance is parked and poisoned.
+  for (PredInstance* inst : free_) CSXA_UNPOISON(inst, sizeof(PredInstance));
+}
+
+PredInstance* InstancePool::Acquire(const xpath::Predicate* pred,
+                                    const std::vector<xml::TagId>* tags,
+                                    int depth) {
+  PredInstance* inst;
+  if (free_.empty()) {
+    owned_.push_back(std::make_unique<PredInstance>());
+    inst = owned_.back().get();
+    inst->pool = this;
   } else {
-    root.exact.push_back(std::move(init));
+    inst = free_.back();
+    free_.pop_back();
+    CSXA_UNPOISON(inst, sizeof(PredInstance));
   }
-  stack_.push_back(std::move(root));
+  inst->pred = pred;
+  inst->root_depth = depth;
+  inst->state = PredInstance::State::kPending;
+  inst->matcher.Reset(&pred->steps, tags, depth);
+  return inst;
+}
+
+void InstancePool::Release(PredInstance* inst) {
+  to_release_.push_back(inst);
+  if (releasing_now_) return;  // The loop below takes it.
+  releasing_now_ = true;
+  while (!to_release_.empty()) {
+    PredInstance* p = to_release_.back();
+    to_release_.pop_back();
+    // Dropping these may release nested instances onto to_release_.
+    p->candidates.clear();
+    while (p->collecting() != 0) p->EndCollection(p->collecting() - 1);
+    p->matcher.ClearTokens();
+    p->watchers.clear();
+    CSXA_POISON(p, sizeof(PredInstance));
+    free_.push_back(p);
+  }
+  releasing_now_ = false;
+}
+
+void PathMatcher::Reset(const std::vector<xpath::Step>* steps,
+                        const std::vector<xml::TagId>* tags, int base_depth) {
+  steps_ = steps;
+  tags_ = tags;
+  base_depth_ = base_depth;
+  if (stack_.empty()) stack_.emplace_back();
+  Frame& root = stack_[0];
+  root.exact.clear();
+  root.desc.clear();
+  if (!steps_->empty() && (*steps_)[0].axis == xpath::Axis::kDescendant) {
+    root.desc.emplace_back();
+  } else {
+    root.exact.emplace_back();
+  }
   live_ = 1;
+}
+
+void PathMatcher::ClearTokens() {
+  for (Frame& f : stack_) {
+    f.exact.clear();
+    f.desc.clear();
+  }
 }
 
 void PathMatcher::OnOpen(xml::TagId tag, int depth,
@@ -39,9 +138,7 @@ void PathMatcher::OnOpen(xml::TagId tag, int depth,
     const xml::TagId test = (*tags_)[t.next_step];
     if (test != kAnyTag && test != tag) return;
     const xpath::Step& step = (*steps_)[t.next_step];
-    TokenState adv;
-    adv.next_step = t.next_step + 1;
-    adv.conds = t.conds;
+    TokenState adv{t.next_step + 1, t.conds};
     for (const xpath::Predicate& pred : step.predicates) {
       adv.conds.push_back(ctx->Spawn(&pred, depth));
     }
@@ -179,12 +276,15 @@ struct RuleEvaluator::OutEvent {
   /// text outside the root).
   NodeRec* node = nullptr;
   xml::TagId tag = 0;  ///< Open/close: the element's tag id.
-  std::string text;    ///< Value: a copy of the text; handed out at flush.
+  /// Value: its text's position and size in the text arena.
+  size_t text_pos = 0;
+  size_t text_size = 0;
 
   /// Pending instances this event already registered a watcher with, so
   /// re-examinations (and several hits blocked on one instance) never
   /// subscribe the same (event, instance) pair twice. The event's node
   /// (or an ancestor) holds each instance in a hit while the event waits.
+  /// Emptied at flush; the slot keeps the storage.
   std::vector<const PredInstance*> subscribed;
 };
 
@@ -204,7 +304,9 @@ RuleEvaluator::RuleEvaluator(std::vector<AccessRule> rules,
   }
 }
 
-RuleEvaluator::~RuleEvaluator() = default;
+RuleEvaluator::~RuleEvaluator() {
+  for (PredInstance* inst : instances_) internal::Drop(inst);
+}
 
 void RuleEvaluator::CompileSteps(const std::vector<xpath::Step>& steps) {
   // unordered_map references survive rehashing, so `ids` stays valid
@@ -219,15 +321,15 @@ void RuleEvaluator::CompileSteps(const std::vector<xpath::Step>& steps) {
   }
 }
 
-std::shared_ptr<PredInstance> RuleEvaluator::Spawn(const xpath::Predicate* pred,
-                                                   int depth) {
+PredInstance* RuleEvaluator::Spawn(const xpath::Predicate* pred, int depth) {
   // Several tokens crossing the same predicated step during one open event
   // share one instance (the predicate is relative to the same node).
   for (const auto& [memo_pred, inst] : spawn_memo_) {
     if (memo_pred == pred) return inst;
   }
-  auto inst = std::make_shared<PredInstance>(
-      pred, &step_tags_.at(&pred->steps), depth);
+  PredInstance* inst =
+      pool_.Acquire(pred, &step_tags_.at(&pred->steps), depth);
+  internal::Retain(inst);
   instances_.push_back(inst);
   spawn_memo_.emplace_back(pred, inst);
   ++stats_.predicates_spawned;
@@ -268,8 +370,26 @@ RuleEvaluator::OutEvent& RuleEvaluator::PushEvent(xml::EventKind kind,
 }
 
 size_t RuleEvaluator::PayloadBytes(const OutEvent& e) const {
-  return e.kind == xml::EventKind::kValue ? e.text.size()
+  return e.kind == xml::EventKind::kValue ? e.text_size
                                           : tags_.Name(e.tag).size();
+}
+
+size_t RuleEvaluator::QueueText(std::string_view value) {
+  // Called before the value's event is pushed, so an empty queue means
+  // every arena text has flushed — and been pulled: the arena is written
+  // only here, once per queued value.
+  if (queue_size_ == 0) {
+    arena_base_ += text_arena_.size();
+    arena_flushed_ = arena_base_;
+    text_arena_.clear();
+  } else if (2 * (arena_flushed_ - arena_base_) > text_arena_.size()) {
+    const size_t flushed = arena_flushed_ - arena_base_;
+    text_arena_.erase(0, flushed);
+    arena_base_ += flushed;
+  }
+  const size_t pos = arena_base_ + text_arena_.size();
+  text_arena_.append(value);
+  return pos;
 }
 
 RuleEvaluator::NodeRec* RuleEvaluator::AcquireNode() {
@@ -295,11 +415,11 @@ enum class CondState { kTrue, kFalse, kPending };
 CondState EvalConds(const CondSet& conds,
                     std::vector<PredInstance*>* blockers = nullptr) {
   CondState st = CondState::kTrue;
-  for (const auto& c : conds) {
+  for (PredInstance* c : conds) {
     if (c->state == PredInstance::State::kFalse) return CondState::kFalse;
     if (c->state == PredInstance::State::kPending) {
       st = CondState::kPending;
-      if (blockers != nullptr) blockers->push_back(c.get());
+      if (blockers != nullptr) blockers->push_back(c);
     }
   }
   return st;
@@ -390,9 +510,9 @@ SkipDecision RuleEvaluator::SubtreeDecision(const SubtreeFacts& facts,
   //    pending element, possibly the element itself. A live value
   //    collection always forces a descent — text nodes are invisible to
   //    the descendant-tag bitmap.
-  for (const auto& inst : instances_) {
+  for (const PredInstance* inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
-    if (!inst->collections.empty()) return SkipDecision::kDescend;
+    if (inst->collecting() != 0) return SkipDecision::kDescend;
     if (inst->matcher.CanCompleteWithin(facts)) return SkipDecision::kDescend;
   }
   if (decision == Decision::kDeny) {
@@ -445,9 +565,9 @@ bool RuleEvaluator::WholeSubtreeAuthorized(const SubtreeFacts& facts,
   //    or a possible predicate-path match below could flip decisions of
   //    buffered events, and a subtree streamed verbatim past the evaluator
   //    would never deliver that evidence.
-  for (const auto& inst : instances_) {
+  for (const PredInstance* inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
-    if (!inst->collections.empty()) return false;
+    if (inst->collecting() != 0) return false;
     if (inst->matcher.CanCompleteWithin(facts)) return false;
   }
   // 3. No rule automaton of either sign can reach a target inside: a
@@ -473,12 +593,12 @@ bool RuleEvaluator::InertChild(xml::TagId tag, int depth,
   if (parent->depth != depth - 1 || parent->decision != Decision::kDeny) {
     return false;
   }
-  for (const auto& inst : instances_) {
+  for (const PredInstance* inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
     // 3., then 2. and 4. for the instance's path. An instance rooted at or
     // below the child's depth would not see the open at all: leave it to
     // the full path.
-    if (depth <= inst->root_depth || !inst->collections.empty() ||
+    if (depth <= inst->root_depth || inst->collecting() != 0 ||
         inst->matcher.MayAdvanceOn(tag, depth) ||
         inst->matcher.DescCanCompleteWithin(facts)) {
       return false;
@@ -573,13 +693,13 @@ void RuleEvaluator::SettleCandidates() {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const auto& inst : instances_) {
+    for (PredInstance* inst : instances_) {
       if (inst->state != PredInstance::State::kPending) continue;
       auto& cands = inst->candidates;
       for (auto it = cands.begin(); it != cands.end();) {
         CondState st = EvalConds(*it);
         if (st == CondState::kTrue) {
-          SettleInstance(inst.get(), PredInstance::State::kTrue);
+          SettleInstance(inst, PredInstance::State::kTrue);
           changed = true;
           break;
         }
@@ -714,8 +834,11 @@ void RuleEvaluator::DrainWave() {
   while (!wave_.empty()) {
     PredInstance* inst = wave_.back();
     wave_.pop_back();
-    std::vector<size_t> watchers = std::move(inst->watchers);
-    inst->watchers.clear();
+    // A settled instance gains no watchers (ResolveEvent() subscribes
+    // pending ones only), so its list can be walked from the scratch.
+    std::vector<size_t>& watchers = watchers_scratch_;
+    watchers.clear();
+    watchers.swap(inst->watchers);
     for (size_t qpos : watchers) {
       if (qpos < queue_base_) continue;  // Already flushed.
       if (ResolveEvent(qpos)) Settle(EventAt(qpos).node);
@@ -752,8 +875,6 @@ void RuleEvaluator::Flush() {
     OutEvent& e = EventAt(queue_base_);
     const bool deferred_open =
         e.kind == xml::EventKind::kOpen && e.node->deferral_id >= 0;
-    // Before the text can leave the slot: the ledger must drop exactly
-    // what it was charged.
     buffered_bytes_ -= PayloadBytes(e);
     if (e.status == EventStatus::kEmit) {
       ++stats_.events_emitted;
@@ -762,7 +883,10 @@ void RuleEvaluator::Flush() {
           out_->OnOpen(tags_.Name(e.tag), e.depth);
           break;
         case xml::EventKind::kValue:
-          out_->OnValueOwned(std::move(e.text), e.depth);
+          out_->OnValueView(
+              std::string_view(text_arena_)
+                  .substr(e.text_pos - arena_base_, e.text_size),
+              e.depth);
           break;
         case xml::EventKind::kClose:
           out_->OnClose(tags_.Name(e.tag), e.depth);
@@ -782,9 +906,12 @@ void RuleEvaluator::Flush() {
       ++stats_.events_pruned;
       if (deferred_open) ++stats_.deferrals_denied;
     }
-    // The slot stays for reuse; what the event still owns goes with it.
-    std::string().swap(e.text);
-    std::vector<const PredInstance*>().swap(e.subscribed);
+    // The slot and its subscription storage stay for reuse; a value's
+    // text stays in the arena until the next value is queued.
+    e.subscribed.clear();
+    if (e.kind == xml::EventKind::kValue) {
+      arena_flushed_ = e.text_pos + e.text_size;
+    }
     if (e.kind == xml::EventKind::kClose) {
       // A close flushes after every event of its element's subtree, so
       // nothing refers to the record any more: recycle it. Its hits go
@@ -818,7 +945,7 @@ void RuleEvaluator::OnOpen(xml::TagId tag, int depth) {
   //    and are skipped by the guard. Spawning may grow instances_, so the
   //    loop indexes it; each instance itself stays put.
   for (size_t i = 0; i < instances_.size(); ++i) {
-    PredInstance* inst = instances_[i].get();
+    PredInstance* inst = instances_[i];
     if (inst->state != PredInstance::State::kPending) continue;
     if (depth <= inst->root_depth) continue;
     std::vector<CondSet>& fulls = fulls_scratch_;
@@ -835,7 +962,7 @@ void RuleEvaluator::OnOpen(xml::TagId tag, int depth) {
       } else {
         // Comparison predicates need the node's string value, complete
         // only when the node closes.
-        inst->collections.push_back({depth, std::string(), std::move(conds)});
+        inst->StartCollection(depth, std::move(conds));
       }
     }
   }
@@ -878,9 +1005,10 @@ void RuleEvaluator::OnValueView(std::string_view value, int depth) {
   ++stats_.events_in;
 
   // Feed string-value collections of pending comparison predicates.
-  for (const auto& inst : instances_) {
+  for (PredInstance* inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
-    for (auto& coll : inst->collections) {
+    for (size_t c = 0; c < inst->collecting(); ++c) {
+      PredInstance::Collection& coll = inst->collection(c);
       if (depth > coll.node_depth) coll.value += value;
     }
   }
@@ -898,8 +1026,10 @@ void RuleEvaluator::OnValueView(std::string_view value, int depth) {
       break;
   }
   if (parent != nullptr) ++parent->undecided_inside;
+  const size_t text_pos = QueueText(value);
   OutEvent& e = PushEvent(xml::EventKind::kValue, depth, parent);
-  e.text.assign(value);
+  e.text_pos = text_pos;
+  e.text_size = value.size();
   buffered_bytes_ += PayloadBytes(e);
 
   Resolve();
@@ -913,27 +1043,26 @@ void RuleEvaluator::OnClose(xml::TagId tag, int depth) {
   // 1. Predicate lifecycle at this close: finish value collections of
   //    nodes closing now, pop matcher frames, and resolve instances whose
   //    root closes (no satisfying match by now means false).
-  for (const auto& inst_ptr : instances_) {
-    PredInstance* inst = inst_ptr.get();
+  for (PredInstance* inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
     if (depth > inst->root_depth) {
       inst->matcher.OnClose(depth);
-      auto& colls = inst->collections;
-      for (auto it = colls.begin(); it != colls.end();) {
-        if (it->node_depth != depth) {
-          ++it;
+      for (size_t c = 0; c < inst->collecting();) {
+        PredInstance::Collection& coll = inst->collection(c);
+        if (coll.node_depth != depth) {
+          ++c;
           continue;
         }
-        if (xpath::EvalCompare(inst->pred->op, it->value,
+        if (xpath::EvalCompare(inst->pred->op, coll.value,
                                inst->pred->literal)) {
-          if (EvalConds(it->conds) == CondState::kTrue) {
+          if (EvalConds(coll.conds) == CondState::kTrue) {
             SettleInstance(inst, PredInstance::State::kTrue);
           } else {
-            inst->candidates.push_back(std::move(it->conds));
+            inst->candidates.push_back(std::move(coll.conds));
             candidates_dirty_ = true;
           }
         }
-        it = colls.erase(it);
+        inst->EndCollection(c);
       }
     }
   }
@@ -944,10 +1073,10 @@ void RuleEvaluator::OnClose(xml::TagId tag, int depth) {
   // closing at this depth are forced false (no satisfying match by now
   // means the predicate failed).
   SettleCandidates();
-  for (const auto& inst : instances_) {
+  for (PredInstance* inst : instances_) {
     if (inst->state != PredInstance::State::kPending) continue;
     if (inst->root_depth == depth) {
-      SettleInstance(inst.get(), PredInstance::State::kFalse);
+      SettleInstance(inst, PredInstance::State::kFalse);
     }
   }
 
@@ -972,13 +1101,18 @@ void RuleEvaluator::OnClose(xml::TagId tag, int depth) {
     Flush();
   }
 
-  // Drop settled instances (hits keep their own shared_ptr references).
-  instances_.erase(
-      std::remove_if(instances_.begin(), instances_.end(),
-                     [](const auto& inst) {
-                       return inst->state != PredInstance::State::kPending;
-                     }),
-      instances_.end());
+  // Prune settled instances from the live list: the list's reference
+  // goes, and an instance no hit, token or candidate still refers to
+  // returns to the pool.
+  size_t kept = 0;
+  for (PredInstance* inst : instances_) {
+    if (inst->state == PredInstance::State::kPending) {
+      instances_[kept++] = inst;
+    } else {
+      internal::Drop(inst);
+    }
+  }
+  instances_.resize(kept);
 }
 
 Status RuleEvaluator::Finish() {

@@ -76,6 +76,7 @@ enum class SkipDecision {
 namespace internal {
 
 struct PredInstance;
+class InstancePool;
 
 /// Compiled node test of a wildcard step: matches every tag id.
 inline constexpr xml::TagId kAnyTag = UINT32_MAX;
@@ -84,8 +85,9 @@ inline constexpr xml::TagId kAnyTag = UINT32_MAX;
 class RuleEvaluatorContext {
  public:
   virtual ~RuleEvaluatorContext() = default;
-  virtual std::shared_ptr<PredInstance> Spawn(const xpath::Predicate* pred,
-                                              int depth) = 0;
+  /// The instance of `pred` rooted at `depth`; the caller takes its own
+  /// counted reference (CondSet::push_back).
+  virtual PredInstance* Spawn(const xpath::Predicate* pred, int depth) = 0;
 };
 
 /// Streaming evaluation of one predicate, rooted at the element whose step
@@ -94,8 +96,42 @@ class RuleEvaluatorContext {
 /// value arrives or the subtree closes).
 ///
 /// Condition attached to a token or a rule hit: the conjunction of the
-/// pending predicate instances it traversed.
-using CondSet = std::vector<std::shared_ptr<PredInstance>>;
+/// pending predicate instances it traversed. It holds a counted reference
+/// to each (PredInstance::refs). Up to kInline instances live inline, so
+/// copying the set of a token advance or a hit allocates nothing; past
+/// that the set moves to the heap and keeps that storage across copies
+/// into it. On every corpus and rule family the copied sets hold 0 (96%)
+/// or 1 instance; two slots leave room for one spawn on top.
+class CondSet {
+ public:
+  CondSet() = default;
+  CondSet(const CondSet& other) { *this = other; }
+  CondSet(CondSet&& other) noexcept { *this = std::move(other); }
+  CondSet& operator=(const CondSet& other);
+  CondSet& operator=(CondSet&& other) noexcept;
+  ~CondSet();
+
+  void push_back(PredInstance* inst);  ///< Takes a reference.
+  void clear();                        ///< Drops every reference.
+  PredInstance* const* begin() const { return data(); }
+  PredInstance* const* end() const { return data() + size_; }
+
+ private:
+  static constexpr uint32_t kInline = 2;
+  bool inline_storage() const { return capacity_ == kInline; }
+  PredInstance** data() { return inline_storage() ? inline_ : heap_; }
+  PredInstance* const* data() const {
+    return inline_storage() ? inline_ : heap_;
+  }
+  void Reserve(uint32_t n);
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInline;
+  union {
+    PredInstance* inline_[kInline] = {};
+    PredInstance** heap_;
+  };
+};
 
 /// One token of a rule (or predicate-path) automaton: `next_step` steps
 /// already matched, under the conditions in `conds`.
@@ -111,13 +147,25 @@ struct TokenState {
 /// reported with the conditions accumulated from predicates.
 class PathMatcher {
  public:
+  /// Unbound until Reset(); a pooled instance's matcher is rebound per use.
+  PathMatcher() = default;
   /// `steps` and `tags` must outlive the matcher. `tags[i]` is step i's
   /// node test compiled to an id of the evaluator's dictionary (kAnyTag for
   /// a wildcard), so matching compares integers. `base_depth` is the depth
   /// of the context node: 0 for absolute rule paths, the predicated
   /// element's depth for predicate paths.
   PathMatcher(const std::vector<xpath::Step>* steps,
-              const std::vector<xml::TagId>* tags, int base_depth);
+              const std::vector<xml::TagId>* tags, int base_depth) {
+    Reset(steps, tags, base_depth);
+  }
+
+  /// Rebinds the matcher as if freshly constructed with these arguments.
+  /// Pooled frames keep their capacity.
+  void Reset(const std::vector<xpath::Step>* steps,
+             const std::vector<xml::TagId>* tags, int base_depth);
+  /// Drops every token, in parked frames too, releasing the instances
+  /// their conditions hold; the frames keep their capacity.
+  void ClearTokens();
 
   /// Advances tokens over `<tag>`. Events that are not the next well-nested
   /// open/close below base_depth (e.g. at or above the context node) are
@@ -149,9 +197,9 @@ class PathMatcher {
   bool MayAdvanceOn(xml::TagId tag, int depth) const;
 
  private:
-  const std::vector<xpath::Step>* steps_;
-  const std::vector<xml::TagId>* tags_;
-  int base_depth_;
+  const std::vector<xpath::Step>* steps_ = nullptr;
+  const std::vector<xml::TagId>* tags_ = nullptr;
+  int base_depth_ = 0;
   struct Frame {
     std::vector<TokenState> exact;  ///< Prefix matched ending at this node.
     std::vector<TokenState> desc;   ///< Waiting on a descendant-axis match.
@@ -168,6 +216,13 @@ class PathMatcher {
   bool Feasible(const TokenState& t, const SubtreeFacts& facts) const;
 };
 
+/// A predicate instance lives in its evaluator's InstancePool and is held
+/// through counted references: the conditions of tokens, hits, candidates
+/// and collections (CondSet) and the evaluator's list of live instances.
+/// The count is a plain integer: an evaluator, its pool and every holder
+/// belong to one serve and are only touched by the thread driving it.
+/// When the count drops to zero the pool takes the instance back; the
+/// next Spawn() reuses it with its storage.
 struct PredInstance {
   enum class State { kPending, kTrue, kFalse };
 
@@ -188,7 +243,12 @@ struct PredInstance {
     std::string value;
     CondSet conds;
   };
-  std::vector<Collection> collections;
+  /// The live collections, in the order they started.
+  size_t collecting() const { return live_collections_; }
+  Collection& collection(size_t i) { return collections_[i]; }
+  void StartCollection(int node_depth, CondSet&& conds);
+  /// Ends collection `i`; the later ones keep their order.
+  void EndCollection(size_t i);
 
   /// Queue positions (absolute) of buffered events whose decision is
   /// blocked on this instance. When the instance resolves, exactly these
@@ -197,10 +257,95 @@ struct PredInstance {
   /// instance); those are skipped by a status check.
   std::vector<size_t> watchers;
 
-  PredInstance(const xpath::Predicate* p, const std::vector<xml::TagId>* tags,
-               int depth)
-      : pred(p), root_depth(depth), matcher(&p->steps, tags, depth) {}
+  uint32_t refs = 0;             ///< Counted references (see above).
+  InstancePool* pool = nullptr;  ///< The pool that owns the instance.
+
+ private:
+  /// collections_[0..live_collections_) are live; entries past them keep
+  /// their string capacity for the next collection.
+  std::vector<Collection> collections_;
+  size_t live_collections_ = 0;
 };
+
+/// Owns an evaluator's predicate instances. Acquire() hands out a released
+/// instance when there is one, so its matcher frames and its candidate,
+/// collection and watcher storage serve the next spawn. Under
+/// AddressSanitizer a released instance is poisoned while it waits in the
+/// pool, so a handle used after its release faults there.
+class InstancePool {
+ public:
+  InstancePool() = default;
+  InstancePool(const InstancePool&) = delete;
+  InstancePool& operator=(const InstancePool&) = delete;
+  ~InstancePool();
+
+  /// A pending instance of `pred` rooted at `depth`, holding no reference.
+  PredInstance* Acquire(const xpath::Predicate* pred,
+                        const std::vector<xml::TagId>* tags, int depth);
+  /// Takes back an instance whose last reference went: drops what it
+  /// holds (which may release further instances) and parks it.
+  void Release(PredInstance* inst);
+
+ private:
+  std::vector<std::unique_ptr<PredInstance>> owned_;
+  std::vector<PredInstance*> free_;
+  /// Release() works through this list instead of recursing down nested
+  /// predicates; `releasing_now_` marks a drain in progress.
+  std::vector<PredInstance*> to_release_;
+  bool releasing_now_ = false;
+};
+
+inline void Retain(PredInstance* inst) { ++inst->refs; }
+inline void Drop(PredInstance* inst) {
+  if (--inst->refs == 0) inst->pool->Release(inst);
+}
+
+inline CondSet::~CondSet() {
+  clear();
+  if (!inline_storage()) delete[] heap_;
+}
+
+inline void CondSet::clear() {
+  PredInstance** d = data();
+  for (uint32_t i = 0; i < size_; ++i) Drop(d[i]);
+  size_ = 0;
+}
+
+inline void CondSet::push_back(PredInstance* inst) {
+  if (size_ == capacity_) Reserve(2 * capacity_);
+  Retain(inst);
+  data()[size_++] = inst;
+}
+
+inline CondSet& CondSet::operator=(const CondSet& other) {
+  if (this == &other) return *this;
+  // Retain first: `other` may share instances with this set.
+  for (PredInstance* inst : other) Retain(inst);
+  clear();
+  if (other.size_ > capacity_) Reserve(other.size_);
+  PredInstance** d = data();
+  for (uint32_t i = 0; i < other.size_; ++i) d[i] = other.data()[i];
+  size_ = other.size_;
+  return *this;
+}
+
+inline CondSet& CondSet::operator=(CondSet&& other) noexcept {
+  if (this == &other) return *this;
+  clear();
+  if (other.inline_storage()) {
+    // Fits whatever storage this set has.
+    PredInstance** d = data();
+    for (uint32_t i = 0; i < other.size_; ++i) d[i] = other.inline_[i];
+  } else {
+    if (!inline_storage()) delete[] heap_;
+    heap_ = other.heap_;
+    capacity_ = other.capacity_;
+    other.capacity_ = kInline;
+  }
+  size_ = other.size_;
+  other.size_ = 0;
+  return *this;
+}
 
 }  // namespace internal
 
@@ -271,8 +416,11 @@ class RuleEvaluator : public xml::EventHandler,
   void OnClose(xml::TagId tag, int depth);
   /// The one value path. `value` is borrowed for the call: a value decided
   /// on arrival goes to `out`'s OnValueView() as is, and only a value
-  /// queued as pending is copied, into its queue slot. Flush() later hands
-  /// that copy to `out`'s OnValueOwned().
+  /// queued as pending is copied, into the evaluator's text arena. Flush()
+  /// later hands `out`'s OnValueView() a view of that copy, which stays
+  /// valid past the call: the arena is written only when an event is
+  /// queued, so the view lives until the evaluator's next OnOpen(),
+  /// OnValueView(), OnClose(), DropInertChild() or Finish().
   void OnValueView(std::string_view value, int depth) override;
 
   /// The evaluator's tag dictionary: the seed dictionary, then rule step
@@ -399,8 +547,8 @@ class RuleEvaluator : public xml::EventHandler,
   using Blockers = std::vector<internal::PredInstance*>;
 
   // internal::RuleEvaluatorContext
-  std::shared_ptr<internal::PredInstance> Spawn(const xpath::Predicate* pred,
-                                                int depth) override;
+  internal::PredInstance* Spawn(const xpath::Predicate* pred,
+                                int depth) override;
 
   /// Interns every step name of `steps` (and of its nested predicate
   /// paths) into step_tags_.
@@ -431,6 +579,8 @@ class RuleEvaluator : public xml::EventHandler,
   /// Appends an undecided event at the tail of the queue.
   OutEvent& PushEvent(xml::EventKind kind, int depth, NodeRec* node);
   size_t PayloadBytes(const OutEvent& e) const;
+  /// Copies a pending value into the arena; returns its arena position.
+  size_t QueueText(std::string_view value);
   NodeRec* AcquireNode();
 
   std::vector<AccessRule> rules_;
@@ -444,13 +594,19 @@ class RuleEvaluator : public xml::EventHandler,
   std::unordered_map<const std::vector<xpath::Step>*, std::vector<xml::TagId>>
       step_tags_;
 
+  /// Declared before every holder of an instance reference, so it is
+  /// destroyed after them.
+  internal::InstancePool pool_;
   std::vector<std::unique_ptr<internal::PathMatcher>> matchers_;  // per rule
-  std::vector<std::shared_ptr<internal::PredInstance>> instances_;
+  /// Instances still pending or settled since the last close; each entry
+  /// holds a reference (dropped when OnClose() prunes it).
+  std::vector<internal::PredInstance*> instances_;
 
   // Per-open-event memo so several tokens crossing the same predicated
-  // step share one instance. clear()ed per event — capacity persists.
-  std::vector<std::pair<const xpath::Predicate*,
-                        std::shared_ptr<internal::PredInstance>>> spawn_memo_;
+  // step share one instance. clear()ed per event — capacity persists. The
+  // instances are alive through instances_.
+  std::vector<std::pair<const xpath::Predicate*, internal::PredInstance*>>
+      spawn_memo_;
 
   /// Reused scratch: full-match collector handed to every matcher on each
   /// open event, the target-depth list Decide() sorts, and the blocker
@@ -458,6 +614,9 @@ class RuleEvaluator : public xml::EventHandler,
   std::vector<internal::CondSet> fulls_scratch_;
   std::vector<int> depths_scratch_;
   Blockers blockers_scratch_;
+  /// DrainWave() swaps each settled instance's watcher list with this one,
+  /// so both keep their storage.
+  std::vector<size_t> watchers_scratch_;
 
   /// Node-record pool: records are owned here and recycled through
   /// free_nodes_ once their close event flushes — by then every event that
@@ -477,6 +636,16 @@ class RuleEvaluator : public xml::EventHandler,
   size_t queue_base_ = 0;  ///< Absolute position of the oldest event.
   size_t queue_size_ = 0;
   uint64_t buffered_bytes_ = 0;  ///< Payload bytes currently queued.
+  /// Texts of queued values, appended in queue order. Arena position p is
+  /// text_arena_[p - arena_base_]; positions below arena_flushed_ belong
+  /// to values already flushed. QueueText() empties the arena when the
+  /// queue is empty and drops the flushed prefix once it outweighs the
+  /// rest, so the arena stays within twice the buffered text (the ledger)
+  /// plus the value being queued. Never written by Flush(): the views it
+  /// hands out stay valid until the next event is queued.
+  std::string text_arena_;
+  size_t arena_base_ = 0;
+  size_t arena_flushed_ = 0;
   /// Instances that left kPending since the last DrainWave(): their
   /// watcher lists are the only buffered events a resolution wave touches.
   /// Each stays alive in instances_ until the wave drains.

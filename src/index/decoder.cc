@@ -184,7 +184,7 @@ Result<DocumentNavigator::Item> DocumentNavigator::NextPacked() {
     return item;
   }
 
-  const Checkpoint::Frame& top = frames_.back();
+  const Frame& top = frames_.back();
   if (in_.position() > top.end_bit) {
     return Status::Corruption("decoder overran subtree boundary");
   }
@@ -340,27 +340,64 @@ void DocumentNavigator::PopFrame() {
 
 DocumentNavigator::Checkpoint DocumentNavigator::Save() const {
   Checkpoint cp;
-  cp.bit_pos = in_.position();
-  cp.depth = depth_;
-  cp.started = started_;
-  cp.frames = frames_;
-  cp.tc_stack = tc_stack_;
+  SaveTo(&cp);
   return cp;
+}
+
+void DocumentNavigator::SaveTo(Checkpoint* checkpoint) const {
+  checkpoint->bit_pos = in_.position();
+  checkpoint->depth = depth_;
+  checkpoint->started = started_;
+  checkpoint->frames.clear();
+  checkpoint->ctx.clear();
+  checkpoint->frames.reserve(frames_.size());
+  size_t ctx_total = 0;
+  for (const Frame& f : frames_) ctx_total += f.ctx.size();
+  checkpoint->ctx.reserve(ctx_total);
+  for (const Frame& f : frames_) {
+    checkpoint->frames.push_back({f.tag, f.end_bit, f.width, f.ctx.size()});
+    checkpoint->ctx.insert(checkpoint->ctx.end(), f.ctx.begin(), f.ctx.end());
+  }
+  checkpoint->tc_stack = tc_stack_;
 }
 
 Status DocumentNavigator::SeekTo(const Checkpoint& checkpoint) {
   if (checkpoint.bit_pos > in_.size_bits()) {
     return Status::OutOfRange("checkpoint past end of stream");
   }
+  size_t ctx_total = 0;
   for (const Checkpoint::Frame& f : checkpoint.frames) {
     if (f.end_bit > in_.size_bits()) {
       return Status::OutOfRange("checkpoint frame past end of stream");
     }
+    ctx_total += f.ctx_size;
+  }
+  if (ctx_total != checkpoint.ctx.size()) {
+    return Status::InvalidArgument("checkpoint contexts do not match frames");
   }
   CSXA_RETURN_NOT_OK(in_.SeekTo(checkpoint.bit_pos));
   depth_ = checkpoint.depth;
   started_ = checkpoint.started;
-  frames_ = checkpoint.frames;
+  // Rebuild the frame stack in place: surplus frames park their context
+  // vectors as spares, missing ones take spares, and every context is
+  // refilled from its slice of the flat array.
+  while (frames_.size() > checkpoint.frames.size()) {
+    spare_ctx_.push_back(std::move(frames_.back().ctx));
+    frames_.pop_back();
+  }
+  while (frames_.size() < checkpoint.frames.size()) {
+    frames_.push_back({0, 0, 0, TakeSpareCtx()});
+  }
+  auto ctx = checkpoint.ctx.begin();
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    const Checkpoint::Frame& f = checkpoint.frames[i];
+    const auto ctx_end = ctx + static_cast<ptrdiff_t>(f.ctx_size);
+    frames_[i].tag = f.tag;
+    frames_[i].end_bit = f.end_bit;
+    frames_[i].width = f.width;
+    frames_[i].ctx.assign(ctx, ctx_end);
+    ctx = ctx_end;
+  }
   tc_stack_ = checkpoint.tc_stack;
   done_ = started_ && frames_.empty() && tc_stack_.empty();
   return Status::OK();

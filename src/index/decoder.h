@@ -135,7 +135,8 @@ class DocumentNavigator {
   /// element path (tag + subtree extent + size-field width per frame, with
   /// the TCSBR relative-decoding tag context of each ancestor), and — for
   /// TC streams, which have no frames — the open-tag stack. Size and
-  /// SeekTo() cost are O(depth), never O(document).
+  /// SeekTo() cost are O(depth), never O(document). The frames' contexts
+  /// share one flat array, so a snapshot is three vectors at any depth.
   struct Checkpoint {
     size_t bit_pos = 0;
     int depth = 0;
@@ -144,12 +145,17 @@ class DocumentNavigator {
       xml::TagId tag = 0;
       uint64_t end_bit = 0;
       int width = 0;
-      std::vector<xml::TagId> ctx;  // children decode context (TCSBR)
+      /// Length of the frame's children decode context (TCSBR): the
+      /// frame's slice of `ctx` follows those of the frames below it.
+      size_t ctx_size = 0;
     };
     std::vector<Frame> frames;
+    std::vector<xml::TagId> ctx;       // every frame's context, in order
     std::vector<xml::TagId> tc_stack;  // TC-only open-element tags
   };
   Checkpoint Save() const;
+  /// Save() into `checkpoint`, reusing the storage it holds.
+  void SaveTo(Checkpoint* checkpoint) const;
 
   /// Re-enters the stream at `checkpoint`, which must have been produced by
   /// Save() on a navigator over the same encoded document. The next Next()
@@ -211,6 +217,16 @@ class DocumentNavigator {
   /// An empty DescTag vector, recycled from a popped frame when one is
   /// spare.
   std::vector<xml::TagId> TakeSpareCtx();
+  /// One open element: its tag, where its children region ends, the width
+  /// of its children's size fields and its DescTag set (the children's
+  /// decode context under TCSBR).
+  struct Frame {
+    xml::TagId tag = 0;
+    uint64_t end_bit = 0;
+    int width = 0;
+    std::vector<xml::TagId> ctx;
+  };
+
   /// Opens an element whose children region starts at the cursor: pushes
   /// its frame with `ctx` as its DescTag set and fills `item` as its kOpen.
   void PushFrame(xml::TagId tag, uint64_t size_bits,
@@ -236,7 +252,7 @@ class DocumentNavigator {
   bool started_ = false;
   bool done_ = false;
   int depth_ = 0;
-  std::vector<Checkpoint::Frame> frames_;
+  std::vector<Frame> frames_;
   /// Emptied `ctx` vectors of popped frames, reused by the next opens so
   /// an element open allocates nothing once the stack has been this deep.
   std::vector<std::vector<xml::TagId>> spare_ctx_;

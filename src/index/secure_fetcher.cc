@@ -45,6 +45,10 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
   // One planner batch per terminal round trip; a demand wider than the
   // batch horizon completes over successive iterations (each is
   // guaranteed to validate at least the first missing demand fragment).
+  // After a batch the demand's fragments are checked here: a planner
+  // call only to learn that they are held would change nothing.
+  uint64_t first_missing = begin / fragment_size_;
+  const uint64_t last = (end - 1) / fragment_size_;
   while (true) {
     const std::vector<FragmentRun>& runs =
         planner_.Plan(begin, end, fragment_valid_, proof_probe_);
@@ -130,6 +134,10 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
                                       buffer_.size());
       if (e > b) bytes_fetched_ += e - b;
     }
+    while (first_missing <= last && fragment_valid_[first_missing]) {
+      ++first_missing;
+    }
+    if (first_missing > last) return Status::OK();
   }
 }
 

@@ -16,16 +16,16 @@ class AuthorizedViewReader::Collector : public xml::EventHandler {
     out_->push_back({xml::EventKind::kOpen, depth, -1, tag, {}});
   }
   void OnValue(const std::string& value, int depth) override {
-    OnValueOwned(std::string(value), depth);
+    out_->push_back({xml::EventKind::kValue, depth, -1, {}, value});
   }
   void OnClose(const std::string& tag, int depth) override {
     out_->push_back({xml::EventKind::kClose, depth, -1, tag, {}});
   }
+  /// The evaluator's one value path: a view of its text arena, or of the
+  /// navigator's decode buffer for a value decided on arrival (see
+  /// OutEntry for how long each stays valid).
   void OnValueView(std::string_view value, int depth) override {
     out_->push_back({xml::EventKind::kValue, depth, -1, value, {}});
-  }
-  void OnValueOwned(std::string&& value, int depth) override {
-    out_->push_back({xml::EventKind::kValue, depth, -1, {}, std::move(value)});
   }
   void OnDeferralGranted(size_t id) {
     out_->push_back({xml::EventKind::kOpen, 0, static_cast<int>(id), {}, {}});
@@ -147,7 +147,14 @@ Status AuthorizedViewReader::DriveOne() {
           // later — only if the decision resolves to permit.
           const size_t id = eval_->RegisterDeferral();
           if (deferrals_.size() <= id) deferrals_.resize(id + 1);
-          deferrals_[id] = {nav_->Save(), item.depth, item.subtree_bits};
+          Deferral& deferral = deferrals_[id];
+          if (!spare_checkpoints_.empty()) {
+            deferral.checkpoint = std::move(spare_checkpoints_.back());
+            spare_checkpoints_.pop_back();
+          }
+          nav_->SaveTo(&deferral.checkpoint);
+          deferral.depth = item.depth;
+          deferral.subtree_bits = item.subtree_bits;
           HintSubtree(item.subtree_begin_bit, item.subtree_bits,
                       /*wanted=*/false);
           CSXA_RETURN_NOT_OK(nav_->SkipSubtree());
@@ -172,13 +179,20 @@ Status AuthorizedViewReader::BeginSplice(size_t id) {
   if (id >= deferrals_.size()) {
     return Status::Internal("deferral id out of range");
   }
-  resume_ = nav_->Save();
+  nav_->SaveTo(&resume_);
   // The grant re-activates the once-cancelled range: promise it to the
   // planner so the re-read arrives in batches (verified bare against the
   // digest cache wherever its chunks were already authenticated).
   HintSubtree(deferrals_[id].checkpoint.bit_pos, deferrals_[id].subtree_bits,
               /*wanted=*/true);
   CSXA_RETURN_NOT_OK(nav_->SeekTo(deferrals_[id].checkpoint));
+  // Deferred opens flush in id order, so every deferral up to this one is
+  // decided: their checkpoints are spent, and their storage serves the
+  // next deferrals' saves.
+  for (; deferrals_spent_ <= id; ++deferrals_spent_) {
+    spare_checkpoints_.push_back(
+        std::move(deferrals_[deferrals_spent_].checkpoint));
+  }
   splicing_ = true;
   splice_depth_ = deferrals_[id].depth;
   splice_bits_base_ = nav_->bits_read();

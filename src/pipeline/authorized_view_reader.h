@@ -127,14 +127,17 @@ class AuthorizedViewReader {
   /// marks the position where deferred subtree #splice must be re-read and
   /// merged back (right between the element's open and close events).
   ///
-  /// The event's text is `owned` when the evaluator handed over a value it
-  /// had queued as pending, else `text`: a tag name in the evaluator's
-  /// dictionary (fixed once the reader is built: the reader feeds tag ids
-  /// only), or a value decided on arrival, which borrows the navigator's
-  /// decode buffer. The evaluator forwards such a value only while the
-  /// queue is empty and flushes nothing with it, so it is the only entry
-  /// of its DriveOne() and the navigator is not advanced before it is
-  /// pulled.
+  /// The event's text is `text`: a tag name in the evaluator's dictionary
+  /// (fixed once the reader is built: the reader feeds tag ids only), a
+  /// value the evaluator had queued as pending, which borrows its text
+  /// arena, or a value decided on arrival, which borrows the navigator's
+  /// decode buffer. The arena is written only inside an evaluator entry
+  /// point, and the reader calls one only once this queue is drained, so
+  /// an arena view stays valid until pulled. A value decided on arrival
+  /// is forwarded only while the evaluator's queue is empty, with nothing
+  /// flushed alongside, so it is the only entry of its DriveOne() and the
+  /// navigator is not advanced before it is pulled. `owned` holds a value
+  /// passed to the owning OnValue(), which the evaluator does not call.
   struct OutEntry {
     xml::EventKind kind = xml::EventKind::kOpen;
     int depth = 0;
@@ -169,11 +172,16 @@ class AuthorizedViewReader {
   std::unique_ptr<Collector> collector_;
   std::unique_ptr<access::RuleEvaluator> eval_;
 
-  /// Decided output not yet pulled: out_[out_head_..]. Only DriveOne()
-  /// appends, and only once everything before has been pulled.
+  /// Decided output not yet pulled: out_[out_head_..]. Only evaluator
+  /// calls append (DriveOne(), and the close after a verbatim bypass), and
+  /// only once everything before has been pulled.
   std::vector<OutEntry> out_;
   size_t out_head_ = 0;
   std::vector<Deferral> deferrals_;
+  /// Deferrals below this id are decided; their checkpoints' storage went
+  /// to spare_checkpoints_.
+  size_t deferrals_spent_ = 0;
+  std::vector<index::DocumentNavigator::Checkpoint> spare_checkpoints_;
   bool finished_ = false;
 
   /// Splice state: while active, Next() streams raw events from the

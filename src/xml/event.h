@@ -61,7 +61,9 @@ class EventHandler {
 
   /// Text entry points for producers that can spare the handler a copy.
   /// Both default to OnValue().
-  /// `value` is borrowed: it is valid only during the call.
+  /// `value` is borrowed: it is valid only during the call, unless the
+  /// producer documents more (access::RuleEvaluator's flushed values stay
+  /// valid until its next event).
   virtual void OnValueView(std::string_view value, int depth) {
     OnValue(std::string(value), depth);
   }

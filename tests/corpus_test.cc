@@ -300,3 +300,170 @@ TEST(RuleFamiliesAreDiscriminating) {
     }
   }
 }
+
+// Evaluator pins at a size where predicate instances, queue slots and
+// watcher lists are reused many times over: guarded and predicate_heavy on
+// every family at 256 KiB, skip and defer512. Each row holds the view's
+// SHA-1 and the evaluator counters that follow the pending path
+// (instances spawned, watcher registrations, buffered peak, deferral
+// outcomes), recorded from the evaluator that still allocated a
+// reference-counted instance per spawn and a string per queued text.
+struct PinnedServe {
+  const char* name;  ///< family/rules/mode
+  const char* sha1;
+  uint64_t events_in;
+  uint64_t predicates_spawned;
+  uint64_t watcher_subscriptions;
+  uint64_t peak_buffered_bytes;
+  uint64_t deferrals_granted;
+  uint64_t deferrals_denied;
+};
+
+constexpr PinnedServe kPinnedServes[] = {
+    {"hospital/guarded/skip",
+     "442987a0b89c625e1124d99f070238833a6ae2a3",
+     12609, 193, 7118, 3274, 0, 0},
+    {"hospital/guarded/defer512",
+     "442987a0b89c625e1124d99f070238833a6ae2a3",
+     4332, 193, 1805, 711, 136, 127},
+    {"hospital/predicate_heavy/skip",
+     "325915cc6fe9f36755d91250b353231b32ff9e48",
+     8222, 386, 638, 142, 0, 0},
+    {"hospital/predicate_heavy/defer512",
+     "325915cc6fe9f36755d91250b353231b32ff9e48",
+     8222, 386, 638, 142, 0, 0},
+    {"wsu/guarded/skip",
+     "ca6251d7eb72d79b7b7a93af3a111280848ff4e1",
+     21704, 1077, 2154, 156, 0, 0},
+    {"wsu/guarded/defer512",
+     "ca6251d7eb72d79b7b7a93af3a111280848ff4e1",
+     21704, 1077, 2154, 156, 0, 0},
+    {"wsu/predicate_heavy/skip",
+     "2df04d86ac8e771fdc5355e766b9807dca8d4955",
+     20627, 1077, 0, 16, 0, 0},
+    {"wsu/predicate_heavy/defer512",
+     "2df04d86ac8e771fdc5355e766b9807dca8d4955",
+     20627, 1077, 0, 16, 0, 0},
+    {"sigmod/guarded/skip",
+     "1c9dd67b54ef58dbe21ba2b2bf593a7238475af5",
+     20476, 286, 11262, 1643, 0, 0},
+    {"sigmod/guarded/defer512",
+     "1c9dd67b54ef58dbe21ba2b2bf593a7238475af5",
+     10016, 286, 4597, 575, 163, 74},
+    {"sigmod/predicate_heavy/skip",
+     "9a9a565e722c4fd85d3bc0694ef0fa620c1f5789",
+     9289, 599, 0, 17, 0, 0},
+    {"sigmod/predicate_heavy/defer512",
+     "9a9a565e722c4fd85d3bc0694ef0fa620c1f5789",
+     9289, 599, 0, 17, 0, 0},
+    {"deep_nest/guarded/skip",
+     "e92bd4bf0ea37e2b2a89e887b86876a2f05150f0",
+     42502, 170, 24820, 1039, 0, 0},
+    {"deep_nest/guarded/defer512",
+     "e92bd4bf0ea37e2b2a89e887b86876a2f05150f0",
+     1532, 170, 170, 24, 77, 93},
+    {"deep_nest/predicate_heavy/skip",
+     "613387dca9ba65ec17eda25e1f673130c3284dc2",
+     42317, 8160, 265856, 1017, 0, 0},
+    {"deep_nest/predicate_heavy/defer512",
+     "613387dca9ba65ec17eda25e1f673130c3284dc2",
+     42162, 8160, 263314, 969, 7, 148},
+    {"predicate_storm/guarded/skip",
+     "284bbb6c6455eba14722e84cf9c2233e82c6bdca",
+     16881, 415, 9186, 768, 0, 0},
+    {"predicate_storm/guarded/defer512",
+     "284bbb6c6455eba14722e84cf9c2233e82c6bdca",
+     10810, 415, 5350, 542, 107, 113},
+    {"predicate_storm/predicate_heavy/skip",
+     "d8bb766e1bd019e7e896e6b118f7c0010d3c8906",
+     16881, 3685, 15625, 768, 0, 0},
+    {"predicate_storm/predicate_heavy/defer512",
+     "d8bb766e1bd019e7e896e6b118f7c0010d3c8906",
+     16630, 3685, 15189, 587, 106, 145},
+    {"flat_text/guarded/skip",
+     "31dfe2b20ea515de1d831aedd33bf9405b51556e",
+     9637, 1, 6388, 244471, 0, 0},
+    {"flat_text/guarded/defer512",
+     "31dfe2b20ea515de1d831aedd33bf9405b51556e",
+     3261, 1, 1606, 3848, 1594, 0},
+    {"flat_text/predicate_heavy/skip",
+     "c0c75e4f49d3874cb0692d1dc6bf650c9030b3cd",
+     9636, 1597, 6388, 177, 0, 0},
+    {"flat_text/predicate_heavy/defer512",
+     "c0c75e4f49d3874cb0692d1dc6bf650c9030b3cd",
+     9636, 1597, 6388, 177, 0, 0},
+};
+
+TEST(PendingPathServesMatchPinnedCounters) {
+  server::DocumentConfig cfg;
+  cfg.variant = index::Variant::kTcsbr;
+  cfg.key = TestKey();
+  cfg.layout.chunk_size = 1024;
+  cfg.layout.fragment_size = 64;
+  cfg.shared_cache_capacity = 0;
+  const pipeline::ServeOptions modes[] = {{/*enable_skip=*/true, UINT64_MAX},
+                                          {/*enable_skip=*/true, 512}};
+  const char* mode_names[] = {"skip", "defer512"};
+  size_t checked = 0;
+  for (bench::CorpusFamily family : bench::AllFamilies()) {
+    const bench::Corpus corpus = bench::GenerateCorpus(
+        bench::CorpusSpec{family, /*seed=*/7, /*target_bytes=*/256 << 10,
+                          /*depth=*/0});
+    server::DocumentService service;
+    const Status published = service.Publish("doc", corpus.xml, cfg);
+    CHECK_OK(published);
+    if (!published.ok()) continue;
+    for (bench::RuleFamily rf :
+         {bench::RuleFamily::kGuarded, bench::RuleFamily::kPredicateHeavy}) {
+      auto rules = access::ParseRuleList(bench::RulesFor(family, rf));
+      CHECK_OK(rules.status());
+      if (!rules.ok()) continue;
+      for (size_t m = 0; m < 2; ++m) {
+        const std::string name = std::string(bench::FamilyName(family)) +
+                                 "/" + bench::RuleFamilyName(rf) + "/" +
+                                 mode_names[m];
+        auto report = service.Serve("doc", rules.value(), modes[m]);
+        CHECK_OK(report.status());
+        if (!report.ok()) continue;
+        const access::RuleEvaluator::Stats& s = report.value().eval;
+        const PinnedServe got{
+            nullptr,
+            nullptr,
+            s.events_in,
+            s.predicates_spawned,
+            s.watcher_subscriptions,
+            s.peak_buffered_bytes,
+            s.deferrals_granted,
+            s.deferrals_denied};
+        const std::string sha1 = Hex(crypto::Sha1::Hash(report.value().view));
+        const PinnedServe* pin = nullptr;
+        for (const PinnedServe& p : kPinnedServes) {
+          if (name == p.name) pin = &p;
+        }
+        const bool match =
+            pin != nullptr && sha1 == pin->sha1 &&
+            got.events_in == pin->events_in &&
+            got.predicates_spawned == pin->predicates_spawned &&
+            got.watcher_subscriptions == pin->watcher_subscriptions &&
+            got.peak_buffered_bytes == pin->peak_buffered_bytes &&
+            got.deferrals_granted == pin->deferrals_granted &&
+            got.deferrals_denied == pin->deferrals_denied;
+        if (!match) {
+          // The row as it would be pinned, so a deliberate change can be
+          // reviewed against it.
+          testing::Fail(
+              __FILE__, __LINE__,
+              name + ": got {\"" + name + "\", \"" + sha1 + "\", " +
+                  std::to_string(got.events_in) + ", " +
+                  std::to_string(got.predicates_spawned) + ", " +
+                  std::to_string(got.watcher_subscriptions) + ", " +
+                  std::to_string(got.peak_buffered_bytes) + ", " +
+                  std::to_string(got.deferrals_granted) + ", " +
+                  std::to_string(got.deferrals_denied) + "}");
+        }
+        ++checked;
+      }
+    }
+  }
+  CHECK_EQ(checked, std::size(kPinnedServes));
+}

@@ -176,4 +176,70 @@ TEST(WarmSkipDenseRoundTripsAllocateUnderFourEach) {
 #endif
 }
 
+TEST(WarmPendingPathServesAllocateFiveTimesLessThanPerInstanceHeap) {
+#ifdef CSXA_SANITIZED
+  std::printf("  skipped: the sanitizer runtime owns operator new\n");
+#else
+  // Warm 1 MiB serves of the pending-path rule sets. The evaluator pools
+  // its predicate instances, keeps condition sets of up to two instances
+  // inline, queues pending texts in one arena and keeps its slots'
+  // watcher storage, so what is left is per round trip and per session.
+  // `baseline` is what each serve allocated while every instance was a
+  // reference-counted heap object and every queued text a string.
+  struct Case {
+    bench::CorpusFamily family;
+    bench::RuleFamily rules;
+    uint64_t budget;
+    uint64_t baseline;
+  };
+  constexpr uint64_t kAll = UINT64_MAX;
+  const Case cases[] = {
+      {bench::CorpusFamily::kHospital, bench::RuleFamily::kGuarded, kAll,
+       49645},
+      {bench::CorpusFamily::kHospital, bench::RuleFamily::kGuarded, 512,
+       29645},
+      {bench::CorpusFamily::kHospital, bench::RuleFamily::kPredicateHeavy,
+       kAll, 17516},
+      {bench::CorpusFamily::kWsu, bench::RuleFamily::kGuarded, kAll, 51640},
+      {bench::CorpusFamily::kWsu, bench::RuleFamily::kGuarded, 512, 51640},
+      {bench::CorpusFamily::kWsu, bench::RuleFamily::kPredicateHeavy, kAll,
+       26268},
+      {bench::CorpusFamily::kSigmod, bench::RuleFamily::kGuarded, kAll,
+       67484},
+      {bench::CorpusFamily::kSigmod, bench::RuleFamily::kGuarded, 512,
+       42393},
+      {bench::CorpusFamily::kSigmod, bench::RuleFamily::kPredicateHeavy,
+       kAll, 16190},
+  };
+  for (const Case& c : cases) {
+    bench::CorpusSpec spec;
+    spec.family = c.family;
+    spec.seed = 1;
+    spec.target_bytes = 1 << 20;
+    const std::string xml = bench::GenerateCorpus(spec).xml;
+    auto rules = access::ParseRuleList(bench::RulesFor(c.family, c.rules));
+    CHECK_OK(rules.status());
+    if (!rules.ok()) continue;
+    server::DocumentConfig cfg;
+    cfg.backend = crypto::CipherBackendKind::kAes;
+    cfg.shared_cache_capacity = 4096;  // Every chunk of a 1 MiB document.
+    server::DocumentService service;
+    CHECK_OK(service.Publish("doc", xml, cfg));
+    const pipeline::ServeOptions options(/*skip=*/true, c.budget);
+    auto warm = service.Serve("doc", rules.value(), options);
+    CHECK_OK(warm.status());
+    if (!warm.ok()) continue;
+    DrainAllocations(&service, rules.value(), options, warm.value().view);
+    const uint64_t allocations = DrainAllocations(
+        &service, rules.value(), options, warm.value().view);
+    std::printf("  %s/%s budget %s: %llu allocations (baseline %llu)\n",
+                bench::FamilyName(c.family), bench::RuleFamilyName(c.rules),
+                c.budget == kAll ? "none" : std::to_string(c.budget).c_str(),
+                static_cast<unsigned long long>(allocations),
+                static_cast<unsigned long long>(c.baseline));
+    CHECK(allocations * 5 <= c.baseline);
+  }
+#endif
+}
+
 }  // namespace
