@@ -53,42 +53,8 @@ std::vector<FaultProxy::FaultEvent> FaultProxy::SeededProgram(
 }
 
 Status FaultProxy::Start() {
-  MutexLock lock(&mu_);
-  if (running_) {
-    // csxa-lint: allow(error-taxonomy) double Start is caller misuse.
-    return Status::InvalidArgument("fault proxy already started");
-  }
-  uint16_t bound = 0;
-  CSXA_ASSIGN_OR_RETURN(listen_fd_, ListenTcp(options_.listen_port, &bound));
-  port_ = bound;
-  running_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void FaultProxy::Stop() {
-  std::thread accept_thread;
-  std::vector<std::thread> workers;
-  {
-    MutexLock lock(&mu_);
-    if (!running_ && !accept_thread_.joinable()) return;
-    running_ = false;
-    ShutdownFd(listen_fd_);
-    CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    for (int fd : conn_fds_) ShutdownFd(fd);
-    accept_thread = std::move(accept_thread_);
-    workers = std::move(workers_);
-  }
-  if (accept_thread.joinable()) accept_thread.join();
-  for (std::thread& t : workers) {
-    if (t.joinable()) t.join();
-  }
-}
-
-uint16_t FaultProxy::port() const {
-  MutexLock lock(&mu_);
-  return port_;
+  return listener_.Start(options_.listen_port,
+                         [this](int fd) { ServeConnection(fd); });
 }
 
 uint64_t FaultProxy::responses_seen() const {
@@ -113,12 +79,6 @@ FaultProxy::FaultEvent FaultProxy::NextResponseFault() {
   return FaultEvent{Fault::kNone, index, 0};
 }
 
-void FaultProxy::Deregister(int fd) {
-  MutexLock lock(&mu_);
-  auto it = std::find(conn_fds_.begin(), conn_fds_.end(), fd);
-  if (it != conn_fds_.end()) conn_fds_.erase(it);
-}
-
 void FaultProxy::PacingSleep(size_t bytes) const {
   SleepNs(options_.rtt_ns / 2);
   if (options_.bandwidth_bytes_per_s != 0) {
@@ -127,91 +87,53 @@ void FaultProxy::PacingSleep(size_t bytes) const {
   }
 }
 
-void FaultProxy::AcceptLoop() {
-  while (true) {
-    int listen_fd;
-    {
-      MutexLock lock(&mu_);
-      if (!running_) return;
-      listen_fd = listen_fd_;
-    }
-    Result<int> conn = AcceptConn(listen_fd);
-    if (!conn.ok()) return;
-    const int client_fd = conn.value();
-    Result<int> upstream =
-        ConnectTcp(options_.upstream_host, options_.upstream_port);
-    if (!upstream.ok()) {
-      // Upstream down: the client sees its connection reset — exactly
-      // the refused/disconnect class it must retry through.
-      CloseFd(client_fd);
-      continue;
-    }
-    const int server_fd = upstream.value();
-    MutexLock lock(&mu_);
-    if (!running_) {
-      CloseFd(client_fd);
-      CloseFd(server_fd);
-      return;
-    }
-    conn_fds_.push_back(client_fd);
-    conn_fds_.push_back(server_fd);
-    workers_.emplace_back([this, client_fd, server_fd] {
-      // The reverse pump runs in its own thread; this thread owns the
-      // response direction (where the fault program aims).
-      std::thread forward([this, client_fd, server_fd] {
-        PumpClientToServer(client_fd, server_fd);
-        ShutdownFd(client_fd);
-        ShutdownFd(server_fd);
-      });
-      PumpServerToClient(server_fd, client_fd);
-      ShutdownFd(client_fd);
-      ShutdownFd(server_fd);
-      forward.join();
-      Deregister(client_fd);
-      Deregister(server_fd);
-      CloseFd(client_fd);
-      CloseFd(server_fd);
-    });
-  }
+void FaultProxy::ServeConnection(int client_fd) {
+  Result<int> upstream =
+      ConnectTcp(options_.upstream_host, options_.upstream_port);
+  // Upstream down: the client sees its connection reset — exactly the
+  // refused/disconnect class it must retry through.
+  if (!upstream.ok()) return;
+  const int server_fd = upstream.value();
+  listener_.Track(server_fd);
+  // The request direction runs in its own thread; this thread owns the
+  // response direction (where the fault program aims).
+  std::thread forward([this, client_fd, server_fd] {
+    Pump(client_fd, server_fd, /*responses=*/false);
+    ShutdownFd(client_fd);
+    ShutdownFd(server_fd);
+  });
+  Pump(server_fd, client_fd, /*responses=*/true);
+  ShutdownFd(client_fd);
+  ShutdownFd(server_fd);
+  forward.join();
+  listener_.Untrack(server_fd);
+  CloseFd(server_fd);
 }
 
-void FaultProxy::PumpClientToServer(int client_fd, int server_fd) {
+void FaultProxy::Pump(int from_fd, int to_fd, bool responses) {
   std::vector<uint8_t> buf;
   while (true) {
-    Result<Record> rec = ReadRecord(client_fd);
-    if (!rec.ok()) return;
-    buf.clear();
-    AppendRecord(&buf, rec.value().kind, rec.value().id,
-                 rec.value().payload.data(), rec.value().payload.size());
-    PacingSleep(buf.size());
-    if (!WriteBytes(server_fd, buf.data(), buf.size()).ok()) return;
-  }
-}
-
-void FaultProxy::PumpServerToClient(int server_fd, int client_fd) {
-  std::vector<uint8_t> buf;
-  while (true) {
-    Result<Record> rec = ReadRecord(server_fd);
+    Result<Record> rec = ReadRecord(from_fd);
     if (!rec.ok()) return;
     const Record& record = rec.value();
     buf.clear();
     AppendRecord(&buf, record.kind, record.id, record.payload.data(),
                  record.payload.size());
-    const FaultEvent ev = NextResponseFault();
+    const FaultEvent ev = responses ? NextResponseFault() : FaultEvent{};
     PacingSleep(buf.size());
     switch (ev.fault) {
       case Fault::kNone:
-        if (!WriteBytes(client_fd, buf.data(), buf.size()).ok()) return;
+        if (!WriteBytes(to_fd, buf.data(), buf.size()).ok()) return;
         break;
       case Fault::kDropAfterBytes: {
         const size_t keep = std::min<size_t>(ev.arg, buf.size());
-        if (keep != 0 && !WriteBytes(client_fd, buf.data(), keep).ok()) {
+        if (keep != 0 && !WriteBytes(to_fd, buf.data(), keep).ok()) {
           return;
         }
         // Go silent: swallow further responses (keeping the server
         // unblocked) until either side tears the connection down. The
         // client's deadline turns the silence into a typed timeout.
-        while (ReadRecord(server_fd).ok()) {
+        while (ReadRecord(from_fd).ok()) {
         }
         return;
       }
@@ -220,7 +142,7 @@ void FaultProxy::PumpServerToClient(int server_fd, int client_fd) {
         std::vector<uint8_t> mangled;
         AppendRecord(&mangled, record.kind, record.id, record.payload.data(),
                      cut);
-        if (!WriteBytes(client_fd, mangled.data(), mangled.size()).ok()) {
+        if (!WriteBytes(to_fd, mangled.data(), mangled.size()).ok()) {
           return;
         }
         break;
@@ -233,22 +155,22 @@ void FaultProxy::PumpServerToClient(int server_fd, int client_fd) {
         } else {
           buf[kRecordHeaderBytes + ev.arg % record.payload.size()] ^= 0x5A;
         }
-        if (!WriteBytes(client_fd, buf.data(), buf.size()).ok()) return;
+        if (!WriteBytes(to_fd, buf.data(), buf.size()).ok()) return;
         break;
       }
       case Fault::kStall: {
         SleepNs(ev.arg == 0 ? 400'000'000ULL : ev.arg);
-        if (!WriteBytes(client_fd, buf.data(), buf.size()).ok()) return;
+        if (!WriteBytes(to_fd, buf.data(), buf.size()).ok()) return;
         break;
       }
       case Fault::kCloseMidResponse: {
         const size_t half = std::max<size_t>(1, buf.size() / 2);
-        (void)WriteBytes(client_fd, buf.data(), half);
+        (void)WriteBytes(to_fd, buf.data(), half);
         return;  // Pump exit shuts down both directions.
       }
       case Fault::kDuplicateResponse: {
-        if (!WriteBytes(client_fd, buf.data(), buf.size()).ok()) return;
-        if (!WriteBytes(client_fd, buf.data(), buf.size()).ok()) return;
+        if (!WriteBytes(to_fd, buf.data(), buf.size()).ok()) return;
+        if (!WriteBytes(to_fd, buf.data(), buf.size()).ok()) return;
         break;
       }
     }

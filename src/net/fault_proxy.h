@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -88,34 +87,33 @@ class FaultProxy {
   FaultProxy(const FaultProxy&) = delete;
   FaultProxy& operator=(const FaultProxy&) = delete;
 
-  Status Start() CSXA_EXCLUDES(mu_);
-  void Stop() CSXA_EXCLUDES(mu_);
-  uint16_t port() const CSXA_EXCLUDES(mu_);
+  Status Start();
+  void Stop() { listener_.Stop(); }
+  uint16_t port() const { return listener_.port(); }
 
   /// Responses forwarded (or mangled) so far, and faults actually fired.
   uint64_t responses_seen() const CSXA_EXCLUDES(mu_);
   uint64_t faults_fired() const CSXA_EXCLUDES(mu_);
 
  private:
-  void AcceptLoop();
-  void PumpClientToServer(int client_fd, int server_fd);
-  void PumpServerToClient(int server_fd, int client_fd);
+  /// Dials upstream for one accepted client (on the connection's own
+  /// thread, so the accept loop never waits on a connect) and pumps both
+  /// directions until either side leaves. A refused upstream returns at
+  /// once: the listener closes the client, which must retry.
+  void ServeConnection(int client_fd);
+  /// Forwards records from `from` to `to`, paced; with `responses` set,
+  /// each record claims a response index and suffers its programmed fault.
+  void Pump(int from_fd, int to_fd, bool responses);
   /// Claims the global index for the next response record and the fault
   /// (if any) programmed for it.
   FaultEvent NextResponseFault() CSXA_EXCLUDES(mu_);
-  void Deregister(int fd) CSXA_EXCLUDES(mu_);
   void PacingSleep(size_t bytes) const;
 
   Options options_;
   mutable Mutex mu_;
-  int listen_fd_ CSXA_GUARDED_BY(mu_) = -1;
-  uint16_t port_ CSXA_GUARDED_BY(mu_) = 0;
-  bool running_ CSXA_GUARDED_BY(mu_) = false;
-  std::vector<int> conn_fds_ CSXA_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_ CSXA_GUARDED_BY(mu_);
-  std::thread accept_thread_ CSXA_GUARDED_BY(mu_);
   uint64_t response_counter_ CSXA_GUARDED_BY(mu_) = 0;
   uint64_t faults_fired_ CSXA_GUARDED_BY(mu_) = 0;
+  Listener listener_;  ///< Last: stopped before the members above go.
 };
 
 }  // namespace csxa::net

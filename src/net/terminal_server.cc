@@ -1,6 +1,5 @@
 #include "net/terminal_server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "crypto/wire_format.h"
@@ -22,71 +21,13 @@ std::shared_ptr<const crypto::BatchSource> TerminalServer::Find(
 }
 
 Status TerminalServer::Start() {
-  MutexLock lock(&mu_);
-  if (running_) {
-    // csxa-lint: allow(error-taxonomy) double Start is caller misuse.
-    return Status::InvalidArgument("terminal server already started");
-  }
-  uint16_t bound = 0;
-  CSXA_ASSIGN_OR_RETURN(listen_fd_, ListenTcp(options_.port, &bound));
-  port_ = bound;
-  running_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void TerminalServer::Stop() {
-  std::thread accept_thread;
-  std::vector<std::thread> workers;
-  {
-    MutexLock lock(&mu_);
-    if (!running_ && !accept_thread_.joinable()) return;
-    running_ = false;
-    ShutdownFd(listen_fd_);
-    CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    for (int fd : conn_fds_) ShutdownFd(fd);
-    accept_thread = std::move(accept_thread_);
-    workers = std::move(workers_);
-  }
-  if (accept_thread.joinable()) accept_thread.join();
-  for (std::thread& t : workers) {
-    if (t.joinable()) t.join();
-  }
-  // Handlers close their own fds on exit; now they all have.
-  MutexLock lock(&mu_);
-  conn_fds_.clear();
-}
-
-uint16_t TerminalServer::port() const {
-  MutexLock lock(&mu_);
-  return port_;
+  return listener_.Start(options_.port,
+                         [this](int fd) { ServeConnection(fd); });
 }
 
 uint64_t TerminalServer::requests_served() const {
   MutexLock lock(&mu_);
   return requests_served_;
-}
-
-void TerminalServer::AcceptLoop() {
-  while (true) {
-    int listen_fd;
-    {
-      MutexLock lock(&mu_);
-      if (!running_) return;
-      listen_fd = listen_fd_;
-    }
-    Result<int> conn = AcceptConn(listen_fd);
-    if (!conn.ok()) return;  // Listener shut down.
-    MutexLock lock(&mu_);
-    if (!running_) {
-      CloseFd(conn.value());
-      return;
-    }
-    const int fd = conn.value();
-    conn_fds_.push_back(fd);
-    workers_.emplace_back([this, fd] { ServeConnection(fd); });
-  }
 }
 
 void TerminalServer::ServeConnection(int fd) {
@@ -154,13 +95,6 @@ void TerminalServer::ServeConnection(int fd) {
     }
     if (!write_status.ok()) break;
   }
-  // Deregister before closing: the fd number may be recycled by the OS
-  // the instant it closes, and Stop() must never shut down a stranger.
-  {
-    MutexLock lock(&mu_);
-    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
-  }
-  CloseFd(fd);
 }
 
 }  // namespace csxa::net

@@ -5,8 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -18,7 +16,8 @@ namespace csxa::net {
 /// The untrusted terminal as a real process boundary: a TCP server that
 /// exposes registered crypto::BatchSources (immutable stores, or a
 /// DocumentService's live document entries) over the record-framed batch
-/// protocol. One listening socket, one handler thread per connection; a
+/// protocol. A net::Listener owns the socket, the accept thread and one
+/// handler thread per live connection; this class is the handler: a
 /// connection binds to a document id first (kBind) and then answers
 /// kBatchRequest records in arrival order — pipelining depth comes from
 /// the client keeping several requests in flight, and from many
@@ -50,20 +49,21 @@ class TerminalServer {
       CSXA_EXCLUDES(mu_);
 
   /// Binds, listens and starts the accept loop.
-  Status Start() CSXA_EXCLUDES(mu_);
+  Status Start();
 
-  /// Wakes and joins every connection; idempotent.
-  void Stop() CSXA_EXCLUDES(mu_);
+  /// Wakes every connection and waits for its handler; idempotent.
+  void Stop() { listener_.Stop(); }
 
   /// The bound port (valid after Start()).
-  uint16_t port() const CSXA_EXCLUDES(mu_);
+  uint16_t port() const { return listener_.port(); }
 
   /// Cumulative batch requests answered (any document, any connection).
   uint64_t requests_served() const CSXA_EXCLUDES(mu_);
 
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  /// Answers one connection's records until the peer leaves or Stop()
+  /// shuts the fd down; the listener closes the fd.
+  void ServeConnection(int fd) CSXA_EXCLUDES(mu_);
   std::shared_ptr<const crypto::BatchSource> Find(const std::string& doc_id)
       const CSXA_EXCLUDES(mu_);
 
@@ -71,13 +71,8 @@ class TerminalServer {
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<const crypto::BatchSource>> docs_
       CSXA_GUARDED_BY(mu_);
-  int listen_fd_ CSXA_GUARDED_BY(mu_) = -1;
-  uint16_t port_ CSXA_GUARDED_BY(mu_) = 0;
-  bool running_ CSXA_GUARDED_BY(mu_) = false;
-  std::vector<int> conn_fds_ CSXA_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_ CSXA_GUARDED_BY(mu_);
-  std::thread accept_thread_ CSXA_GUARDED_BY(mu_);
   uint64_t requests_served_ CSXA_GUARDED_BY(mu_) = 0;
+  Listener listener_;  ///< Last: stopped before the members above go.
 };
 
 }  // namespace csxa::net

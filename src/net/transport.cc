@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace csxa::net {
 
@@ -139,6 +141,88 @@ Result<int> AcceptConn(int listen_fd) {
     if (errno == EINTR) continue;
     return Status::Unavailable("listener shut down");
   }
+}
+
+Status Listener::Start(uint16_t port, Handler handler) {
+  MutexLock lock(&mu_);
+  if (running_) {
+    // csxa-lint: allow(error-taxonomy) double Start is caller misuse.
+    return Status::InvalidArgument("listener already started");
+  }
+  uint16_t bound = 0;
+  CSXA_ASSIGN_OR_RETURN(const int listen_fd, ListenTcp(port, &bound));
+  listen_fd_ = listen_fd;
+  port_ = bound;
+  running_ = true;
+  accept_thread_ = std::thread([this, listen_fd, h = std::move(handler)] {
+    AcceptLoop(listen_fd, h);
+  });
+  return Status::OK();
+}
+
+void Listener::Stop() {
+  std::thread accept_thread;
+  {
+    MutexLock lock(&mu_);
+    if (!running_) return;
+    running_ = false;
+    ShutdownFd(listen_fd_);
+    for (int fd : tracked_) ShutdownFd(fd);
+    accept_thread = std::move(accept_thread_);
+  }
+  accept_thread.join();
+  MutexLock lock(&mu_);
+  // Closed only now that no accept() can be pending on its number.
+  CloseFd(listen_fd_);
+  listen_fd_ = -1;
+  while (live_handlers_ != 0) handlers_done_.Wait(&mu_);
+}
+
+uint16_t Listener::port() const {
+  MutexLock lock(&mu_);
+  return port_;
+}
+
+void Listener::Track(int fd) {
+  MutexLock lock(&mu_);
+  tracked_.push_back(fd);
+  if (!running_) ShutdownFd(fd);  // Stop() has already swept the set.
+}
+
+void Listener::Untrack(int fd) {
+  MutexLock lock(&mu_);
+  UntrackLocked(fd);
+}
+
+void Listener::UntrackLocked(int fd) {
+  auto it = std::find(tracked_.begin(), tracked_.end(), fd);
+  if (it != tracked_.end()) tracked_.erase(it);
+}
+
+void Listener::AcceptLoop(int listen_fd, const Handler& handler) {
+  while (true) {
+    Result<int> conn = AcceptConn(listen_fd);
+    if (!conn.ok()) return;  // Listener shut down.
+    const int fd = conn.value();
+    MutexLock lock(&mu_);
+    if (!running_) {
+      CloseFd(fd);
+      return;
+    }
+    tracked_.push_back(fd);
+    ++live_handlers_;
+    // Detached: the thread ends with its connection, and Stop() waits on
+    // live_handlers_ instead of joining.
+    std::thread([this, fd, handler] { Serve(fd, handler); }).detach();
+  }
+}
+
+void Listener::Serve(int fd, const Handler& handler) {
+  handler(fd);
+  MutexLock lock(&mu_);
+  UntrackLocked(fd);
+  CloseFd(fd);
+  if (--live_handlers_ == 0) handlers_done_.SignalAll();
 }
 
 void ShutdownFd(int fd) {

@@ -3,10 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 /// Byte-level transport under the batched verified-fetch protocol.
 ///
@@ -70,6 +73,58 @@ Result<int> ListenTcp(uint16_t port, uint16_t* bound_port);
 
 /// Blocking accept; Unavailable once the listener is shut down.
 Result<int> AcceptConn(int listen_fd);
+
+/// One loopback TCP listener: the socket lifecycle shared by the terminal
+/// server and the fault proxy, which supply only the per-connection
+/// handler. An accept thread runs `handler(fd)` on its own thread for
+/// every accepted connection; when the handler returns, the listener
+/// untracks and closes the fd and the thread exits, so a listener holds
+/// one thread per live connection.
+///
+/// Stop() wakes every blocked handler by shutting down each tracked fd:
+/// the accepted ones, plus any a handler registers with Track() (the
+/// fault proxy's upstream socket). A tracked fd is untracked before it is
+/// closed, so Stop() never shuts down a recycled fd number.
+class Listener {
+ public:
+  using Handler = std::function<void(int fd)>;
+
+  Listener() = default;
+  ~Listener() { Stop(); }
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts accepting.
+  Status Start(uint16_t port, Handler handler) CSXA_EXCLUDES(mu_);
+
+  /// Stops accepting, wakes every handler and returns once all of them
+  /// have returned; a second call does nothing.
+  void Stop() CSXA_EXCLUDES(mu_);
+
+  /// The bound port (valid after Start()).
+  uint16_t port() const CSXA_EXCLUDES(mu_);
+
+  /// Registers an fd a handler opened so Stop() wakes it too; once Stop()
+  /// has begun, the fd is shut down at once. The handler must Untrack()
+  /// it before closing it.
+  void Track(int fd) CSXA_EXCLUDES(mu_);
+  void Untrack(int fd) CSXA_EXCLUDES(mu_);
+
+ private:
+  void AcceptLoop(int listen_fd, const Handler& handler) CSXA_EXCLUDES(mu_);
+  /// Runs one connection's handler, then untracks and closes its fd.
+  void Serve(int fd, const Handler& handler) CSXA_EXCLUDES(mu_);
+  void UntrackLocked(int fd) CSXA_REQUIRES(mu_);
+
+  mutable Mutex mu_;
+  CondVar handlers_done_;
+  int listen_fd_ CSXA_GUARDED_BY(mu_) = -1;
+  uint16_t port_ CSXA_GUARDED_BY(mu_) = 0;
+  bool running_ CSXA_GUARDED_BY(mu_) = false;
+  std::vector<int> tracked_ CSXA_GUARDED_BY(mu_);
+  size_t live_handlers_ CSXA_GUARDED_BY(mu_) = 0;
+  std::thread accept_thread_ CSXA_GUARDED_BY(mu_);
+};
 
 /// Wakes any thread blocked on the fd, then releases it. Safe to call
 /// with -1 (no-op).

@@ -13,22 +13,23 @@ class AuthorizedViewReader::Collector : public xml::EventHandler {
   explicit Collector(std::vector<OutEntry>* out) : out_(out) {}
 
   void OnOpen(const std::string& tag, int depth) override {
-    out_->push_back({xml::EventKind::kOpen, depth, -1, tag, {}});
+    out_->push_back({xml::EventKind::kOpen, depth, -1, tag});
   }
+  /// The evaluator never calls this; it emits values through OnValueView.
   void OnValue(const std::string& value, int depth) override {
-    out_->push_back({xml::EventKind::kValue, depth, -1, {}, value});
+    OnValueView(value, depth);
   }
   void OnClose(const std::string& tag, int depth) override {
-    out_->push_back({xml::EventKind::kClose, depth, -1, tag, {}});
+    out_->push_back({xml::EventKind::kClose, depth, -1, tag});
   }
   /// The evaluator's one value path: a view of its text arena, or of the
   /// navigator's decode buffer for a value decided on arrival (see
   /// OutEntry for how long each stays valid).
   void OnValueView(std::string_view value, int depth) override {
-    out_->push_back({xml::EventKind::kValue, depth, -1, value, {}});
+    out_->push_back({xml::EventKind::kValue, depth, -1, value});
   }
   void OnDeferralGranted(size_t id) {
-    out_->push_back({xml::EventKind::kOpen, 0, static_cast<int>(id), {}, {}});
+    out_->push_back({xml::EventKind::kOpen, 0, static_cast<int>(id), {}});
   }
 
  private:
@@ -248,16 +249,12 @@ Result<ViewItem> AuthorizedViewReader::Next() {
       continue;  // Resume the normal queue.
     }
     if (out_head_ < out_.size()) {
-      OutEntry& e = out_[out_head_++];
+      const OutEntry& e = out_[out_head_++];
       if (e.splice >= 0) {
         CSXA_RETURN_NOT_OK(BeginSplice(static_cast<size_t>(e.splice)));
         continue;
       }
-      // An entry sets `text` or `owned`, never both: an empty `owned`
-      // reads as `text`, which is then empty too if the value was owned.
-      return ViewItem{
-          false, {e.kind, e.owned.empty() ? e.text : std::string_view(e.owned)},
-          e.depth};
+      return ViewItem{false, {e.kind, e.text}, e.depth};
     }
     // Drained: the next DriveOne() refills from the start, reusing the
     // storage.

@@ -136,14 +136,12 @@ class AuthorizedViewReader {
   /// an arena view stays valid until pulled. A value decided on arrival
   /// is forwarded only while the evaluator's queue is empty, with nothing
   /// flushed alongside, so it is the only entry of its DriveOne() and the
-  /// navigator is not advanced before it is pulled. `owned` holds a value
-  /// passed to the owning OnValue(), which the evaluator does not call.
+  /// navigator is not advanced before it is pulled.
   struct OutEntry {
     xml::EventKind kind = xml::EventKind::kOpen;
     int depth = 0;
     int splice = -1;
     std::string_view text;
-    std::string owned;
   };
 
   /// Everything needed to re-enter a deferred subtree later.

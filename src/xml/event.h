@@ -59,17 +59,13 @@ class EventHandler {
   /// Called for `</tag>`; depth is the depth of the element being closed.
   virtual void OnClose(const std::string& tag, int depth) = 0;
 
-  /// Text entry points for producers that can spare the handler a copy.
-  /// Both default to OnValue().
+  /// Text entry point for producers that can spare the handler a copy;
+  /// defaults to OnValue().
   /// `value` is borrowed: it is valid only during the call, unless the
   /// producer documents more (access::RuleEvaluator's flushed values stay
   /// valid until its next event).
   virtual void OnValueView(std::string_view value, int depth) {
     OnValue(std::string(value), depth);
-  }
-  /// `value` is handed over: the handler may keep it.
-  virtual void OnValueOwned(std::string&& value, int depth) {
-    OnValue(value, depth);
   }
 };
 

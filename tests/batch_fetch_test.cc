@@ -69,14 +69,7 @@ const char* const kRuleSets[] = {
     "+ /Hospital/Folder[Clearance = open]/MedActs\n",
 };
 
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
+using csxa::testing::DirectView;
 
 /// Publication without a shared cache: every serve starts cold with a
 /// private digest cache, so the serves a test compares share nothing.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/bitstream.h"
+#include "common/splitmix64.h"
 #include "testing.h"
 #include "xml/serializer.h"
 
@@ -23,16 +24,9 @@ namespace {
 
 using namespace csxa;  // NOLINT
 
-uint64_t SplitMix(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   std::vector<uint8_t> out(n);
-  for (uint8_t& b : out) b = static_cast<uint8_t>(SplitMix(&seed));
+  for (uint8_t& b : out) b = static_cast<uint8_t>(SplitMix64(&seed));
   return out;
 }
 
@@ -175,10 +169,10 @@ TEST(EscapedTextMatchesPerCharacterLoop) {
   }
   uint64_t state = 11;
   for (int round = 0; round < 2000; ++round) {
-    const size_t len = SplitMix(&state) % 70;
+    const size_t len = SplitMix64(&state) % 70;
     std::string text;
     for (size_t i = 0; i < len; ++i) {
-      const uint64_t r = SplitMix(&state);
+      const uint64_t r = SplitMix64(&state);
       text.push_back(r % 4 == 0 ? kSpecials[(r >> 8) % 3]
                                 : static_cast<char>(r >> 16));
     }
@@ -194,14 +188,14 @@ TEST(SequentialReadsMatchReference) {
   BitReader reader(data.data(), data.size());
   size_t pos = 0;
   while (true) {
-    const int width = static_cast<int>(SplitMix(&state) % 65);
+    const int width = static_cast<int>(SplitMix64(&state) % 65);
     if (pos + static_cast<size_t>(width) > data.size() * 8) break;
     uint64_t v = 0;
     CHECK_OK(reader.ReadBits(width, &v));
     CHECK_EQ(v, ReferenceBits(data, pos, width));
     pos += static_cast<size_t>(width);
     // Bulk byte reads at whatever alignment the cursor landed on.
-    const size_t n = SplitMix(&state) % 24;
+    const size_t n = SplitMix64(&state) % 24;
     if (pos + n * 8 > data.size() * 8) break;
     std::string bytes = "prefix";
     CHECK_OK(reader.ReadBytes(n, &bytes));
@@ -227,8 +221,8 @@ TEST(WriterIsByteIdenticalToReferenceAndRoundTrips) {
       fields.emplace_back(0, -1);
       continue;
     }
-    const int width = static_cast<int>(SplitMix(&state) % 65);
-    const uint64_t raw = SplitMix(&state);  // high bits must be ignored
+    const int width = static_cast<int>(SplitMix64(&state) % 65);
+    const uint64_t raw = SplitMix64(&state);  // high bits must be ignored
     writer.WriteBits(raw, width);
     reference.WriteBits(raw, width);
     fields.emplace_back(
@@ -273,23 +267,23 @@ TEST(WriterMatchesReferenceOnMixedOpsAtEveryPhase) {
       reference.WriteBits(0x55, phase);
       fields.push_back({kBits, 0x55 & ((1u << phase) - 1), phase, {}});
       for (int i = 0; i < 400; ++i) {
-        const uint64_t pick = SplitMix(&state) % 16;
+        const uint64_t pick = SplitMix64(&state) % 16;
         if (pick < 7) {
-          const int width = static_cast<int>(SplitMix(&state) % 65);
-          const uint64_t raw = SplitMix(&state);
+          const int width = static_cast<int>(SplitMix64(&state) % 65);
+          const uint64_t raw = SplitMix64(&state);
           writer.WriteBits(raw, width);
           reference.WriteBits(raw, width);
           fields.push_back(
               {kBits, width == 64 ? raw : raw & ((uint64_t{1} << width) - 1),
                width, {}});
         } else if (pick < 11) {
-          const bool bit = SplitMix(&state) & 1;
+          const bool bit = SplitMix64(&state) & 1;
           writer.WriteBit(bit);
           reference.WriteBits(bit, 1);
           fields.push_back({kBit, bit, 1, {}});
         } else if (pick < 15) {
-          const size_t n = SplitMix(&state) % 40;
-          std::vector<uint8_t> run = RandomBytes(n, SplitMix(&state));
+          const size_t n = SplitMix64(&state) % 40;
+          std::vector<uint8_t> run = RandomBytes(n, SplitMix64(&state));
           writer.WriteBytes(run.data(), run.size());
           for (uint8_t b : run) reference.WriteBits(b, 8);
           fields.push_back({kRun, 0, 0, std::move(run)});

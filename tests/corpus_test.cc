@@ -33,14 +33,7 @@ std::string Hex(const crypto::Sha1Digest& digest) {
   return out;
 }
 
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
+using csxa::testing::DirectView;
 
 bench::Corpus SmallCorpus(bench::CorpusFamily family, uint64_t seed = 1) {
   bench::CorpusSpec spec;

@@ -7,23 +7,35 @@
 // seeded/programmed, so any failure here replays deterministically — except
 // in the concurrent case, where the fault program is fixed but which
 // serve each fault lands in follows the thread schedule.
+//
+// The listener under both servers is checked on its own: Stop() returns
+// while clients sit idle, a second Stop() does nothing, a proxy whose
+// upstream refuses closes its client, and finished connections release
+// their threads.
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "access/access_rule.h"
-#include "access/rule_evaluator.h"
+#include "common/bytes.h"
 #include "net/fault_proxy.h"
 #include "net/remote_source.h"
 #include "net/terminal_server.h"
 #include "server/document_service.h"
 #include "testing.h"
-#include "xml/sax_parser.h"
-#include "xml/serializer.h"
 
 namespace {
 
@@ -61,14 +73,7 @@ std::string TestDocument(int folders) {
   return xml;
 }
 
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
+using csxa::testing::DirectView;
 
 server::DocumentConfig TestConfig(crypto::CipherBackendKind backend) {
   server::DocumentConfig cfg;
@@ -77,6 +82,58 @@ server::DocumentConfig TestConfig(crypto::CipherBackendKind backend) {
   cfg.key = TestKey();
   cfg.backend = backend;
   return cfg;
+}
+
+#ifndef CSXA_SANITIZED
+/// One malloc arena for the whole binary. glibc keeps an arena per thread
+/// that ever allocated, up to a limit it reads once, when the first
+/// thread allocates; so it is set here, before main(). Otherwise those
+/// arenas, never unmapped, would hide the stacks that
+/// FinishedConnectionsReleaseTheirThreads measures.
+const int kOneArena = mallopt(M_ARENA_MAX, 1);
+#endif
+
+/// Runs `stop` and fails unless it returns within 10 s. A Stop() that
+/// hangs cannot be abandoned, so that failure ends the process.
+void ExpectPromptStop(const char* what, const std::function<void()>& stop) {
+  std::promise<void> done;
+  std::future<void> returned = done.get_future();
+  std::thread stopper([&] {
+    stop();
+    done.set_value();
+  });
+  if (returned.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "  FAIL [%s] %s did not return\n",
+                 csxa::testing::current_test, what);
+    std::_Exit(1);
+  }
+  stopper.join();
+}
+
+Status SendBind(int fd, std::string_view doc_id) {
+  return net::WriteRecord(fd, net::RecordKind::kBind, /*id=*/1,
+                          common::AsBytes(doc_id), doc_id.size());
+}
+
+/// Reads one byte from a peer the far side has closed: 0 (EOF) is the
+/// expected answer, -1 means the read timed out or failed.
+ssize_t ReadOneByte(int fd) {
+  net::SetRecvTimeoutNs(fd, 5'000'000'000ULL);
+  char byte;
+  return ::read(fd, &byte, 1);
+}
+
+/// The process's virtual size in bytes, from /proc/self/status.
+uint64_t VmSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtoull(line.c_str() + 7, nullptr, 10) * 1024;
+    }
+  }
+  return 0;
 }
 
 net::RemoteBatchSource::Options RemoteOptions(uint16_t port) {
@@ -349,6 +406,100 @@ TEST(UnknownDocumentFailsWithoutRetry) {
   server.Stop();
 }
 
+TEST(StopReturnsWhileAClientSitsIdle) {
+  // A terminal server whose handler answered a bind and now waits in
+  // ReadRecord for a request that never comes.
+  net::TerminalServer server;
+  CHECK_OK(server.Start());
+  auto client = net::ConnectTcp("127.0.0.1", server.port());
+  CHECK_OK(client.status());
+  if (!client.ok()) return;
+  const std::string doc_id = "nonexistent";
+  CHECK_OK(SendBind(client.value(), doc_id));
+  auto reply = net::ReadRecord(client.value());
+  CHECK(reply.ok() && reply.value().kind == net::RecordKind::kError);
+  ExpectPromptStop("TerminalServer::Stop", [&] { server.Stop(); });
+  CHECK_EQ(ReadOneByte(client.value()), ssize_t{0});
+  net::CloseFd(client.value());
+
+  // A fault proxy whose upstream completes the handshake (the kernel
+  // queues it) but never reads or answers: the proxy's handler sits in
+  // both pumps' ReadRecord.
+  uint16_t silent_port = 0;
+  auto silent = net::ListenTcp(0, &silent_port);
+  CHECK_OK(silent.status());
+  if (!silent.ok()) return;
+  net::FaultProxy::Options opts;
+  opts.upstream_port = silent_port;
+  net::FaultProxy proxy(opts);
+  CHECK_OK(proxy.Start());
+  auto proxied = net::ConnectTcp("127.0.0.1", proxy.port());
+  CHECK_OK(proxied.status());
+  if (proxied.ok()) {
+    CHECK_OK(SendBind(proxied.value(), doc_id));
+    net::SetRecvTimeoutNs(proxied.value(), 100'000'000);
+    CHECK(!net::ReadRecord(proxied.value()).ok());  // Nothing answers.
+    ExpectPromptStop("FaultProxy::Stop", [&] { proxy.Stop(); });
+    CHECK_EQ(ReadOneByte(proxied.value()), ssize_t{0});
+    net::CloseFd(proxied.value());
+  }
+  net::CloseFd(silent.value());
+}
+
+TEST(SecondStopDoesNothing) {
+  net::TerminalServer server;
+  CHECK_OK(server.Start());
+  const uint16_t port = server.port();
+  net::FaultProxy::Options opts;
+  opts.upstream_port = port;
+  net::FaultProxy proxy(opts);
+  CHECK_OK(proxy.Start());
+  for (int round = 0; round < 2; ++round) {
+    ExpectPromptStop("FaultProxy::Stop", [&] { proxy.Stop(); });
+    ExpectPromptStop("TerminalServer::Stop", [&] { server.Stop(); });
+  }
+  CHECK_EQ(server.port(), port);
+  // Nothing listens any more.
+  CHECK(!net::ConnectTcp("127.0.0.1", port).ok());
+}
+
+TEST(RefusedUpstreamClosesTheClient) {
+  net::TerminalServer vacated_server;
+  CHECK_OK(vacated_server.Start());
+  const uint16_t vacated = vacated_server.port();
+  vacated_server.Stop();
+  net::FaultProxy::Options opts;
+  opts.upstream_port = vacated;
+  net::FaultProxy proxy(opts);
+  CHECK_OK(proxy.Start());
+
+  // The proxy cannot dial upstream, so it closes the client: EOF, not a
+  // timeout.
+  auto client = net::ConnectTcp("127.0.0.1", proxy.port());
+  CHECK_OK(client.status());
+  if (client.ok()) {
+    CHECK_EQ(ReadOneByte(client.value()), ssize_t{0});
+    net::CloseFd(client.value());
+  }
+
+  // A remote source reading through it runs its ladder out and fails
+  // with the retryable class.
+  net::RemoteBatchSource::Options remote_opts = RemoteOptions(proxy.port());
+  remote_opts.max_attempts = 3;
+  net::RemoteBatchSource source(remote_opts);
+  crypto::BatchRequest request;
+  request.runs.push_back({0, 32});
+  auto response = source.ReadBatch(request);
+  CHECK(!response.ok());
+  if (!response.ok()) {
+    CHECK_EQ(static_cast<int>(response.status().code()),
+             static_cast<int>(StatusCode::kUnavailable));
+  }
+  CHECK_EQ(source.transport_stats().retries, uint64_t{2});
+  CHECK_EQ(proxy.responses_seen(), uint64_t{0});
+  proxy.Stop();
+}
+
 TEST(SeededProgramIsDeterministic) {
   auto a = net::FaultProxy::SeededProgram(/*seed=*/7, /*count=*/16,
                                           /*horizon=*/64);
@@ -394,6 +545,51 @@ TEST(StaleSessionFailsClosedOverTheWire) {
     CHECK_EQ(static_cast<int>(stale.status().code()),
              static_cast<int>(StatusCode::kIntegrityError));
   }
+  server.Stop();
+}
+
+TEST(FinishedConnectionsReleaseTheirThreads) {
+  // Each connection's handler thread must end with it: a thread kept
+  // until Stop() keeps its stack mapped, so a terminal that runs for days
+  // would grow with every client it ever served. kOneArena keeps
+  // per-thread malloc arenas from masking the stacks.
+#ifndef CSXA_SANITIZED
+  CHECK_EQ(kOneArena, 1);
+#endif
+  net::TerminalServer server;
+  CHECK_OK(server.Start());
+  net::FaultProxy::Options opts;
+  opts.upstream_port = server.port();
+  net::FaultProxy proxy(opts);
+  CHECK_OK(proxy.Start());
+
+  const uint64_t before = VmSizeBytes();
+  for (uint16_t port : {server.port(), proxy.port()}) {
+    for (int i = 0; i < 200; ++i) {
+      auto fd = net::ConnectTcp("127.0.0.1", port);
+      CHECK_OK(fd.status());
+      if (fd.ok()) net::CloseFd(fd.value());
+    }
+  }
+  // Handlers see EOF and finish on their own schedule; give them 2 s.
+  constexpr uint64_t kBound = uint64_t{128} << 20;
+  uint64_t growth = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (true) {
+    const uint64_t now = VmSizeBytes();
+    growth = now > before ? now - before : 0;
+    if (growth < kBound || std::chrono::steady_clock::now() >= give_up) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::printf("  VmSize growth after 400 connections: %.1f MiB\n",
+              static_cast<double>(growth) / (1 << 20));
+#ifdef CSXA_SANITIZED
+  std::printf("  bound skipped: the sanitizer runtime owns the mappings\n");
+#else
+  CHECK(growth < kBound);
+#endif
+  proxy.Stop();
   server.Stop();
 }
 

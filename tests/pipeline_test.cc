@@ -61,11 +61,7 @@ std::vector<access::AccessRule> TestRules() {
 std::string DirectView(
     const std::string& xml,
     const std::vector<access::AccessRule>& rules = TestRules()) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
+  return csxa::testing::DirectView(xml, rules);
 }
 
 

@@ -23,15 +23,6 @@
 #include "testing.h"
 #include "xml/serializer.h"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CSXA_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define CSXA_SANITIZED 1
-#endif
-#endif
-
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};

@@ -101,14 +101,7 @@ std::vector<access::AccessRule> ParseRules(const std::string& text) {
 }
 
 /// Oracle-free reference: evaluate straight from the SAX parser.
-std::string DirectView(const std::string& xml,
-                       const std::vector<access::AccessRule>& rules) {
-  xml::SerializingHandler ser;
-  access::RuleEvaluator eval(rules, &ser);
-  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
-  CHECK_OK(eval.Finish());
-  return ser.output();
-}
+using csxa::testing::DirectView;
 
 /// One cold serve of `xml` (published without a shared cache, so nothing
 /// carries over between the serves a test compares).

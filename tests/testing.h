@@ -1,9 +1,10 @@
 #ifndef CSXA_TESTS_TESTING_H_
 #define CSXA_TESTS_TESTING_H_
 
-// Minimal dependency-free test harness: TEST(name) registers a function;
-// CHECK* macros record failures without aborting the test; main() runs
-// every registered test and exits nonzero if any check failed.
+// Minimal test harness: TEST(name) registers a function; CHECK* macros
+// record failures without aborting the test; main() runs every registered
+// test and exits nonzero if any check failed. DirectView() is the shared
+// reference view the serve paths are compared against.
 
 #include <cstdio>
 #include <ctime>
@@ -11,6 +12,23 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "access/access_rule.h"
+#include "access/rule_evaluator.h"
+#include "xml/sax_parser.h"
+#include "xml/serializer.h"
+
+// Set in sanitizer builds, whose runtime owns operator new and the
+// address-space layout: tests that count allocations or bound memory
+// report those gates skipped there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CSXA_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define CSXA_SANITIZED 1
+#endif
+#endif
 
 namespace csxa::testing {
 
@@ -88,6 +106,21 @@ inline void Fail(const char* file, int line, const std::string& msg) {
                                 st_.ToString());                          \
     }                                                                     \
   } while (0)
+
+namespace csxa::testing {
+
+/// The reference view: `rules` evaluated over a direct SAX pass of `xml`,
+/// with no encoding, store or fetch in between.
+inline std::string DirectView(const std::string& xml,
+                              const std::vector<access::AccessRule>& rules) {
+  xml::SerializingHandler ser;
+  access::RuleEvaluator eval(rules, &ser);
+  CHECK_OK(xml::SaxParser::Parse(xml, &eval));
+  CHECK_OK(eval.Finish());
+  return ser.output();
+}
+
+}  // namespace csxa::testing
 
 int main() {
   for (const auto& t : ::csxa::testing::Registry()) {
