@@ -134,6 +134,13 @@ class BatchSource {
   struct TransportStats {
     uint64_t retries = 0;
     uint64_t reconnects = 0;
+    /// What one round trip on this link is worth in bytes: its
+    /// bandwidth-delay product, the bytes the link could have delivered
+    /// in the time a round trip's latency costs. The fetch planner keeps
+    /// readahead up to this many bytes across skips. 0 in process (a
+    /// round trip costs no link time) and on a link not yet measured;
+    /// UINT64_MAX where bytes cost nothing next to the latency.
+    uint64_t round_trip_price_bytes = 0;
   };
 
   virtual ~BatchSource() = default;

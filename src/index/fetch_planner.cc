@@ -75,13 +75,17 @@ void FetchPlanner::HintExcluded(uint64_t begin, uint64_t end) {
   // (the element's own header before the subtree, its close marker after).
   uint64_t first = (begin + fragment_size_ - 1) / fragment_size_;
   uint64_t last_end = end / fragment_size_;  // exclusive
-  // Skip evidence: stop speculating — a skip-dense region must page
-  // conservatively or the readahead re-fetches what skipping just saved.
-  // A skip inside one fragment is no such evidence: the fragment crosses
-  // the wire whole anyway, so it cancels no transfer. Only once some skip
-  // has saved a whole fragment does every later one collapse the window.
+  // Skip evidence: speculate no further than one round trip is worth — a
+  // skip-dense region must page conservatively or the readahead
+  // re-fetches what skipping just saved, unless the round trip a page
+  // costs is dearer than those bytes. A skip inside one fragment is no
+  // such evidence: the fragment crosses the wire whole anyway, so it
+  // cancels no transfer. Only once some skip has saved a whole fragment
+  // does every later one cap the window.
   if (first < last_end) skips_save_fragments_ = true;
-  if (skips_save_fragments_) readahead_bytes_ = 0;
+  if (skips_save_fragments_) {
+    readahead_bytes_ = std::min(readahead_bytes_, round_trip_price_bytes_);
+  }
   uint64_t wasted_frags = 0;
   for (uint64_t f = first; f < last_end; ++f) {
     if (Test(excluded_, f)) continue;

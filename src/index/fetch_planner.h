@@ -62,13 +62,20 @@ struct FragmentRun {
 /// proof that comes with it) is the common case.
 ///
 /// Once the skip oracle has cancelled a range that spans at least one
-/// whole fragment, every cancellation collapses the window to zero: a
-/// skip-dense region pages conservatively and keeps the skip savings
-/// intact. Cancellations that all fall inside single fragments leave the
-/// window alone until then. A fragment is the hashing and transfer unit,
-/// so a skip inside one saves no byte on the wire — it is no evidence
-/// that readahead will fetch bytes the stream never reads, and a serve
-/// whose skips are all that small streams at the batch horizon.
+/// whole fragment, every cancellation caps the window at the link's
+/// round-trip price (SetRoundTripPrice): the bytes one round trip is
+/// worth on the link, its bandwidth-delay product. Speculating past a
+/// skip risks fetching bytes the stream never reads; not speculating
+/// risks a round trip later. Readahead up to the price is never dearer
+/// than the round trip it may save, so a skip-dense region pages
+/// conservatively on a link where bytes are dear and keeps its batches
+/// where latency dominates. In process the price is 0 and every such
+/// cancellation collapses the window. Cancellations that all fall inside
+/// single fragments leave the window alone until then. A fragment is the
+/// hashing and transfer unit, so a skip inside one saves no byte on the
+/// wire — it is no evidence that readahead will fetch bytes the stream
+/// never reads, and a serve whose skips are all that small streams at
+/// the batch horizon.
 ///
 /// Skipping also has to *pay for itself* — the stream-all fallback. Every
 /// hole a skip leaves in a chunk's coverage forces sibling hashes onto the
@@ -100,10 +107,17 @@ class FetchPlanner {
 
   /// Skip-oracle cancellation: [begin, end) will not be needed. Rounds
   /// inward to fragment boundaries (boundary fragments carry neighbouring
-  /// live bytes). Overrides earlier wanted marks. Collapses the readahead
-  /// window, but only from the serve's first cancellation that covers a
-  /// whole fragment on: one inside a single fragment saves no transfer.
+  /// live bytes). Overrides earlier wanted marks. Caps the readahead
+  /// window at the round-trip price, but only from the serve's first
+  /// cancellation that covers a whole fragment on: one inside a single
+  /// fragment saves no transfer.
   void HintExcluded(uint64_t begin, uint64_t end);
+
+  /// What one round trip on the link is worth in bytes (see
+  /// crypto::BatchSource::TransportStats). 0, the default, collapses the
+  /// window on every cancellation; a price at or above the batch horizon
+  /// never narrows it. Plan() rounds the window down to whole fragments.
+  void SetRoundTripPrice(uint64_t bytes) { round_trip_price_bytes_ = bytes; }
 
   /// The consumer will stream the entire document (no skip capability, or
   /// skipping disabled): everything becomes wanted.
@@ -188,12 +202,14 @@ class FetchPlanner {
   std::vector<uint64_t> excluded_;
   /// Adaptive sequential readahead: fragment right after the last planned
   /// batch, and the current window (bytes of unknown fragments a batch may
-  /// speculate through). Doubles on sequential demands, zeroed by
-  /// HintExcluded (skip evidence) once `skips_save_fragments_` is set —
-  /// by the first exclusion covering a whole fragment.
+  /// speculate through). Doubles on sequential demands, capped at
+  /// `round_trip_price_bytes_` by HintExcluded (skip evidence) once
+  /// `skips_save_fragments_` is set — by the first exclusion covering a
+  /// whole fragment.
   uint64_t frontier_ = 0;
   uint64_t readahead_bytes_ = 0;
   bool skips_save_fragments_ = false;
+  uint64_t round_trip_price_bytes_ = 0;
   /// Fragments emitted in some batch's runs — what speculation actually
   /// paid for (the waste stat must not count never-fetched holes).
   std::vector<uint8_t> planned_;

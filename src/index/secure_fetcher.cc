@@ -121,7 +121,10 @@ Status SecureFetcher::Ensure(uint64_t begin, uint64_t end) {
     }
     // Feed the realized proof overhead back: the planner's stream-all
     // fallback weighs it against the ciphertext skipping actually avoided.
+    // The link's current round-trip price caps readahead across skips.
     planner_.ReportProofBytes(batch_proof_bytes);
+    planner_.SetRoundTripPrice(
+        source_->transport_stats().round_trip_price_bytes);
     CSXA_RETURN_NOT_OK(soe_->DecryptVerifiedBatch(
         req, resp.value(), buffer_.data(), buffer_.size(), &pin));
     touched_ = pin.Release();

@@ -1,7 +1,9 @@
 #include "net/remote_source.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/bytes.h"
@@ -20,6 +22,51 @@ bool Retryable(const Status& status) {
 
 }  // namespace
 
+void LinkPriceEstimate::Add(uint64_t ns, uint64_t bytes) {
+  Fastest& slot = fastest_[std::bit_width(bytes)];
+  if (ns > slot.ns || (ns == slot.ns && bytes >= slot.bytes)) return;
+  slot = {ns, bytes};
+
+  // Only the fastest round trips shape the price, so it is recomputed
+  // only when one of them improves.
+  const Fastest* anchor = &slot;
+  uint64_t min_bytes = bytes, max_bytes = bytes;
+  for (const Fastest& c : fastest_) {
+    if (c.ns == UINT64_MAX) continue;
+    if (c.ns < anchor->ns || (c.ns == anchor->ns && c.bytes < anchor->bytes)) {
+      anchor = &c;
+    }
+    min_bytes = std::min(min_bytes, c.bytes);
+    max_bytes = std::max(max_bytes, c.bytes);
+  }
+  if (max_bytes < 2 * min_bytes) {
+    price_bytes_ = 0;
+    return;
+  }
+  const uint64_t noise_ns = std::max<uint64_t>(1, anchor->ns / 4);
+  double rate = 0;  // Bytes per ns.
+  bool above_noise = false;
+  for (const Fastest& c : fastest_) {
+    if (c.ns == UINT64_MAX || c.bytes < 2 * anchor->bytes) continue;
+    const uint64_t extra_ns = c.ns - anchor->ns;
+    above_noise |= extra_ns > noise_ns;
+    const double read = static_cast<double>(c.bytes - anchor->bytes) /
+                        static_cast<double>(std::max(extra_ns, noise_ns));
+    rate = std::max(rate, read);
+  }
+  // Round trips twice the anchor's size (if any) cost no more time than
+  // the noise, or the fastest round trip is among the largest.
+  if (!above_noise) {
+    price_bytes_ = UINT64_MAX;
+    return;
+  }
+  const double latency_ns = std::max(
+      0.0, static_cast<double>(anchor->ns) -
+               static_cast<double>(anchor->bytes) / rate);
+  const double price = std::floor(latency_ns * rate);
+  price_bytes_ = price >= 0x1p64 ? UINT64_MAX : static_cast<uint64_t>(price);
+}
+
 RemoteBatchSource::~RemoteBatchSource() {
   std::vector<std::thread> parked;
   {
@@ -35,7 +82,7 @@ RemoteBatchSource::~RemoteBatchSource() {
 crypto::BatchSource::TransportStats RemoteBatchSource::transport_stats()
     const {
   MutexLock lock(&mu_);
-  return {retries_, reconnects_};
+  return {retries_, reconnects_, price_.price_bytes()};
 }
 
 void RemoteBatchSource::FailWaitersLocked(const char* why) const {
@@ -196,6 +243,7 @@ Result<crypto::BatchResponse> RemoteBatchSource::ReadBatch(
       }
       const uint64_t id = next_id_++;
       waiters_[id] = &waiter;
+      const uint64_t sent_at = NowNs();
       Status sent = WriteRecord(fd_, RecordKind::kBatchRequest, id,
                                 frame.data(), frame.size());
       if (!sent.ok()) {
@@ -228,6 +276,8 @@ Result<crypto::BatchResponse> RemoteBatchSource::ReadBatch(
         last = waiter.error;
         continue;
       }
+      price_.Add(NowNs() - sent_at, 2 * kRecordHeaderBytes + frame.size() +
+                                        waiter.payload.size());
     }
     // Decode outside the lock; a frame that fails here is tampering or
     // corruption — terminal either way, never retried.

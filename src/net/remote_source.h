@@ -1,6 +1,7 @@
 #ifndef CSXA_NET_REMOTE_SOURCE_H_
 #define CSXA_NET_REMOTE_SOURCE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -13,6 +14,41 @@
 #include "net/transport.h"
 
 namespace csxa::net {
+
+/// What one round trip on a link is worth in bytes: its bandwidth-delay
+/// product, the quantity BBR estimates from minimum RTT and maximum
+/// delivery rate. A pure function of the round trips added, in any order.
+///
+/// Model: a round trip carrying b bytes takes L + b/B, latency L plus
+/// transfer at delivery rate B. Queueing behind other requests on a
+/// pipelined link only adds time, so each size class (log2 of the bytes)
+/// keeps only its fastest round trip. The anchor is the fastest of all.
+/// Each class carrying at least twice the anchor's bytes reads a rate:
+/// its extra bytes over its extra time, the extra time floored at the
+/// latency noise (a quarter of the anchor's time). B is the best rate
+/// read, L the anchor's time less its own bytes' transfer at B, and the
+/// price is L × B. It is
+///  - 0 until the round trips span a factor of two in size: one size
+///    cannot tell latency from transfer;
+///  - UINT64_MAX when no class that reads a rate takes longer than the
+///    anchor by more than the noise (or none reads one: the fastest round
+///    trip is among the largest). Bytes then cost nothing next to the
+///    latency, as on loopback.
+class LinkPriceEstimate {
+ public:
+  /// One round trip of `ns` from the request's write to its waiter's
+  /// wake-up, carrying `bytes` of request and response records.
+  void Add(uint64_t ns, uint64_t bytes);
+  uint64_t price_bytes() const { return price_bytes_; }
+
+ private:
+  struct Fastest {
+    uint64_t ns = UINT64_MAX;
+    uint64_t bytes = 0;
+  };
+  std::array<Fastest, 65> fastest_{};  ///< By std::bit_width(bytes).
+  uint64_t price_bytes_ = 0;
+};
 
 /// The SOE's async terminal link: a crypto::BatchSource whose ReadBatch
 /// crosses a TCP connection to a TerminalServer (or csxa_stored). One
@@ -71,7 +107,8 @@ class RemoteBatchSource : public crypto::BatchSource {
       const crypto::BatchRequest& request) const override;
 
   /// Retries/reconnects so far (the fetcher's per-serve counters are
-  /// deltas of this).
+  /// deltas of this), and the round-trip price measured on this link's
+  /// request round trips so far (LinkPriceEstimate).
   TransportStats transport_stats() const override CSXA_EXCLUDES(mu_);
 
  private:
@@ -120,6 +157,8 @@ class RemoteBatchSource : public crypto::BatchSource {
   mutable uint64_t jitter_state_ CSXA_GUARDED_BY(mu_) = 0;
   mutable uint64_t retries_ CSXA_GUARDED_BY(mu_) = 0;
   mutable uint64_t reconnects_ CSXA_GUARDED_BY(mu_) = 0;
+  /// Shared by every session on the link: each learns from all of them.
+  mutable LinkPriceEstimate price_ CSXA_GUARDED_BY(mu_);
 };
 
 }  // namespace csxa::net

@@ -792,19 +792,30 @@ TEST(DecryptorMissingProofNodesTracksCache) {
 }
 
 /// Drives a planner the way the navigator streams: every demand reaches
-/// four bytes back into the held prefix and four past it, so it lands
-/// exactly on the previous batch's frontier. Every cached hash is free (the
-/// probe prices nothing), so no coverage shaping widens a batch: its width
-/// is the demand plus the readahead window.
+/// `reach_back` bytes back into the held prefix and four past it, so it
+/// lands exactly on the previous batch's frontier. Every cached hash is
+/// free (the probe prices nothing), so no coverage shaping widens a batch:
+/// its width is the demand plus the readahead window.
 class SequentialDriver {
  public:
-  explicit SequentialDriver(index::FetchPlanner* planner)
-      : planner_(planner), valid_(planner->fragment_count(), false) {}
+  explicit SequentialDriver(index::FetchPlanner* planner,
+                            uint64_t fragment_size = 32,
+                            uint64_t reach_back = 4)
+      : planner_(planner),
+        fragment_size_(fragment_size),
+        reach_back_(reach_back),
+        valid_(planner->fragment_count(), false) {}
 
   /// Plans the next frontier demand, marks its runs held, returns them.
   std::vector<index::FragmentRun> Demand() {
-    const uint64_t at = frontier_ * 32;
-    auto runs = planner_->Plan(at == 0 ? 0 : at - 4, at + 4, valid_,
+    const uint64_t at = frontier_ * fragment_size_;
+    return DemandAt(at < reach_back_ ? 0 : at - reach_back_, at + 4);
+  }
+
+  /// Plans the demand [begin, end) wherever it lies; the frontier moves
+  /// to the end of its batch.
+  std::vector<index::FragmentRun> DemandAt(uint64_t begin, uint64_t end) {
+    auto runs = planner_->Plan(begin, end, valid_,
                                [](uint64_t, uint32_t, uint32_t) -> uint64_t {
                                  return 0;
                                });
@@ -819,6 +830,8 @@ class SequentialDriver {
 
  private:
   index::FetchPlanner* planner_;
+  uint64_t fragment_size_;
+  uint64_t reach_back_;
   std::vector<bool> valid_;
   uint64_t frontier_ = 0;
 };
@@ -886,6 +899,105 @@ TEST(FragmentSavingSkipRearmsCollapse) {
   CHECK_EQ(runs[0].begin_frag, at / 32);
   CHECK_EQ(runs[0].end_frag, at / 32 + 2);
   CHECK_EQ(planner.stats().hints_excluded, uint64_t{2});
+}
+
+/// The planner of the priced-collapse tests: 64-byte fragments, 512-byte
+/// chunks, the default four-chunk (2 KiB) horizon.
+index::FetchPlanner PricedPlanner(uint64_t price) {
+  index::PlannerOptions opts;
+  opts.gap_threshold_bytes = 0;
+  index::FetchPlanner planner(/*document_bytes=*/32768, /*fragment_size=*/64,
+                              /*chunk_size=*/512, opts);
+  planner.SetRoundTripPrice(price);
+  return planner;
+}
+
+/// A scripted serve: one-fragment frontier demands grow the window, then a
+/// skip inside one fragment, whole-fragment skips ahead of the frontier, a
+/// jump past skipped bytes, a wanted range and a last sub-fragment skip.
+/// Returns every batch's runs as "begin-end" fragment pairs.
+std::vector<std::string> ScriptedServe(uint64_t price) {
+  index::FetchPlanner planner = PricedPlanner(price);
+  SequentialDriver driver(&planner, /*fragment_size=*/64, /*reach_back=*/0);
+  std::vector<std::string> batches;
+  auto record = [&](const std::vector<index::FragmentRun>& runs) {
+    std::string batch;
+    for (const auto& r : runs) {
+      batch += std::to_string(r.begin_frag) + "-" +
+               std::to_string(r.end_frag) + " ";
+    }
+    batches.push_back(batch);
+  };
+  auto demand = [&](int n) {
+    for (int i = 0; i < n; ++i) record(driver.Demand());
+  };
+  auto at = [&](uint64_t frags) { return (driver.frontier() + frags) * 64; };
+  demand(5);
+  planner.HintExcluded(at(0) + 8, at(0) + 40);
+  demand(1);
+  planner.HintExcluded(at(3), at(7));
+  demand(2);
+  planner.HintExcluded(at(1), at(2) + 32);
+  demand(1);
+  record(driver.DemandAt(at(10), at(10) + 8));
+  planner.HintWanted(at(2), at(6));
+  demand(2);
+  planner.HintExcluded(at(0) + 8, at(0) + 40);
+  demand(3);
+  return batches;
+}
+
+TEST(ZeroPriceKeepsTheCollapse) {
+  // A price of 0 (every in-process source) is the collapse: each
+  // exclusion after the first fragment-saving one zeroes the window.
+  // These batches were recorded from the planner before it was priced.
+  const std::vector<std::string> expected = {
+      "0-1 ",   "1-3 ",   "3-7 ",         "7-15 ",  "15-31 ",
+      "31-63 ", "63-64 ", "64-66 ",       "66-67 ", "77-78 ",
+      "78-79 80-84 ",     "84-86 ",       "86-87 ", "87-89 ",
+      "89-93 "};
+  CHECK(ScriptedServe(0) == expected);
+}
+
+TEST(PriceAtHorizonKeepsReadaheadAcrossSkips) {
+  // Bytes that cost nothing next to a round trip: exclusions never narrow
+  // the window, so every frontier batch after a fragment-saving skip is
+  // the batch of a planner that never saw one.
+  index::FetchPlanner priced = PricedPlanner(/*price=*/2048);
+  index::FetchPlanner reference = PricedPlanner(/*price=*/0);
+  SequentialDriver a(&priced, 64, 0), b(&reference, 64, 0);
+  for (int i = 0; i < 4; ++i) {
+    CHECK_EQ(BatchFragments(a.Demand()), BatchFragments(b.Demand()));
+  }
+  for (int i = 0; i < 3; ++i) {
+    // Whole fragments far past both frontiers: no batch reaches them.
+    priced.HintExcluded(32768 - 512 + 128 * i, 32768 - 512 + 128 * i + 64);
+    const auto runs = a.Demand();
+    const auto expected = b.Demand();
+    CHECK_EQ(runs.size(), expected.size());
+    CHECK_EQ(runs.front().begin_frag, expected.front().begin_frag);
+    CHECK_EQ(runs.back().end_frag, expected.back().end_frag);
+  }
+  CHECK_EQ(priced.stats().hints_excluded, uint64_t{3});
+  CHECK(a.frontier() >= 32);  // Batches reached the 32-fragment horizon.
+}
+
+TEST(PriceSpeculatesWhatOneRoundTripIsWorth) {
+  // 82 bytes buy one 64-byte fragment: after an exclusion the next
+  // frontier batch is the demanded fragment plus exactly one more, where
+  // a price of 0 fetches the demand alone.
+  for (uint64_t price : {uint64_t{0}, uint64_t{82}}) {
+    index::FetchPlanner planner = PricedPlanner(price);
+    SequentialDriver driver(&planner, 64, 0);
+    for (int i = 0; i < 4; ++i) driver.Demand();
+    CHECK(BatchFragments(driver.Demand()) >= 16);
+    planner.HintExcluded(32768 - 128, 32768 - 64);
+    const uint64_t first = driver.frontier();
+    const auto runs = driver.Demand();
+    CHECK_EQ(runs.size(), size_t{1});
+    CHECK_EQ(runs[0].begin_frag, first);
+    CHECK_EQ(runs[0].end_frag, first + (price == 0 ? 1 : 2));
+  }
 }
 
 TEST(SubFragmentSkipsStreamAtBatchHorizon) {

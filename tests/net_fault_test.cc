@@ -16,6 +16,7 @@
 #include <malloc.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +32,7 @@
 
 #include "access/access_rule.h"
 #include "common/bytes.h"
+#include "index/fetch_planner.h"
 #include "net/fault_proxy.h"
 #include "net/remote_source.h"
 #include "net/terminal_server.h"
@@ -356,6 +358,184 @@ TEST(ConcurrentServesRaceUpdateThroughSeededFaults) {
     auto after = service.Serve("doc", roles[r], pipeline::ServeOptions{});
     CHECK_OK(after.status());
     if (after.ok()) CHECK_EQ(after.value().view, views[r][1]);
+  }
+  CHECK_OK(service.AttachTransport("doc", nullptr));
+  proxy.Stop();
+  server.Stop();
+}
+
+TEST(LinkPriceIsTheBandwidthDelayProduct) {
+  // Synthetic round trips on a 10 ms, 8192 B/s link: a round trip of b
+  // bytes takes 10 ms + b / 8192 s. One round trip is worth 81.92 bytes.
+  auto ns = [](uint64_t bytes) {
+    return 10'000'000 + bytes * 1'000'000'000 / 8192;
+  };
+  const std::vector<std::pair<uint64_t, uint64_t>> samples = {
+      {ns(128), 128}, {ns(512), 512}, {ns(2048), 2048},
+      // Queued behind other requests: slower, so never the class's best.
+      {ns(512) + 40'000'000, 520}, {ns(128) + 5'000'000, 130}};
+  std::vector<size_t> order = {0, 1, 2, 3, 4};
+  do {
+    net::LinkPriceEstimate estimate;
+    for (size_t i : order) estimate.Add(samples[i].first, samples[i].second);
+    CHECK_EQ(estimate.price_bytes(), uint64_t{81});
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  // Not measured yet, or every round trip within a factor of two in size:
+  // latency and transfer cannot be told apart.
+  net::LinkPriceEstimate early;
+  CHECK_EQ(early.price_bytes(), uint64_t{0});
+  early.Add(ns(300), 300);
+  CHECK_EQ(early.price_bytes(), uint64_t{0});
+  early.Add(ns(500), 500);
+  CHECK_EQ(early.price_bytes(), uint64_t{0});
+  early.Add(ns(1000), 1000);
+  CHECK_EQ(early.price_bytes(), uint64_t{81});
+
+  // Loopback behind a 1 ms delay: 1 ns a byte is lost in the latency
+  // noise, so bytes are free next to a round trip.
+  net::LinkPriceEstimate loopback;
+  for (uint64_t bytes : {364, 620, 2164, 8332}) {
+    loopback.Add(1'000'000 + bytes, bytes);
+  }
+  CHECK_EQ(loopback.price_bytes(), UINT64_MAX);
+  // The fastest round trip being the largest says the same.
+  net::LinkPriceEstimate inverted;
+  inverted.Add(1'100'000, 300);
+  inverted.Add(1'000'000, 8000);
+  CHECK_EQ(inverted.price_bytes(), UINT64_MAX);
+}
+
+TEST(InProcessAndFreshSourcesPriceNothing) {
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", TestDocument(/*folders=*/2),
+                           TestConfig(crypto::CipherBackendKind::kAes)));
+  auto link = service.TerminalLink("doc");
+  CHECK_OK(link.status());
+  if (link.ok()) {
+    CHECK_EQ(link.value()->transport_stats().round_trip_price_bytes,
+             uint64_t{0});
+  }
+  std::vector<uint8_t> plaintext(512, 7);
+  auto store = crypto::SecureDocumentStore::Build(
+      plaintext, TestKey(), TestConfig(crypto::CipherBackendKind::kAes).layout);
+  CHECK_OK(store.status());
+  if (store.ok()) {
+    CHECK_EQ(store.value().transport_stats().round_trip_price_bytes,
+             uint64_t{0});
+  }
+  net::RemoteBatchSource fresh(RemoteOptions(/*port=*/1));
+  CHECK_EQ(fresh.transport_stats().round_trip_price_bytes, uint64_t{0});
+}
+
+TEST(PacedLinkPricesItsBandwidthDelayProduct) {
+  // 10 ms and 8192 B/s: one round trip is worth 82 bytes. Requests of
+  // growing size through the proxy measure it. Each size goes four times,
+  // so a round trip a loaded host delays is not its class's fastest.
+  std::vector<uint8_t> plaintext(4096);
+  for (size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<uint8_t>(i * 13);
+  }
+  auto store = crypto::SecureDocumentStore::Build(
+      plaintext, TestKey(), TestConfig(crypto::CipherBackendKind::kAes).layout);
+  CHECK_OK(store.status());
+  if (!store.ok()) return;
+  net::TerminalServer server;
+  server.RegisterDocument(
+      "doc", std::make_shared<crypto::SecureDocumentStore>(store.take()));
+  CHECK_OK(server.Start());
+  net::FaultProxy::Options proxy_opts;
+  proxy_opts.upstream_port = server.port();
+  proxy_opts.rtt_ns = 10'000'000;
+  proxy_opts.bandwidth_bytes_per_s = 8192;
+  net::FaultProxy proxy(proxy_opts);
+  CHECK_OK(proxy.Start());
+  net::RemoteBatchSource::Options opts = RemoteOptions(proxy.port());
+  opts.deadline_ns = 5'000'000'000ULL;
+  net::RemoteBatchSource remote(opts);
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t bytes : {32, 256, 1024}) {
+      crypto::BatchRequest request;
+      request.runs.push_back({0, bytes});
+      CHECK_OK(remote.ReadBatch(request).status());
+    }
+  }
+  const uint64_t price = remote.transport_stats().round_trip_price_bytes;
+  if (price < 41 || price > 127) {
+    csxa::testing::Fail(__FILE__, __LINE__,
+                        "price " + std::to_string(price) +
+                            " B outside [41, 127] on a 10 ms, 8192 B/s link");
+  }
+  proxy.Stop();
+  server.Stop();
+}
+
+/// Folders whose denied Admin records span whole 256-byte fragments, so
+/// skipping them saves transfers.
+std::string SkipHeavyDocument(int folders) {
+  std::string xml = "<Hospital>";
+  for (int f = 0; f < folders; ++f) {
+    xml += "<Folder><Admin><Insurance>" + Payload("adm", f, 700) +
+           "</Insurance></Admin><MedActs><Consult><Diagnostic>" +
+           Payload("dx", f, 300) + "</Diagnostic></Consult></MedActs>" +
+           "</Folder>";
+  }
+  xml += "</Hospital>";
+  return xml;
+}
+
+TEST(UnpacedLinkKeepsReadaheadAcrossSkips) {
+  // A 1 ms link with no byte cost: a round trip is worth more than the
+  // batch horizon, so skips stop collapsing the window. The view is the
+  // in-process one, in fewer round trips than in process (price 0).
+  const std::string xml = SkipHeavyDocument(/*folders=*/48);
+  auto rules = access::ParseRuleList("+ //MedActs\n").take();
+  server::DocumentConfig cfg;
+  cfg.key = TestKey();
+  cfg.shared_cache_capacity = 0;  // Every serve cold: equal proofs.
+  server::DocumentService service;
+  CHECK_OK(service.Publish("doc", xml, cfg));
+  const pipeline::ServeOptions opts(/*skip=*/true, UINT64_MAX);
+  auto local = service.Serve("doc", rules, opts);
+  CHECK_OK(local.status());
+  if (!local.ok()) return;
+  CHECK_EQ(local.value().view, DirectView(xml, rules));
+
+  net::TerminalServer server;
+  server.RegisterDocument("doc", service.TerminalLink("doc").take());
+  CHECK_OK(server.Start());
+  net::FaultProxy::Options proxy_opts;
+  proxy_opts.upstream_port = server.port();
+  proxy_opts.rtt_ns = 1'000'000;
+  net::FaultProxy proxy(proxy_opts);
+  CHECK_OK(proxy.Start());
+  net::RemoteBatchSource::Options ropts = RemoteOptions(proxy.port());
+  ropts.deadline_ns = 5'000'000'000ULL;
+  auto remote = std::make_shared<net::RemoteBatchSource>(ropts);
+  CHECK_OK(service.AttachTransport("doc", remote));
+  // Stream-all serves first: round trips of every size up to the horizon
+  // measure the link.
+  for (int i = 0; i < 3; ++i) {
+    CHECK_OK(service.Serve("doc", rules,
+                           pipeline::ServeOptions(/*skip=*/false, UINT64_MAX))
+                 .status());
+  }
+  const uint64_t horizon =
+      index::FetchPlanner(0, cfg.layout.fragment_size, cfg.layout.chunk_size,
+                          index::PlannerOptions{})
+          .max_batch_bytes();
+  CHECK(remote->transport_stats().round_trip_price_bytes >= horizon);
+  auto priced = service.Serve("doc", rules, opts);
+  CHECK_OK(priced.status());
+  if (priced.ok()) {
+    CHECK_EQ(priced.value().view, local.value().view);
+    if (priced.value().requests >= local.value().requests) {
+      csxa::testing::Fail(__FILE__, __LINE__,
+                          std::to_string(priced.value().requests) +
+                              " requests over the link, " +
+                              std::to_string(local.value().requests) +
+                              " in process");
+    }
   }
   CHECK_OK(service.AttachTransport("doc", nullptr));
   proxy.Stop();

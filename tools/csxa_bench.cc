@@ -1069,8 +1069,12 @@ void RunBackends(const Bench& bench, const char* name, JsonScope* root) {
 void RunLatencySweep(const Bench& bench, const char* name, JsonScope* root) {
   JsonScope out = root->Object(name);
   // ~9600-baud-class serial link: byte time dominates round trips, the
-  // regime the paper's SOE targets. Raising this erodes the skip win at
-  // high RTT (skip pays more round trips); the gate documents the trade.
+  // regime the paper's SOE targets. The skip serve's planner keeps
+  // readahead across skips up to the link's measured round-trip price,
+  // its bandwidth-delay product (0, 8 and 82 B at 0/1/10 ms): under a
+  // fragment, so skip pages as it would in process. Raising the bandwidth
+  // raises the price, and skip then trades wire bytes for round trips,
+  // each point's price published beside its counters.
   constexpr uint64_t kBandwidthBytesPerS = 8192;
   out.Field("scenario", "closed_world");
   out.Field("skip_variant", "tcsbr");
@@ -1125,8 +1129,8 @@ void RunLatencySweep(const Bench& bench, const char* name, JsonScope* root) {
     ropts.port = proxy.port();
     ropts.doc_id = "sweep_skip";
     ropts.deadline_ns = 30'000'000'000ULL;
-    const Status attached = service.AttachTransport(
-        "sweep_skip", std::make_shared<net::RemoteBatchSource>(ropts));
+    auto skip_link = std::make_shared<net::RemoteBatchSource>(ropts);
+    const Status attached = service.AttachTransport("sweep_skip", skip_link);
     if (!attached.ok()) return Fail(where, attached);
     // On a slow link every round trip is expensive, so the SOE spends
     // response buffer to save them: a 16 KB batch horizon (vs the
@@ -1178,6 +1182,8 @@ void RunLatencySweep(const Bench& bench, const char* name, JsonScope* root) {
     };
     write("stream_all", full.value(), full_ns);
     write("tcsbr_skip", skip.value(), skip_ns);
+    point.Field("round_trip_price_bytes",
+                skip_link->transport_stats().round_trip_price_bytes);
     point.Field("skip_wins_wire", wins_wire);
     point.Field("skip_wins_wall_clock", wins_wall);
   }
