@@ -125,10 +125,13 @@ inline uint32_t Rotl32(uint32_t v, int s) {
 /// bit loop. The S/P tables fold the P-box into each S-box's output. F
 /// indexes them with a whole byte whose low six bits are the S-box input
 /// in E's order; the top two bits are ignored, so F needs no masks.
+/// `wide` holds the first 64 entries of each S/P box for the 16-lane
+/// kernel, entries 32..63 XORed with entries 0..31 (see WideLookup).
 struct DesTables {
   uint64_t ip[8][256];
   uint64_t fp[8][256];
   uint32_t sp[8][256];  // P(sbox output placed at its nibble)
+  alignas(64) uint32_t wide[8][64];
 
   DesTables() {
     for (int bi = 0; bi < 8; ++bi) {
@@ -146,6 +149,9 @@ struct DesTables {
         uint32_t nibble = static_cast<uint32_t>(kSbox[box][row * 16 + col])
                           << (28 - 4 * box);
         sp[box][byte] = static_cast<uint32_t>(Permute(nibble, 32, kPbox, 32));
+      }
+      for (int six = 0; six < 64; ++six) {
+        wide[box][six] = sp[box][six] ^ (six < 32 ? 0 : sp[box][six - 32]);
       }
     }
   }
@@ -425,13 +431,133 @@ __attribute__((target("avx512f"))) void CryptSlices(uint8_t* data,
   }
 }
 
+// ---- The 16-lane table kernel: the table kernel's rounds on 16 blocks
+// at once, block j's halves in dword lane j of one vector for L and one
+// for R.
+
+/// x ^= (y >> n ^ x) & m, y ^= that << n: one step of the swap-move
+/// network that computes IP (and, run backwards, FP) on the halves.
+template <unsigned kShift, uint32_t kMask>
+__attribute__((target("avx512f"), always_inline)) inline void SwapMove(
+    __m512i& y, __m512i& x) {
+  const __m512i t = _mm512_ternarylogic_epi32(
+      _mm512_srli_epi32(y, kShift), x,
+      _mm512_set1_epi32(static_cast<int>(kMask)), 0x28);  // (a ^ b) & c
+  x = _mm512_xor_si512(x, t);
+  y = _mm512_xor_si512(y, _mm512_slli_epi32(t, kShift));
+}
+
+/// acc ^ S/P box `box` at the six-bit group of `x` starting at bit kShift
+/// (see DesTables::wide). vpermt2d reads only the index's low five bits,
+/// so it looks up entries 0..31 unmasked; where bit 5 is set, a
+/// zero-masked second lookup XORs on entries 32..63, stored XORed with
+/// 0..31.
+template <unsigned kShift>
+__attribute__((target("avx512f"), always_inline)) inline __m512i WideLookup(
+    __m512i acc, __m512i x, const __m512i* box) {
+  const __m512i idx = kShift == 0 ? x : _mm512_srli_epi32(x, kShift);
+  const __mmask16 bit5 =
+      _mm512_test_epi32_mask(x, _mm512_set1_epi32(0x20 << kShift));
+  return _mm512_ternarylogic_epi32(
+      acc, _mm512_permutex2var_epi32(box[0], idx, box[1]),
+      _mm512_maskz_permutex2var_epi32(bit5, box[2], idx, box[3]),
+      0x96);  // a ^ b ^ c
+}
+
+/// l ^ f(r, k) on 16 blocks; the same expansion and box order as F.
+__attribute__((target("avx512f"), always_inline)) inline __m512i WideRound(
+    __m512i l, __m512i r, Des::RoundKey k, const __m512i (*box)[4]) {
+  const __m512i u =
+      _mm512_xor_si512(_mm512_rol_epi32(r, 5),
+                       _mm512_set1_epi32(static_cast<int>(k.even)));
+  const __m512i v =
+      _mm512_xor_si512(_mm512_rol_epi32(r, 9),
+                       _mm512_set1_epi32(static_cast<int>(k.odd)));
+  __m512i a = WideLookup<0>(l, u, box[0]);
+  __m512i b = WideLookup<0>(_mm512_setzero_si512(), v, box[1]);
+  a = WideLookup<8>(a, u, box[6]);
+  b = WideLookup<8>(b, v, box[7]);
+  a = WideLookup<16>(a, u, box[4]);
+  b = WideLookup<16>(b, v, box[5]);
+  a = WideLookup<24>(a, u, box[2]);
+  b = WideLookup<24>(b, v, box[3]);
+  return _mm512_xor_si512(a, b);
+}
+
+/// `groups` passes of 16 blocks each at `data`: load big-endian, position
+/// mix, IP, the 48 rounds of `keys`, FP, store.
+template <bool kEncrypt>
+__attribute__((target("avx512f"))) void CryptWide(uint8_t* data,
+                                                  size_t groups, uint64_t mix,
+                                                  const Des::RoundKey* keys) {
+  const DesTables& t = Tabs();
+  __m512i box[8][4];
+  for (int b = 0; b < 8; ++b) {
+    for (int q = 0; q < 4; ++q) {
+      box[b][q] = _mm512_load_si512(t.wide[b] + 16 * q);
+    }
+  }
+  // A block's high half is its odd dword once byte-swapped, its low half
+  // the even one; the first vector holds blocks 0..7, the second 8..15.
+  const __m512i high = _mm512_set_epi32(31, 29, 27, 25, 23, 21, 19, 17, 15,
+                                        13, 11, 9, 7, 5, 3, 1);
+  const __m512i low = _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16, 14,
+                                       12, 10, 8, 6, 4, 2, 0);
+  const __m512i first = _mm512_set_epi32(23, 7, 22, 6, 21, 5, 20, 4, 19, 3,
+                                         18, 2, 17, 1, 16, 0);
+  const __m512i second = _mm512_set_epi32(31, 15, 30, 14, 29, 13, 28, 12, 27,
+                                          11, 26, 10, 25, 9, 24, 8);
+  __m512i mix0 = _mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<long long>(mix)),
+      _mm512_set_epi64(56, 48, 40, 32, 24, 16, 8, 0));
+  const __m512i half = _mm512_set1_epi64(64);
+  const __m512i whole = _mm512_set1_epi64(128);
+  for (size_t g = 0; g < groups; ++g, data += 128) {
+    const __m512i mix1 = _mm512_add_epi64(mix0, half);
+    __m512i v0 = ByteSwap(_mm512_loadu_si512(data));
+    __m512i v1 = ByteSwap(_mm512_loadu_si512(data + 64));
+    if constexpr (kEncrypt) {
+      v0 = _mm512_xor_si512(v0, mix0);
+      v1 = _mm512_xor_si512(v1, mix1);
+    }
+    __m512i l = _mm512_permutex2var_epi32(v0, high, v1);
+    __m512i r = _mm512_permutex2var_epi32(v0, low, v1);
+    SwapMove<4, 0x0F0F0F0F>(l, r);
+    SwapMove<16, 0x0000FFFF>(l, r);
+    SwapMove<2, 0x33333333>(r, l);
+    SwapMove<8, 0x00FF00FF>(r, l);
+    SwapMove<1, 0x55555555>(l, r);
+    for (size_t set = 0; set < 48; set += 16) {
+      for (size_t i = set; i < set + 16; i += 2) {
+        l = WideRound(l, r, keys[i], box);
+        r = WideRound(r, l, keys[i + 1], box);
+      }
+      std::swap(l, r);
+    }
+    SwapMove<1, 0x55555555>(l, r);
+    SwapMove<8, 0x00FF00FF>(r, l);
+    SwapMove<2, 0x33333333>(r, l);
+    SwapMove<16, 0x0000FFFF>(l, r);
+    SwapMove<4, 0x0F0F0F0F>(l, r);
+    v0 = _mm512_permutex2var_epi32(r, first, l);
+    v1 = _mm512_permutex2var_epi32(r, second, l);
+    if constexpr (!kEncrypt) {
+      v0 = _mm512_xor_si512(v0, mix0);
+      v1 = _mm512_xor_si512(v1, mix1);
+    }
+    _mm512_storeu_si512(data, ByteSwap(v0));
+    _mm512_storeu_si512(data + 64, ByteSwap(v1));
+    mix0 = _mm512_add_epi64(mix0, whole);
+  }
+}
+
 #if !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
 #endif  // CSXA_BITSLICE_POSSIBLE
 
-bool UseSlicedKernel() {
+bool UseVectorKernels() {
 #ifdef CSXA_BITSLICE_POSSIBLE
   static const bool use = CpuHasAvx512f() && !ForcePortableCrypto();
   return use;
@@ -456,6 +582,17 @@ void SlicedPass(uint8_t* data, size_t blocks, uint64_t mix,
   std::memcpy(data, pad, 8 * blocks);
 #else
   (void)data, (void)blocks, (void)mix, (void)keys, (void)step;
+#endif
+}
+
+/// Runs `groups` 16-lane passes.
+template <bool kEncrypt>
+void WidePasses(uint8_t* data, size_t groups, uint64_t mix,
+                const Des::RoundKey* keys) {
+#ifdef CSXA_BITSLICE_POSSIBLE
+  CryptWide<kEncrypt>(data, groups, mix, keys);
+#else
+  (void)data, (void)groups, (void)mix, (void)keys;
 #endif
 }
 
@@ -518,7 +655,7 @@ TripleDes::TripleDes(const Key& key) {
   place(decrypt_, 0, des3.decrypt_);
   place(decrypt_, 1, des2.encrypt_);
   place(decrypt_, 2, des1.decrypt_);
-  if (!UseSlicedKernel()) return;
+  if (!UseVectorKernels()) return;
   // Unpack each packed round key (see Pack) into one mask per key bit.
   for (size_t round = 0; round < encrypt_.size(); ++round) {
     const Des::RoundKey k = encrypt_[round];
@@ -534,10 +671,14 @@ TripleDes::TripleDes(const Key& key) {
   }
 }
 
-bool TripleDes::SlicedKernelAvailable() { return UseSlicedKernel(); }
+bool TripleDes::VectorKernelsAvailable() { return UseVectorKernels(); }
 
 const char* TripleDesKernelName() {
-  return UseSlicedKernel() ? "bitsliced-avx512" : "table";
+  return UseVectorKernels() ? "bitsliced-avx512" : "table";
+}
+
+const char* TripleDesShortKernelName() {
+  return UseVectorKernels() ? "table-avx512" : "table";
 }
 
 uint64_t TripleDes::EncryptU64(uint64_t block) const {
@@ -568,6 +709,16 @@ void TripleDes::DecryptSliced(uint8_t* data, size_t blocks,
                               uint64_t mix) const {
   SlicedPass<false>(data, blocks, mix,
                     slice_keys_.data() + slice_keys_.size() - 48, -48);
+}
+
+void TripleDes::EncryptWide(uint8_t* data, size_t groups,
+                            uint64_t mix) const {
+  WidePasses<true>(data, groups, mix, encrypt_.data());
+}
+
+void TripleDes::DecryptWide(uint8_t* data, size_t groups,
+                            uint64_t mix) const {
+  WidePasses<false>(data, groups, mix, decrypt_.data());
 }
 
 Block64 TripleDes::EncryptBlock(const Block64& plain) const {

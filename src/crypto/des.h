@@ -55,15 +55,19 @@ class Des {
 /// reversal of the decrypting passes baked in: one IP, 48 rounds, one FP,
 /// the inner FP∘IP pairs cancelled.
 ///
-/// Two kernels run that schedule. The table kernel (one block, or kLanes
-/// blocks interleaved) runs everywhere. The bitsliced kernel (Biham, "A
+/// Three kernels run that schedule. The table kernel (one block, or kLanes
+/// blocks interleaved) runs everywhere. On hosts with AVX-512F two more
+/// run segments (PositionCipher decides). The bitsliced kernel (Biham, "A
 /// Fast New DES Implementation in Software", FSE 1997) runs kSliceBlocks
-/// blocks per pass on hosts with AVX-512F: bit n of every block sits in one
-/// 512-bit slice, so IP, E, P and FP are relabelings of slices and each
-/// S-box is a circuit of vpternlog operations derived from the FIPS
-/// tables. A pass costs the same however few blocks it carries, so only
-/// calls of at least kSliceThreshold blocks take it (PositionCipher
-/// decides); the single-block API always runs the table kernel.
+/// blocks per pass: bit n of every block sits in one 512-bit slice, so IP,
+/// E, P and FP are relabelings of slices and each S-box is a circuit of
+/// vpternlog operations derived from the FIPS tables. A pass costs the
+/// same however few blocks it carries, so it takes only runs of at least
+/// kSliceThreshold blocks. The 16-lane kernel runs the table kernel's
+/// rounds on kWideBlocks blocks at once, one per dword lane, with each S/P
+/// box as two vpermt2d table pairs and IP and FP as swap-move networks; it
+/// takes the whole 16-block groups of shorter runs. The single-block API
+/// always runs the table kernel.
 class TripleDes {
  public:
   using Key = std::array<uint8_t, 24>;
@@ -72,26 +76,29 @@ class TripleDes {
   /// together. The lanes are independent, so their lookups overlap in the
   /// pipeline. On x86-64 (gcc 12, -O2) 4 lanes ran 2.4x one lane on
   /// 256-byte segments; 2 and 3 lanes were slower, 6 no faster (a 32-block
-  /// fragment leaves it a 2-block tail), 8 spilled registers. Calls below
-  /// kSliceThreshold blocks, and every call on hosts without AVX-512F or
-  /// under CSXA_FORCE_PORTABLE=1, run here.
+  /// fragment leaves it a 2-block tail), 8 spilled registers. Tails of
+  /// fewer than kWideBlocks blocks, and every call on hosts without
+  /// AVX-512F or under CSXA_FORCE_PORTABLE=1, run here.
   static constexpr size_t kLanes = 4;
   using Lanes = std::array<uint64_t, kLanes>;
 
+  /// Blocks per pass of the 16-lane kernel: one per dword lane.
+  static constexpr size_t kWideBlocks = 16;
   /// Blocks per pass of the bitsliced kernel: one per bit of a slice.
   static constexpr size_t kSliceBlocks = 512;
   /// Shortest run worth a bitsliced pass. A pass costs the same for 1 or
-  /// 512 blocks: 6.2 us against 0.12 us per block on the table kernel
-  /// (Xeon with AVX-512, gcc 12, -O2), so the break-even is ~50 blocks.
-  /// At 64 blocks a padded pass ran 1.27x the table kernel, at 32 blocks
-  /// 0.64x.
-  static constexpr size_t kSliceThreshold = 64;
+  /// 512 blocks: 6.25 us median against 0.65 us per 16-block pass of the
+  /// 16-lane kernel and 0.12 us per block on the table kernel (Xeon with
+  /// AVX-512, gcc 12, -O2), so the break-even is ~160 blocks: at 160 both
+  /// took 6.2 us, at 128 the 16-lane kernel took 5.0 us, at 192 7.4 us.
+  /// Below 64 blocks the bitsliced pass lost to the table kernel alone.
+  static constexpr size_t kSliceThreshold = 160;
 
   explicit TripleDes(const Key& key);
 
-  /// True when the bitsliced kernel runs on this host: AVX-512F is usable
-  /// and CSXA_FORCE_PORTABLE is unset.
-  static bool SlicedKernelAvailable();
+  /// True when the bitsliced and 16-lane kernels run on this host:
+  /// AVX-512F is usable and CSXA_FORCE_PORTABLE is unset.
+  static bool VectorKernelsAvailable();
 
   Block64 EncryptBlock(const Block64& plain) const;
   Block64 DecryptBlock(const Block64& cipher) const;
@@ -108,9 +115,15 @@ class TripleDes {
   /// One bitsliced pass over `blocks` (1 .. kSliceBlocks) 8-byte blocks
   /// in place, block k read big-endian and XORed with `mix + 8k` before
   /// encryption or after decryption (PositionCipher's position mix). A
-  /// short pass is zero-padded. Only when SlicedKernelAvailable().
+  /// short pass is zero-padded. Only when VectorKernelsAvailable().
   void EncryptSliced(uint8_t* data, size_t blocks, uint64_t mix) const;
   void DecryptSliced(uint8_t* data, size_t blocks, uint64_t mix) const;
+
+  /// `groups` 16-lane passes over groups × kWideBlocks blocks in place,
+  /// with the position mix of EncryptSliced. Only when
+  /// VectorKernelsAvailable().
+  void EncryptWide(uint8_t* data, size_t groups, uint64_t mix) const;
+  void DecryptWide(uint8_t* data, size_t groups, uint64_t mix) const;
 
  private:
   std::array<Des::RoundKey, 48> encrypt_;
@@ -118,13 +131,17 @@ class TripleDes {
   // The bitsliced kernel's view of encrypt_: for round r and key bit b
   // (S-box b / 6, input bit b % 6), all ones or all zero, broadcast into
   // a slice. Decryption walks the rounds backwards. Filled only when
-  // SlicedKernelAvailable().
+  // VectorKernelsAvailable().
   std::array<uint32_t, 48 * 48> slice_keys_{};
 };
 
 /// The kernel that runs 3DES segments of kSliceThreshold blocks or more on
 /// this host: "bitsliced-avx512" or "table".
 const char* TripleDesKernelName();
+
+/// The kernel that runs the 16-block groups of shorter 3DES segments on
+/// this host: "table-avx512" (the 16-lane kernel) or "table".
+const char* TripleDesShortKernelName();
 
 }  // namespace csxa::crypto
 

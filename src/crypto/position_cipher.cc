@@ -34,20 +34,21 @@ inline void StoreBe64(uint8_t* p, uint64_t v) {
   std::memcpy(p, &v, sizeof v);
 }
 
-/// One pass over a block-aligned segment. While kSliceThreshold blocks or
-/// more remain and the host runs the bitsliced kernel, up to kSliceBlocks
-/// go through it at a time; the rest go kLanes blocks at a time through
-/// the interleaved table rounds, then one block at a time. A
-/// big-endian-loaded block XORed with the integer byte position is
-/// exactly the per-byte position mix of XorPosition; encryption mixes it
-/// in before the cipher, decryption after.
+/// One pass over a block-aligned segment. On hosts that run the vector
+/// kernels, up to kSliceBlocks blocks at a time go through the bitsliced
+/// kernel while kSliceThreshold or more remain, then the whole 16-block
+/// groups of the rest through the 16-lane kernel. The remaining blocks go
+/// kLanes at a time through the interleaved table rounds, then one at a
+/// time. A big-endian-loaded block XORed with the integer byte position
+/// is exactly the per-byte position mix of XorPosition; encryption mixes
+/// it in before the cipher, decryption after.
 template <bool kEncrypt>
 void Sweep(const TripleDes& cipher, uint8_t* data, size_t n,
            uint64_t first_block_index) {
   constexpr size_t kStride = 8 * TripleDes::kLanes;
   const uint64_t base = first_block_index * 8;
   size_t off = 0;
-  if (TripleDes::SlicedKernelAvailable()) {
+  if (TripleDes::VectorKernelsAvailable()) {
     while ((n - off) / 8 >= TripleDes::kSliceThreshold) {
       const size_t blocks = std::min((n - off) / 8, TripleDes::kSliceBlocks);
       if constexpr (kEncrypt) {
@@ -56,6 +57,15 @@ void Sweep(const TripleDes& cipher, uint8_t* data, size_t n,
         cipher.DecryptSliced(data + off, blocks, base + off);
       }
       off += 8 * blocks;
+    }
+    const size_t groups = (n - off) / (8 * TripleDes::kWideBlocks);
+    if (groups > 0) {
+      if constexpr (kEncrypt) {
+        cipher.EncryptWide(data + off, groups, base + off);
+      } else {
+        cipher.DecryptWide(data + off, groups, base + off);
+      }
+      off += 8 * TripleDes::kWideBlocks * groups;
     }
   }
   for (; off + kStride <= n; off += kStride) {

@@ -33,13 +33,15 @@ class PositionCipher {
 
   /// In-place whole-segment transforms — the hot path. Position-mixed ECB
   /// has no dependency between blocks, so blocks go through the rounds
-  /// side by side: TripleDes::kSliceBlocks per bitsliced pass while at
-  /// least TripleDes::kSliceThreshold remain (the last pass zero-padded)
-  /// on hosts that run that kernel, then TripleDes::kLanes at a time
-  /// through the table kernel, the remainder one at a time. Shorter
-  /// calls (32-block fragment reads, 24-byte digest seals) stay on the
-  /// table kernel, where a padded 512-block pass would cost more. `n`
-  /// must be a multiple of 8.
+  /// side by side. On hosts that run the vector kernels,
+  /// TripleDes::kSliceBlocks go per bitsliced pass while at least
+  /// TripleDes::kSliceThreshold remain (the last pass zero-padded), and
+  /// the whole 16-block groups of the rest (fragment reads of a few
+  /// hundred bytes, where a padded pass would cost more) through the
+  /// 16-lane kernel. What is left (24-byte digest seals, odd segment
+  /// ends, every call elsewhere) goes TripleDes::kLanes at a time through
+  /// the table kernel, the remainder one at a time. `n` must be a
+  /// multiple of 8.
   void EncryptInPlace(uint8_t* data, size_t n,
                       uint64_t first_block_index) const;
   void DecryptInPlace(uint8_t* data, size_t n,

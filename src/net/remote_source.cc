@@ -43,23 +43,21 @@ void LinkPriceEstimate::Add(uint64_t ns, uint64_t bytes) {
     price_bytes_ = 0;
     return;
   }
-  const uint64_t noise_ns = std::max<uint64_t>(1, anchor->ns / 4);
-  double rate = 0;  // Bytes per ns.
-  bool above_noise = false;
+  const Fastest* widest = nullptr;
   for (const Fastest& c : fastest_) {
     if (c.ns == UINT64_MAX || c.bytes < 2 * anchor->bytes) continue;
-    const uint64_t extra_ns = c.ns - anchor->ns;
-    above_noise |= extra_ns > noise_ns;
-    const double read = static_cast<double>(c.bytes - anchor->bytes) /
-                        static_cast<double>(std::max(extra_ns, noise_ns));
-    rate = std::max(rate, read);
+    if (widest == nullptr || c.bytes > widest->bytes) widest = &c;
   }
-  // Round trips twice the anchor's size (if any) cost no more time than
-  // the noise, or the fastest round trip is among the largest.
-  if (!above_noise) {
+  const uint64_t noise_ns = std::max<uint64_t>(1, anchor->ns / 4);
+  // The fastest round trip is among the largest, or the widest class
+  // costs no more time than the noise.
+  if (widest == nullptr || widest->ns - anchor->ns <= noise_ns) {
     price_bytes_ = UINT64_MAX;
     return;
   }
+  const double rate =  // Bytes per ns.
+      static_cast<double>(widest->bytes - anchor->bytes) /
+      static_cast<double>(widest->ns - anchor->ns);
   const double latency_ns = std::max(
       0.0, static_cast<double>(anchor->ns) -
                static_cast<double>(anchor->bytes) / rate);

@@ -23,17 +23,18 @@ namespace csxa::net {
 /// transfer at delivery rate B. Queueing behind other requests on a
 /// pipelined link only adds time, so each size class (log2 of the bytes)
 /// keeps only its fastest round trip. The anchor is the fastest of all.
-/// Each class carrying at least twice the anchor's bytes reads a rate:
-/// its extra bytes over its extra time, the extra time floored at the
-/// latency noise (a quarter of the anchor's time). B is the best rate
-/// read, L the anchor's time less its own bytes' transfer at B, and the
-/// price is L × B. It is
+/// Of the classes carrying at least twice the anchor's bytes, the widest
+/// reads the rate B: its extra bytes over its extra time. A delay on the
+/// anchor shortens every class's extra time by the same amount, which
+/// inflates a narrow class's reading most and the widest one's least. L
+/// is the anchor's time less its own bytes' transfer at B, and the price
+/// is L × B. It is
 ///  - 0 until the round trips span a factor of two in size: one size
 ///    cannot tell latency from transfer;
-///  - UINT64_MAX when no class that reads a rate takes longer than the
-///    anchor by more than the noise (or none reads one: the fastest round
-///    trip is among the largest). Bytes then cost nothing next to the
-///    latency, as on loopback.
+///  - UINT64_MAX when the widest class takes no longer than the anchor
+///    beyond the latency noise (a quarter of the anchor's time), or no
+///    class reads a rate (the fastest round trip is among the largest).
+///    Bytes then cost nothing next to the latency, as on loopback.
 class LinkPriceEstimate {
  public:
   /// One round trip of `ns` from the request's write to its waiter's

@@ -451,9 +451,9 @@ TEST(Des3SplitSegmentsMatchWholeSegment) {
   // anywhere and transformed as two calls with matching first blocks
   // gives the bytes of one whole call. Cuts from one block to one past
   // the lane count cover the interleaved table body and its scalar tail;
-  // cuts around kSliceThreshold and kSliceBlocks put each side on the
-  // table kernel, a padded bitsliced pass or whole passes (where the host
-  // runs the bitsliced kernel).
+  // cuts around kWideBlocks, kSliceThreshold and kSliceBlocks put each
+  // side on the table kernel, 16-lane passes, a padded bitsliced pass or
+  // whole passes (where the host runs the vector kernels).
   auto backend = MakeCipherBackend(CipherBackendKind::k3Des, PinnedKey());
   const uint64_t first_block = 12345;
   const size_t blocks =
@@ -467,7 +467,8 @@ TEST(Des3SplitSegmentsMatchWholeSegment) {
   for (size_t cut = 1; cut <= TripleDes::kLanes + 1; ++cut) {
     cuts.push_back(cut);
   }
-  for (size_t edge : {TripleDes::kSliceThreshold, TripleDes::kSliceBlocks}) {
+  for (size_t edge : {TripleDes::kWideBlocks, TripleDes::kSliceThreshold,
+                      TripleDes::kSliceBlocks}) {
     cuts.insert(cuts.end(), {edge - 1, edge, edge + 1});
   }
   for (size_t cut_blocks : cuts) {
@@ -497,15 +498,23 @@ TEST(Des3SplitSegmentsMatchWholeSegment) {
 
 TEST(Des3SegmentsMatchPerBlockReference) {
   // The segment transforms against the single-block API, which always
-  // runs the table kernel: block counts on both sides of kSliceThreshold
-  // and of the pass boundaries, including 8195 = 16 passes + a table
+  // runs the table kernel: block counts on both sides of one and two
+  // 16-lane passes (15 is all table tail), of kSliceThreshold and of the
+  // bitsliced pass boundaries, including 8195 = 16 passes + a table
   // tail, at three first blocks (one past 2^40) under two keys.
   TripleDes::Key other{};
   for (size_t i = 0; i < other.size(); ++i) {
     other[i] = static_cast<uint8_t>(i * 37 + 5);
   }
-  const size_t counts[] = {TripleDes::kSliceThreshold - 1,
+  const size_t counts[] = {15,
+                           16,
+                           17,
+                           31,
+                           32,
+                           33,
+                           TripleDes::kSliceThreshold - 1,
                            TripleDes::kSliceThreshold,
+                           TripleDes::kSliceThreshold + 1,
                            511,
                            512,
                            513,

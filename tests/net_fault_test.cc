@@ -381,6 +381,16 @@ TEST(LinkPriceIsTheBandwidthDelayProduct) {
     CHECK_EQ(estimate.price_bytes(), uint64_t{81});
   } while (std::next_permutation(order.begin(), order.end()));
 
+  // A fastest round trip delayed by 3 ms: the delay shortens the 270 B
+  // class's extra time by a fifth and inflates the rate it reads, which
+  // a best-rate rule took (155 B). The widest class moves the price less.
+  net::LinkPriceEstimate delayed;
+  delayed.Add(ns(128) + 3'000'000, 128);
+  delayed.Add(ns(270), 270);
+  delayed.Add(ns(2048), 2048);
+  const uint64_t delayed_price = delayed.price_bytes();
+  CHECK(delayed_price >= 41 && delayed_price <= 127);
+
   // Not measured yet, or every round trip within a factor of two in size:
   // latency and transfer cannot be told apart.
   net::LinkPriceEstimate early;

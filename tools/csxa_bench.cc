@@ -1029,6 +1029,7 @@ void RunBackends(const Bench& bench, const char* name, JsonScope* root) {
     probe.Field("hardware", crypto::CipherBackendHardwareAccelerated(backend));
     if (backend == CipherBackendKind::k3Des) {
       probe.Field("kernel", crypto::TripleDesKernelName());
+      probe.Field("short_kernel", crypto::TripleDesShortKernelName());
     }
     probe.Field("block_size", crypto::CipherBackendBlockSize(backend));
     probe.Field("document_bytes", best.encoded_bytes);

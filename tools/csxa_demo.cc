@@ -265,7 +265,8 @@ int Run(const Options& opt) {
     std::string cipher = crypto::CipherBackendKindName(opt.backend);
     if (crypto::CipherBackendHardwareAccelerated(opt.backend)) cipher += ", hw";
     if (opt.backend == crypto::CipherBackendKind::k3Des) {
-      cipher += std::string(", ") + crypto::TripleDesKernelName();
+      cipher += std::string(", ") + crypto::TripleDesKernelName() +
+                " / short runs " + crypto::TripleDesShortKernelName();
     }
     std::printf("  decrypted in SOE     %8llu bytes (%s, %.1f MB/s)\n",
                 static_cast<unsigned long long>(pr.soe.bytes_decrypted),
