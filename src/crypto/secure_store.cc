@@ -135,13 +135,6 @@ uint64_t BatchResponse::WireBytes() const {
   return bytes;
 }
 
-Result<BatchResponse> SecureDocumentStore::ReadBatch(
-    const BatchRequest& request) const {
-  BatchResponse resp;
-  CSXA_RETURN_NOT_OK(FillBatch(request, &resp));
-  return resp;
-}
-
 Status SecureDocumentStore::FillBatch(const BatchRequest& request,
                                       BatchResponse* resp) const {
   const uint64_t size = ciphertext_.size();
@@ -155,9 +148,15 @@ Status SecureDocumentStore::FillBatch(const BatchRequest& request,
   uint64_t prev_end = 0;
   for (size_t s = 0; s < request.runs.size(); ++s) {
     const BatchRequest::Run& run = request.runs[s];
-    if (run.begin >= run.end || run.end > size ||
-        run.begin % layout_.fragment_size != 0 ||
-        (run.end % layout_.fragment_size != 0 && run.end != size) ||
+    // A session's runs end on fragment edges or at its version's size, so
+    // any other end (past a shrunk store, or an old tail now mid-document
+    // after growth) means the session is stale, and it fails closed.
+    if (run.end > size ||
+        (run.end % layout_.fragment_size != 0 && run.end != size)) {
+      return Status::IntegrityError(
+          "stale session: batch range beyond the current document version");
+    }
+    if (run.begin >= run.end || run.begin % layout_.fragment_size != 0 ||
         (run.begin < prev_end && s != 0)) {
       return Status::InvalidArgument("malformed batch run");
     }

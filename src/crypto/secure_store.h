@@ -148,12 +148,28 @@ class BatchSource {
   virtual TransportStats transport_stats() const { return {}; }
 };
 
+/// A terminal that answers into caller-owned storage: what a
+/// net::TerminalServer registers, so a socket request costs one decode,
+/// one fill and one encode into buffers the connection reuses.
+class BatchTerminal : public BatchSource {
+ public:
+  /// Answers `request` into `response`, reusing its segment, proof and
+  /// digest storage. On error `response` holds no usable result.
+  virtual Status FillBatch(const BatchRequest& request,
+                           BatchResponse* response) const = 0;
+  Result<BatchResponse> ReadBatch(const BatchRequest& request) const override {
+    BatchResponse response;
+    CSXA_RETURN_NOT_OK(FillBatch(request, &response));
+    return response;
+  }
+};
+
 /// Terminal-side store of an encrypted document: position-mixed ECB
 /// ciphertext under a pluggable cipher backend (paper-faithful 3DES by
 /// default) plus one encrypted Merkle ChunkDigest per chunk. The terminal
 /// needs no key; it only stores and serves. Tampering hooks let tests
 /// emulate the attacks of Section 6.
-class SecureDocumentStore : public BatchSource {
+class SecureDocumentStore : public BatchTerminal {
  public:
   /// Encrypts `plaintext` (zero-padded to the backend's block) in one
   /// whole-segment backend call and builds the chunk digests. The
@@ -180,11 +196,12 @@ class SecureDocumentStore : public BatchSource {
   /// chunk, not per run, and suppressed for the chunks the request waived.
   /// Terminal-side hashing is over ciphertext (so no key is needed),
   /// matching Section 6's requirement that the terminal can cooperate in
-  /// integrity checking.
-  Result<BatchResponse> ReadBatch(const BatchRequest& request) const override;
-  /// ReadBatch into `response`, reusing its segment, proof and digest
-  /// storage. On error `response` holds no usable result.
-  Status FillBatch(const BatchRequest& request, BatchResponse* response) const;
+  /// integrity checking. A run ending past this store, or at an unaligned
+  /// end that is not the store's end, comes from a session built for
+  /// another version and fails closed as IntegrityError; any other
+  /// malformed run is InvalidArgument.
+  Status FillBatch(const BatchRequest& request,
+                   BatchResponse* response) const override;
 
   /// -- Attack emulation (tests) --------------------------------------
   /// Flips bits of one ciphertext byte (random modification attack).

@@ -8,12 +8,12 @@ namespace csxa::net {
 
 void TerminalServer::RegisterDocument(
     const std::string& doc_id,
-    std::shared_ptr<const crypto::BatchSource> source) {
+    std::shared_ptr<const crypto::BatchTerminal> terminal) {
   MutexLock lock(&mu_);
-  docs_[doc_id] = std::move(source);
+  docs_[doc_id] = std::move(terminal);
 }
 
-std::shared_ptr<const crypto::BatchSource> TerminalServer::Find(
+std::shared_ptr<const crypto::BatchTerminal> TerminalServer::Find(
     const std::string& doc_id) const {
   MutexLock lock(&mu_);
   auto it = docs_.find(doc_id);
@@ -31,7 +31,9 @@ uint64_t TerminalServer::requests_served() const {
 }
 
 void TerminalServer::ServeConnection(int fd) {
-  std::shared_ptr<const crypto::BatchSource> bound;
+  std::shared_ptr<const crypto::BatchTerminal> bound;
+  crypto::BatchRequest request;
+  crypto::BatchResponse response;
   std::vector<uint8_t> frame;
   while (true) {
     Result<Record> rec = ReadRecord(fd);
@@ -57,19 +59,13 @@ void TerminalServer::ServeConnection(int fd) {
               "batch request on a connection not bound to a document");
           break;
         }
-        Result<crypto::BatchRequest> request = crypto::DecodeBatchRequest(
-            record.payload.data(), record.payload.size());
-        if (!request.ok()) {
-          reply_error = request.status();
-          break;
+        reply_error = crypto::DecodeBatchRequest(
+            record.payload.data(), record.payload.size(), &request);
+        if (reply_error.ok()) {
+          reply_error = bound->FillBatch(request, &response);
         }
-        Result<crypto::BatchResponse> response =
-            bound->ReadBatch(request.value());
-        if (!response.ok()) {
-          reply_error = response.status();
-          break;
-        }
-        crypto::EncodeBatchResponse(response.value(), &frame);
+        if (!reply_error.ok()) break;
+        crypto::EncodeBatchResponse(response, &frame);
         MutexLock lock(&mu_);
         ++requests_served_;
         break;

@@ -14,14 +14,16 @@
 namespace csxa::net {
 
 /// The untrusted terminal as a real process boundary: a TCP server that
-/// exposes registered crypto::BatchSources (immutable stores, or a
+/// exposes registered crypto::BatchTerminals (immutable stores, or a
 /// DocumentService's live document entries) over the record-framed batch
 /// protocol. A net::Listener owns the socket, the accept thread and one
 /// handler thread per live connection; this class is the handler: a
 /// connection binds to a document id first (kBind) and then answers
 /// kBatchRequest records in arrival order — pipelining depth comes from
 /// the client keeping several requests in flight, and from many
-/// connections.
+/// connections. Each request is decoded once into the connection's
+/// request, filled into its response and encoded once; all three buffers
+/// are reused for the connection's life.
 ///
 /// The server holds no keys and performs no verification (the terminal
 /// cannot: that is the paper's premise). Its error records are claims by
@@ -40,12 +42,12 @@ class TerminalServer {
   TerminalServer(const TerminalServer&) = delete;
   TerminalServer& operator=(const TerminalServer&) = delete;
 
-  /// Registers (or replaces) the source serving `doc_id`. The shared_ptr
-  /// keeps the source alive across in-flight requests; a server-layer
+  /// Registers (or replaces) the terminal serving `doc_id`. The shared_ptr
+  /// keeps it alive across in-flight requests; a server-layer
   /// DocumentEntry registered here makes version bumps visible mid-serve
   /// exactly as in-process serves see them.
   void RegisterDocument(const std::string& doc_id,
-                        std::shared_ptr<const crypto::BatchSource> source)
+                        std::shared_ptr<const crypto::BatchTerminal> terminal)
       CSXA_EXCLUDES(mu_);
 
   /// Binds, listens and starts the accept loop.
@@ -64,12 +66,12 @@ class TerminalServer {
   /// Answers one connection's records until the peer leaves or Stop()
   /// shuts the fd down; the listener closes the fd.
   void ServeConnection(int fd) CSXA_EXCLUDES(mu_);
-  std::shared_ptr<const crypto::BatchSource> Find(const std::string& doc_id)
-      const CSXA_EXCLUDES(mu_);
+  std::shared_ptr<const crypto::BatchTerminal> Find(
+      const std::string& doc_id) const CSXA_EXCLUDES(mu_);
 
   Options options_;
   mutable Mutex mu_;
-  std::map<std::string, std::shared_ptr<const crypto::BatchSource>> docs_
+  std::map<std::string, std::shared_ptr<const crypto::BatchTerminal>> docs_
       CSXA_GUARDED_BY(mu_);
   uint64_t requests_served_ CSXA_GUARDED_BY(mu_) = 0;
   Listener listener_;  ///< Last: stopped before the members above go.

@@ -28,8 +28,19 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
     }
   }
   if (scratch == nullptr) scratch = std::make_unique<LinkScratch>();
+  LinkScratch& link = *scratch;
   Result<crypto::BatchResponse> result =
-      RoundTrip(*state, request, scratch.get());
+      [&]() -> Result<crypto::BatchResponse> {
+    link.request_frame.clear();
+    crypto::EncodeBatchRequest(request, &link.request_frame);
+    CSXA_RETURN_NOT_OK(crypto::DecodeBatchRequest(
+        link.request_frame.data(), link.request_frame.size(), &link.request));
+    CSXA_RETURN_NOT_OK(state->store.FillBatch(link.request, &link.response));
+    link.response_frame.clear();
+    crypto::EncodeBatchResponse(link.response, &link.response_frame);
+    return crypto::DecodeBatchResponse(link.response_frame.data(),
+                                       link.response_frame.size());
+  }();
   // A scratch whose frame grew past 1 MiB (one huge read under a wide
   // batch horizon) is dropped rather than kept at that size.
   constexpr size_t kRetainedFrameBytes = size_t{1} << 20;
@@ -38,38 +49,6 @@ Result<crypto::BatchResponse> DocumentEntry::ReadBatch(
     idle_scratch_.push_back(std::move(scratch));
   }
   return result;
-}
-
-Result<crypto::BatchResponse> DocumentEntry::RoundTrip(
-    const pipeline::DocumentState& state, const crypto::BatchRequest& request,
-    LinkScratch* scratch) {
-  scratch->request_frame.clear();
-  crypto::EncodeBatchRequest(request, &scratch->request_frame);
-  CSXA_RETURN_NOT_OK(crypto::DecodeBatchRequest(scratch->request_frame.data(),
-                                                scratch->request_frame.size(),
-                                                &scratch->request));
-
-  const uint64_t size = state.store.ciphertext().size();
-  const uint32_t fragment = state.store.layout().fragment_size;
-  for (const crypto::BatchRequest::Run& run : scratch->request.runs) {
-    // A session builds its runs against its own version's geometry: every
-    // end is fragment-aligned except a tail run ending at that version's
-    // ciphertext size. An end beyond the current size — or an unaligned
-    // end that is not the current size (the document *grew* across a
-    // bump, so the old tail now points mid-document) — is a stale
-    // session, and the contract is failing closed.
-    if (run.end > size ||
-        (run.end % fragment != 0 && run.end != size)) {
-      return Status::IntegrityError(
-          "stale session: batch range beyond the current document version");
-    }
-  }
-  CSXA_RETURN_NOT_OK(
-      state.store.FillBatch(scratch->request, &scratch->response));
-  scratch->response_frame.clear();
-  crypto::EncodeBatchResponse(scratch->response, &scratch->response_frame);
-  return crypto::DecodeBatchResponse(scratch->response_frame.data(),
-                                     scratch->response_frame.size());
 }
 
 }  // namespace internal
@@ -196,10 +175,10 @@ Result<crypto::VerifiedDigestCache::Stats> DocumentService::CacheStats(
   return state->cache->stats();
 }
 
-Result<std::shared_ptr<const crypto::BatchSource>>
+Result<std::shared_ptr<const crypto::BatchTerminal>>
 DocumentService::TerminalLink(const std::string& doc_id) const {
   CSXA_ASSIGN_OR_RETURN(auto entry, FindEntry(doc_id));
-  return std::shared_ptr<const crypto::BatchSource>(std::move(entry));
+  return std::shared_ptr<const crypto::BatchTerminal>(std::move(entry));
 }
 
 Status DocumentService::AttachTransport(

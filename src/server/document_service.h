@@ -44,14 +44,18 @@ namespace internal {
 /// digest" — rather than keep serving a state the terminal no longer
 /// holds. That is the replay-protection contract of Section 6 carried
 /// into the concurrent-service world.
-class DocumentEntry : public crypto::BatchSource {
+class DocumentEntry : public crypto::BatchTerminal {
  public:
-  /// Serves from the current store; a request whose ranges outrun it
-  /// (a session built for a larger, superseded version after a shrinking
-  /// bump) is reported as the integrity failure it is — stale sessions
-  /// fail closed with one consistent error class, never InvalidArgument.
+  /// The in-process link: the request and the response each cross the
+  /// wire codec once, encoded and decoded in pooled frames.
   Result<crypto::BatchResponse> ReadBatch(
       const crypto::BatchRequest& request) const override;
+  /// The socket link: net::TerminalServer has decoded the request and
+  /// encodes `response` itself.
+  Status FillBatch(const crypto::BatchRequest& request,
+                   crypto::BatchResponse* response) const override {
+    return Current()->store.FillBatch(request, response);
+  }
 
   std::shared_ptr<const pipeline::DocumentState> Current() const
       CSXA_EXCLUDES(mu_) {
@@ -85,11 +89,6 @@ class DocumentEntry : public crypto::BatchSource {
 
   mutable Mutex mu_;
   std::shared_ptr<const pipeline::DocumentState> state_ CSXA_GUARDED_BY(mu_);
-  /// ReadBatch's round trip against `state`, in `scratch`.
-  static Result<crypto::BatchResponse> RoundTrip(
-      const pipeline::DocumentState& state,
-      const crypto::BatchRequest& request, LinkScratch* scratch);
-
   /// Scratch of finished round trips: one per concurrent reader at most.
   mutable std::vector<std::unique_ptr<LinkScratch>> idle_scratch_
       CSXA_GUARDED_BY(mu_);
@@ -194,9 +193,10 @@ class DocumentService {
   /// Terminal side: the live batch link of `doc_id` — the object a
   /// net::TerminalServer registers so a remote SOE reads the *current*
   /// store (version bumps included) over the wire exactly as an
-  /// in-process session does. Holds ciphertext and digests only; keys,
+  /// in-process session does; it converts to the crypto::BatchSource an
+  /// in-process reader takes. Holds ciphertext and digests only; keys,
   /// geometry and the expected version never cross this boundary.
-  Result<std::shared_ptr<const crypto::BatchSource>> TerminalLink(
+  Result<std::shared_ptr<const crypto::BatchTerminal>> TerminalLink(
       const std::string& doc_id) const;
 
   /// SOE side: routes every *future* session's batch reads for `doc_id`

@@ -28,10 +28,13 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "access/access_rule.h"
 #include "common/bytes.h"
+#include "crypto/wire_format.h"
+#include "index/encoder.h"
 #include "index/fetch_planner.h"
 #include "net/fault_proxy.h"
 #include "net/remote_source.h"
@@ -596,6 +599,119 @@ TEST(UnknownDocumentFailsWithoutRetry) {
   server.Stop();
 }
 
+/// Writes one record on a raw connection and reads the server's reply,
+/// which must echo the record's id.
+Result<net::Record> Exchange(int fd, net::RecordKind kind, uint64_t id,
+                             const std::vector<uint8_t>& payload) {
+  CSXA_RETURN_NOT_OK(
+      net::WriteRecord(fd, kind, id, payload.data(), payload.size()));
+  CSXA_ASSIGN_OR_RETURN(net::Record reply, net::ReadRecord(fd));
+  CHECK_EQ(reply.id, id);
+  return reply;
+}
+
+TEST(TerminalAnswersRawFramesAsFilledInProcess) {
+  // Record by record over a raw socket, against a service's live link
+  // and a bare store: each answer is the in-process fill of the same
+  // request, encoded once, and the connection's reused request and
+  // response carry nothing from one record into the next.
+  server::DocumentService service;
+  const server::DocumentConfig cfg =
+      TestConfig(crypto::CipherBackendKind::kAes);
+  CHECK_OK(service.Publish("doc", TestDocument(/*folders=*/4), cfg));
+  auto link = service.TerminalLink("doc");
+  CHECK_OK(link.status());
+  if (!link.ok()) return;
+  std::vector<uint8_t> plaintext(4096);
+  for (size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<uint8_t>(i * 7);
+  }
+  auto built =
+      crypto::SecureDocumentStore::Build(plaintext, TestKey(), cfg.layout);
+  CHECK_OK(built.status());
+  if (!built.ok()) return;
+  auto bare = std::make_shared<const crypto::SecureDocumentStore>(built.take());
+  net::TerminalServer server;
+  server.RegisterDocument("doc", link.value());
+  server.RegisterDocument("bare", bare);
+  CHECK_OK(server.Start());
+
+  // The long request waives chunk 0 and trims chunk 1; the short one
+  // reads both chunks again with neither, in fewer runs.
+  crypto::BatchRequest long_request;
+  long_request.runs = {{0, 64}, {256, 320}, {512, 768}};
+  long_request.bare_chunks = {0};
+  long_request.hints = {{/*chunk=*/1, /*known_nodes=*/0xFF,
+                         /*root_known=*/true}};
+  crypto::BatchRequest short_request;
+  short_request.runs = {{32, 64}, {288, 320}};
+  std::vector<uint8_t> long_frame;
+  std::vector<uint8_t> short_frame;
+  crypto::EncodeBatchRequest(long_request, &long_frame);
+  crypto::EncodeBatchRequest(short_request, &short_frame);
+  std::vector<uint8_t> corrupt_frame = long_frame;
+  corrupt_frame[0] ^= 0x01;  // The request magic.
+
+  const std::pair<std::string, std::shared_ptr<const crypto::BatchTerminal>>
+      terminals[] = {{"doc", link.value()}, {"bare", bare}};
+  for (const auto& [doc_id, terminal] : terminals) {
+    std::printf("  %s\n", doc_id.c_str());
+    // In-process fills, each into a fresh response.
+    auto expected = [&terminal](const crypto::BatchRequest& request) {
+      crypto::BatchResponse response;
+      CHECK_OK(terminal->FillBatch(request, &response));
+      std::vector<uint8_t> frame;
+      crypto::EncodeBatchResponse(response, &frame);
+      return frame;
+    };
+    const std::vector<uint8_t> long_answer = expected(long_request);
+    const std::vector<uint8_t> short_answer = expected(short_request);
+    CHECK(short_answer != long_answer);
+
+    auto fd = net::ConnectTcp("127.0.0.1", server.port());
+    CHECK_OK(fd.status());
+    if (!fd.ok()) return;
+    net::SetRecvTimeoutNs(fd.value(), 5'000'000'000ULL);
+    auto unbound =
+        Exchange(fd.value(), net::RecordKind::kBatchRequest, 1, long_frame);
+    CHECK_OK(unbound.status());
+    if (unbound.ok()) {
+      CHECK(unbound.value().kind == net::RecordKind::kError);
+      CHECK(net::ReadErrorPayload(unbound.value().payload).code() ==
+            StatusCode::kInvalidArgument);
+    }
+    CHECK_OK(SendBind(fd.value(), doc_id));
+    auto ack = net::ReadRecord(fd.value());
+    CHECK(ack.ok() && ack.value().kind == net::RecordKind::kBindAck);
+
+    auto answered =
+        Exchange(fd.value(), net::RecordKind::kBatchRequest, 2, long_frame);
+    CHECK_OK(answered.status());
+    if (answered.ok()) {
+      CHECK(answered.value().kind == net::RecordKind::kBatchResponse);
+      CHECK(answered.value().payload == long_answer);
+    }
+    auto corrupt =
+        Exchange(fd.value(), net::RecordKind::kBatchRequest, 3, corrupt_frame);
+    CHECK_OK(corrupt.status());
+    if (corrupt.ok()) {
+      CHECK(corrupt.value().kind == net::RecordKind::kError);
+      CHECK(net::ReadErrorPayload(corrupt.value().payload).code() ==
+            StatusCode::kIntegrityError);
+    }
+    auto shorter =
+        Exchange(fd.value(), net::RecordKind::kBatchRequest, 4, short_frame);
+    CHECK_OK(shorter.status());
+    if (shorter.ok()) {
+      CHECK(shorter.value().kind == net::RecordKind::kBatchResponse);
+      CHECK(shorter.value().payload == short_answer);
+    }
+    net::CloseFd(fd.value());
+  }
+  CHECK_EQ(server.requests_served(), uint64_t{4});
+  server.Stop();
+}
+
 TEST(StopReturnsWhileAClientSitsIdle) {
   // A terminal server whose handler answered a bind and now waits in
   // ReadRecord for a request that never comes.
@@ -712,30 +828,59 @@ TEST(SeededProgramIsDeterministic) {
 TEST(StaleSessionFailsClosedOverTheWire) {
   // The replay-protection contract survives the process boundary: a
   // session opened before a version bump, reading through TCP, still
-  // fails with the same IntegrityError class as in-process.
+  // fails with the same IntegrityError class as in-process, after a
+  // growing bump and after a shrinking one (the in-process twin is
+  // server_test's ShrinkingUpdateStillFailsStaleSessionsClosed). Such a
+  // session's next batch may fail on a stale digest before it asks for a
+  // range the current store lacks, so the stale range itself is sent
+  // too: the old version's tail run, which ends past a shrunk store and
+  // mid-document in a grown one.
   const std::string xml = TestDocument(/*folders=*/4);
-  auto rules = access::ParseRuleList("+ //Prescription\n").take();
-  server::DocumentService service;
-  CHECK_OK(
-      service.Publish("doc", xml, TestConfig(crypto::CipherBackendKind::k3Des)));
-  net::TerminalServer server;
-  server.RegisterDocument("doc", service.TerminalLink("doc").take());
-  CHECK_OK(server.Start());
-  CHECK_OK(service.AttachTransport(
-      "doc",
-      std::make_shared<net::RemoteBatchSource>(RemoteOptions(server.port()))));
+  const server::DocumentConfig cfg =
+      TestConfig(crypto::CipherBackendKind::k3Des);
+  auto encoded = index::Encode(xml, cfg.variant);
+  CHECK_OK(encoded.status());
+  if (!encoded.ok()) return;
+  const uint64_t old_size = (encoded.value().bytes.size() + 7) / 8 * 8;
+  crypto::BatchRequest old_tail;
+  old_tail.runs.push_back(
+      {(old_size - 1) / cfg.layout.fragment_size * cfg.layout.fragment_size,
+       old_size});
+  // The tail is stale after growth only if it ends off a fragment edge.
+  CHECK(old_size % cfg.layout.fragment_size != 0);
 
-  auto session = service.OpenSession("doc", rules, pipeline::ServeOptions{});
-  CHECK_OK(session.status());
-  if (!session.ok()) return;
-  CHECK_OK(service.Update("doc", TestDocument(/*folders=*/5)));
-  auto stale = session.value()->Drain();
-  CHECK(!stale.ok());
-  if (!stale.ok()) {
-    CHECK_EQ(static_cast<int>(stale.status().code()),
-             static_cast<int>(StatusCode::kIntegrityError));
+  const auto rules = access::ParseRuleList("+ //Prescription\n").take();
+  for (int bumped_folders : {5, 2}) {
+    server::DocumentService service;
+    CHECK_OK(service.Publish("doc", xml, cfg));
+    net::TerminalServer server;
+    server.RegisterDocument("doc", service.TerminalLink("doc").take());
+    CHECK_OK(server.Start());
+    auto remote =
+        std::make_shared<net::RemoteBatchSource>(RemoteOptions(server.port()));
+    CHECK_OK(service.AttachTransport("doc", remote));
+    CHECK_OK(remote->ReadBatch(old_tail).status());
+
+    auto session = service.OpenSession("doc", rules, pipeline::ServeOptions{});
+    CHECK_OK(session.status());
+    if (!session.ok()) return;
+    CHECK_OK(service.Update("doc", TestDocument(bumped_folders)));
+    auto stale = session.value()->Drain();
+    CHECK(!stale.ok());
+    if (!stale.ok()) {
+      CHECK_EQ(static_cast<int>(stale.status().code()),
+               static_cast<int>(StatusCode::kIntegrityError));
+    }
+    auto stale_range = remote->ReadBatch(old_tail);
+    CHECK(!stale_range.ok());
+    if (!stale_range.ok()) {
+      CHECK_EQ(static_cast<int>(stale_range.status().code()),
+               static_cast<int>(StatusCode::kIntegrityError));
+      CHECK(stale_range.status().message().find("stale session") !=
+            std::string::npos);
+    }
+    server.Stop();
   }
-  server.Stop();
 }
 
 TEST(FinishedConnectionsReleaseTheirThreads) {

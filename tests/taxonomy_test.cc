@@ -176,5 +176,64 @@ TEST(WireDecodeFailuresAreIntegrityErrors) {
   }
 }
 
+// The store's run check splits two classes. A run ending past the store,
+// or at an unaligned end short of it, is what a session built for another
+// version sends after a bump (a shrink, or a growth that moved the old
+// tail mid-document): IntegrityError, the stale-session class. A run no
+// session of any version builds is caller misuse: InvalidArgument.
+TEST(FillBatchSplitsStaleRangesFromMalformedRuns) {
+  using Runs = std::vector<crypto::BatchRequest::Run>;
+  struct Case {
+    const char* name;
+    Runs runs;
+    StatusCode code;
+  };
+  // 4016 bytes: a multiple of both cipher blocks whose last fragment is
+  // 16 bytes short, so the store's end is an unaligned tail.
+  const std::vector<uint8_t> doc(4016, 'x');
+  const Case cases[] = {
+      {"whole document", {{0, 4016}}, StatusCode::kOk},
+      {"unaligned tail at the store's end", {{3968, 4016}}, StatusCode::kOk},
+      {"end past the store", {{3968, 4032}}, StatusCode::kIntegrityError},
+      {"second run past the store",
+       {{0, 64}, {3968, 4032}},
+       StatusCode::kIntegrityError},
+      {"unaligned end short of the store's end",
+       {{0, 100}},
+       StatusCode::kIntegrityError},
+      {"empty run", {{64, 64}}, StatusCode::kInvalidArgument},
+      {"begin after end", {{96, 64}}, StatusCode::kInvalidArgument},
+      {"unaligned begin", {{16, 64}}, StatusCode::kInvalidArgument},
+      {"overlapping runs",
+       {{0, 128}, {64, 192}},
+       StatusCode::kInvalidArgument},
+  };
+  for (crypto::CipherBackendKind backend : kBackends) {
+    auto store = crypto::SecureDocumentStore::Build(doc, TestKey(),
+                                                    TestLayout(),
+                                                    /*version=*/1, backend);
+    CHECK_OK(store.status());
+    if (!store.ok()) return;
+    CHECK_EQ(store.value().ciphertext().size(), doc.size());
+    crypto::BatchResponse response;
+    for (const Case& c : cases) {
+      crypto::BatchRequest request;
+      request.runs = c.runs;
+      Status filled = store.value().FillBatch(request, &response);
+      if (filled.code() != c.code) {
+        testing::Fail(__FILE__, __LINE__,
+                      std::string(c.name) + " (" +
+                          crypto::CipherBackendKindName(backend) +
+                          ") answered " + filled.ToString());
+      }
+      if (c.code == StatusCode::kIntegrityError) {
+        CHECK_EQ(filled.message(),
+                 std::string("stale session: batch range beyond the current "
+                             "document version"));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csxa

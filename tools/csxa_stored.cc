@@ -15,7 +15,9 @@
 // Document ids are the family names ("hospital", "wsu", ...). The process
 // serves until the duration elapses (0 = until killed).
 
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +47,19 @@ void Usage() {
                "  --fragment N     fragment size in bytes (default 64)\n"
                "  --backend B      3des (default) or aes\n"
                "  --duration S     seconds to serve; 0 (default) = forever\n");
+}
+
+/// Parses a whole unsigned decimal no larger than `max`. A sign, an empty
+/// or non-numeric value, trailing text or overflow is rejected, so no flag
+/// value is silently truncated or read as 0.
+bool ParseUnsigned(const char* text, uint64_t max, uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > max) return false;
+  *out = value;
+  return true;
 }
 
 bool ParseFamilies(const std::string& arg, std::vector<CorpusFamily>* out) {
@@ -92,18 +107,23 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
-    if (arg == "--port" && (v = next())) {
-      port = static_cast<uint16_t>(std::atoi(v));
+    uint64_t n = 0;  // A numeric flag's value; a bad one falls to Usage().
+    if (arg == "--port" && (v = next()) && ParseUnsigned(v, UINT16_MAX, &n)) {
+      port = static_cast<uint16_t>(n);
     } else if (arg == "--families" && (v = next())) {
       if (!ParseFamilies(v, &families)) return 2;
-    } else if (arg == "--bytes" && (v = next())) {
-      target_bytes = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--seed" && (v = next())) {
-      seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--chunk" && (v = next())) {
-      doc_cfg.layout.chunk_size = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--fragment" && (v = next())) {
-      doc_cfg.layout.fragment_size = std::strtoul(v, nullptr, 10);
+    } else if (arg == "--bytes" && (v = next()) &&
+               ParseUnsigned(v, UINT64_MAX, &n)) {
+      target_bytes = n;
+    } else if (arg == "--seed" && (v = next()) &&
+               ParseUnsigned(v, UINT64_MAX, &n)) {
+      seed = n;
+    } else if (arg == "--chunk" && (v = next()) &&
+               ParseUnsigned(v, UINT32_MAX, &n)) {
+      doc_cfg.layout.chunk_size = static_cast<uint32_t>(n);
+    } else if (arg == "--fragment" && (v = next()) &&
+               ParseUnsigned(v, UINT32_MAX, &n)) {
+      doc_cfg.layout.fragment_size = static_cast<uint32_t>(n);
     } else if (arg == "--backend" && (v = next())) {
       Result<csxa::crypto::CipherBackendKind> kind =
           csxa::crypto::ParseCipherBackendName(v);
@@ -113,8 +133,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       doc_cfg.backend = kind.value();
-    } else if (arg == "--duration" && (v = next())) {
-      duration_s = std::atoi(v);
+    } else if (arg == "--duration" && (v = next()) &&
+               ParseUnsigned(v, INT32_MAX, &n)) {
+      duration_s = static_cast<int>(n);
     } else {
       Usage();
       return 2;
@@ -140,7 +161,7 @@ int main(int argc, char** argv) {
                    published.ToString().c_str());
       return 1;
     }
-    Result<std::shared_ptr<const csxa::crypto::BatchSource>> link =
+    Result<std::shared_ptr<const csxa::crypto::BatchTerminal>> link =
         service.TerminalLink(doc_id);
     if (!link.ok()) {
       std::fprintf(stderr, "csxa_stored: link %s: %s\n", doc_id.c_str(),
